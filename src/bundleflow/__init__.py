@@ -47,9 +47,9 @@ from .frenet import (
 from .geometry import (
     CheckReport,
     CurvatureOperator,
-    FieldArray3,
-    FieldMatrix,
+    FieldTensor,
     MetricStructure,
+    PointGeometry,
     check_curvature_purity,
     check_norden,
     check_parallel_phi,

@@ -6,7 +6,11 @@ fiber vector along it.  The ODE state keeps the coordinate derivative
 
     xi'^l = xidot^l + Gamma^l_{ij} xdot^j xi^i
 
-is a derived view.  Every system supported here prescribes covariant targets
+is a derived view.  :class:`~bundleflow.geometry.PointGeometry` is the one
+place where xi' <-> xidot and gamma'' <-> xddot are converted; the functions
+here build one per RHS call or per stored sample.
+
+Every system supported here prescribes covariant targets
 
     gamma'' = R(xi', phi xi) gamma' + rho1 gamma' + rho2 F gamma'
     xi''    = rho1 xi' + rho2 F xi'            (tangent bundle)
@@ -28,7 +32,7 @@ import numpy as np
 
 from .errors import ConstraintError
 from .expressions import ScalarField
-from .geometry import FieldMatrix, MetricStructure
+from .geometry import FieldTensor, MetricStructure, PointGeometry
 
 __all__ = [
     "BundlePoint",
@@ -109,11 +113,12 @@ class BundleState:
 
 
 class FTensor:
-    """A (1,1)-tensor field F^i_j; either explicit components or phi reused."""
+    """A (1,1)-tensor field F^i_j: explicit components, phi reused, or a
+    function of the :class:`PointGeometry` at the point."""
 
     __slots__ = ("matrix", "is_phi", "func")
 
-    def __init__(self, matrix: FieldMatrix | None = None, *, is_phi: bool = False, func=None):
+    def __init__(self, matrix: FieldTensor | None = None, *, is_phi: bool = False, func=None):
         if sum(x is not None for x in (matrix, func)) + int(is_phi) != 1:
             raise ValueError("provide exactly one of matrix, func or is_phi")
         self.matrix = matrix
@@ -122,14 +127,21 @@ class FTensor:
 
     @classmethod
     def from_spec(cls, rows, dim: int) -> "FTensor":
-        return cls(FieldMatrix.from_spec(rows, dim))
+        matrix = FieldTensor.from_spec(rows, dim)
+        if matrix.rank != 2:
+            raise ValueError("F must be a matrix")
+        return cls(matrix)
 
     def at(self, M: MetricStructure, point) -> np.ndarray:
+        return self.on(M.at(point))
+
+    def on(self, geo: PointGeometry) -> np.ndarray:
+        """F at the point of an already built geometry."""
         if self.is_phi:
-            return M.phi_at(point)
+            return geo.phi
         if self.func is not None:
-            return np.asarray(self.func(point), dtype=float)
-        return self.matrix.at(point)
+            return np.asarray(self.func(geo), dtype=float)
+        return self.matrix.at(geo.x)
 
 
 @dataclass(frozen=True)
@@ -195,10 +207,6 @@ def unit_defect(M: MetricStructure, bp: BundlePoint) -> float:
     return phi_pairing(M, bp.x, bp.xi, bp.xi) - 1.0
 
 
-def is_unit_point(M: MetricStructure, bp: BundlePoint, tol: float = 1e-8) -> bool:
-    return abs(unit_defect(M, bp)) <= tol
-
-
 def sasaki_metric_eval(M: MetricStructure, bp: BundlePoint, A, B) -> float:
     """Bundle metric of two (horizontal, vertical) component pairs at bp.
 
@@ -233,13 +241,11 @@ def covariant_deriv_along(M: MetricStructure, state: BundleState, xddot=None):
     gamma''^l = xddot^l + Gamma^l_{ij} xdot^i xdot^j
     xi'^l     = xidot^l + Gamma^l_{ij} xdot^j xi^i
     """
-    gam = M.christoffel_at(state.x)
-    xi_prime = state.xidot + np.einsum("lij,i,j->l", gam, state.xi, state.xdot)
+    geo = M.at(state.x)
+    xi_prime = geo.to_covariant(state.xi, state.xidot, state.xdot)
     gamma_dd = None
     if xddot is not None:
-        gamma_dd = np.asarray(xddot, dtype=float) + np.einsum(
-            "lij,i,j->l", gam, state.xdot, state.xdot
-        )
+        gamma_dd = geo.to_covariant(state.xdot, np.asarray(xddot, dtype=float), state.xdot)
     return gamma_dd, xi_prime
 
 
@@ -249,28 +255,15 @@ def unit_fiber_acceleration(g_mat, phi_mat, xi, xi_prime) -> np.ndarray:
     return -rho_sq * xi
 
 
-def covariant_targets(
-    M: MetricStructure,
-    system: BundleSystem,
-    t: float,
-    x,
-    xdot,
-    xi,
-    xi_prime,
-    *,
-    g_mat=None,
-    phi_mat=None,
-):
+def covariant_targets(geo: PointGeometry, system: BundleSystem, t: float, xdot, xi, xi_prime):
     """Covariant right-hand sides (gamma'' target, xi'' target) of a system."""
-    if g_mat is None:
-        g_mat = M.metric_at(x)
-    if phi_mat is None:
-        phi_mat = M.phi_at(x)
-    accel = M.riemann_at(x, xi_prime, phi_mat @ xi, xdot)
-    fiber = np.zeros(M.dim)
+    g_mat = geo.g  # evaluated for every kind: it checks that g is regular here
+    phi_mat = geo.phi
+    accel = geo.riemann(xi_prime, phi_mat @ xi, xdot)
+    fiber = np.zeros(geo.M.dim)
     rho1, rho2 = system.rho_at(t)
     if system.kind in _F_KINDS:
-        f_mat = system.f_tensor.at(M, x)
+        f_mat = system.f_tensor.on(geo)
         accel = accel + rho1 * xdot + rho2 * (f_mat @ xdot)
         fiber = rho1 * xi_prime + rho2 * (f_mat @ xi_prime)
     if system.on_unit_bundle:
@@ -287,18 +280,12 @@ def make_rhs(M: MetricStructure, system: BundleSystem):
         xdot = y[dim : 2 * dim]
         xi = y[2 * dim : 3 * dim]
         xidot = y[3 * dim :]
-        gam = M.christoffel_at(x)
-        xi_prime = xidot + np.einsum("lij,i,j->l", gam, xi, xdot)
-        accel, fiber = covariant_targets(M, system, t, x, xdot, xi, xi_prime)
-        xddot = accel - np.einsum("lij,i,j->l", gam, xdot, xdot)
-        dgam = M.christoffel_grad_at(x)
-        xiddot = (
-            fiber
-            - np.einsum("lij,i,j->l", gam, xi_prime, xdot)
-            - np.einsum("klij,k,i,j->l", dgam, xdot, xi, xdot)
-            - np.einsum("lij,i,j->l", gam, xi, xddot)
-            - np.einsum("lij,i,j->l", gam, xidot, xdot)
-        )
+        geo = M.at(x)
+        xi_prime = geo.to_covariant(xi, xidot, xdot)
+        accel, fiber = covariant_targets(geo, system, t, xdot, xi, xi_prime)
+        xddot = geo.to_coordinate(xdot, accel, xdot)
+        dxi_prime = geo.to_coordinate(xi_prime, fiber, xdot)
+        xiddot = geo.coordinate_rate(xi, xidot, dxi_prime, xdot, xddot)
         return np.concatenate([xdot, xddot, xidot, xiddot])
 
     return rhs
@@ -313,8 +300,8 @@ def normalized_unit_state(
     component is removed from the fiber velocity.  Violations beyond ``tol``
     raise :class:`ConstraintError` instead of being silently repaired.
     """
-    g = M.metric_at(state.x)
-    phi = M.phi_at(state.x)
+    geo = M.at(state.x)
+    g, phi = geo.g, geo.phi
     norm = float(state.xi @ g @ (phi @ state.xi))
     if abs(norm - 1.0) > tol:
         raise ConstraintError(
@@ -322,8 +309,7 @@ def normalized_unit_state(
         )
     if norm <= 0.0:
         raise ConstraintError("initial fiber has non-positive phi-norm")
-    gam = M.christoffel_at(state.x)
-    xi_prime = state.xidot + np.einsum("lij,i,j->l", gam, state.xi, state.xdot)
+    xi_prime = geo.to_covariant(state.xi, state.xidot, state.xdot)
     scale = float(np.sqrt(norm))
     xi = state.xi / scale
     xi_prime = xi_prime / scale
@@ -333,13 +319,13 @@ def normalized_unit_state(
             f"initial fiber velocity has g(xi', phi xi) = {ortho:.6g}, expected 0"
         )
     xi_prime = xi_prime - ortho * xi
-    xidot = xi_prime - np.einsum("lij,i,j->l", gam, xi, state.xdot)
+    xidot = geo.to_coordinate(xi, xi_prime, state.xdot)
     return BundleState(state.x.copy(), state.xdot.copy(), xi, xidot)
 
 
 def lorentz_force(
     M: MetricStructure,
-    omega: FieldMatrix,
+    omega: FieldTensor,
     strength: float = 1.0,
     *,
     n_check: int = 8,
@@ -359,8 +345,8 @@ def lorentz_force(
         if float(np.max(np.abs(w + w.T))) > 1e-10 * scale:
             raise ValueError(f"2-form is not antisymmetric at {p}")
 
-    def components(point):
-        return strength * (M.metric_inverse_at(point) @ omega.at(point))
+    def components(geo):
+        return strength * (geo.ginv @ omega.at(geo.x))
 
     return FTensor(func=components)
 
@@ -380,57 +366,6 @@ class ResidualReport:
         return {"max_residual": float(self.max_residual)}
 
 
-def _xi_prime_series(M, traj):
-    n = traj.times.size
-    out = np.empty_like(traj.xi)
-    gammas = []
-    for i in range(n):
-        gam = M.christoffel_at(traj.x[i])
-        gammas.append(gam)
-        out[i] = traj.xidot[i] + np.einsum("lij,i,j->l", gam, traj.xi[i], traj.xdot[i])
-    return out, gammas
-
-
-def _second_derivatives(M, traj, gammas, xi_prime):
-    """Per-sample covariant (gamma'', xi''); exact when stored coordinate
-    second derivatives are present, centered differences of the stored
-    series otherwise."""
-    n = traj.times.size
-    gamma_dd = np.empty_like(traj.x)
-    xi_dd = np.empty_like(traj.xi)
-    fd = traj.xddot is None or traj.xiddot is None
-    if fd:
-        if n < 5:
-            raise ValueError("too few samples for residual differencing")
-        dxdot = np.gradient(traj.xdot, traj.times, axis=0)
-        dxi_prime = np.gradient(xi_prime, traj.times, axis=0)
-        for i in range(n):
-            gam = gammas[i]
-            gamma_dd[i] = dxdot[i] + np.einsum(
-                "lij,i,j->l", gam, traj.xdot[i], traj.xdot[i]
-            )
-            xi_dd[i] = dxi_prime[i] + np.einsum(
-                "lij,i,j->l", gam, xi_prime[i], traj.xdot[i]
-            )
-        return gamma_dd, xi_dd, True
-    for i in range(n):
-        gam = gammas[i]
-        dgam = M.christoffel_grad_at(traj.x[i])
-        gamma_dd[i] = traj.xddot[i] + np.einsum(
-            "lij,i,j->l", gam, traj.xdot[i], traj.xdot[i]
-        )
-        dxi_prime = (
-            traj.xiddot[i]
-            + np.einsum("klij,k,i,j->l", dgam, traj.xdot[i], traj.xi[i], traj.xdot[i])
-            + np.einsum("lij,i,j->l", gam, traj.xi[i], traj.xddot[i])
-            + np.einsum("lij,i,j->l", gam, traj.xidot[i], traj.xdot[i])
-        )
-        xi_dd[i] = dxi_prime + np.einsum(
-            "lij,i,j->l", gam, xi_prime[i], traj.xdot[i]
-        )
-    return gamma_dd, xi_dd, False
-
-
 def geodesic_residual(M: MetricStructure, system: BundleSystem, traj) -> ResidualReport:
     """Plug a trajectory back into its covariant equations and report the gap.
 
@@ -438,25 +373,33 @@ def geodesic_residual(M: MetricStructure, system: BundleSystem, traj) -> Residua
     are evaluated exactly; integrator output is differenced with centered
     second-order stencils and judged on interior samples only.
     """
-    if traj.times.size == 0:
-        raise ValueError("empty trajectory")
-    xi_prime, gammas = _xi_prime_series(M, traj)
-    gamma_dd, xi_dd, used_fd = _second_derivatives(M, traj, gammas, xi_prime)
     n = traj.times.size
-    res = np.empty(n)
+    if n == 0:
+        raise ValueError("empty trajectory")
+    used_fd = traj.xddot is None or traj.xiddot is None
+    if used_fd and n < 5:
+        raise ValueError("too few samples for residual differencing")
+    # gamma_dd, xi_dd: covariant (gamma'', xi''); when differencing, the loop
+    # stores only their connection terms and the differenced derivatives follow
+    xi_prime, gamma_dd, xi_dd, accel, fiber = (np.empty_like(traj.xi) for _ in range(5))
     for i in range(n):
-        accel, fiber = covariant_targets(
-            M,
-            system,
-            float(traj.times[i]),
-            traj.x[i],
-            traj.xdot[i],
-            traj.xi[i],
-            xi_prime[i],
+        geo = M.at(traj.x[i])
+        xdot, xi, xidot = traj.xdot[i], traj.xi[i], traj.xidot[i]
+        xi_prime[i] = geo.to_covariant(xi, xidot, xdot)
+        if used_fd:
+            gamma_dd[i] = geo.connection(xdot, xdot)
+            xi_dd[i] = geo.connection(xi_prime[i], xdot)
+        else:
+            gamma_dd[i] = geo.to_covariant(xdot, traj.xddot[i], xdot)
+            rate = geo.covariant_rate(xi, xidot, traj.xiddot[i], xdot, traj.xddot[i])
+            xi_dd[i] = geo.to_covariant(xi_prime[i], rate, xdot)
+        accel[i], fiber[i] = covariant_targets(
+            geo, system, float(traj.times[i]), xdot, xi, xi_prime[i]
         )
-        res[i] = float(
-            np.sqrt(np.sum((gamma_dd[i] - accel) ** 2) + np.sum((xi_dd[i] - fiber) ** 2))
-        )
+    if used_fd:
+        gamma_dd = np.gradient(traj.xdot, traj.times, axis=0) + gamma_dd
+        xi_dd = np.gradient(xi_prime, traj.times, axis=0) + xi_dd
+    res = np.sqrt(np.sum((gamma_dd - accel) ** 2, axis=1) + np.sum((xi_dd - fiber) ** 2, axis=1))
     window = slice(1, -1) if used_fd and n > 2 else slice(None)
     return ResidualReport(float(np.max(res[window])), traj.times, res)
 
@@ -484,35 +427,20 @@ def phi_mirror(M: MetricStructure, traj, *, check_parallel: bool = True):
     xidot = np.empty_like(traj.xidot)
     xiddot = None if traj.xiddot is None else np.empty_like(traj.xiddot)
     for i in range(n):
-        x = traj.x[i]
-        phi = M.phi_at(x)
-        gam = M.christoffel_at(x)
+        geo = M.at(traj.x[i])
+        phi = geo.phi
+        xdot = traj.xdot[i]
         mu = phi @ traj.xi[i]
-        xi_prime = traj.xidot[i] + np.einsum(
-            "lij,i,j->l", gam, traj.xi[i], traj.xdot[i]
-        )
+        xi_prime = geo.to_covariant(traj.xi[i], traj.xidot[i], xdot)
         mu_prime = phi @ xi_prime
         xi[i] = mu
-        xidot[i] = mu_prime - np.einsum("lij,i,j->l", gam, mu, traj.xdot[i])
+        xidot[i] = geo.to_coordinate(mu, mu_prime, xdot)
         if xiddot is not None:
-            dgam = M.christoffel_grad_at(x)
-            dxi_prime = (
-                traj.xiddot[i]
-                + np.einsum(
-                    "klij,k,i,j->l", dgam, traj.xdot[i], traj.xi[i], traj.xdot[i]
-                )
-                + np.einsum("lij,i,j->l", gam, traj.xi[i], traj.xddot[i])
-                + np.einsum("lij,i,j->l", gam, traj.xidot[i], traj.xdot[i])
-            )
-            xi_dd = dxi_prime + np.einsum("lij,i,j->l", gam, xi_prime, traj.xdot[i])
-            mu_dd = phi @ xi_dd
-            dmu_prime = mu_dd - np.einsum("lij,i,j->l", gam, mu_prime, traj.xdot[i])
-            xiddot[i] = (
-                dmu_prime
-                - np.einsum("klij,k,i,j->l", dgam, traj.xdot[i], mu, traj.xdot[i])
-                - np.einsum("lij,i,j->l", gam, mu, traj.xddot[i])
-                - np.einsum("lij,i,j->l", gam, xidot[i], traj.xdot[i])
-            )
+            xddot = traj.xddot[i]
+            rate = geo.covariant_rate(traj.xi[i], traj.xidot[i], traj.xiddot[i], xdot, xddot)
+            mu_dd = phi @ geo.to_covariant(xi_prime, rate, xdot)
+            dmu_prime = geo.to_coordinate(mu_prime, mu_dd, xdot)
+            xiddot[i] = geo.coordinate_rate(mu, xidot[i], dmu_prime, xdot, xddot)
     mirrored = Trajectory(
         times=traj.times.copy(),
         x=traj.x.copy(),

@@ -38,7 +38,7 @@ import numpy as np
 
 from .bundle import BundleState, BundleSystem, FPlanarCoefficients, FTensor
 from .errors import ParameterError, UnknownEntryError
-from .geometry import CurvatureOperator, FieldArray3, MetricStructure
+from .geometry import CurvatureOperator, FieldTensor, MetricStructure
 from .integrate import Trajectory, compute_monitors
 
 __all__ = [
@@ -245,7 +245,7 @@ def _flat_diag() -> CatalogEntry:
         2,
         [["1", "0"], ["0", "1"]],
         [["1", "0"], ["0", "-1"]],
-        christoffel=FieldArray3.zeros(2),
+        christoffel=FieldTensor.zeros(2, 3),
         chart_box=[(-2.0, 2.0), (-2.0, 2.0)],
         name="flat_diag",
     )
@@ -490,7 +490,7 @@ def _flat4_structure(name: str) -> MetricStructure:
         4,
         _EYE4,
         _PHI4,
-        christoffel=FieldArray3.zeros(4),
+        christoffel=FieldTensor.zeros(4, 3),
         chart_box=[(-2.0, 2.0)] * 4,
         name=name,
     )

@@ -84,14 +84,13 @@ class CovariantJets:
         return len(self.jets)
 
 
-def _covariant_time_derivative(M, times, x, xdot, series):
+def _covariant_time_derivative(geos, times, xdot, series):
     """Covariant derivative along the curve of a vector series, by centered
     differencing of the stored samples."""
     dser = np.gradient(series, times, axis=0)
     out = np.empty_like(series)
-    for i in range(series.shape[0]):
-        gam = M.christoffel_at(x[i])
-        out[i] = dser[i] + np.einsum("lij,i,j->l", gam, series[i], xdot[i])
+    for i, geo in enumerate(geos):
+        out[i] = geo.to_covariant(series[i], dser[i], xdot[i])
     return out
 
 
@@ -129,18 +128,16 @@ def covariant_jets(
     elif method == "auto" and is_unit_geo:
         recursion_from = 4
 
+    geos = [M.at(x) for x in traj.x]
     jets: list[np.ndarray] = [traj.xdot.copy()]
     trim = 0
     if order >= 2:
         if traj.xddot is not None:
             jet2 = np.empty_like(traj.x)
-            for i in range(n):
-                gam = M.christoffel_at(traj.x[i])
-                jet2[i] = traj.xddot[i] + np.einsum(
-                    "lij,i,j->l", gam, traj.xdot[i], traj.xdot[i]
-                )
+            for i, geo in enumerate(geos):
+                jet2[i] = geo.to_covariant(traj.xdot[i], traj.xddot[i], traj.xdot[i])
         else:
-            jet2 = _covariant_time_derivative(M, traj.times, traj.x, traj.xdot, jets[0])
+            jet2 = _covariant_time_derivative(geos, traj.times, traj.xdot, jets[0])
             trim += 1
         jets.append(jet2)
 
@@ -150,26 +147,21 @@ def covariant_jets(
         if recursion_from is not None:
             xi_prime = np.empty_like(traj.xi)
             phi_xi = np.empty_like(traj.xi)
-            for i in range(n):
-                gam = M.christoffel_at(traj.x[i])
-                xi_prime[i] = traj.xidot[i] + np.einsum(
-                    "lij,i,j->l", gam, traj.xi[i], traj.xdot[i]
-                )
-                phi_xi[i] = M.phi_at(traj.x[i]) @ traj.xi[i]
+            for i, geo in enumerate(geos):
+                xi_prime[i] = geo.to_covariant(traj.xi[i], traj.xidot[i], traj.xdot[i])
+                phi_xi[i] = geo.phi @ traj.xi[i]
         for p in range(3, order + 1):
             if recursion_from is not None and p >= recursion_from:
                 nxt = np.empty_like(jets[-1])
-                for i in range(n):
-                    nxt[i] = M.riemann_at(traj.x[i], xi_prime[i], phi_xi[i], jets[-1][i])
+                for i, geo in enumerate(geos):
+                    nxt[i] = geo.riemann(xi_prime[i], phi_xi[i], jets[-1][i])
             else:
                 if p > 4:
                     warnings.warn(
                         f"jet order {p} by finite differences is past the noise floor",
                         stacklevel=2,
                     )
-                nxt = _covariant_time_derivative(
-                    M, traj.times, traj.x, traj.xdot, jets[-1]
-                )
+                nxt = _covariant_time_derivative(geos, traj.times, traj.xdot, jets[-1])
                 trim += 1
             jets.append(nxt)
 

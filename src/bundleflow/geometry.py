@@ -26,9 +26,9 @@ from .errors import PurityError, SingularMetricError
 from .expressions import ScalarField
 
 __all__ = [
-    "FieldMatrix",
-    "FieldArray3",
+    "FieldTensor",
     "MetricStructure",
+    "PointGeometry",
     "CurvatureOperator",
     "CheckReport",
     "sample_chart_points",
@@ -48,28 +48,48 @@ def _as_field(entry, dim: int) -> ScalarField:
     return ScalarField.constant(float(entry), dim)
 
 
-class FieldMatrix:
-    """A dim x dim matrix of scalar fields with a constant fast path."""
+class FieldTensor:
+    """A dim x ... x dim array of scalar fields with a constant fast path.
 
-    __slots__ = ("dim", "fields", "_const")
+    Rank 2 holds ``g``, ``phi`` and F tensors; rank 3 holds analytic
+    Christoffel symbols.  Fields are stored flat, in row-major order.  A
+    constant tensor returns one shared read-only array, so geometry cached
+    per trajectory sample does not hold a copy per sample.
+    """
 
-    def __init__(self, fields):
-        self.dim = len(fields)
-        self.fields = [list(row) for row in fields]
-        for row in self.fields:
-            if len(row) != self.dim:
-                raise ValueError("field matrix must be square")
+    __slots__ = ("dim", "rank", "fields", "_const")
+
+    def __init__(self, fields, dim: int, rank: int):
+        if len(fields) != dim**rank:
+            raise ValueError(f"expected {dim**rank} fields, got {len(fields)}")
+        self.dim = dim
+        self.rank = rank
+        self.fields = list(fields)
         self._const: np.ndarray | None = None
-        if all(f.const_value is not None for row in self.fields for f in row):
-            self._const = np.array(
-                [[f.const_value for f in row] for row in self.fields], dtype=float
-            )
+        if all(f.const_value is not None for f in self.fields):
+            self._const = self._shaped([f.const_value for f in self.fields])
+            self._const.setflags(write=False)
+
+    def _shaped(self, values) -> np.ndarray:
+        return np.array(values, dtype=float).reshape((self.dim,) * self.rank)
 
     @classmethod
-    def from_spec(cls, rows, dim: int) -> "FieldMatrix":
-        if len(rows) != dim:
-            raise ValueError(f"expected {dim} rows, got {len(rows)}")
-        return cls([[_as_field(e, dim) for e in row] for row in rows])
+    def from_spec(cls, spec, dim: int) -> "FieldTensor":
+        """Build from nested lists of entries; the nesting depth is the rank."""
+        nested = (list, tuple, np.ndarray)
+        nodes, rank = [spec], 0
+        while isinstance(nodes[0], nested):
+            if any(not isinstance(n, nested) or len(n) != dim for n in nodes):
+                raise ValueError(f"expected {dim} entries at nesting depth {rank + 1}")
+            nodes = [child for n in nodes for child in n]
+            rank += 1
+        if any(isinstance(n, nested) for n in nodes):
+            raise ValueError("entries are nested to unequal depths")
+        return cls([_as_field(n, dim) for n in nodes], dim, rank)
+
+    @classmethod
+    def zeros(cls, dim: int, rank: int) -> "FieldTensor":
+        return cls([ScalarField.constant(0.0, dim)] * dim**rank, dim, rank)
 
     @property
     def is_constant(self) -> bool:
@@ -77,56 +97,8 @@ class FieldMatrix:
 
     def at(self, point) -> np.ndarray:
         if self._const is not None:
-            return self._const.copy()
-        return np.array(
-            [[f(point) for f in row] for row in self.fields], dtype=float
-        )
-
-
-class FieldArray3:
-    """A dim^3 array of scalar fields; used for analytic Christoffel symbols."""
-
-    __slots__ = ("dim", "fields", "_const")
-
-    def __init__(self, fields):
-        self.dim = len(fields)
-        self.fields = fields
-        self._const: np.ndarray | None = None
-        if all(
-            f.const_value is not None
-            for block in self.fields
-            for row in block
-            for f in row
-        ):
-            self._const = np.array(
-                [[[f.const_value for f in row] for row in block] for block in self.fields],
-                dtype=float,
-            )
-
-    @classmethod
-    def from_spec(cls, blocks, dim: int) -> "FieldArray3":
-        if len(blocks) != dim:
-            raise ValueError(f"expected {dim} blocks, got {len(blocks)}")
-        return cls(
-            [[[_as_field(e, dim) for e in row] for row in block] for block in blocks]
-        )
-
-    @classmethod
-    def zeros(cls, dim: int) -> "FieldArray3":
-        zero = ScalarField.constant(0.0, dim)
-        return cls([[[zero] * dim for _ in range(dim)] for _ in range(dim)])
-
-    @property
-    def is_constant(self) -> bool:
-        return self._const is not None
-
-    def at(self, point) -> np.ndarray:
-        if self._const is not None:
-            return self._const.copy()
-        return np.array(
-            [[[f(point) for f in row] for row in block] for block in self.fields],
-            dtype=float,
-        )
+            return self._const
+        return self._shaped([f(point) for f in self.fields])
 
 
 class MetricStructure:
@@ -164,17 +136,21 @@ class MetricStructure:
     ):
         if dim < 2 or dim % 2 != 0:
             raise ValueError(f"dimension must be even and >= 2, got {dim}")
-        if fd_step <= 0 or fd_step < 1e-12:
+        if fd_step < 1e-12:
             raise ValueError(f"finite-difference step underflow: {fd_step}")
         self.dim = dim
-        self.g = g if isinstance(g, FieldMatrix) else FieldMatrix.from_spec(g, dim)
-        self.phi = (
-            phi if isinstance(phi, FieldMatrix) else FieldMatrix.from_spec(phi, dim)
+        self.g, self.phi = (
+            t if isinstance(t, FieldTensor) else FieldTensor.from_spec(t, dim)
+            for t in (g, phi)
         )
-        if christoffel is None or isinstance(christoffel, FieldArray3):
+        if christoffel is None or isinstance(christoffel, FieldTensor):
             self.christoffel = christoffel
         else:
-            self.christoffel = FieldArray3.from_spec(christoffel, dim)
+            self.christoffel = FieldTensor.from_spec(christoffel, dim)
+        if (self.g.rank, self.phi.rank) != (2, 2) or (
+            self.christoffel is not None and self.christoffel.rank != 3
+        ):
+            raise ValueError("g and phi must be matrices, christoffel a rank-3 array")
         self.riemann_override = riemann
         self.fd_step = float(fd_step)
         if chart_box is None:
@@ -250,20 +226,121 @@ class MetricStructure:
 
     def riemann_tensor_at(self, point) -> np.ndarray:
         """Full curvature R^l_{kij} such that (R(X,Y)Z)^l = R^l_{kij} X^i Y^j Z^k."""
-        gam = self.christoffel_at(point)
-        dgam = self.christoffel_grad_at(point)
-        return (
-            np.einsum("iljk->lkij", dgam)
-            - np.einsum("jlik->lkij", dgam)
-            + np.einsum("lim,mjk->lkij", gam, gam)
-            - np.einsum("ljm,mik->lkij", gam, gam)
-        )
+        return self.at(point).riemann_tensor
 
     def riemann_at(self, point, X, Y, Z) -> np.ndarray:
-        if self.riemann_override is not None:
-            return np.asarray(self.riemann_override(point, X, Y, Z), dtype=float)
-        tensor = self.riemann_tensor_at(point)
-        return np.einsum("lkij,i,j,k->l", tensor, X, Y, Z)
+        return self.at(point).riemann(X, Y, Z)
+
+    def at(self, point) -> "PointGeometry":
+        """The geometry at one chart point, evaluated lazily and then shared."""
+        return PointGeometry(self, point)
+
+
+class PointGeometry:
+    """The geometry at one chart point, each piece computed on first use.
+
+    g, phi, Gamma and dGamma come from the structure's ``metric_at``,
+    ``phi_at``, ``christoffel_at`` and ``christoffel_grad_at``; R and g^-1
+    are derived from them.  This is the one place where derivatives along a
+    curve x(t) are converted between covariant and coordinate form: for v(t)
+    along the curve, v' = vdot + Gamma(v, xdot) (xi' <-> xidot, and with
+    v = xdot, gamma'' <-> xddot), and d(v')/dt = vddot + dGamma(xdot; v, xdot)
+    + Gamma(v, xddot) + Gamma(vdot, xdot) is the second-order pair.
+    """
+
+    __slots__ = ("M", "x", "_g", "_ginv", "_phi", "_gamma", "_dgamma", "_riemann")
+
+    def __init__(self, M: MetricStructure, x):
+        self.M = M
+        self.x = x
+        self._g = self._ginv = self._phi = None
+        self._gamma = self._dgamma = self._riemann = None
+
+    # slots, not functools.cached_property: its first-access lock (Python
+    # < 3.12) costs a few percent of an analytic RHS call
+    @property
+    def g(self) -> np.ndarray:
+        if self._g is None:
+            self._g = self.M.metric_at(self.x)
+        return self._g
+
+    @property
+    def ginv(self) -> np.ndarray:
+        if self._ginv is None:
+            self._ginv = np.linalg.inv(self.g)
+        return self._ginv
+
+    @property
+    def phi(self) -> np.ndarray:
+        if self._phi is None:
+            self._phi = self.M.phi_at(self.x)
+        return self._phi
+
+    @property
+    def gamma(self) -> np.ndarray:
+        if self._gamma is None:
+            self._gamma = self.M.christoffel_at(self.x)
+        return self._gamma
+
+    @property
+    def dgamma(self) -> np.ndarray:
+        if self._dgamma is None:
+            self._dgamma = self.M.christoffel_grad_at(self.x)
+        return self._dgamma
+
+    @property
+    def riemann_tensor(self) -> np.ndarray:
+        """Metric-derived R^l_{kij}; ignores the structure's curvature override."""
+        if self._riemann is None:
+            gam, dgam = self.gamma, self.dgamma
+            # dgam[m, k, i, j] = d_m Gamma^k_ij; the transposes are d_i Gamma^l_jk
+            # and d_j Gamma^l_ik, indexed [l, k, i, j]
+            self._riemann = (
+                dgam.transpose(1, 3, 0, 2)
+                - dgam.transpose(1, 3, 2, 0)
+                + np.einsum("lim,mjk->lkij", gam, gam)
+                - np.einsum("ljm,mik->lkij", gam, gam)
+            )
+        return self._riemann
+
+    def riemann(self, X, Y, Z) -> np.ndarray:
+        """R(X, Y)Z, through the structure's curvature override where one is set."""
+        if self.M.riemann_override is not None:
+            return np.asarray(self.M.riemann_override(self.x, X, Y, Z), dtype=float)
+        return np.einsum("lkij,i,j,k->l", self.riemann_tensor, X, Y, Z)
+
+    def connection(self, u, v) -> np.ndarray:
+        """Gamma(u, v)^l = Gamma^l_{ij} u^i v^j."""
+        return np.einsum("lij,i,j->l", self.gamma, u, v)
+
+    def _dconnection(self, v, xdot) -> np.ndarray:
+        return np.einsum("klij,k,i,j->l", self.dgamma, xdot, v, xdot)
+
+    def to_covariant(self, v, vdot, xdot) -> np.ndarray:
+        """Covariant derivative v' of v along a curve with velocity xdot."""
+        return vdot + self.connection(v, xdot)
+
+    def to_coordinate(self, v, v_prime, xdot) -> np.ndarray:
+        """Coordinate derivative vdot whose covariant derivative is v'."""
+        return v_prime - self.connection(v, xdot)
+
+    def covariant_rate(self, v, vdot, vddot, xdot, xddot) -> np.ndarray:
+        """d(v')/dt, the time derivative of ``to_covariant(v, vdot, xdot)``."""
+        return (
+            vddot
+            + self._dconnection(v, xdot)
+            + self.connection(v, xddot)
+            + self.connection(vdot, xdot)
+        )
+
+    def coordinate_rate(self, v, vdot, rate, xdot, xddot) -> np.ndarray:
+        """Coordinate second derivative vddot whose d(v')/dt is ``rate``."""
+        return (
+            rate
+            - self._dconnection(v, xdot)
+            - self.connection(v, xddot)
+            - self.connection(vdot, xdot)
+        )
 
 
 @dataclass(frozen=True)

@@ -136,18 +136,15 @@ def compute_monitors(M: MetricStructure, traj: Trajectory, stride: int = 1) -> N
     series = {name: np.empty(len(idx)) for name in MONITOR_NAMES}
     with np.errstate(over="ignore", invalid="ignore"):
         for row, i in enumerate(idx):
-            x = traj.x[i]
-            g = M.metric_at(x)
-            phi = M.phi_at(x)
-            gam = M.christoffel_at(x)
+            geo = M.at(traj.x[i])
             xi = traj.xi[i]
             xdot = traj.xdot[i]
-            xi_prime = traj.xidot[i] + np.einsum("lij,i,j->l", gam, xi, xdot)
-            gphi = g @ phi
+            xi_prime = geo.to_covariant(xi, traj.xidot[i], xdot)
+            gphi = geo.g @ geo.phi
             series["unit_norm"][row] = xi @ gphi @ xi
             series["fiber_ortho"][row] = xi_prime @ gphi @ xi
             series["rho_sq"][row] = xi_prime @ gphi @ xi_prime
-            series["speed_sq"][row] = xdot @ g @ xdot
+            series["speed_sq"][row] = xdot @ geo.g @ xdot
     traj.monitor_times = traj.times[idx]
     traj.monitors = series
 

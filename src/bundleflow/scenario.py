@@ -10,14 +10,14 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog
-from .bundle import BundleState, BundleSystem, FPlanarCoefficients, FTensor
+from .bundle import SYSTEM_KINDS, BundleState, BundleSystem, FPlanarCoefficients, FTensor
 from .errors import (
     BundleFlowError,
     ExprSyntaxError,
     ScenarioError,
     UnknownEntryError,
 )
-from .geometry import FieldArray3, FieldMatrix, MetricStructure
+from .geometry import FieldTensor, MetricStructure
 from .integrate import IntegratorConfig
 
 __all__ = ["Scenario", "load_scenario"]
@@ -72,11 +72,11 @@ def _build_structure(spec) -> tuple[MetricStructure, FTensor | None]:
     except (KeyError, TypeError, ValueError):
         raise _fail("inline manifold needs an integer 'dim'") from None
     try:
-        g = FieldMatrix.from_spec(spec["g"], dim)
-        phi = FieldMatrix.from_spec(spec["phi"], dim)
+        g = FieldTensor.from_spec(spec["g"], dim)
+        phi = FieldTensor.from_spec(spec["phi"], dim)
         christoffel = None
         if "christoffel" in spec:
-            christoffel = FieldArray3.from_spec(spec["christoffel"], dim)
+            christoffel = FieldTensor.from_spec(spec["christoffel"], dim)
         f_tensor = None
         if "F" in spec:
             f_tensor = FTensor.from_spec(spec["F"], dim)
@@ -101,8 +101,7 @@ def _build_system(doc, structure, default_f) -> BundleSystem | None:
     kind = doc.get("system")
     if kind is None:
         return None
-    if kind not in ("geodesic_tm", "geodesic_unit", "f_geodesic_tm",
-                    "f_geodesic_unit", "f_planar_tm", "f_planar_unit"):
+    if kind not in SYSTEM_KINDS:
         raise _fail(f"unknown system kind {kind!r}")
     f_tensor = default_f
     if "F" in doc:
@@ -148,8 +147,7 @@ def _build_initial(doc, structure) -> BundleState | None:
         xidot = _vector(raw["xidot"], dim, "initial.xidot")
     else:
         xi_prime = _vector(raw["xi_prime"], dim, "initial.xi_prime")
-        gam = structure.christoffel_at(x)
-        xidot = xi_prime - np.einsum("lij,i,j->l", gam, xi, xdot)
+        xidot = structure.at(x).to_coordinate(xi, xi_prime, xdot)
     return BundleState(x, xdot, xi, xidot)
 
 

@@ -21,7 +21,7 @@ from bundleflow.bundle import (
     unit_defect,
 )
 from bundleflow.errors import ConstraintError
-from bundleflow.geometry import FieldMatrix, MetricStructure
+from bundleflow.geometry import FieldTensor as FieldMatrix, MetricStructure
 from bundleflow.integrate import IntegratorConfig, Trajectory, integrate
 
 EXP2D = catalog.entry("exp2d")

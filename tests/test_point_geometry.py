@@ -1,0 +1,191 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bundleflow import catalog
+from bundleflow.bundle import BundleSystem, FPlanarCoefficients, FTensor, make_rhs
+from bundleflow.geometry import FieldTensor, MetricStructure
+
+EXP2D = catalog.entry("exp2d").structure
+POLY = catalog.entry("poly2d").structure
+FD_EXP2D = MetricStructure(2, EXP2D.g, EXP2D.phi, chart_box=EXP2D.chart_box)
+FD_DIAG4 = MetricStructure(
+    4,
+    [["exp(x1)", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+)
+
+_unit = st.floats(0.0, 1.0)
+_component = st.floats(-2.0, 2.0)
+
+
+def _point(M, fractions):
+    lo, hi = M.chart_box[:, 0], M.chart_box[:, 1]
+    return lo + (hi - lo) * np.asarray(fractions)
+
+
+def _vectors(dim, n):
+    return st.lists(
+        st.lists(_component, min_size=dim, max_size=dim), min_size=n, max_size=n
+    ).map(lambda rows: [np.array(r) for r in rows])
+
+
+def _assert_close(a, b, *magnitudes):
+    scale = max(float(np.max(np.abs(m))) for m in (a, b, *magnitudes))
+    assert float(np.max(np.abs(a - b))) <= 1e-12 * max(scale, 1e-300)
+
+
+# -- one geometry evaluation per RHS call ----------------------------------------
+
+
+def _system(kind):
+    if kind.startswith("f_planar"):
+        return BundleSystem(
+            kind, f_tensor=FTensor(is_phi=True), coefficients=FPlanarCoefficients.constant(0.5, 1.0)
+        )
+    if kind.startswith("f_"):
+        return BundleSystem(kind, f_tensor=FTensor(is_phi=True))
+    return BundleSystem(kind)
+
+
+@pytest.mark.parametrize(
+    "M, expected",
+    [(FD_EXP2D, 5), (FD_DIAG4, 9), (EXP2D, 1)],
+    ids=["fd_exp2d", "fd_diag4", "analytic_exp2d"],
+)
+@pytest.mark.parametrize(
+    "kind",
+    ["geodesic_tm", "geodesic_unit", "f_geodesic_tm", "f_geodesic_unit", "f_planar_tm", "f_planar_unit"],
+)
+def test_rhs_evaluates_christoffel_once_per_stencil_point(monkeypatch, M, expected, kind):
+    # Gamma at x, plus Gamma at the 2 * dim points of the dGamma stencil on the FD path
+    calls = []
+    original = MetricStructure.christoffel_at
+
+    def counted(self, point):
+        calls.append(1)
+        return original(self, point)
+
+    monkeypatch.setattr(MetricStructure, "christoffel_at", counted)
+    rhs = make_rhs(M, _system(kind))
+    y = np.linspace(0.1, 0.4, 4 * M.dim)
+    out = rhs(0.0, y)
+    assert np.all(np.isfinite(out))
+    assert len(calls) == expected
+
+
+# -- covariant <-> coordinate conversions ------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([EXP2D, POLY]),
+    st.lists(_unit, min_size=2, max_size=2),
+    _vectors(2, 5),
+)
+def test_first_and_second_order_conversions_round_trip(M, fractions, vecs):
+    v, vdot, vddot, xdot, xddot = vecs
+    geo = M.at(_point(M, fractions))
+    v_prime = geo.to_covariant(v, vdot, xdot)
+    _assert_close(geo.to_coordinate(v, v_prime, xdot), vdot, v_prime)
+    rate = geo.covariant_rate(v, vdot, vddot, xdot, xddot)
+    back = geo.coordinate_rate(v, vdot, rate, xdot, xddot)
+    zero = np.zeros(2)
+    _assert_close(
+        back,
+        vddot,
+        rate,
+        geo.covariant_rate(v, zero, zero, xdot, zero),  # the dGamma term alone
+        geo.connection(v, xddot),
+        geo.connection(vdot, xdot),
+    )
+
+
+def _textbook_riemann(M, p, X, Y, Z):
+    # R(X, Y)Z^l = X^i Y^j Z^k (d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik)
+    gam, dgam = M.christoffel_at(p), M.christoffel_grad_at(p)
+    d = M.dim
+    out = np.zeros(d)
+    for l in range(d):
+        for i in range(d):
+            for j in range(d):
+                for k in range(d):
+                    r = dgam[i, l, j, k] - dgam[j, l, i, k]
+                    r += sum(gam[l, i, m] * gam[m, j, k] - gam[l, j, m] * gam[m, i, k] for m in range(d))
+                    out[l] += r * X[i] * Y[j] * Z[k]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([EXP2D, POLY, FD_EXP2D]),
+    st.lists(_unit, min_size=2, max_size=2),
+    _vectors(2, 3),
+)
+def test_point_curvature_matches_textbook_formula(M, fractions, vecs):
+    p = _point(M, fractions)
+    expected = _textbook_riemann(M, p, *vecs)
+    geo = M.at(p)
+    got = geo.riemann(*vecs)
+    X, Y, Z = (np.abs(v) for v in vecs)
+    _assert_close(got, expected, np.einsum("lkij,i,j,k->l", np.abs(geo.riemann_tensor), X, Y, Z))
+    np.testing.assert_array_equal(M.riemann_at(p, *vecs), got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-3.0, 3.0), st.lists(_unit, min_size=4, max_size=4), _vectors(4, 3))
+def test_point_curvature_uses_override(c, fractions, vecs):
+    M = catalog.entry(f"const_curv({c!r})").structure
+    p = _point(M, fractions)
+    X, Y, Z = vecs
+    g = M.metric_at(p)
+    expected = c * ((Y @ g @ Z) * X - (X @ g @ Z) * Y)
+    got = M.at(p).riemann(X, Y, Z)
+    _assert_close(got, expected, c * abs(Y @ g @ Z) * X, c * abs(X @ g @ Z) * Y)
+    np.testing.assert_array_equal(M.riemann_at(p, X, Y, Z), got)
+
+
+def test_point_geometry_evaluates_each_piece_once(monkeypatch):
+    calls = []
+    original = MetricStructure.metric_at
+
+    def counted(self, point):
+        calls.append(1)
+        return original(self, point)
+
+    monkeypatch.setattr(MetricStructure, "metric_at", counted)
+    geo = POLY.at(np.array([1.0, 2.0]))
+    assert calls == []
+    assert geo.g is geo.g
+    np.testing.assert_allclose(geo.ginv @ geo.g, np.eye(2), atol=1e-15)
+    assert len(calls) == 1
+
+
+# -- field tensors -------------------------------------------------------------------
+
+
+def test_field_tensor_rank_follows_nesting():
+    mat = FieldTensor.from_spec([["x1", 0], [0, "x2"]], 2)
+    assert mat.rank == 2 and not mat.is_constant
+    np.testing.assert_allclose(mat.at((2.0, 3.0)), np.diag([2.0, 3.0]))
+    arr = FieldTensor.from_spec([[[1, 0], [0, 0]], [[0, 0], [0, "x1"]]], 2)
+    assert arr.rank == 3
+    assert arr.at((5.0, 0.0))[1, 1, 1] == 5.0
+    zeros = FieldTensor.zeros(4, 3)
+    assert zeros.is_constant and zeros.at(np.zeros(4)).shape == (4, 4, 4)
+
+
+@pytest.mark.parametrize(
+    "spec", [[["1", "0"], ["0"]], [["1", "0"]], [], [["1", "0"], "x"], [["1", ["0", "1"]], ["0", "1"]]]
+)
+def test_field_tensor_rejects_ragged_specs(spec):
+    with pytest.raises(ValueError):
+        FieldTensor.from_spec(spec, 2)
+
+
+def test_structure_rejects_wrong_ranks():
+    with pytest.raises(ValueError):
+        MetricStructure(2, ["1", "1"], [["1", "0"], ["0", "-1"]])
+    with pytest.raises(ValueError):
+        MetricStructure(2, EXP2D.g, EXP2D.phi, christoffel=[["1", "0"], ["0", "1"]])
