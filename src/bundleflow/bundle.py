@@ -102,10 +102,6 @@ class BundleState:
     def flat(self) -> np.ndarray:
         return np.concatenate([self.x, self.xdot, self.xi, self.xidot])
 
-    @classmethod
-    def from_flat(cls, y: np.ndarray, dim: int) -> "BundleState":
-        return cls(y[:dim], y[dim : 2 * dim], y[2 * dim : 3 * dim], y[3 * dim :])
-
     def copy(self) -> "BundleState":
         return BundleState(
             self.x.copy(), self.xdot.copy(), self.xi.copy(), self.xidot.copy()

@@ -5,8 +5,10 @@ CSV), ``frenet`` (curvature CSV + constancy report), ``verify`` (closed-form
 verification battery).  JSON in, CSV/JSON out; numbers are written with 17
 significant digits so doubles round-trip exactly.
 
-Exit codes: 0 success, 1 failed checks / blow-up / failed claims,
-2 configuration errors.
+Exit codes: 0 success; 1 failed checks, failed claims or any other error
+during a run; 2 configuration errors.  Any failure inside an integration (a
+non-finite state, a singular metric, an expression domain error) writes the
+partial trajectory and monitor CSVs before exiting 1.
 """
 
 from __future__ import annotations
@@ -21,13 +23,10 @@ import numpy as np
 from . import verify as verify_mod
 from .errors import (
     BundleFlowError,
-    ConstraintError,
     IntegrationBlowUp,
     ParameterError,
     ScenarioError,
-    SignatureError,
     UnknownEntryError,
-    VerticalCurveError,
 )
 from .frenet import arc_length_reparam, constancy_check, covariant_jets, frenet_curvatures
 from .geometry import check_curvature_purity, check_norden, check_parallel_phi
@@ -88,45 +87,13 @@ def _write_monitors_csv(path: Path, traj=None) -> None:
     _write_rows(path, header, rows)
 
 
-def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    if args.seed is not None:
-        scenario.seed = int(args.seed)
-    if getattr(args, "step", None) is None and getattr(args, "tspan", None) is None:
-        return scenario
-    from .integrate import IntegratorConfig
-
-    cfg = scenario.integrator
-    step = args.step if args.step is not None else (cfg.step if cfg else None)
-    span = cfg.t_span if cfg else None
-    if args.tspan is not None:
-        parts = args.tspan.split(",")
-        if len(parts) != 2:
-            raise ScenarioError("--tspan expects 't0,t1'")
-        try:
-            span = (float(parts[0]), float(parts[1]))
-        except ValueError:
-            raise ScenarioError("--tspan expects numeric 't0,t1'") from None
-    if step is None or span is None:
-        raise ScenarioError("no integrator config; provide both --step and --tspan")
-    if span[0] == span[1]:
-        scenario.outputs["_zero_span"] = True
-        scenario.integrator = None
-        return scenario
-    try:
-        scenario.integrator = IntegratorConfig(
-            step=float(step),
-            t_span=span,
-            method=cfg.method if cfg else "rk4",
-            monitor_every=cfg.monitor_every if cfg else 1,
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"bad integrator override: {exc}") from None
-    scenario.outputs.pop("_zero_span", None)
-    return scenario
+def _load(args) -> Scenario:
+    t_span = None if args.tspan is None else args.tspan.split(",")
+    return load_scenario(args.scenario, seed=args.seed, step=args.step, t_span=t_span)
 
 
 def cmd_check(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
+    scenario = _load(args)
     M = scenario.structure
     runners = {
         "norden": lambda: check_norden(M, n_points=scenario.check_points, seed=scenario.seed),
@@ -169,7 +136,7 @@ def _integrate_scenario(scenario: Scenario):
         raise ScenarioError("scenario has no 'system'")
     if scenario.initial is None:
         raise ScenarioError("scenario has no 'initial' state")
-    if scenario.integrator is None and not scenario.zero_span:
+    if scenario.integrator is None:
         raise ScenarioError("scenario has no 'integrator' config")
     return integrate(
         scenario.structure, scenario.system, scenario.initial, scenario.integrator
@@ -177,7 +144,7 @@ def _integrate_scenario(scenario: Scenario):
 
 
 def cmd_integrate(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
+    scenario = _load(args)
     out_dir = Path(args.out)
     traj_path = _out_path(scenario, out_dir, "trajectory", "trajectory.csv")
     mon_path = _out_path(scenario, out_dir, "monitors", "monitors.csv")
@@ -191,7 +158,7 @@ def cmd_integrate(args) -> int:
     except IntegrationBlowUp as exc:
         _write_trajectory_csv(traj_path, scenario.structure.dim, exc.trajectory)
         _write_monitors_csv(mon_path, exc.trajectory)
-        print(f"integration blew up at t = {exc.time:g}; partial output written", file=sys.stderr)
+        print(f"integration blew up: {exc}; partial output written", file=sys.stderr)
         return 1
     _write_trajectory_csv(traj_path, scenario.structure.dim, traj)
     _write_monitors_csv(mon_path, traj)
@@ -200,18 +167,14 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_frenet(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
+    scenario = _load(args)
     if scenario.zero_span:
         raise ScenarioError("frenet analysis needs a non-degenerate t_span")
     M = scenario.structure
     traj = _integrate_scenario(scenario)
-    try:
-        arc = arc_length_reparam(M, traj)
-        jets = covariant_jets(M, traj, scenario.frenet_order)
-        result = frenet_curvatures(M, jets)
-    except (VerticalCurveError, SignatureError) as exc:
-        print(f"frenet analysis failed: {exc}", file=sys.stderr)
-        return 1
+    arc = arc_length_reparam(M, traj)
+    jets = covariant_jets(M, traj, scenario.frenet_order)
+    result = frenet_curvatures(M, jets)
     report = constancy_check(result, scenario.constancy_tol)
     out_dir = Path(args.out)
     csv_path = _out_path(scenario, out_dir, "frenet", "frenet.csv")
@@ -318,7 +281,7 @@ def main(argv=None) -> int:
     except _CONFIG_ERRORS as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (ConstraintError, SignatureError, VerticalCurveError, BundleFlowError) as exc:
+    except BundleFlowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -47,9 +47,12 @@ class VerticalCurveError(BundleFlowError):
 
 
 class IntegrationBlowUp(BundleFlowError):
-    """Raised when the integrator produces a non-finite state.
+    """Raised for any failure inside an integration run.
 
-    Carries the last valid partial trajectory and the time it was reached.
+    The failure is a non-finite state, or a :class:`SingularMetricError` or
+    :class:`EvalDomainError` raised by a step, which is then chained as
+    ``__cause__``.  Carries the partial trajectory up to the last good sample
+    and the time of that sample.
     """
 
     def __init__(self, message: str, trajectory, time: float):

@@ -164,13 +164,10 @@ class MetricStructure:
         mat = self.g.at(point)
         mat = 0.5 * (mat + mat.T)
         det = float(np.linalg.det(mat))
-        scale = max(1.0, float(np.max(np.abs(mat))))
-        if abs(det) < 1e-12 * scale**self.dim:
+        # relative to the entries, so that g and c*g are judged alike
+        if abs(det) <= 1e-12 * float(np.max(np.abs(mat))) ** self.dim:
             raise SingularMetricError(f"metric singular at {point}: det = {det:g}")
         return mat
-
-    def metric_inverse_at(self, point) -> np.ndarray:
-        return np.linalg.inv(self.metric_at(point))
 
     def phi_at(self, point) -> np.ndarray:
         return self.phi.at(point)
@@ -179,9 +176,8 @@ class MetricStructure:
         """Twin metric G_ij = g_ik phi^k_j, symmetrized after a purity check."""
         g = self.metric_at(point)
         twin = g @ self.phi_at(point)
-        scale = max(1.0, float(np.max(np.abs(twin))))
         asym = float(np.max(np.abs(twin - twin.T)))
-        if asym > tol * scale:
+        if asym > tol * float(np.max(np.abs(twin))):
             raise PurityError(
                 f"twin metric asymmetry {asym:g} exceeds tolerance at {point}"
             )
@@ -197,7 +193,7 @@ class MetricStructure:
             shift = np.zeros(d)
             shift[l] = h
             dg[l] = (self.g.at(point + shift) - self.g.at(point - shift)) / (2.0 * h)
-        ginv = self.metric_inverse_at(point)
+        ginv = np.linalg.inv(self.metric_at(point))
         # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
         sym = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
         return 0.5 * np.einsum("kl,ijl->kij", ginv, sym)

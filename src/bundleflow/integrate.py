@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bundle import BundleState, BundleSystem, make_rhs, normalized_unit_state
-from .errors import IntegrationBlowUp
+from .errors import EvalDomainError, IntegrationBlowUp, SingularMetricError
 from .geometry import MetricStructure
 
 __all__ = [
@@ -159,8 +159,10 @@ def integrate(
 
     Unit-bundle systems normalize the initial state so the constraints hold
     exactly at t0; constraint drift along the run is left visible in the
-    monitors.  A non-finite state aborts with the partial trajectory attached
-    to the raised :class:`IntegrationBlowUp`.
+    monitors.  Every failure inside the run (a non-finite state, or a
+    :class:`SingularMetricError` or :class:`EvalDomainError` raised by a step)
+    raises :class:`IntegrationBlowUp` carrying the trajectory up to the last
+    good sample; a raised error is chained as its ``__cause__``.
     """
     if system.on_unit_bundle:
         init = normalized_unit_state(M, init)
@@ -174,13 +176,29 @@ def integrate(
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(times.size - 1):
             h = times[k + 1] - times[k]
-            ys[k + 1] = step(rhs, times[k], ys[k], h)
-            if not np.all(np.isfinite(ys[k + 1])):
-                partial = _build_trajectory(M, system, times[: k + 1], ys[: k + 1], cfg)
-                raise IntegrationBlowUp(
-                    f"non-finite state at t = {times[k + 1]:g}", partial, float(times[k])
-                )
+            try:
+                ys[k + 1] = step(rhs, times[k], ys[k], h)
+            except (SingularMetricError, EvalDomainError) as exc:
+                cause, reason = exc, f"{exc} in the step from t = {times[k]:g}"
+            else:
+                if np.all(np.isfinite(ys[k + 1])):
+                    continue
+                cause, reason = None, f"non-finite state at t = {times[k + 1]:g}"
+            partial = _partial_trajectory(M, system, times[: k + 1], ys[: k + 1], cfg)
+            raise IntegrationBlowUp(reason, partial, float(partial.times[-1])) from cause
     return _build_trajectory(M, system, times, ys, cfg)
+
+
+def _partial_trajectory(M, system, times, ys, cfg) -> Trajectory:
+    """The run up to its last sample, or to the one before when the geometry
+    fails at the last (a step that failed at its own start point).  A failure
+    at the initial sample is raised as it is."""
+    try:
+        return _build_trajectory(M, system, times, ys, cfg)
+    except (SingularMetricError, EvalDomainError):
+        if times.size == 1:
+            raise
+        return _build_trajectory(M, system, times[:-1], ys[:-1], cfg)
 
 
 def _build_trajectory(M, system, times, ys, cfg) -> Trajectory:
@@ -221,14 +239,9 @@ def convergence_order(
             step=cfg.step / divisor,
             t_span=cfg.t_span,
             method=cfg.method,
-            monitor_every=max(1, cfg.monitor_every),
+            monitor_every=cfg.monitor_every,
         )
-        traj = integrate(M, system, init, sub)
-        finals.append(
-            np.concatenate(
-                [traj.x[-1], traj.xdot[-1], traj.xi[-1], traj.xidot[-1]]
-            )
-        )
+        finals.append(integrate(M, system, init, sub).state(-1).flat())
     scale = max(1.0, float(np.max(np.abs(finals[0]))))
     e1 = float(np.max(np.abs(finals[0] - finals[1])))
     e2 = float(np.max(np.abs(finals[1] - finals[2])))

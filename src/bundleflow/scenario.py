@@ -38,23 +38,16 @@ class Scenario:
     frenet_order: int
     constancy_tol: float
     outputs: dict = field(default_factory=dict)
-
-    @property
-    def zero_span(self) -> bool:
-        return bool(self.outputs.get("_zero_span", False))
-
-
-def _fail(msg: str) -> ScenarioError:
-    return ScenarioError(msg)
+    zero_span: bool = False  # t0 == t1: outputs are headers only
 
 
 def _vector(raw, dim: int, what: str) -> np.ndarray:
     try:
         vec = np.asarray(raw, dtype=float)
     except (TypeError, ValueError):
-        raise _fail(f"{what} must be a numeric vector") from None
+        raise ScenarioError(f"{what} must be a numeric vector") from None
     if vec.shape != (dim,):
-        raise _fail(f"{what} must have length {dim}, got shape {vec.shape}")
+        raise ScenarioError(f"{what} must have length {dim}, got shape {vec.shape}")
     return vec
 
 
@@ -63,14 +56,14 @@ def _build_structure(spec) -> tuple[MetricStructure, FTensor | None]:
         try:
             ent = catalog.entry(spec)
         except UnknownEntryError as exc:
-            raise _fail(str(exc)) from None
+            raise ScenarioError(str(exc)) from None
         return ent.structure, ent.f_tensor
     if not isinstance(spec, dict):
-        raise _fail("manifold must be a catalog name or an inline object")
+        raise ScenarioError("manifold must be a catalog name or an inline object")
     try:
         dim = int(spec["dim"])
     except (KeyError, TypeError, ValueError):
-        raise _fail("inline manifold needs an integer 'dim'") from None
+        raise ScenarioError("inline manifold needs an integer 'dim'") from None
     try:
         g = FieldTensor.from_spec(spec["g"], dim)
         phi = FieldTensor.from_spec(spec["phi"], dim)
@@ -81,7 +74,7 @@ def _build_structure(spec) -> tuple[MetricStructure, FTensor | None]:
         if "F" in spec:
             f_tensor = FTensor.from_spec(spec["F"], dim)
     except (ExprSyntaxError, ValueError, KeyError) as exc:
-        raise _fail(f"bad inline manifold: {exc}") from None
+        raise ScenarioError(f"bad inline manifold: {exc}") from None
     try:
         structure = MetricStructure(
             dim,
@@ -93,7 +86,7 @@ def _build_structure(spec) -> tuple[MetricStructure, FTensor | None]:
             name=str(spec.get("name", "inline")),
         )
     except ValueError as exc:
-        raise _fail(f"bad inline manifold: {exc}") from None
+        raise ScenarioError(f"bad inline manifold: {exc}") from None
     return structure, f_tensor
 
 
@@ -102,23 +95,23 @@ def _build_system(doc, structure, default_f) -> BundleSystem | None:
     if kind is None:
         return None
     if kind not in SYSTEM_KINDS:
-        raise _fail(f"unknown system kind {kind!r}")
+        raise ScenarioError(f"unknown system kind {kind!r}")
     f_tensor = default_f
     if "F" in doc:
         try:
             f_tensor = FTensor.from_spec(doc["F"], structure.dim)
         except (ExprSyntaxError, ValueError) as exc:
-            raise _fail(f"bad F tensor: {exc}") from None
+            raise ScenarioError(f"bad F tensor: {exc}") from None
     coeffs = None
     if kind.startswith("f_planar"):
         if "rho1" not in doc or "rho2" not in doc:
-            raise _fail("f_planar systems need rho1 and rho2 expressions in t")
+            raise ScenarioError("f_planar systems need rho1 and rho2 expressions in t")
         try:
             coeffs = FPlanarCoefficients.parse(str(doc["rho1"]), str(doc["rho2"]))
         except ExprSyntaxError as exc:
-            raise _fail(f"bad coefficient expression: {exc}") from None
+            raise ScenarioError(f"bad coefficient expression: {exc}") from None
     if kind.startswith("f_") and f_tensor is None:
-        raise _fail(f"system {kind!r} needs an F tensor (inline or catalog default)")
+        raise ScenarioError(f"system {kind!r} needs an F tensor (inline or catalog default)")
     try:
         return BundleSystem(
             kind,
@@ -126,7 +119,7 @@ def _build_system(doc, structure, default_f) -> BundleSystem | None:
             coefficients=coeffs,
         )
     except ValueError as exc:
-        raise _fail(str(exc)) from None
+        raise ScenarioError(str(exc)) from None
 
 
 def _build_initial(doc, structure) -> BundleState | None:
@@ -134,7 +127,7 @@ def _build_initial(doc, structure) -> BundleState | None:
     if raw is None:
         return None
     if not isinstance(raw, dict):
-        raise _fail("'initial' must be an object")
+        raise ScenarioError("'initial' must be an object")
     dim = structure.dim
     x = _vector(raw.get("x"), dim, "initial.x")
     xdot = _vector(raw.get("xdot"), dim, "initial.xdot")
@@ -142,7 +135,7 @@ def _build_initial(doc, structure) -> BundleState | None:
     has_dot = "xidot" in raw
     has_prime = "xi_prime" in raw
     if has_dot == has_prime:
-        raise _fail("initial state needs exactly one of 'xidot' or 'xi_prime'")
+        raise ScenarioError("initial state needs exactly one of 'xidot' or 'xi_prime'")
     if has_dot:
         xidot = _vector(raw["xidot"], dim, "initial.xidot")
     else:
@@ -159,7 +152,7 @@ def _build_integrator(doc) -> tuple[IntegratorConfig | None, bool]:
         t0, t1 = (float(v) for v in raw["t_span"])
         step = float(raw["step"])
     except (KeyError, TypeError, ValueError):
-        raise _fail("integrator needs numeric 'step' and 't_span': [t0, t1]") from None
+        raise ScenarioError("integrator needs numeric 'step' and 't_span': [t0, t1]") from None
     if t1 == t0:
         return None, True  # degenerate span: emit headers only
     try:
@@ -170,15 +163,15 @@ def _build_integrator(doc) -> tuple[IntegratorConfig | None, bool]:
             monitor_every=int(raw.get("monitor_every", 1)),
         )
     except ValueError as exc:
-        raise _fail(f"bad integrator config: {exc}") from None
+        raise ScenarioError(f"bad integrator config: {exc}") from None
     return cfg, False
 
 
 def scenario_from_dict(doc: dict, *, name: str = "scenario") -> Scenario:
     if not isinstance(doc, dict):
-        raise _fail("scenario document must be a JSON object")
+        raise ScenarioError("scenario document must be a JSON object")
     if "manifold" not in doc:
-        raise _fail("scenario needs a 'manifold'")
+        raise ScenarioError("scenario needs a 'manifold'")
     structure, default_f = _build_structure(doc["manifold"])
     system = _build_system(doc, structure, default_f)
     try:
@@ -186,14 +179,12 @@ def scenario_from_dict(doc: dict, *, name: str = "scenario") -> Scenario:
     except BundleFlowError as exc:
         if isinstance(exc, ScenarioError):
             raise
-        raise _fail(f"bad initial state: {exc}") from None
+        raise ScenarioError(f"bad initial state: {exc}") from None
     integrator, zero_span = _build_integrator(doc)
     checks = doc.get("checks", list(_CHECK_NAMES))
     if not isinstance(checks, list) or any(c not in _CHECK_NAMES for c in checks):
-        raise _fail(f"'checks' must be a subset of {_CHECK_NAMES}")
+        raise ScenarioError(f"'checks' must be a subset of {_CHECK_NAMES}")
     outputs = dict(doc.get("output", {}))
-    if zero_span:
-        outputs["_zero_span"] = True
     try:
         seed = int(doc.get("seed", 12345))
         check_points = int(doc.get("check_points", 100))
@@ -202,7 +193,7 @@ def scenario_from_dict(doc: dict, *, name: str = "scenario") -> Scenario:
         frenet_order = int(frenet_opts.get("order", min(3, structure.dim)))
         constancy_tol = float(frenet_opts.get("constancy_tol", 1e-4))
     except (TypeError, ValueError):
-        raise _fail("seed/check_points/frenet options must be numeric") from None
+        raise ScenarioError("seed/check_points/frenet options must be numeric") from None
     return Scenario(
         name=str(doc.get("name", name)),
         structure=structure,
@@ -215,15 +206,25 @@ def scenario_from_dict(doc: dict, *, name: str = "scenario") -> Scenario:
         frenet_order=frenet_order,
         constancy_tol=constancy_tol,
         outputs=outputs,
+        zero_span=zero_span,
     )
 
 
-def load_scenario(path) -> Scenario:
+def load_scenario(path, *, seed=None, step=None, t_span=None) -> Scenario:
+    """Load a scenario file; a given ``seed``, ``step`` or ``t_span`` replaces
+    the file's value before the document is parsed."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
     except FileNotFoundError:
-        raise _fail(f"scenario file not found: {path}") from None
+        raise ScenarioError(f"scenario file not found: {path}") from None
     except json.JSONDecodeError as exc:
-        raise _fail(f"scenario file {path} is not valid JSON: {exc}") from None
+        raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}") from None
+    if isinstance(doc, dict):
+        if seed is not None:
+            doc["seed"] = seed
+        overrides = {k: v for k, v in (("step", step), ("t_span", t_span)) if v is not None}
+        raw = doc.get("integrator") or {}
+        if overrides and isinstance(raw, dict):
+            doc["integrator"] = {**raw, **overrides}
     return scenario_from_dict(doc, name=path.stem)

@@ -179,6 +179,84 @@ def test_integrate_blow_up_writes_partial_and_exits_1(tmp_path):
     assert np.all(np.isfinite(data))
 
 
+def pole_scenario_doc() -> dict:
+    # from x1 = 0.3 toward the pole of poly2d at x1 = 0, which a step of 0.01 jumps over
+    return {
+        "manifold": "poly2d",
+        "system": "geodesic_tm",
+        "initial": {"x": [0.3, 1.0], "xdot": [-1.0, 0.0], "xi": [0.0, 0.0], "xidot": [0.0, 0.0]},
+        "integrator": {"step": 0.01, "t_span": [0.0, 5.0]},
+    }
+
+
+@pytest.mark.parametrize(
+    "case, t_limit",
+    [("domain_error", 1.0), ("singular_metric", 5.0)],
+)
+def test_failure_inside_a_run_writes_partial_and_exits_1(tmp_path, capsys, case, t_limit):
+    if case == "domain_error":
+        # rho2 = 1/(t - 1) cannot be evaluated at t = 1
+        path, extra = SCENARIOS / "flat_diag_hphi_planar.json", ["--tspan", "0,1.2"]
+    else:
+        path, extra = tmp_path / "pole.json", []
+        path.write_text(json.dumps(pole_scenario_doc()))
+    rc = run("integrate", "--scenario", path, "--out", tmp_path, *extra)
+    assert rc == 1
+    assert "partial output written" in capsys.readouterr().err
+    data = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1, ndmin=2)
+    mon = np.loadtxt(tmp_path / "monitors.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert data.shape[0] == mon.shape[0] >= 2
+    assert np.all(np.isfinite(data)) and np.all(np.isfinite(mon))
+    assert data[-1, 0] < t_limit
+
+
+def test_failure_at_the_first_step_exits_1_with_the_error(tmp_path, capsys):
+    doc = pole_scenario_doc()
+    doc["initial"]["x"] = [0.0, 1.0]  # g and Gamma cannot be evaluated at the start
+    path = tmp_path / "at_pole.json"
+    path.write_text(json.dumps(doc))
+    assert run("integrate", "--scenario", path, "--out", tmp_path) == 1
+    assert "error: division by zero" in capsys.readouterr().err
+
+
+def test_step_override_keeps_span_method_and_monitor_every(tmp_path):
+    doc = oblique_scenario_doc()
+    doc["integrator"] = {"step": 0.1, "t_span": [0.0, 0.5], "method": "euler", "monitor_every": 4}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert run("integrate", "--scenario", path, "--out", tmp_path, "--step", "0.05") == 0
+    data = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
+    mon = np.loadtxt(tmp_path / "monitors.csv", delimiter=",", skiprows=1)
+    from bundleflow.integrate import IntegratorConfig, integrate
+
+    ent, fam = euclid_oblique_family(0.5)
+    cfg = IntegratorConfig(step=0.05, t_span=(0.0, 0.5), method="euler", monitor_every=4)
+    ref = integrate(ent.structure, fam.system, fam.initial_state(), cfg)
+    assert np.array_equal(data[:, 0], ref.times)
+    assert np.array_equal(data[:, 1:5], ref.x)
+    assert np.array_equal(mon[:, 0], ref.monitor_times)  # samples 0, 4, 8 and 10
+
+
+@pytest.mark.parametrize("tspan", ["0", "0,1,2", "a,b", "0;1"])
+def test_malformed_tspan_exits_2(tmp_path, oblique_scenario, tspan):
+    rc = run("integrate", "--scenario", oblique_scenario, "--out", tmp_path, "--tspan", tspan)
+    assert rc == 2
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_partial_override_without_integrator_exits_2(tmp_path, capsys):
+    doc = oblique_scenario_doc()
+    del doc["integrator"]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert run("integrate", "--scenario", path, "--out", tmp_path, "--tspan", "0,1") == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert run("integrate", "--scenario", path, "--out", tmp_path, "--step", "0.1") == 2
+    assert run(
+        "integrate", "--scenario", path, "--out", tmp_path, "--step", "0.1", "--tspan", "0,1"
+    ) == 0
+
+
 def test_csv_round_trips_doubles_exactly(tmp_path, oblique_scenario):
     run("integrate", "--scenario", oblique_scenario, "--out", tmp_path)
     ent, fam = euclid_oblique_family(0.5)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bundleflow import catalog
 from bundleflow.errors import PurityError, SingularMetricError
@@ -38,6 +40,52 @@ def test_singular_metric_raises():
     M = MetricStructure(2, [["x1", "0"], ["0", "1"]], [["1", "0"], ["0", "-1"]])
     with pytest.raises(SingularMetricError):
         M.metric_at((0.0, 0.5))
+
+
+_EXP2D_G = [["exp(2*x1)", "0"], ["0", "exp(2*x2)"]]
+_EXP2D_PHI = [["0", "exp(x2 - x1)"], ["exp(x1 - x2)", "0"]]
+_UNITS = st.floats(-8.0, 8.0).map(lambda e: 10.0**e)  # c log-uniform in [1e-8, 1e8]
+
+
+def _scaled(c: float, g_spec) -> MetricStructure:
+    g = [[f"{c!r}*({entry})" for entry in row] for row in g_spec]
+    return MetricStructure(2, g, _EXP2D_PHI, chart_box=EXP2D.chart_box)
+
+
+def _raises_singular(M: MetricStructure, point) -> bool:
+    try:
+        M.metric_at(point)
+    except SingularMetricError:
+        return True
+    return False
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    c=_UNITS,
+    case=st.sampled_from(
+        [
+            (_EXP2D_G, False),
+            ([["x1^2", "0"], ["0", "x2^2"]], True),  # poly2d at its pole x1 = 0
+            ([["1", "1"], ["1", "1"]], True),
+            ([["0", "0"], ["0", "0"]], True),
+        ]
+    ),
+    x2=st.floats(-1.5, 1.5),
+)
+def test_singularity_test_ignores_metric_units(c, case, x2):
+    g_spec, singular = case
+    point = (0.0, x2)
+    assert _raises_singular(_scaled(1.0, g_spec), point) is singular
+    assert _raises_singular(_scaled(c, g_spec), point) is singular
+
+
+@settings(max_examples=25, deadline=None)
+@given(c=_UNITS, x1=st.floats(-1.5, 1.5), x2=st.floats(-1.5, 1.5))
+def test_fd_christoffel_ignores_metric_units(c, x1, x2):
+    ref = _scaled(1.0, _EXP2D_G).christoffel_at((x1, x2))
+    gam = _scaled(c, _EXP2D_G).christoffel_at((x1, x2))
+    assert float(np.max(np.abs(gam - ref))) <= 1e-9 * float(np.max(np.abs(ref)))
 
 
 def test_twin_metric_values():

@@ -1,16 +1,20 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bundleflow import catalog
 from bundleflow.bundle import BundleState, BundleSystem, FTensor
-from bundleflow.errors import IntegrationBlowUp
+from bundleflow.errors import EvalDomainError, IntegrationBlowUp, SingularMetricError
+from bundleflow.geometry import MetricStructure
 from bundleflow.integrate import IntegratorConfig, convergence_order, integrate
+from bundleflow.scenario import load_scenario
 from bundleflow.verify import euclid_oblique_family
 
 FLAT = catalog.entry("flat_diag")
 EUCLID = catalog.entry("euclid_oblique")
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def test_config_validation():
@@ -155,3 +159,49 @@ def test_monitor_drift_shrinks_by_sixteen_when_halving():
 
     d1, d2 = drift(0.02), drift(0.01)
     assert d1 / d2 > 8.0
+
+
+def test_singular_metric_in_a_step_ends_as_blow_up():
+    # the steps jump over the pole of poly2d at x1 = 0 and run on until g is singular
+    init = BundleState(np.array([0.3, 1.0]), np.array([-1.0, 0.0]), np.zeros(2), np.zeros(2))
+    with pytest.raises(IntegrationBlowUp) as err:
+        integrate(
+            catalog.entry("poly2d").structure,
+            BundleSystem("geodesic_tm"),
+            init,
+            IntegratorConfig(step=0.01, t_span=(0.0, 5.0)),
+        )
+    assert isinstance(err.value.__cause__, SingularMetricError)
+    partial = err.value.trajectory
+    assert partial.n >= 2 and np.all(np.isfinite(partial.x))
+    assert partial.times[-1] == err.value.time
+
+
+def test_domain_error_in_a_step_ends_as_blow_up():
+    # rho2 = 1/(t - 1) cannot be evaluated at t = 1
+    scenario = load_scenario(SCENARIOS / "flat_diag_hphi_planar.json", t_span=(0.0, 1.2))
+    with pytest.raises(IntegrationBlowUp) as err:
+        integrate(scenario.structure, scenario.system, scenario.initial, scenario.integrator)
+    assert isinstance(err.value.__cause__, EvalDomainError)
+    partial = err.value.trajectory
+    assert partial.times[-1] == err.value.time < 1.0
+    assert partial.monitor_times.size == partial.n
+
+
+def test_step_failing_at_its_start_point_ends_one_sample_earlier():
+    # Euler evaluates nothing between samples, so x1 = 0, where ln(x1) fails,
+    # is first evaluated by the step that starts there
+    M = MetricStructure(
+        2,
+        [["1", "0"], ["0", "1"]],
+        [["1", "0"], ["0", "-1"]],
+        christoffel=[[["0*ln(x1)", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]],
+    )
+    init = BundleState(np.array([0.75, 0.0]), np.array([-1.0, 0.0]), np.zeros(2), np.zeros(2))
+    cfg = IntegratorConfig(step=0.25, t_span=(0.0, 2.0), method="euler")
+    with pytest.raises(IntegrationBlowUp) as err:
+        integrate(M, BundleSystem("geodesic_tm"), init, cfg)
+    assert isinstance(err.value.__cause__, EvalDomainError)
+    partial = err.value.trajectory
+    np.testing.assert_array_equal(partial.x[:, 0], [0.75, 0.5, 0.25])
+    assert err.value.time == partial.times[-1] == 0.5
