@@ -8,9 +8,12 @@ Fields on an n-dimensional chart are written in a small infix language:
 * unary negation, with precedence ``^`` > unary ``-`` > ``* /`` > ``+ -``.
 
 Parsed trees are immutable, so a :class:`ScalarField` may be evaluated
-concurrently from several threads.  There is deliberately no symbolic
-differentiation here; derivatives of fields are taken by finite differences
-downstream.
+concurrently from several threads.  A tree is evaluated either at one point,
+by a walk in plain floats (:func:`evaluate`), or at every row of an
+``(n, dim)`` array at once with numpy ufuncs (:func:`evaluate_many`); both
+raise the same :class:`~bundleflow.errors.EvalDomainError` on the same
+inputs.  There is deliberately no symbolic differentiation here; derivatives
+of fields are taken by finite differences downstream.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 from .errors import EvalDomainError, ExprSyntaxError
 
@@ -31,6 +36,7 @@ __all__ = [
     "ScalarField",
     "parse",
     "evaluate",
+    "evaluate_many",
     "pretty",
     "FUNCTIONS",
 ]
@@ -259,8 +265,9 @@ def evaluate(node: Node, point) -> float:
     """Evaluate an expression tree at a coordinate point.
 
     Domain violations (log of a non-positive value, square root of a
-    negative value, division by zero, overflow) raise
-    :class:`~bundleflow.errors.EvalDomainError` instead of yielding NaN/inf.
+    negative value, division by zero, overflow, sine or cosine of an
+    infinite value) raise :class:`~bundleflow.errors.EvalDomainError`
+    instead of yielding NaN/inf.
     """
     if isinstance(node, Const):
         return node.value
@@ -297,16 +304,95 @@ def evaluate(node: Node, point) -> float:
                 if arg <= 0.0:
                     raise EvalDomainError(f"ln of non-positive value {arg}")
                 return math.log(arg)
-            if node.func == "sin":
-                return math.sin(arg)
-            if node.func == "cos":
-                return math.cos(arg)
             if node.func == "sqrt":
                 if arg < 0.0:
                     raise EvalDomainError(f"sqrt of negative value {arg}")
                 return math.sqrt(arg)
+            if math.isinf(arg):  # math.sin/cos raise a bare ValueError there
+                raise EvalDomainError(f"{node.func} of infinite value {arg}")
+            if node.func == "sin":
+                return math.sin(arg)
+            if node.func == "cos":
+                return math.cos(arg)
         except OverflowError as exc:
             raise EvalDomainError(f"overflow in {node.func}: {exc}") from None
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+# evaluate's messages for the OverflowError of math.exp and of float ** int
+_EXP_OVERFLOW = "overflow in exp: math range error"
+_POW_OVERFLOW = "overflow in power: (34, 'Numerical result out of range')"
+
+
+def evaluate_many(node: Node, points) -> np.ndarray:
+    """Evaluate an expression tree at each row of an ``(n, dim)`` array.
+
+    Row by row this follows :func:`evaluate`: the call raises the
+    :class:`~bundleflow.errors.EvalDomainError` that :func:`evaluate` raises
+    at some row, with the same text followed by that row.  The
+    values agree with :func:`evaluate` up to the last-digit differences
+    between numpy's ufuncs and :mod:`math`.
+    """
+    points = np.asarray(points, dtype=float)
+    out = np.empty(len(points))
+    with np.errstate(all="ignore"):
+        out[:] = _evaluate_rows(node, points)
+    return out
+
+
+def _check_rows(bad, values, points, message) -> None:
+    """Raise ``message`` (formatted with the operand) at the first bad row."""
+    if bad.any():
+        i = int(np.argmax(np.broadcast_to(bad, len(points))))
+        value = float(np.broadcast_to(values, len(points))[i])
+        raise EvalDomainError(f"{message.format(value)} at {points[i]}")
+
+
+def _no_overflow(out, arg, points, message):
+    """``out``, unless a finite operand gave an infinite result in some row."""
+    overflow = np.isinf(out)
+    if overflow.any():
+        _check_rows(overflow & np.isfinite(arg), arg, points, message)
+    return out
+
+
+def _evaluate_rows(node: Node, points: np.ndarray):
+    """:func:`evaluate_many`'s walk; a variable-free subtree stays a scalar."""
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        return points[:, node.index]
+    if isinstance(node, Neg):
+        return -_evaluate_rows(node.child, points)
+    if isinstance(node, BinOp):
+        left = _evaluate_rows(node.left, points)
+        right = _evaluate_rows(node.right, points)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        _check_rows(np.equal(right, 0.0), right, points, "division by zero")
+        return np.divide(left, right)
+    if isinstance(node, Pow):
+        base = _evaluate_rows(node.base, points)
+        if node.exponent < 0:
+            _check_rows(np.equal(base, 0.0), base, points, "zero raised to a negative power")
+        # float_power calls libm's pow, as float ** int does; power does not
+        return _no_overflow(np.float_power(base, node.exponent), base, points, _POW_OVERFLOW)
+    if isinstance(node, Call):
+        arg = _evaluate_rows(node.arg, points)
+        if node.func == "exp":
+            return _no_overflow(np.exp(arg), arg, points, _EXP_OVERFLOW)
+        if node.func == "ln":
+            _check_rows(np.less_equal(arg, 0.0), arg, points, "ln of non-positive value {}")
+            return np.log(arg)
+        if node.func == "sqrt":
+            _check_rows(np.less(arg, 0.0), arg, points, "sqrt of negative value {}")
+            return np.sqrt(arg)
+        _check_rows(np.isinf(arg), arg, points, node.func + " of infinite value {}")
+        return np.sin(arg) if node.func == "sin" else np.cos(arg)
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -397,7 +483,16 @@ class ScalarField:
     def const_value(self) -> float | None:
         return self._const
 
-    def __call__(self, point) -> float:
+    def __call__(self, point):
+        """The value at one point, a sequence of ``dim`` coordinates.
+
+        Given an ``(n, dim)`` array instead, returns the ``n`` values at its
+        rows from one pass of :func:`evaluate_many`.
+        """
+        if getattr(point, "ndim", 1) == 2:
+            if self._const is not None:
+                return np.full(len(point), self._const)
+            return evaluate_many(self.ast, point)
         if self._const is not None:
             return self._const
         return evaluate(self.ast, point)

@@ -2,9 +2,11 @@
 
 A :class:`MetricStructure` bundles a metric ``g``, an almost para-complex
 structure ``phi`` (phi^2 = id with balanced eigenbundles) and, optionally,
-analytic Christoffel symbols or a curvature override.  Everything is
-evaluated pointwise; derivatives of the component fields are taken by
-central finite differences.
+analytic Christoffel symbols or a curvature override.  Geometry is evaluated
+at one chart point at a time; derivatives of the component fields are taken
+by central finite differences, and the fields on all points of a stencil
+(for finite-difference Christoffel symbols, the centres and their 2·dim
+neighbours) are evaluated in one batch.
 
 Conventions:
 
@@ -54,10 +56,12 @@ class FieldTensor:
     Rank 2 holds ``g``, ``phi`` and F tensors; rank 3 holds analytic
     Christoffel symbols.  Fields are stored flat, in row-major order.  A
     constant tensor returns one shared read-only array, so geometry cached
-    per trajectory sample does not hold a copy per sample.
+    per trajectory sample does not hold a copy per sample.  Given an
+    ``(n, dim)`` array of points, :meth:`at` evaluates every field on all
+    rows at once and returns the ``n`` tensors stacked along a first axis.
     """
 
-    __slots__ = ("dim", "rank", "fields", "_const")
+    __slots__ = ("dim", "rank", "fields", "_const", "_variable", "_template")
 
     def __init__(self, fields, dim: int, rank: int):
         if len(fields) != dim**rank:
@@ -65,9 +69,14 @@ class FieldTensor:
         self.dim = dim
         self.rank = rank
         self.fields = list(fields)
+        # the constant components, with 0 where a field varies
+        self._template = np.array(
+            [0.0 if f.const_value is None else f.const_value for f in self.fields]
+        )
+        self._variable = [k for k, f in enumerate(self.fields) if f.const_value is None]
         self._const: np.ndarray | None = None
-        if all(f.const_value is not None for f in self.fields):
-            self._const = self._shaped([f.const_value for f in self.fields])
+        if not self._variable:
+            self._const = self._shaped(self._template)
             self._const.setflags(write=False)
 
     def _shaped(self, values) -> np.ndarray:
@@ -96,6 +105,11 @@ class FieldTensor:
         return self._const is not None
 
     def at(self, point) -> np.ndarray:
+        if getattr(point, "ndim", 1) == 2:
+            out = self._template[None].repeat(len(point), axis=0)
+            for k in self._variable:
+                out[:, k] = self.fields[k](point)
+            return out.reshape((len(point),) + (self.dim,) * self.rank)
         if self._const is not None:
             return self._const
         return self._shaped([f(point) for f in self.fields])
@@ -136,8 +150,8 @@ class MetricStructure:
     ):
         if dim < 2 or dim % 2 != 0:
             raise ValueError(f"dimension must be even and >= 2, got {dim}")
-        if fd_step < 1e-12:
-            raise ValueError(f"finite-difference step underflow: {fd_step}")
+        if not (np.isfinite(fd_step) and fd_step >= 1e-12):
+            raise ValueError(f"finite-difference step must be finite and >= 1e-12, got {fd_step}")
         self.dim = dim
         self.g, self.phi = (
             t if isinstance(t, FieldTensor) else FieldTensor.from_spec(t, dim)
@@ -161,12 +175,23 @@ class MetricStructure:
     # -- pointwise evaluation ------------------------------------------------
 
     def metric_at(self, point) -> np.ndarray:
-        mat = self.g.at(point)
-        mat = 0.5 * (mat + mat.T)
-        det = float(np.linalg.det(mat))
+        return self._checked_metric(self.g.at(point), point)
+
+    def _checked_metric(self, mat, point) -> np.ndarray:
+        """Symmetrize g given at one point, or at each of n points (n, d, d).
+
+        Raises :class:`SingularMetricError` at the first singular one.
+        """
+        mat = 0.5 * (mat + mat.swapaxes(-1, -2))
+        det = np.linalg.det(mat)
         # relative to the entries, so that g and c*g are judged alike
-        if abs(det) <= 1e-12 * float(np.max(np.abs(mat))) ** self.dim:
-            raise SingularMetricError(f"metric singular at {point}: det = {det:g}")
+        singular = abs(det) <= 1e-12 * abs(mat).max(axis=(-2, -1)) ** self.dim
+        if mat.ndim == 2:
+            if singular:
+                raise SingularMetricError(f"metric singular at {point}: det = {det:g}")
+        elif singular.any():
+            i = int(np.argmax(singular))
+            raise SingularMetricError(f"metric singular at {point[i]}: det = {det[i]:g}")
         return mat
 
     def phi_at(self, point) -> np.ndarray:
@@ -186,17 +211,20 @@ class MetricStructure:
     def christoffel_at(self, point) -> np.ndarray:
         if self.christoffel is not None:
             return self.christoffel.at(point)
-        d, h = self.dim, self.fd_step
-        point = np.asarray(point, dtype=float)
-        dg = np.empty((d, d, d))
-        for l in range(d):
-            shift = np.zeros(d)
-            shift[l] = h
-            dg[l] = (self.g.at(point + shift) - self.g.at(point - shift)) / (2.0 * h)
-        ginv = np.linalg.inv(self.metric_at(point))
+        return self._fd_christoffel(np.asarray(point, dtype=float)[None])[0]
+
+    def _fd_christoffel(self, centres: np.ndarray) -> np.ndarray:
+        """Finite-difference Gamma at each of n centres (n, d), indexed [n, k, i, j].
+
+        g is evaluated once, on the centres and all their stencil points.
+        """
+        n, h = len(centres), self.fd_step
+        g_all = self.g.at(np.concatenate([centres, _stencil(centres, h)]))
+        ginv = np.linalg.inv(self._checked_metric(g_all[:n], centres))
+        dg = _central_diff(g_all[n:], centres, h)  # [n, l, i, j] = d_l g_ij
         # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-        sym = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
-        return 0.5 * np.einsum("kl,ijl->kij", ginv, sym)
+        sym = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
+        return 0.5 * np.einsum("nkl,nijl->nkij", ginv, sym)
 
     @property
     def _dgamma_step(self) -> float:
@@ -210,15 +238,13 @@ class MetricStructure:
         if self.christoffel is not None and self.christoffel.is_constant:
             return np.zeros((d, d, d, d))
         h = self._dgamma_step
-        point = np.asarray(point, dtype=float)
-        out = np.empty((d, d, d, d))
-        for m in range(d):
-            shift = np.zeros(d)
-            shift[m] = h
-            out[m] = (
-                self.christoffel_at(point + shift) - self.christoffel_at(point - shift)
-            ) / (2.0 * h)
-        return out
+        point = np.asarray(point, dtype=float)[None]
+        centres = _stencil(point, h)
+        if self.christoffel is not None:
+            gammas = self.christoffel.at(centres)
+        else:
+            gammas = self._fd_christoffel(centres)
+        return _central_diff(gammas, point, h)[0]
 
     def riemann_tensor_at(self, point) -> np.ndarray:
         """Full curvature R^l_{kij} such that (R(X,Y)Z)^l = R^l_{kij} X^i Y^j Z^k."""
@@ -230,6 +256,22 @@ class MetricStructure:
     def at(self, point) -> "PointGeometry":
         """The geometry at one chart point, evaluated lazily and then shared."""
         return PointGeometry(self, point)
+
+
+def _stencil(points: np.ndarray, h: float) -> np.ndarray:
+    """The 2·n·d central-difference points p ± h e_l of n points (n, d).
+
+    Ordered [point, sign, l]; :func:`_central_diff` takes values in this order.
+    """
+    shift = h * np.eye(points.shape[1])
+    return (points[:, None] + np.concatenate([shift, -shift])).reshape(-1, points.shape[1])
+
+
+def _central_diff(values: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
+    """d_l f at each of n points (n, d), indexed [point, l, ...], from f on their stencil."""
+    n, d = points.shape
+    values = values.reshape((n, 2, d) + values.shape[1:])
+    return (values[:, 0] - values[:, 1]) / (2.0 * h)
 
 
 class PointGeometry:
@@ -478,14 +520,9 @@ def check_parallel_phi(
         tol = 1e-8 if M.christoffel is not None else 1e-5
     rng = np.random.default_rng(seed)
     pts = sample_chart_points(M, n_points, rng)
-    d, h = M.dim, M.fd_step
+    dphis = _central_diff(M.phi_at(_stencil(pts, M.fd_step)), pts, M.fd_step)
     worst = 0.0
-    for p in pts:
-        dphi = np.empty((d, d, d))
-        for l in range(d):
-            shift = np.zeros(d)
-            shift[l] = h
-            dphi[l] = (M.phi_at(p + shift) - M.phi_at(p - shift)) / (2.0 * h)
+    for p, dphi in zip(pts, dphis):
         gam = M.christoffel_at(p)
         phi = M.phi_at(p)
         # (nabla_i phi)^k_j = d_i phi^k_j + Gamma^k_il phi^l_j - Gamma^l_ij phi^k_l

@@ -36,6 +36,8 @@ class IntegratorConfig:
 
     def __post_init__(self):
         t0, t1 = self.t_span
+        if not np.all(np.isfinite([t0, t1, self.step])):
+            raise ValueError(f"step {self.step} and span {self.t_span} must be finite")
         if not t1 > t0:
             raise ValueError(f"need t1 > t0, got span {self.t_span}")
         if not 0.0 < self.step <= (t1 - t0) + 1e-15:

@@ -153,7 +153,7 @@ def _build_integrator(doc) -> tuple[IntegratorConfig | None, bool]:
         step = float(raw["step"])
     except (KeyError, TypeError, ValueError):
         raise ScenarioError("integrator needs numeric 'step' and 't_span': [t0, t1]") from None
-    if t1 == t0:
+    if t1 == t0 and np.isfinite(t0):
         return None, True  # degenerate span: emit headers only
     try:
         cfg = IntegratorConfig(

@@ -244,6 +244,26 @@ def test_malformed_tspan_exits_2(tmp_path, oblique_scenario, tspan):
     assert not (tmp_path / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("tspan", ["0,inf", "inf,inf"])
+def test_infinite_tspan_exits_2(tmp_path, capsys, oblique_scenario, tspan):
+    rc = run("integrate", "--scenario", oblique_scenario, "--out", tmp_path, "--tspan", tspan)
+    assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("fd_step", ["1e400", "NaN"])
+def test_non_finite_fd_step_exits_2(tmp_path, capsys, fd_step):
+    # json reads 1e400 as inf and NaN as nan
+    path = tmp_path / "fd.json"
+    path.write_text(
+        '{"manifold": {"dim": 2, "g": [["exp(2*x1)", "0"], ["0", "exp(2*x2)"]],'
+        ' "phi": [["1", "0"], ["0", "-1"]], "fd_step": %s}}' % fd_step
+    )
+    assert run("check", "--scenario", path, "--out", tmp_path) == 2
+    assert "bad inline manifold" in capsys.readouterr().err
+
+
 def test_partial_override_without_integrator_exits_2(tmp_path, capsys):
     doc = oblique_scenario_doc()
     del doc["integrator"]

@@ -15,6 +15,7 @@ from bundleflow.expressions import (
     ScalarField,
     Var,
     evaluate,
+    evaluate_many,
     parse,
     pretty,
 )
@@ -96,6 +97,36 @@ def test_domain_errors_are_reported():
         evaluate(parse("exp(x1)", 1), (1e5,))
 
 
+@pytest.mark.parametrize("func", ["sin", "cos"])
+@pytest.mark.parametrize("x", [math.inf, -math.inf])
+def test_sin_cos_of_infinity_raise_domain_error(func, x):
+    field = ScalarField.parse(f"{func}(x1)", 1)
+    with pytest.raises(EvalDomainError, match=f"{func} of infinite value"):
+        field((x,))
+    with pytest.raises(EvalDomainError, match=f"{func} of infinite value"):
+        field(np.array([[0.0], [x]]))
+
+
+def test_batched_call_returns_one_value_per_row():
+    pts = np.array([[0.5, 2.0], [1.0, -1.0], [2.0, 0.25]])
+    for source in ("x2/x1 + sin(x1)^2", "x2", "3"):
+        field = ScalarField.parse(source, 2)
+        values = field(pts)
+        assert values.shape == (3,)
+        np.testing.assert_allclose(values, [field(p) for p in pts], rtol=1e-12)
+    ScalarField.parse("x2", 2)(pts)[0] = 99.0
+    assert pts[0, 1] == 2.0  # the result does not alias the points
+
+
+def test_batched_domain_error_keeps_the_message_and_names_the_point():
+    pts = np.array([[1.0], [-0.5], [-2.0]])
+    with pytest.raises(EvalDomainError) as scalar:
+        evaluate(parse("ln(x1)", 1), pts[1])
+    with pytest.raises(EvalDomainError) as batch:
+        ScalarField.parse("ln(x1)", 1)(pts)
+    assert str(batch.value) == f"{scalar.value} at {pts[1]}"
+
+
 def test_constant_folding():
     f = ScalarField.parse("exp(1) + 2^3", 2)
     assert f.const_value == pytest.approx(math.e + 8.0)
@@ -169,3 +200,76 @@ def test_scalar_field_is_reusable_and_immutable():
     pts = np.array([[0.1, 0.2], [1.0, -1.0]])
     vals = [f(p) for p in pts]
     assert vals == [f(p) for p in pts]
+
+
+# numpy's exp and log differ from math's in the last bit on some inputs, so
+# the batched values may differ from the scalar ones by a few roundings in
+# each operation, carried through the tree by its first-order sensitivities
+_ULPS = 4.0
+
+
+def _value_and_error_scale(node, point) -> tuple[float, float]:
+    """The scalar value at ``point`` and a bound on its change, in units of
+    eps, when every operation's result is rounded once more."""
+    if isinstance(node, (Const, Var)):
+        return evaluate(node, point), 0.0
+    if isinstance(node, Neg):
+        v, e = _value_and_error_scale(node.child, point)
+        return -v, e
+    if isinstance(node, BinOp):
+        (l, el), (r, er) = (_value_and_error_scale(n, point) for n in (node.left, node.right))
+        v = evaluate(node, point)
+        if node.op in "+-":
+            e = el + er
+        elif node.op == "*":
+            e = abs(r) * el + abs(l) * er
+        else:
+            e = (el + abs(v) * er) / abs(r)
+        return v, e + abs(v)
+    if isinstance(node, Pow):
+        b, eb = _value_and_error_scale(node.base, point)
+        v = evaluate(node, point)
+        slope = abs(node.exponent * v / b) if b else float(node.exponent == 1)
+        return v, slope * eb + abs(v)
+    a, ea = _value_and_error_scale(node.arg, point)
+    v = evaluate(node, point)
+    if node.func == "exp":
+        slope = abs(v)
+    elif node.func == "ln":
+        slope = 1.0 / a
+    elif node.func == "sqrt":
+        slope = 0.5 / v if v else math.inf
+    else:
+        slope = 1.0
+    return v, slope * ea + abs(v)
+
+
+# mostly moderate coordinates, with some that make exp and powers overflow
+# and infinite ones, which sin and cos reject
+_COORD = st.one_of(
+    st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, 800.0, -800.0, math.inf, -math.inf])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _ast_strategy(),
+    st.lists(st.lists(_COORD, min_size=_DIM, max_size=_DIM), min_size=1, max_size=6),
+)
+def test_batched_evaluation_matches_scalar_rows(ast, rows):
+    points = np.array(rows)
+    scalar, raised = [], False
+    for row in points:
+        try:
+            scalar.append(_value_and_error_scale(ast, row))
+        except EvalDomainError:
+            raised = True
+    if raised:
+        with pytest.raises(EvalDomainError):
+            evaluate_many(ast, points)
+        return
+    eps = np.finfo(float).eps
+    for got, (want, scale) in zip(evaluate_many(ast, points), scalar):
+        assert got == want or (math.isnan(got) and math.isnan(want)) or (
+            abs(got - want) <= _ULPS * eps * scale
+        )

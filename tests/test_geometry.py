@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bundleflow import catalog
-from bundleflow.errors import PurityError, SingularMetricError
+from bundleflow.errors import EvalDomainError, PurityError, SingularMetricError
 from bundleflow.geometry import (
     CurvatureOperator,
     MetricStructure,
@@ -158,6 +158,80 @@ def test_christoffel_symmetry_and_compatibility():
 def test_fd_step_underflow_rejected():
     with pytest.raises(ValueError):
         MetricStructure(2, [["1", "0"], ["0", "1"]], [["1", "0"], ["0", "-1"]], fd_step=1e-14)
+
+
+@pytest.mark.parametrize("fd_step", [float("nan"), float("inf")])
+def test_fd_step_must_be_finite(fd_step):
+    with pytest.raises(ValueError, match="finite"):
+        MetricStructure(2, [["1", "0"], ["0", "1"]], [["1", "0"], ["0", "-1"]], fd_step=fd_step)
+
+
+# -- finite-difference stencils, evaluated in one batch ----------------------------
+
+FD_DIAG4 = MetricStructure(
+    4,
+    [["exp(x1)", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+)
+
+
+def _loop_christoffel(M, point):
+    """FD Gamma with g evaluated point by point, as a reference."""
+    d, h = M.dim, M.fd_step
+    point = np.asarray(point, dtype=float)
+    dg = np.empty((d, d, d))
+    for l in range(d):
+        shift = np.zeros(d)
+        shift[l] = h
+        dg[l] = (M.g.at(point + shift) - M.g.at(point - shift)) / (2.0 * h)
+    ginv = np.linalg.inv(M.metric_at(point))
+    sym = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
+    return 0.5 * np.einsum("kl,ijl->kij", ginv, sym)
+
+
+def _loop_christoffel_grad(M, point):
+    """dGamma with Gamma evaluated centre by centre, as a reference."""
+    d, h = M.dim, M._dgamma_step
+    gamma = M.christoffel.at if M.christoffel is not None else (lambda p: _loop_christoffel(M, p))
+    point = np.asarray(point, dtype=float)
+    out = np.empty((d, d, d, d))
+    for m in range(d):
+        shift = np.zeros(d)
+        shift[m] = h
+        out[m] = (gamma(point + shift) - gamma(point - shift)) / (2.0 * h)
+    return out
+
+
+@pytest.mark.parametrize(
+    "M", [fd_variant(EXP2D), FD_DIAG4, POLY], ids=["fd_exp2d", "fd_diag4", "poly2d"]
+)
+def test_batched_stencils_match_point_by_point_loops(M):
+    # 1e-9 relative to Gamma; dGamma is compared through its central
+    # differences 2h dGamma, since FD dGamma is zero up to roundoff here
+    # except on poly2d
+    for p in sample_chart_points(M, 10, np.random.default_rng(11)):
+        gam = M.christoffel_at(p)
+        scale = 1e-9 * np.max(np.abs(gam))
+        if M.christoffel is None:
+            assert np.max(np.abs(gam - _loop_christoffel(M, p))) <= scale
+        diff = M.christoffel_grad_at(p) - _loop_christoffel_grad(M, p)
+        assert 2.0 * M._dgamma_step * np.max(np.abs(diff)) <= scale
+
+
+def test_stencil_point_outside_the_domain_raises():
+    M = MetricStructure(2, [["ln(x1)", 0], [0, 1]], [[1, 0], [0, -1]])
+    M.metric_at((0.5 * M.fd_step, 0.0))  # the centre itself is in the domain
+    with pytest.raises(EvalDomainError, match="ln of non-positive value"):
+        M.christoffel_at((0.5 * M.fd_step, 0.0))
+
+
+def test_singular_stencil_centre_raises():
+    M = MetricStructure(2, [["x1^2", 0], [0, 1]], [[1, 0], [0, -1]])
+    with pytest.raises(SingularMetricError):
+        M.christoffel_at((0.0, 0.3))
+    # x1 - 1e-4 = 0 is one of the dGamma stencil's centres
+    with pytest.raises(SingularMetricError, match=r"at \[0\. +0\.3\]"):
+        M.christoffel_grad_at((1e-4, 0.3))
 
 
 # -- curvature ------------------------------------------------------------------

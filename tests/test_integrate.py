@@ -28,6 +28,15 @@ def test_config_validation():
         IntegratorConfig(step=0.1, t_span=(0.0, 1.0), monitor_every=0)
 
 
+@pytest.mark.parametrize(
+    "step, t_span",
+    [(0.1, (0.0, math.inf)), (0.1, (-math.inf, 0.0)), (math.inf, (0.0, 1.0)), (math.nan, (0.0, 1.0))],
+)
+def test_config_rejects_non_finite_values(step, t_span):
+    with pytest.raises(ValueError, match="finite"):
+        IntegratorConfig(step=step, t_span=t_span)
+
+
 def test_grid_lands_exactly_on_t1():
     ent, fam = euclid_oblique_family(0.5)
     traj = integrate(

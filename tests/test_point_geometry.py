@@ -51,7 +51,7 @@ def _system(kind):
 
 @pytest.mark.parametrize(
     "M, expected",
-    [(FD_EXP2D, 5), (FD_DIAG4, 9), (EXP2D, 1)],
+    [(FD_EXP2D, 5), (FD_DIAG4, 9), (EXP2D, 0)],
     ids=["fd_exp2d", "fd_diag4", "analytic_exp2d"],
 )
 @pytest.mark.parametrize(
@@ -59,20 +59,27 @@ def _system(kind):
     ["geodesic_tm", "geodesic_unit", "f_geodesic_tm", "f_geodesic_unit", "f_planar_tm", "f_planar_unit"],
 )
 def test_rhs_evaluates_christoffel_once_per_stencil_point(monkeypatch, M, expected, kind):
-    # Gamma at x, plus Gamma at the 2 * dim points of the dGamma stencil on the FD path
-    calls = []
-    original = MetricStructure.christoffel_at
+    # one christoffel_at call; on the FD path Gamma at x, plus Gamma at the
+    # 2 * dim points of the dGamma stencil, each finite-differenced once
+    calls, fd_centres = [], []
+    original_at, original_fd = MetricStructure.christoffel_at, MetricStructure._fd_christoffel
 
-    def counted(self, point):
+    def counted_at(self, point):
         calls.append(1)
-        return original(self, point)
+        return original_at(self, point)
 
-    monkeypatch.setattr(MetricStructure, "christoffel_at", counted)
+    def counted_fd(self, centres):
+        fd_centres.extend(map(tuple, centres))
+        return original_fd(self, centres)
+
+    monkeypatch.setattr(MetricStructure, "christoffel_at", counted_at)
+    monkeypatch.setattr(MetricStructure, "_fd_christoffel", counted_fd)
     rhs = make_rhs(M, _system(kind))
     y = np.linspace(0.1, 0.4, 4 * M.dim)
     out = rhs(0.0, y)
     assert np.all(np.isfinite(out))
-    assert len(calls) == expected
+    assert len(calls) == 1
+    assert len(fd_centres) == len(set(fd_centres)) == expected
 
 
 # -- covariant <-> coordinate conversions ------------------------------------------
