@@ -72,19 +72,14 @@ def _write_trajectory_csv(path: Path, dim: int, traj=None) -> None:
 
 
 def _write_monitors_csv(path: Path, traj=None) -> None:
-    header = ["t", "unit_norm", "rho_sq", "speed_sq"]
+    # fiber_ortho comes last so that the older columns keep their positions
+    names = ["unit_norm", "rho_sq", "speed_sq", "fiber_ortho"]
     rows = []
     if traj is not None:
         rows = np.stack(
-            [
-                traj.monitor_times,
-                traj.monitors["unit_norm"],
-                traj.monitors["rho_sq"],
-                traj.monitors["speed_sq"],
-            ],
-            axis=1,
+            [traj.monitor_times] + [traj.monitors[name] for name in names], axis=1
         ).tolist()
-    _write_rows(path, header, rows)
+    _write_rows(path, ["t"] + names, rows)
 
 
 def _load(args) -> Scenario:

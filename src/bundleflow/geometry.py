@@ -6,7 +6,12 @@ analytic Christoffel symbols or a curvature override.  Geometry is evaluated
 at one chart point at a time; derivatives of the component fields are taken
 by central finite differences, and the fields on all points of a stencil
 (for finite-difference Christoffel symbols, the centres and their 2·dim
-neighbours) are evaluated in one batch.
+neighbours) are evaluated in one batch.  What does not depend on the point
+is computed once per structure, on first use, and shared read-only: the
+symmetrized g and its inverse when every component of g is constant, and
+dGamma (zero) and the curvature tensor when analytic Christoffel symbols are
+constant.  Only values that passed their checks are kept, so a singular
+constant g raises on every call.
 
 Conventions:
 
@@ -54,11 +59,7 @@ class FieldTensor:
     """A dim x ... x dim array of scalar fields with a constant fast path.
 
     Rank 2 holds ``g``, ``phi`` and F tensors; rank 3 holds analytic
-    Christoffel symbols.  Fields are stored flat, in row-major order.  A
-    constant tensor returns one shared read-only array, so geometry cached
-    per trajectory sample does not hold a copy per sample.  Given an
-    ``(n, dim)`` array of points, :meth:`at` evaluates every field on all
-    rows at once and returns the ``n`` tensors stacked along a first axis.
+    Christoffel symbols.  Fields are stored flat, in row-major order.
     """
 
     __slots__ = ("dim", "rank", "fields", "_const", "_variable", "_template")
@@ -71,16 +72,14 @@ class FieldTensor:
         self.fields = list(fields)
         # the constant components, with 0 where a field varies
         self._template = np.array(
-            [0.0 if f.const_value is None else f.const_value for f in self.fields]
+            [0.0 if f.const_value is None else f.const_value for f in self.fields],
+            dtype=float,
         )
         self._variable = [k for k, f in enumerate(self.fields) if f.const_value is None]
         self._const: np.ndarray | None = None
         if not self._variable:
-            self._const = self._shaped(self._template)
+            self._const = self._template.reshape((dim,) * rank)
             self._const.setflags(write=False)
-
-    def _shaped(self, values) -> np.ndarray:
-        return np.array(values, dtype=float).reshape((self.dim,) * self.rank)
 
     @classmethod
     def from_spec(cls, spec, dim: int) -> "FieldTensor":
@@ -105,6 +104,14 @@ class FieldTensor:
         return self._const is not None
 
     def at(self, point) -> np.ndarray:
+        """The components at one point, or stacked along a first axis at each
+        row of an ``(n, dim)`` array of points.
+
+        Only the non-constant fields are evaluated (on a batch, on all rows
+        at once); the constant ones are filled in.  A constant tensor returns
+        one shared read-only array, so geometry cached per trajectory sample
+        does not hold a copy per sample.
+        """
         if getattr(point, "ndim", 1) == 2:
             out = self._template[None].repeat(len(point), axis=0)
             for k in self._variable:
@@ -112,7 +119,10 @@ class FieldTensor:
             return out.reshape((len(point),) + (self.dim,) * self.rank)
         if self._const is not None:
             return self._const
-        return self._shaped([f(point) for f in self.fields])
+        out = self._template.copy()
+        for k in self._variable:
+            out[k] = self.fields[k](point)
+        return out.reshape((self.dim,) * self.rank)
 
 
 class MetricStructure:
@@ -171,11 +181,38 @@ class MetricStructure:
             chart_box = [(-1.0, 1.0)] * dim
         self.chart_box = np.asarray(chart_box, dtype=float).reshape(dim, 2)
         self.name = name
+        self._shared: dict[str, np.ndarray] = {}
+
+    def _shared_piece(self, constant: bool, key: str, build) -> np.ndarray:
+        """``build()``, or, where the piece does not depend on the point, its
+        one shared copy ``key``.
+
+        The shared copy is built (and checked) on first use and made
+        read-only.  A build that raises stores nothing, so the next call
+        checks again.
+        """
+        if not constant:
+            return build()
+        value = self._shared.get(key)
+        if value is None:
+            value = build()
+            value.setflags(write=False)
+            self._shared[key] = value
+        return value
+
+    @property
+    def has_constant_christoffel(self) -> bool:
+        """Analytic Gamma with constant components: dGamma = 0 and R is constant."""
+        return self.christoffel is not None and self.christoffel.is_constant
 
     # -- pointwise evaluation ------------------------------------------------
 
     def metric_at(self, point) -> np.ndarray:
-        return self._checked_metric(self.g.at(point), point)
+        return self._shared_piece(
+            self.g.is_constant and getattr(point, "ndim", 1) == 1,
+            "g",
+            lambda: self._checked_metric(self.g.at(point), point),
+        )
 
     def _checked_metric(self, mat, point) -> np.ndarray:
         """Symmetrize g given at one point, or at each of n points (n, d, d).
@@ -234,9 +271,8 @@ class MetricStructure:
 
     def christoffel_grad_at(self, point) -> np.ndarray:
         """d_m Gamma^k_{ij}, indexed [m, k, i, j]."""
-        d = self.dim
-        if self.christoffel is not None and self.christoffel.is_constant:
-            return np.zeros((d, d, d, d))
+        if self.has_constant_christoffel:
+            return np.zeros((self.dim,) * 4)
         h = self._dgamma_step
         point = np.asarray(point, dtype=float)[None]
         centres = _stencil(point, h)
@@ -279,11 +315,17 @@ class PointGeometry:
 
     g, phi, Gamma and dGamma come from the structure's ``metric_at``,
     ``phi_at``, ``christoffel_at`` and ``christoffel_grad_at``; R and g^-1
-    are derived from them.  This is the one place where derivatives along a
-    curve x(t) are converted between covariant and coordinate form: for v(t)
-    along the curve, v' = vdot + Gamma(v, xdot) (xi' <-> xidot, and with
-    v = xdot, gamma'' <-> xddot), and d(v')/dt = vddot + dGamma(xdot; v, xdot)
-    + Gamma(v, xddot) + Gamma(vdot, xdot) is the second-order pair.
+    are derived from them.  Pieces that do not depend on the point are the
+    structure's shared read-only arrays, computed once per structure after
+    passing their checks: g and g^-1 when g is constant, phi and Gamma when
+    constant, and dGamma (zero) and R when analytic Gamma is constant.
+
+    This is the one place where derivatives along a curve x(t) are converted
+    between covariant and coordinate form: for v(t) along the curve,
+    v' = vdot + Gamma(v, xdot) (xi' <-> xidot, and with v = xdot,
+    gamma'' <-> xddot), and d(v')/dt = vddot + dGamma(xdot; v, xdot)
+    + Gamma(v, xddot) + Gamma(vdot, xdot) is the second-order pair, whose
+    dGamma term is skipped where dGamma is the shared zero.
     """
 
     __slots__ = ("M", "x", "_g", "_ginv", "_phi", "_gamma", "_dgamma", "_riemann")
@@ -305,7 +347,9 @@ class PointGeometry:
     @property
     def ginv(self) -> np.ndarray:
         if self._ginv is None:
-            self._ginv = np.linalg.inv(self.g)
+            self._ginv = self.M._shared_piece(
+                self.M.g.is_constant, "ginv", lambda: np.linalg.inv(self.g)
+            )
         return self._ginv
 
     @property
@@ -323,23 +367,32 @@ class PointGeometry:
     @property
     def dgamma(self) -> np.ndarray:
         if self._dgamma is None:
-            self._dgamma = self.M.christoffel_grad_at(self.x)
+            self._dgamma = self.M._shared_piece(
+                self.M.has_constant_christoffel,
+                "dgamma",
+                lambda: self.M.christoffel_grad_at(self.x),
+            )
         return self._dgamma
 
     @property
     def riemann_tensor(self) -> np.ndarray:
         """Metric-derived R^l_{kij}; ignores the structure's curvature override."""
         if self._riemann is None:
-            gam, dgam = self.gamma, self.dgamma
-            # dgam[m, k, i, j] = d_m Gamma^k_ij; the transposes are d_i Gamma^l_jk
-            # and d_j Gamma^l_ik, indexed [l, k, i, j]
-            self._riemann = (
-                dgam.transpose(1, 3, 0, 2)
-                - dgam.transpose(1, 3, 2, 0)
-                + np.einsum("lim,mjk->lkij", gam, gam)
-                - np.einsum("ljm,mik->lkij", gam, gam)
+            self._riemann = self.M._shared_piece(
+                self.M.has_constant_christoffel, "riemann", self._curvature
             )
         return self._riemann
+
+    def _curvature(self) -> np.ndarray:
+        gam, dgam = self.gamma, self.dgamma
+        # dgam[m, k, i, j] = d_m Gamma^k_ij; the transposes are d_i Gamma^l_jk
+        # and d_j Gamma^l_ik, indexed [l, k, i, j]
+        return (
+            dgam.transpose(1, 3, 0, 2)
+            - dgam.transpose(1, 3, 2, 0)
+            + np.einsum("lim,mjk->lkij", gam, gam)
+            - np.einsum("ljm,mik->lkij", gam, gam)
+        )
 
     def riemann(self, X, Y, Z) -> np.ndarray:
         """R(X, Y)Z, through the structure's curvature override where one is set."""
@@ -364,21 +417,15 @@ class PointGeometry:
 
     def covariant_rate(self, v, vdot, vddot, xdot, xddot) -> np.ndarray:
         """d(v')/dt, the time derivative of ``to_covariant(v, vdot, xdot)``."""
-        return (
-            vddot
-            + self._dconnection(v, xdot)
-            + self.connection(v, xddot)
-            + self.connection(vdot, xdot)
-        )
+        if not self.M.has_constant_christoffel:
+            vddot = vddot + self._dconnection(v, xdot)
+        return vddot + self.connection(v, xddot) + self.connection(vdot, xdot)
 
     def coordinate_rate(self, v, vdot, rate, xdot, xddot) -> np.ndarray:
         """Coordinate second derivative vddot whose d(v')/dt is ``rate``."""
-        return (
-            rate
-            - self._dconnection(v, xdot)
-            - self.connection(v, xddot)
-            - self.connection(vdot, xdot)
-        )
+        if not self.M.has_constant_christoffel:
+            rate = rate - self._dconnection(v, xdot)
+        return rate - self.connection(v, xddot) - self.connection(vdot, xdot)
 
 
 @dataclass(frozen=True)
@@ -485,7 +532,11 @@ def sample_chart_points(M: MetricStructure, n: int, rng) -> np.ndarray:
 def check_norden(
     M: MetricStructure, *, n_points: int = 100, seed: int = 12345, tol: float = 1e-8
 ) -> CheckReport:
-    """Check phi^2 = id and purity g(phi X, Y) = g(X, phi Y) at sampled points."""
+    """Check phi^2 = id and purity g(phi X, Y) = g(X, phi Y) at sampled points.
+
+    The purity residual is max|g phi - (g phi)^T| relative to max|g phi|, so
+    that g and c*g are judged alike.
+    """
     rng = np.random.default_rng(seed)
     pts = sample_chart_points(M, n_points, rng)
     eye = np.eye(M.dim)
@@ -495,7 +546,8 @@ def check_norden(
         g = M.metric_at(p)
         phi = M.phi_at(p)
         twin = g @ phi
-        purity = max(purity, float(np.max(np.abs(twin - twin.T))))
+        asym = float(np.max(np.abs(twin - twin.T))) / float(np.max(np.abs(twin)))
+        purity = max(purity, asym)
         phi_sq = max(phi_sq, float(np.max(np.abs(phi @ phi - eye))))
     residual = max(purity, phi_sq)
     return CheckReport(

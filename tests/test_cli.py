@@ -114,10 +114,11 @@ def test_integrate_matches_closed_form(tmp_path, oblique_scenario):
     np.testing.assert_allclose(data[:, 9:13], ref.xi, atol=1e-8)
     mon = np.loadtxt(tmp_path / "monitors.csv", delimiter=",", skiprows=1)
     head = (tmp_path / "monitors.csv").read_text().splitlines()[0]
-    assert head == "t,unit_norm,rho_sq,speed_sq"
+    assert head == "t,unit_norm,rho_sq,speed_sq,fiber_ortho"
     np.testing.assert_allclose(mon[:, 1], 1.0, atol=1e-9)
     np.testing.assert_allclose(mon[:, 2], 0.25, atol=1e-9)
     np.testing.assert_allclose(mon[:, 3], 0.75, atol=1e-9)
+    np.testing.assert_allclose(mon[:, 4], 0.0, atol=1e-9)
 
 
 def test_integrate_is_deterministic(tmp_path, oblique_scenario):
@@ -135,7 +136,7 @@ def test_integrate_zero_span_writes_headers_only(tmp_path, oblique_scenario):
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert len(lines) == 1 and lines[0].startswith("t,x1")
     assert (tmp_path / "monitors.csv").read_text().splitlines() == [
-        "t,unit_norm,rho_sq,speed_sq"
+        "t,unit_norm,rho_sq,speed_sq,fiber_ortho"
     ]
 
 

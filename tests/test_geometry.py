@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from bundleflow.geometry import (
     sample_chart_points,
 )
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 EXP2D = catalog.entry("exp2d").structure
 FLAT = catalog.entry("flat_diag").structure
 POLY = catalog.entry("poly2d").structure
@@ -47,9 +51,9 @@ _EXP2D_PHI = [["0", "exp(x2 - x1)"], ["exp(x1 - x2)", "0"]]
 _UNITS = st.floats(-8.0, 8.0).map(lambda e: 10.0**e)  # c log-uniform in [1e-8, 1e8]
 
 
-def _scaled(c: float, g_spec) -> MetricStructure:
+def _scaled(c: float, g_spec, phi_spec=_EXP2D_PHI) -> MetricStructure:
     g = [[f"{c!r}*({entry})" for entry in row] for row in g_spec]
-    return MetricStructure(2, g, _EXP2D_PHI, chart_box=EXP2D.chart_box)
+    return MetricStructure(2, g, phi_spec, chart_box=EXP2D.chart_box)
 
 
 def _raises_singular(M: MetricStructure, point) -> bool:
@@ -86,6 +90,25 @@ def test_fd_christoffel_ignores_metric_units(c, x1, x2):
     ref = _scaled(1.0, _EXP2D_G).christoffel_at((x1, x2))
     gam = _scaled(c, _EXP2D_G).christoffel_at((x1, x2))
     assert float(np.max(np.abs(gam - ref))) <= 1e-9 * float(np.max(np.abs(ref)))
+
+
+_RANDOM_PHI = json.loads((SCENARIOS / "inline_random_phi.json").read_text())["manifold"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    c=_UNITS,
+    case=st.sampled_from(
+        [
+            (_EXP2D_G, _EXP2D_PHI, True),
+            (_RANDOM_PHI["g"], _RANDOM_PHI["phi"], False),  # negative control
+        ]
+    ),
+)
+def test_norden_check_ignores_metric_units(c, case):
+    g_spec, phi_spec, norden = case
+    assert check_norden(_scaled(1.0, g_spec, phi_spec), n_points=20).passed is norden
+    assert check_norden(_scaled(c, g_spec, phi_spec), n_points=20).passed is norden
 
 
 def test_twin_metric_values():

@@ -4,8 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bundleflow import catalog
-from bundleflow.bundle import BundleSystem, FPlanarCoefficients, FTensor, make_rhs
+from bundleflow.bundle import BundleState, BundleSystem, FPlanarCoefficients, FTensor, make_rhs
+from bundleflow.errors import SingularMetricError
+from bundleflow.expressions import ScalarField
 from bundleflow.geometry import FieldTensor, MetricStructure
+from bundleflow.integrate import IntegratorConfig, integrate
 
 EXP2D = catalog.entry("exp2d").structure
 POLY = catalog.entry("poly2d").structure
@@ -169,6 +172,76 @@ def test_point_geometry_evaluates_each_piece_once(monkeypatch):
     assert len(calls) == 1
 
 
+# -- point-independent pieces, computed once per structure ---------------------------
+
+
+_MAKE = {name: lambda name=name: catalog.entry(name).structure for name in catalog.entry_names()}
+_MAKE["fd_exp2d"] = lambda: MetricStructure(2, EXP2D.g, EXP2D.phi, chart_box=EXP2D.chart_box)
+# the catalog's non-constant-Gamma charts are flat with R = 0 exactly; this one is curved
+_MAKE["fd_curved"] = lambda: MetricStructure(
+    2, [["exp(2*x1^2)", "0"], ["0", "exp(2*x1^2)"]], [["1", "0"], ["0", "-1"]]
+)
+
+
+def _pieces(geo, X, Y, Z):
+    return [geo.g, geo.ginv, geo.phi, geo.gamma, geo.dgamma, geo.riemann_tensor, geo.riemann(X, Y, Z)]
+
+
+def _warm(M):
+    e = np.ones(M.dim)
+    _pieces(M.at(M.chart_box.mean(axis=1)), e, e, e)
+    return M
+
+
+_WARM = {name: _warm(make()) for name, make in _MAKE.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_MAKE)), st.lists(_unit, min_size=4, max_size=4), _vectors(4, 3))
+def test_warm_structure_matches_a_fresh_one_bit_for_bit(name, fractions, vecs):
+    warm = _WARM[name]
+    d = warm.dim
+    p = _point(warm, fractions[:d])
+    X, Y, Z = (v[:d] for v in vecs)
+    fresh = _pieces(_MAKE[name]().at(p), X, Y, Z)
+    for got, expected in zip(_pieces(warm.at(p), X, Y, Z), fresh):
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("piece", ["g", "ginv", "dgamma", "riemann_tensor"])
+def test_point_independent_pieces_are_shared_and_read_only(piece):
+    M = catalog.entry("euclid_oblique").structure
+    shared = getattr(M.at(np.zeros(4)), piece)
+    assert getattr(M.at(np.full(4, 0.5)), piece) is shared
+    with pytest.raises(ValueError):
+        shared[(0,) * shared.ndim] = 1.0
+
+
+def test_singular_constant_metric_raises_on_every_call():
+    M = MetricStructure(2, [[1, 1], [1, 1]], [[1, 0], [0, -1]])
+    for _ in range(2):
+        with pytest.raises(SingularMetricError):
+            M.metric_at(np.zeros(2))
+        with pytest.raises(SingularMetricError):
+            M.at(np.zeros(2)).ginv
+
+
+def test_christoffel_grad_runs_at_most_once_per_structure(monkeypatch):
+    calls = []
+    original = MetricStructure.christoffel_grad_at
+
+    def counted(self, point):
+        calls.append(1)
+        return original(self, point)
+
+    monkeypatch.setattr(MetricStructure, "christoffel_grad_at", counted)
+    init = BundleState([0.1, 0.2], [0.3, -0.2], [0.5, 0.1], [0.0, 0.2])
+    cfg = IntegratorConfig(step=0.01, t_span=(0.0, 0.1))
+    traj = integrate(catalog.entry("exp2d").structure, BundleSystem("geodesic_tm"), init, cfg)
+    assert traj.n == 11
+    assert len(calls) <= 1
+
+
 # -- field tensors -------------------------------------------------------------------
 
 
@@ -181,6 +254,20 @@ def test_field_tensor_rank_follows_nesting():
     assert arr.at((5.0, 0.0))[1, 1, 1] == 5.0
     zeros = FieldTensor.zeros(4, 3)
     assert zeros.is_constant and zeros.at(np.zeros(4)).shape == (4, 4, 4)
+
+
+def test_field_tensor_evaluates_only_its_varying_fields(monkeypatch):
+    calls = []
+    original = ScalarField.__call__
+
+    def counted(self, point):
+        calls.append(self.const_value)
+        return original(self, point)
+
+    monkeypatch.setattr(ScalarField, "__call__", counted)
+    g = EXP2D.g.at((0.1, 0.2))
+    assert calls == [None, None]
+    np.testing.assert_array_equal(g, np.diag(np.exp([0.2, 0.4])))
 
 
 @pytest.mark.parametrize(
