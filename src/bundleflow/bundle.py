@@ -8,7 +8,8 @@ fiber vector along it.  The ODE state keeps the coordinate derivative
 
 is a derived view.  :class:`~bundleflow.geometry.PointGeometry` is the one
 place where xi' <-> xidot and gamma'' <-> xddot are converted; the functions
-here build one per RHS call or per stored sample.
+here build one per RHS call, or one for all stored samples of a trajectory
+at once.
 
 Every system supported here prescribes covariant targets
 
@@ -32,7 +33,9 @@ import numpy as np
 
 from .errors import ConstraintError
 from .expressions import ScalarField
-from .geometry import FieldTensor, MetricStructure, PointGeometry
+from .geometry import (
+    FieldTensor, MetricStructure, PointGeometry, bilinear, matvec, sample_chart_points
+)
 
 __all__ = [
     "BundlePoint",
@@ -155,9 +158,13 @@ class FPlanarCoefficients:
     def constant(cls, rho1: float, rho2: float) -> "FPlanarCoefficients":
         return cls(ScalarField.constant(rho1, 1), ScalarField.constant(rho2, 1))
 
-    def at(self, t: float) -> tuple[float, float]:
-        point = (t,)
-        return self.rho1(point), self.rho2(point)
+    def at(self, t):
+        """(rho1, rho2) at one time, or as (n, 1) columns at each of n times,
+        so that they scale stacked vectors."""
+        if getattr(t, "ndim", 0) == 0:
+            return self.rho1((t,)), self.rho2((t,))
+        points = np.asarray(t, dtype=float)[:, None]
+        return self.rho1(points)[:, None], self.rho2(points)[:, None]
 
 
 @dataclass(frozen=True)
@@ -180,7 +187,7 @@ class BundleSystem:
     def on_unit_bundle(self) -> bool:
         return self.kind in _UNIT_KINDS
 
-    def rho_at(self, t: float) -> tuple[float, float]:
+    def rho_at(self, t) -> tuple:
         if self.kind in _PLANAR_KINDS:
             return self.coefficients.at(t)
         if self.kind in _F_KINDS:
@@ -247,21 +254,22 @@ def covariant_deriv_along(M: MetricStructure, state: BundleState, xddot=None):
 
 def unit_fiber_acceleration(g_mat, phi_mat, xi, xi_prime) -> np.ndarray:
     """Fiber acceleration -g(xi', phi xi') xi forced by the unit constraint."""
-    rho_sq = float(xi_prime @ g_mat @ (phi_mat @ xi_prime))
-    return -rho_sq * xi
+    rho_sq = bilinear(xi_prime, g_mat @ phi_mat, xi_prime)
+    return -rho_sq[..., None] * xi
 
 
-def covariant_targets(geo: PointGeometry, system: BundleSystem, t: float, xdot, xi, xi_prime):
-    """Covariant right-hand sides (gamma'' target, xi'' target) of a system."""
+def covariant_targets(geo: PointGeometry, system: BundleSystem, t, xdot, xi, xi_prime):
+    """Covariant right-hand sides (gamma'' target, xi'' target) of a system,
+    at one sample, or at a stack of samples with ``t`` their times."""
     g_mat = geo.g  # evaluated for every kind: it checks that g is regular here
     phi_mat = geo.phi
-    accel = geo.riemann(xi_prime, phi_mat @ xi, xdot)
-    fiber = np.zeros(geo.M.dim)
+    accel = geo.riemann(xi_prime, matvec(phi_mat, xi), xdot)
+    fiber = np.zeros(xi.shape)
     rho1, rho2 = system.rho_at(t)
     if system.kind in _F_KINDS:
         f_mat = system.f_tensor.on(geo)
-        accel = accel + rho1 * xdot + rho2 * (f_mat @ xdot)
-        fiber = rho1 * xi_prime + rho2 * (f_mat @ xi_prime)
+        accel = accel + rho1 * xdot + rho2 * matvec(f_mat, xdot)
+        fiber = rho1 * xi_prime + rho2 * matvec(f_mat, xi_prime)
     if system.on_unit_bundle:
         fiber = fiber + unit_fiber_acceleration(g_mat, phi_mat, xi, xi_prime)
     return accel, fiber
@@ -332,14 +340,12 @@ def lorentz_force(
     Scaled by ``strength`` so that feeding the result to an F-geodesic system
     integrates the magnetic-curve equation gamma'' = q Phi gamma'.
     """
-    from .geometry import sample_chart_points
-
-    rng = np.random.default_rng(seed)
-    for p in sample_chart_points(M, n_check, rng):
-        w = omega.at(p)
-        scale = max(1.0, float(np.max(np.abs(w))))
-        if float(np.max(np.abs(w + w.T))) > 1e-10 * scale:
-            raise ValueError(f"2-form is not antisymmetric at {p}")
+    pts = sample_chart_points(M, n_check, np.random.default_rng(seed))
+    w = omega.at(pts)
+    scale = np.maximum(1.0, np.max(np.abs(w), axis=(-2, -1)))
+    bad = np.max(np.abs(w + w.swapaxes(-1, -2)), axis=(-2, -1)) > 1e-10 * scale
+    if np.any(bad):
+        raise ValueError(f"2-form is not antisymmetric at {pts[np.argmax(bad)]}")
 
     def components(geo):
         return strength * (geo.ginv @ omega.at(geo.x))
@@ -375,26 +381,18 @@ def geodesic_residual(M: MetricStructure, system: BundleSystem, traj) -> Residua
     used_fd = traj.xddot is None or traj.xiddot is None
     if used_fd and n < 5:
         raise ValueError("too few samples for residual differencing")
-    # gamma_dd, xi_dd: covariant (gamma'', xi''); when differencing, the loop
-    # stores only their connection terms and the differenced derivatives follow
-    xi_prime, gamma_dd, xi_dd, accel, fiber = (np.empty_like(traj.xi) for _ in range(5))
-    for i in range(n):
-        geo = M.at(traj.x[i])
-        xdot, xi, xidot = traj.xdot[i], traj.xi[i], traj.xidot[i]
-        xi_prime[i] = geo.to_covariant(xi, xidot, xdot)
-        if used_fd:
-            gamma_dd[i] = geo.connection(xdot, xdot)
-            xi_dd[i] = geo.connection(xi_prime[i], xdot)
-        else:
-            gamma_dd[i] = geo.to_covariant(xdot, traj.xddot[i], xdot)
-            rate = geo.covariant_rate(xi, xidot, traj.xiddot[i], xdot, traj.xddot[i])
-            xi_dd[i] = geo.to_covariant(xi_prime[i], rate, xdot)
-        accel[i], fiber[i] = covariant_targets(
-            geo, system, float(traj.times[i]), xdot, xi, xi_prime[i]
-        )
+    # gamma_dd, xi_dd: covariant (gamma'', xi'')
+    geo = M.at(traj.x)
+    xdot, xi, xidot = traj.xdot, traj.xi, traj.xidot
+    xi_prime = geo.to_covariant(xi, xidot, xdot)
     if used_fd:
-        gamma_dd = np.gradient(traj.xdot, traj.times, axis=0) + gamma_dd
-        xi_dd = np.gradient(xi_prime, traj.times, axis=0) + xi_dd
+        gamma_dd = np.gradient(xdot, traj.times, axis=0) + geo.connection(xdot, xdot)
+        xi_dd = np.gradient(xi_prime, traj.times, axis=0) + geo.connection(xi_prime, xdot)
+    else:
+        gamma_dd = geo.to_covariant(xdot, traj.xddot, xdot)
+        rate = geo.covariant_rate(xi, xidot, traj.xiddot, xdot, traj.xddot)
+        xi_dd = geo.to_covariant(xi_prime, rate, xdot)
+    accel, fiber = covariant_targets(geo, system, traj.times, xdot, xi, xi_prime)
     res = np.sqrt(np.sum((gamma_dd - accel) ** 2, axis=1) + np.sum((xi_dd - fiber) ** 2, axis=1))
     window = slice(1, -1) if used_fd and n > 2 else slice(None)
     return ResidualReport(float(np.max(res[window])), traj.times, res)
@@ -418,30 +416,23 @@ def phi_mirror(M: MetricStructure, traj, *, check_parallel: bool = True):
                 f"phi is not parallel (residual {report.max_residual:g}); "
                 "the mirror map needs nabla phi = 0"
             )
-    n = traj.times.size
-    xi = np.empty_like(traj.xi)
-    xidot = np.empty_like(traj.xidot)
-    xiddot = None if traj.xiddot is None else np.empty_like(traj.xiddot)
-    for i in range(n):
-        geo = M.at(traj.x[i])
-        phi = geo.phi
-        xdot = traj.xdot[i]
-        mu = phi @ traj.xi[i]
-        xi_prime = geo.to_covariant(traj.xi[i], traj.xidot[i], xdot)
-        mu_prime = phi @ xi_prime
-        xi[i] = mu
-        xidot[i] = geo.to_coordinate(mu, mu_prime, xdot)
-        if xiddot is not None:
-            xddot = traj.xddot[i]
-            rate = geo.covariant_rate(traj.xi[i], traj.xidot[i], traj.xiddot[i], xdot, xddot)
-            mu_dd = phi @ geo.to_covariant(xi_prime, rate, xdot)
-            dmu_prime = geo.to_coordinate(mu_prime, mu_dd, xdot)
-            xiddot[i] = geo.coordinate_rate(mu, xidot[i], dmu_prime, xdot, xddot)
+    geo = M.at(traj.x)
+    phi, xdot, xddot = geo.phi, traj.xdot, traj.xddot
+    mu = matvec(phi, traj.xi)
+    xi_prime = geo.to_covariant(traj.xi, traj.xidot, xdot)
+    mu_prime = matvec(phi, xi_prime)
+    xidot = geo.to_coordinate(mu, mu_prime, xdot)
+    xiddot = None
+    if traj.xiddot is not None:
+        rate = geo.covariant_rate(traj.xi, traj.xidot, traj.xiddot, xdot, xddot)
+        mu_dd = matvec(phi, geo.to_covariant(xi_prime, rate, xdot))
+        dmu_prime = geo.to_coordinate(mu_prime, mu_dd, xdot)
+        xiddot = geo.coordinate_rate(mu, xidot, dmu_prime, xdot, xddot)
     mirrored = Trajectory(
         times=traj.times.copy(),
         x=traj.x.copy(),
         xdot=traj.xdot.copy(),
-        xi=xi,
+        xi=mu,
         xidot=xidot,
         xddot=None if traj.xddot is None else traj.xddot.copy(),
         xiddot=xiddot,

@@ -21,10 +21,10 @@ Entries:
                     family under horizontal lifts with fibers k/x.
 * ``euclid_oblique`` flat R^4 with constant para-structure; trigonometric
                     oblique unit-bundle geodesics.
-* ``const_curv(c)`` flat R^4 chart whose curvature is overridden by the
-                    synthetic constant-curvature operator (no metric derives
-                    it); used for curvature-power identities and Frenet
-                    behaviour of unit-bundle geodesics.
+* ``const_curv(c)`` flat R^4 chart given the constant curvature tensor of
+                    the synthetic constant-curvature operator (no metric
+                    derives it); used for curvature-power identities and
+                    Frenet behaviour of unit-bundle geodesics.
 """
 
 from __future__ import annotations
@@ -485,12 +485,13 @@ _EYE4 = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0",
 _PHI4 = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]
 
 
-def _flat4_structure(name: str) -> MetricStructure:
+def _flat4_structure(name: str, riemann=None) -> MetricStructure:
     return MetricStructure(
         4,
         _EYE4,
         _PHI4,
         christoffel=FieldTensor.zeros(4, 3),
+        riemann=riemann,
         chart_box=[(-2.0, 2.0)] * 4,
         name=name,
     )
@@ -592,9 +593,8 @@ def _euclid_oblique() -> CatalogEntry:
 
 
 def _const_curv(c: float = 1.0) -> CatalogEntry:
-    structure = _flat4_structure(f"const_curv({c:g})")
-    op = CurvatureOperator("constant", c=c)
-    structure.riemann_override = op.as_override(structure)
+    op = CurvatureOperator(c)
+    structure = _flat4_structure(f"const_curv({c:g})", riemann=op.tensor(np.eye(4)))
     return CatalogEntry(structure.name, structure, curvature_op=op)
 
 

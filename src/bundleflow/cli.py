@@ -204,6 +204,8 @@ def cmd_frenet(args) -> int:
 def cmd_verify(args) -> int:
     target = args.target
     seed = int(args.seed) if args.seed is not None else verify_mod.DEFAULT_SEED
+    if seed < 0:
+        raise ScenarioError(f"seed must be >= 0, got {seed}")
     if target == "all":
         claims = verify_mod.run_all(seed)
     else:

@@ -1,8 +1,9 @@
 """Frenet analysis of projected base curves.
 
-The projected curve of a bundle trajectory is analyzed per sample: covariant
-jets gamma', gamma'', ..., a Gram-Schmidt frame in the metric along the
-curve, and the Frenet curvatures k_1, k_2, ....  The frame is truncated at
+The projected curve of a bundle trajectory is analyzed at every sample:
+covariant jets gamma', gamma'', ... (from one geometry evaluation on all
+samples), a Gram-Schmidt frame in the metric along the curve, and the Frenet
+curvatures k_1, k_2, ....  The frame is truncated at
 the first curvature below tolerance; all of this presumes the metric is
 positive definite on the span of the jets, otherwise a SignatureError is
 raised (the Frenet construction has no meaning for indefinite restrictions).
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SignatureError, VerticalCurveError
-from .geometry import MetricStructure
+from .geometry import MetricStructure, bilinear, matvec
 from .integrate import Trajectory
 
 __all__ = [
@@ -53,14 +54,10 @@ def arc_length_reparam(
     M: MetricStructure, traj: Trajectory, *, min_speed: float = 1e-6
 ) -> ArcLength:
     """Arc length of the projected curve; rejects (near-)vertical curves."""
-    n = traj.n
-    speed = np.empty(n)
-    for i in range(n):
-        g = M.metric_at(traj.x[i])
-        sq = float(traj.xdot[i] @ g @ traj.xdot[i])
-        if sq < 0.0:
-            raise SignatureError("negative squared speed along the projected curve")
-        speed[i] = np.sqrt(sq)
+    sq = bilinear(traj.xdot, M.metric_at(traj.x), traj.xdot)
+    if np.any(sq < 0.0):
+        raise SignatureError("negative squared speed along the projected curve")
+    speed = np.sqrt(sq)
     if float(np.min(speed)) < min_speed:
         raise VerticalCurveError(
             f"projected curve is vertical: min |gamma'| = {np.min(speed):g}"
@@ -82,16 +79,6 @@ class CovariantJets:
     @property
     def order(self) -> int:
         return len(self.jets)
-
-
-def _covariant_time_derivative(geos, times, xdot, series):
-    """Covariant derivative along the curve of a vector series, by centered
-    differencing of the stored samples."""
-    dser = np.gradient(series, times, axis=0)
-    out = np.empty_like(series)
-    for i, geo in enumerate(geos):
-        out[i] = geo.to_covariant(series[i], dser[i], xdot[i])
-    return out
 
 
 def covariant_jets(
@@ -122,55 +109,32 @@ def covariant_jets(
     is_unit_geo = bool(traj.meta.get("unit_geodesic"))
     if method == "recursion" and not is_unit_geo:
         raise ValueError("the curvature recursion only applies to unit-bundle geodesics")
-    recursion_from = None
-    if method == "recursion":
-        recursion_from = 3
-    elif method == "auto" and is_unit_geo:
-        recursion_from = 4
+    recursion_from = {"recursion": 3, "auto": 4 if is_unit_geo else None}.get(method)
 
-    geos = [M.at(x) for x in traj.x]
+    geo = M.at(traj.x)
     jets: list[np.ndarray] = [traj.xdot.copy()]
     trim = 0
-    if order >= 2:
-        if traj.xddot is not None:
-            jet2 = np.empty_like(traj.x)
-            for i, geo in enumerate(geos):
-                jet2[i] = geo.to_covariant(traj.xdot[i], traj.xddot[i], traj.xdot[i])
-        else:
-            jet2 = _covariant_time_derivative(geos, traj.times, traj.xdot, jets[0])
+    if recursion_from is not None and order >= recursion_from:
+        xi_prime = geo.to_covariant(traj.xi, traj.xidot, traj.xdot)
+        phi_xi = matvec(geo.phi, traj.xi)
+    for p in range(2, order + 1):
+        if recursion_from is not None and p >= recursion_from:
+            jets.append(geo.riemann(xi_prime, phi_xi, jets[-1]))
+            continue
+        if p == 2 and traj.xddot is not None:
+            rate = traj.xddot
+        else:  # the coordinate rate of the previous jet by centered differencing
+            if p > 4:
+                warnings.warn(
+                    f"jet order {p} by finite differences is past the noise floor",
+                    stacklevel=2,
+                )
+            rate = np.gradient(jets[-1], traj.times, axis=0)
             trim += 1
-        jets.append(jet2)
-
-    if order >= 3:
-        xi_prime = None
-        phi_xi = None
-        if recursion_from is not None:
-            xi_prime = np.empty_like(traj.xi)
-            phi_xi = np.empty_like(traj.xi)
-            for i, geo in enumerate(geos):
-                xi_prime[i] = geo.to_covariant(traj.xi[i], traj.xidot[i], traj.xdot[i])
-                phi_xi[i] = geo.phi @ traj.xi[i]
-        for p in range(3, order + 1):
-            if recursion_from is not None and p >= recursion_from:
-                nxt = np.empty_like(jets[-1])
-                for i, geo in enumerate(geos):
-                    nxt[i] = geo.riemann(xi_prime[i], phi_xi[i], jets[-1][i])
-            else:
-                if p > 4:
-                    warnings.warn(
-                        f"jet order {p} by finite differences is past the noise floor",
-                        stacklevel=2,
-                    )
-                nxt = _covariant_time_derivative(geos, traj.times, traj.xdot, jets[-1])
-                trim += 1
-            jets.append(nxt)
+        jets.append(geo.to_covariant(jets[-1], rate, traj.xdot))
 
     window = slice(trim, n - trim) if trim else slice(None)
-    source = (
-        "recursion"
-        if recursion_from is not None
-        else ("analytic+fd" if traj.xddot is not None else "fd")
-    )
+    source = "recursion" if recursion_from else ("analytic+fd" if traj.xddot is not None else "fd")
     return CovariantJets(
         times=traj.times[window].copy(),
         x=traj.x[window].copy(),
@@ -226,8 +190,9 @@ def frenet_curvatures(
     ranks = np.empty(n, dtype=int)
     basis_lens = np.empty(n, dtype=int)
     speed = np.empty(n)
+    g_all = np.broadcast_to(M.metric_at(jets.x), (n, dim, dim))
     for i in range(n):
-        g = M.metric_at(jets.x[i])
+        g = g_all[i]
         basis: list[np.ndarray] = []
         rdiag: list[float] = []
         for v in (jet[i] for jet in jets.jets):

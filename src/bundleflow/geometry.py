@@ -2,12 +2,12 @@
 
 A :class:`MetricStructure` bundles a metric ``g``, an almost para-complex
 structure ``phi`` (phi^2 = id with balanced eigenbundles) and, optionally,
-analytic Christoffel symbols or a curvature override.  Geometry is evaluated
-at one chart point at a time; derivatives of the component fields are taken
-by central finite differences, and the fields on all points of a stencil
-(for finite-difference Christoffel symbols, the centres and their 2·dim
-neighbours) are evaluated in one batch.  What does not depend on the point
-is computed once per structure, on first use, and shared read-only: the
+analytic Christoffel symbols or a constant curvature tensor.  Geometry is
+evaluated at one chart point or at every row of an ``(n, dim)`` stack of
+points at once; derivatives of the component fields are taken by central
+finite differences, with all points of a stencil evaluated in one batch.
+What does not depend on the point is computed once per structure, on first
+use, and shared read-only as one array that broadcasts against stacks: the
 symmetrized g and its inverse when every component of g is constant, and
 dGamma (zero) and the curvature tensor when analytic Christoffel symbols are
 constant.  Only values that passed their checks are kept, so a singular
@@ -44,7 +44,19 @@ __all__ = [
     "check_curvature_purity",
     "curvature_power",
     "curvature_power_closed",
+    "matvec",
+    "bilinear",
 ]
+
+
+def matvec(a, v) -> np.ndarray:
+    """a v for a matrix or an (n, d, d) stack, and a vector or an (n, d) stack."""
+    return (a @ v[..., None])[..., 0]
+
+
+def bilinear(u, a, v):
+    """u^T a v for vectors and a matrix, or (n, ...) stacks of any of them."""
+    return (u[..., None, :] @ a @ v[..., None])[..., 0, 0]
 
 
 def _as_field(entry, dim: int) -> ScalarField:
@@ -109,16 +121,16 @@ class FieldTensor:
 
         Only the non-constant fields are evaluated (on a batch, on all rows
         at once); the constant ones are filled in.  A constant tensor returns
-        one shared read-only array, so geometry cached per trajectory sample
-        does not hold a copy per sample.
+        its one shared read-only array for a point and a stack alike; it
+        broadcasts against stacked values.
         """
+        if self._const is not None:
+            return self._const
         if getattr(point, "ndim", 1) == 2:
             out = self._template[None].repeat(len(point), axis=0)
             for k in self._variable:
                 out[:, k] = self.fields[k](point)
             return out.reshape((len(point),) + (self.dim,) * self.rank)
-        if self._const is not None:
-            return self._const
         out = self._template.copy()
         for k in self._variable:
             out[k] = self.fields[k](point)
@@ -140,7 +152,8 @@ class MetricStructure:
         Optional analytic ``Gamma^k_{ij}``; when absent, Christoffel symbols
         come from central differences of g with step ``fd_step``.
     riemann:
-        Optional curvature override ``(p, X, Y, Z) -> R(X, Y)Z``; used for
+        Optional constant curvature tensor ``R^l_{kij}`` of shape
+        ``(dim,) * 4``, used in place of the metric-derived one; for
         synthetic constant-curvature structures.
     chart_box:
         Per-coordinate sampling box for the structure checks.
@@ -175,29 +188,33 @@ class MetricStructure:
             self.christoffel is not None and self.christoffel.rank != 3
         ):
             raise ValueError("g and phi must be matrices, christoffel a rank-3 array")
-        self.riemann_override = riemann
         self.fd_step = float(fd_step)
         if chart_box is None:
             chart_box = [(-1.0, 1.0)] * dim
         self.chart_box = np.asarray(chart_box, dtype=float).reshape(dim, 2)
         self.name = name
         self._shared: dict[str, np.ndarray] = {}
+        if riemann is not None:
+            riemann = np.array(riemann, dtype=float)
+            if riemann.shape != (dim,) * 4:
+                raise ValueError(f"riemann must have shape {(dim,) * 4}, got {riemann.shape}")
+            riemann.setflags(write=False)
+            self._shared["riemann"] = riemann
 
     def _shared_piece(self, constant: bool, key: str, build) -> np.ndarray:
-        """``build()``, or, where the piece does not depend on the point, its
-        one shared copy ``key``.
+        """The one shared copy ``key`` of a piece, or ``build()``.
 
-        The shared copy is built (and checked) on first use and made
-        read-only.  A build that raises stores nothing, so the next call
-        checks again.
+        A piece that does not depend on the point is built (and checked) on
+        first use, made read-only and shared; a curvature tensor given to the
+        constructor is shared from the start.  A build that raises stores
+        nothing, so the next call checks again.
         """
-        if not constant:
-            return build()
         value = self._shared.get(key)
         if value is None:
             value = build()
-            value.setflags(write=False)
-            self._shared[key] = value
+            if constant:
+                value.setflags(write=False)
+                self._shared[key] = value
         return value
 
     @property
@@ -205,13 +222,11 @@ class MetricStructure:
         """Analytic Gamma with constant components: dGamma = 0 and R is constant."""
         return self.christoffel is not None and self.christoffel.is_constant
 
-    # -- pointwise evaluation ------------------------------------------------
+    # -- evaluation at a point or a stack of points ---------------------------
 
     def metric_at(self, point) -> np.ndarray:
         return self._shared_piece(
-            self.g.is_constant and getattr(point, "ndim", 1) == 1,
-            "g",
-            lambda: self._checked_metric(self.g.at(point), point),
+            self.g.is_constant, "g", lambda: self._checked_metric(self.g.at(point), point)
         )
 
     def _checked_metric(self, mat, point) -> np.ndarray:
@@ -248,7 +263,9 @@ class MetricStructure:
     def christoffel_at(self, point) -> np.ndarray:
         if self.christoffel is not None:
             return self.christoffel.at(point)
-        return self._fd_christoffel(np.asarray(point, dtype=float)[None])[0]
+        point = np.asarray(point, dtype=float)
+        gamma = self._fd_christoffel(point.reshape(-1, self.dim))
+        return gamma.reshape(point.shape + (self.dim,) * 2)
 
     def _fd_christoffel(self, centres: np.ndarray) -> np.ndarray:
         """Finite-difference Gamma at each of n centres (n, d), indexed [n, k, i, j].
@@ -256,7 +273,10 @@ class MetricStructure:
         g is evaluated once, on the centres and all their stencil points.
         """
         n, h = len(centres), self.fd_step
-        g_all = self.g.at(np.concatenate([centres, _stencil(centres, h)]))
+        points = np.concatenate([centres, _stencil(centres, h)])
+        g_all = self.g.at(points)
+        if self.g.is_constant:  # the one shared matrix
+            g_all = np.broadcast_to(g_all, (len(points),) + g_all.shape)
         ginv = np.linalg.inv(self._checked_metric(g_all[:n], centres))
         dg = _central_diff(g_all[n:], centres, h)  # [n, l, i, j] = d_l g_ij
         # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
@@ -270,17 +290,18 @@ class MetricStructure:
         return self.fd_step if self.christoffel is not None else 1e-4
 
     def christoffel_grad_at(self, point) -> np.ndarray:
-        """d_m Gamma^k_{ij}, indexed [m, k, i, j]."""
+        """d_m Gamma^k_{ij}, indexed [..., m, k, i, j]."""
         if self.has_constant_christoffel:
             return np.zeros((self.dim,) * 4)
         h = self._dgamma_step
-        point = np.asarray(point, dtype=float)[None]
-        centres = _stencil(point, h)
+        point = np.asarray(point, dtype=float)
+        points = point.reshape(-1, self.dim)
+        centres = _stencil(points, h)
         if self.christoffel is not None:
             gammas = self.christoffel.at(centres)
         else:
             gammas = self._fd_christoffel(centres)
-        return _central_diff(gammas, point, h)[0]
+        return _central_diff(gammas, points, h).reshape(point.shape + (self.dim,) * 3)
 
     def riemann_tensor_at(self, point) -> np.ndarray:
         """Full curvature R^l_{kij} such that (R(X,Y)Z)^l = R^l_{kij} X^i Y^j Z^k."""
@@ -290,7 +311,8 @@ class MetricStructure:
         return self.at(point).riemann(X, Y, Z)
 
     def at(self, point) -> "PointGeometry":
-        """The geometry at one chart point, evaluated lazily and then shared."""
+        """The geometry at one chart point or at each row of an ``(n, dim)``
+        stack, evaluated lazily and then shared."""
         return PointGeometry(self, point)
 
 
@@ -311,14 +333,17 @@ def _central_diff(values: np.ndarray, points: np.ndarray, h: float) -> np.ndarra
 
 
 class PointGeometry:
-    """The geometry at one chart point, each piece computed on first use.
+    """The geometry at one chart point, or at each row of an ``(n, dim)``
+    stack (every piece, vector and conversion then has a leading sample
+    axis), each piece computed on first use.
 
     g, phi, Gamma and dGamma come from the structure's ``metric_at``,
     ``phi_at``, ``christoffel_at`` and ``christoffel_grad_at``; R and g^-1
     are derived from them.  Pieces that do not depend on the point are the
-    structure's shared read-only arrays, computed once per structure after
-    passing their checks: g and g^-1 when g is constant, phi and Gamma when
-    constant, and dGamma (zero) and R when analytic Gamma is constant.
+    structure's shared read-only arrays, without a sample axis, computed once
+    per structure after passing their checks: g and g^-1 when g is constant,
+    phi and Gamma when constant, and dGamma (zero) and R when analytic Gamma
+    is constant or R was given to the structure.
 
     This is the one place where derivatives along a curve x(t) are converted
     between covariant and coordinate form: for v(t) along the curve,
@@ -376,7 +401,8 @@ class PointGeometry:
 
     @property
     def riemann_tensor(self) -> np.ndarray:
-        """Metric-derived R^l_{kij}; ignores the structure's curvature override."""
+        """R^l_{kij}: the structure's constant tensor where one was given,
+        otherwise derived from Gamma and dGamma."""
         if self._riemann is None:
             self._riemann = self.M._shared_piece(
                 self.M.has_constant_christoffel, "riemann", self._curvature
@@ -385,27 +411,27 @@ class PointGeometry:
 
     def _curvature(self) -> np.ndarray:
         gam, dgam = self.gamma, self.dgamma
-        # dgam[m, k, i, j] = d_m Gamma^k_ij; the transposes are d_i Gamma^l_jk
-        # and d_j Gamma^l_ik, indexed [l, k, i, j]
+        # dgam[..., m, k, i, j] = d_m Gamma^k_ij; the transposes are
+        # d_i Gamma^l_jk and d_j Gamma^l_ik, indexed [..., l, k, i, j]
+        n = dgam.ndim - 4
+        lead = tuple(range(n))
         return (
-            dgam.transpose(1, 3, 0, 2)
-            - dgam.transpose(1, 3, 2, 0)
-            + np.einsum("lim,mjk->lkij", gam, gam)
-            - np.einsum("ljm,mik->lkij", gam, gam)
+            dgam.transpose(*lead, n + 1, n + 3, n, n + 2)
+            - dgam.transpose(*lead, n + 1, n + 3, n + 2, n)
+            + np.einsum("...lim,...mjk->...lkij", gam, gam)
+            - np.einsum("...ljm,...mik->...lkij", gam, gam)
         )
 
     def riemann(self, X, Y, Z) -> np.ndarray:
-        """R(X, Y)Z, through the structure's curvature override where one is set."""
-        if self.M.riemann_override is not None:
-            return np.asarray(self.M.riemann_override(self.x, X, Y, Z), dtype=float)
-        return np.einsum("lkij,i,j,k->l", self.riemann_tensor, X, Y, Z)
+        """R(X, Y)Z."""
+        return np.einsum("...lkij,...i,...j,...k->...l", self.riemann_tensor, X, Y, Z)
 
     def connection(self, u, v) -> np.ndarray:
         """Gamma(u, v)^l = Gamma^l_{ij} u^i v^j."""
-        return np.einsum("lij,i,j->l", self.gamma, u, v)
+        return np.einsum("...lij,...i,...j->...l", self.gamma, u, v)
 
     def _dconnection(self, v, xdot) -> np.ndarray:
-        return np.einsum("klij,k,i,j->l", self.dgamma, xdot, v, xdot)
+        return np.einsum("...klij,...k,...i,...j->...l", self.dgamma, xdot, v, xdot)
 
     def to_covariant(self, v, vdot, xdot) -> np.ndarray:
         """Covariant derivative v' of v along a curve with velocity xdot."""
@@ -430,50 +456,34 @@ class PointGeometry:
 
 @dataclass(frozen=True)
 class CurvatureOperator:
-    """Evaluator for R(X, Y)Z, either metric-derived or synthetic.
+    """The synthetic constant-curvature rule R(X, Y)Z = c (g(Y, Z) X - g(X, Z) Y).
 
-    The synthetic kind implements the constant-curvature rule
-    ``R(X, Y)Z = c (g(Y, Z) X - g(X, Z) Y)`` exactly; it is not derived from
-    any metric and is used to exercise curvature-power identities.
+    It is not derived from any metric; it exercises curvature-power
+    identities and, as a constant tensor, gives the ``const_curv``
+    structures their curvature.
     """
 
-    kind: str  # "constant" | "from_metric"
     c: float = 0.0
-    structure: MetricStructure | None = None
 
-    def __post_init__(self):
-        if self.kind not in ("constant", "from_metric"):
-            raise ValueError(f"unknown curvature operator kind {self.kind!r}")
-        if self.kind == "from_metric" and self.structure is None:
-            raise ValueError("from_metric operator needs a structure")
+    def apply(self, X, Y, Z, *, g_mat) -> np.ndarray:
+        gY = g_mat @ np.asarray(Y, dtype=float)
+        gX = g_mat @ np.asarray(X, dtype=float)
+        return self.c * (float(gY @ Z) * np.asarray(X) - float(gX @ Z) * np.asarray(Y))
 
-    def apply(self, X, Y, Z, *, g_mat=None, point=None) -> np.ndarray:
-        if self.kind == "constant":
-            if g_mat is None:
-                raise ValueError("constant-curvature operator needs g at the point")
-            gY = g_mat @ np.asarray(Y, dtype=float)
-            gX = g_mat @ np.asarray(X, dtype=float)
-            return self.c * (float(gY @ Z) * np.asarray(X) - float(gX @ Z) * np.asarray(Y))
-        return self.structure.riemann_at(point, X, Y, Z)
-
-    def as_override(self, structure: MetricStructure):
-        """Package a constant operator as a structure-level curvature override."""
-        if self.kind != "constant":
-            raise ValueError("only constant operators can act as overrides")
-
-        def override(point, X, Y, Z):
-            return self.apply(X, Y, Z, g_mat=structure.metric_at(point))
-
-        return override
+    def tensor(self, g_mat) -> np.ndarray:
+        """R^l_{kij} = c (delta^l_i g_jk - delta^l_j g_ik), whose contraction
+        with X^i Y^j Z^k is ``apply(X, Y, Z, g_mat=g_mat)``."""
+        eye, g = np.eye(len(g_mat)), g_mat
+        return self.c * (np.einsum("li,jk->lkij", eye, g) - np.einsum("lj,ik->lkij", eye, g))
 
 
-def curvature_power(op: CurvatureOperator, power: int, X, Y, Z, *, g_mat=None, point=None):
+def curvature_power(op: CurvatureOperator, power: int, X, Y, Z, *, g_mat):
     """Iterated curvature operator R^p(X, Y)Z = R^{p-1}(X, Y)(R(X, Y)Z)."""
     if power < 1:
         raise ValueError(f"power must be >= 1, got {power}")
     out = np.asarray(Z, dtype=float)
     for _ in range(power):
-        out = op.apply(X, Y, out, g_mat=g_mat, point=point)
+        out = op.apply(X, Y, out, g_mat=g_mat)
     return out
 
 
@@ -483,8 +493,6 @@ def curvature_power_closed(op: CurvatureOperator, power: int, X, Y, Z, *, g_mat)
     With b^2 = |X|^2 |Y|^2 - g(X, Y)^2 the iterates collapse to
     (-b^2 c^2)^(k-1) R for p = 2k - 1 and (-b^2 c^2)^(k-1) R^2 for p = 2k.
     """
-    if op.kind != "constant":
-        raise ValueError("closed form applies to constant-curvature operators only")
     if power < 1:
         raise ValueError(f"power must be >= 1, got {power}")
     X = np.asarray(X, dtype=float)
@@ -529,6 +537,12 @@ def sample_chart_points(M: MetricStructure, n: int, rng) -> np.ndarray:
     return lo + (hi - lo) * rng.random((n, M.dim))
 
 
+def _check_points(M: MetricStructure, n_points: int, seed: int) -> np.ndarray:
+    if n_points < 1:
+        raise ValueError(f"a structure check needs n_points >= 1, got {n_points}")
+    return sample_chart_points(M, n_points, np.random.default_rng(seed))
+
+
 def check_norden(
     M: MetricStructure, *, n_points: int = 100, seed: int = 12345, tol: float = 1e-8
 ) -> CheckReport:
@@ -537,18 +551,12 @@ def check_norden(
     The purity residual is max|g phi - (g phi)^T| relative to max|g phi|, so
     that g and c*g are judged alike.
     """
-    rng = np.random.default_rng(seed)
-    pts = sample_chart_points(M, n_points, rng)
-    eye = np.eye(M.dim)
-    purity = 0.0
-    phi_sq = 0.0
-    for p in pts:
-        g = M.metric_at(p)
-        phi = M.phi_at(p)
-        twin = g @ phi
-        asym = float(np.max(np.abs(twin - twin.T))) / float(np.max(np.abs(twin)))
-        purity = max(purity, asym)
-        phi_sq = max(phi_sq, float(np.max(np.abs(phi @ phi - eye))))
+    pts = _check_points(M, n_points, seed)
+    phi = M.phi_at(pts)
+    twin = M.metric_at(pts) @ phi
+    asym = np.max(np.abs(twin - twin.swapaxes(-1, -2)), axis=(-2, -1))
+    purity = float(np.max(asym / np.max(np.abs(twin), axis=(-2, -1))))
+    phi_sq = float(np.max(np.abs(phi @ phi - np.eye(M.dim))))
     residual = max(purity, phi_sq)
     return CheckReport(
         "norden",
@@ -570,20 +578,19 @@ def check_parallel_phi(
     """Check nabla phi = 0 for the Levi-Civita connection at sampled points."""
     if tol is None:
         tol = 1e-8 if M.christoffel is not None else 1e-5
-    rng = np.random.default_rng(seed)
-    pts = sample_chart_points(M, n_points, rng)
-    dphis = _central_diff(M.phi_at(_stencil(pts, M.fd_step)), pts, M.fd_step)
-    worst = 0.0
-    for p, dphi in zip(pts, dphis):
-        gam = M.christoffel_at(p)
-        phi = M.phi_at(p)
-        # (nabla_i phi)^k_j = d_i phi^k_j + Gamma^k_il phi^l_j - Gamma^l_ij phi^k_l
-        nabla = (
-            dphi
-            + np.einsum("kil,lj->ikj", gam, phi)
-            - np.einsum("lij,kl->ikj", gam, phi)
-        )
-        worst = max(worst, float(np.max(np.abs(nabla))))
+    pts = _check_points(M, n_points, seed)
+    d, h = M.dim, M.fd_step
+    stencil = _stencil(pts, h)
+    dphi = _central_diff(np.broadcast_to(M.phi_at(stencil), (len(stencil), d, d)), pts, h)
+    gam = M.christoffel_at(pts)
+    phi = M.phi_at(pts)
+    # (nabla_i phi)^k_j = d_i phi^k_j + Gamma^k_il phi^l_j - Gamma^l_ij phi^k_l
+    nabla = (
+        dphi
+        + np.einsum("...kil,...lj->...ikj", gam, phi)
+        - np.einsum("...lij,...kl->...ikj", gam, phi)
+    )
+    worst = float(np.max(np.abs(nabla)))
     return CheckReport("parallel_phi", worst < tol, worst, tol, n_points)
 
 
@@ -597,26 +604,11 @@ def check_curvature_purity(
     """Check g(R(phi X, Y)Z, W) = g(R(X, phi Y)Z, W) on basis tuples."""
     if tol is None:
         tol = 1e-6 if M.christoffel is not None else 1e-4
-    rng = np.random.default_rng(seed)
-    pts = sample_chart_points(M, n_points, rng)
-    d = M.dim
-    eye = np.eye(d)
-    worst = 0.0
-    for p in pts:
-        g = M.metric_at(p)
-        phi = M.phi_at(p)
-        if M.riemann_override is not None:
-            for i in range(d):
-                for j in range(d):
-                    for k in range(d):
-                        left = M.riemann_at(p, phi[:, i], eye[j], eye[k])
-                        right = M.riemann_at(p, eye[i], phi[:, j], eye[k])
-                        worst = max(worst, float(np.max(np.abs(g @ (left - right)))))
-            continue
-        tensor = M.riemann_tensor_at(p)
-        left = np.einsum("lkmj,mi->lkij", tensor, phi)
-        right = np.einsum("lkim,mj->lkij", tensor, phi)
-        worst = max(
-            worst, float(np.max(np.abs(np.einsum("hl,lkij->hkij", g, left - right))))
-        )
+    pts = _check_points(M, n_points, seed)
+    phi = M.phi_at(pts)
+    tensor = M.riemann_tensor_at(pts)
+    left = np.einsum("...lkmj,...mi->...lkij", tensor, phi)
+    right = np.einsum("...lkim,...mj->...lkij", tensor, phi)
+    lowered = np.einsum("...hl,...lkij->...hkij", M.metric_at(pts), left - right)
+    worst = float(np.max(np.abs(lowered)))
     return CheckReport("curvature_purity", worst < tol, worst, tol, n_points)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .bundle import BundleState, BundleSystem, make_rhs, normalized_unit_state
 from .errors import EvalDomainError, IntegrationBlowUp, SingularMetricError
-from .geometry import MetricStructure
+from .geometry import MetricStructure, bilinear
 
 __all__ = [
     "IntegratorConfig",
@@ -132,23 +132,22 @@ def compute_monitors(M: MetricStructure, traj: Trajectory, stride: int = 1) -> N
     Monitored quantities: g(xi, phi xi), g(xi', phi xi), g(xi', phi xi')
     and g(gamma', gamma').
     """
-    idx = list(range(0, traj.n, stride))
-    if idx and idx[-1] != traj.n - 1:
-        idx.append(traj.n - 1)
-    series = {name: np.empty(len(idx)) for name in MONITOR_NAMES}
+    idx = np.arange(0, traj.n, stride)
+    if idx.size and idx[-1] != traj.n - 1:
+        idx = np.append(idx, traj.n - 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, i in enumerate(idx):
-            geo = M.at(traj.x[i])
-            xi = traj.xi[i]
-            xdot = traj.xdot[i]
-            xi_prime = geo.to_covariant(xi, traj.xidot[i], xdot)
-            gphi = geo.g @ geo.phi
-            series["unit_norm"][row] = xi @ gphi @ xi
-            series["fiber_ortho"][row] = xi_prime @ gphi @ xi
-            series["rho_sq"][row] = xi_prime @ gphi @ xi_prime
-            series["speed_sq"][row] = xdot @ geo.g @ xdot
+        geo = M.at(traj.x[idx])
+        xi, xdot = traj.xi[idx], traj.xdot[idx]
+        xi_prime = geo.to_covariant(xi, traj.xidot[idx], xdot)
+        gphi = geo.g @ geo.phi
+        values = (
+            bilinear(xi, gphi, xi),
+            bilinear(xi_prime, gphi, xi),
+            bilinear(xi_prime, gphi, xi_prime),
+            bilinear(xdot, geo.g, xdot),
+        )
     traj.monitor_times = traj.times[idx]
-    traj.monitors = series
+    traj.monitors = dict(zip(MONITOR_NAMES, values))
 
 
 def integrate(

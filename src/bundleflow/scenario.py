@@ -184,7 +184,9 @@ def scenario_from_dict(doc: dict, *, name: str = "scenario") -> Scenario:
     checks = doc.get("checks", list(_CHECK_NAMES))
     if not isinstance(checks, list) or any(c not in _CHECK_NAMES for c in checks):
         raise ScenarioError(f"'checks' must be a subset of {_CHECK_NAMES}")
-    outputs = dict(doc.get("output", {}))
+    outputs = doc.get("output", {})
+    if not isinstance(outputs, dict):
+        raise ScenarioError("'output' must be an object")
     try:
         seed = int(doc.get("seed", 12345))
         check_points = int(doc.get("check_points", 100))
@@ -192,8 +194,14 @@ def scenario_from_dict(doc: dict, *, name: str = "scenario") -> Scenario:
         # default jet order adapts to the chart dimension
         frenet_order = int(frenet_opts.get("order", min(3, structure.dim)))
         constancy_tol = float(frenet_opts.get("constancy_tol", 1e-4))
-    except (TypeError, ValueError):
-        raise ScenarioError("seed/check_points/frenet options must be numeric") from None
+    except (AttributeError, TypeError, ValueError):
+        raise ScenarioError("seed, check_points and the frenet options must be numbers") from None
+    if seed < 0 or check_points < 1:
+        raise ScenarioError(f"need seed >= 0 and check_points >= 1, got {seed} and {check_points}")
+    if not 2 <= frenet_order <= structure.dim:
+        raise ScenarioError(f"frenet.order must be in [2, {structure.dim}], got {frenet_order}")
+    if not (np.isfinite(constancy_tol) and constancy_tol > 0.0):
+        raise ScenarioError(f"frenet.constancy_tol must be finite and > 0, got {constancy_tol}")
     return Scenario(
         name=str(doc.get("name", name)),
         structure=structure,
@@ -205,7 +213,7 @@ def scenario_from_dict(doc: dict, *, name: str = "scenario") -> Scenario:
         check_points=check_points,
         frenet_order=frenet_order,
         constancy_tol=constancy_tol,
-        outputs=outputs,
+        outputs=dict(outputs),
         zero_span=zero_span,
     )
 

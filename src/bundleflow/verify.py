@@ -357,7 +357,7 @@ def verify_curvature_power(seed: int = DEFAULT_SEED) -> list[Claim]:
     ]
     claims = []
     for c in (-2.0, 1.0, 3.0):
-        op = CurvatureOperator("constant", c=c)
+        op = CurvatureOperator(c)
         worst = 0.0
         for _, X, Y, Z in pairs:
             for power in range(1, 9):

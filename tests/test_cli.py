@@ -265,6 +265,37 @@ def test_non_finite_fd_step_exits_2(tmp_path, capsys, fd_step):
     assert "bad inline manifold" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, change, extra",
+    [
+        ("check", {"check_points": 0}, []),
+        ("check", {"check_points": -5}, []),
+        ("check", {"seed": -1}, []),
+        ("check", {}, ["--seed", "-1"]),
+        ("integrate", {}, ["--seed", "-1"]),
+        ("verify", None, ["--seed", "-1"]),
+        ("frenet", {"frenet": {"order": 1}}, []),
+        ("frenet", {"frenet": {"order": 5}}, []),  # the chart has dimension 4
+        ("frenet", {"frenet": {"constancy_tol": math.nan}}, []),
+        ("frenet", {"frenet": {"constancy_tol": math.inf}}, []),
+        ("frenet", {"frenet": {"constancy_tol": 0.0}}, []),
+        ("frenet", {"frenet": {"constancy_tol": -1e-4}}, []),
+        ("integrate", {"output": "out.csv"}, []),
+        ("integrate", {"output": [["trajectory", "t.csv"]]}, []),
+    ],
+)
+def test_bad_sample_counts_and_scenario_values_exit_2(tmp_path, capsys, command, change, extra):
+    if change is None:
+        rc = run(command, "curvature_power", "--out", tmp_path, *extra)
+    else:
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({**oblique_scenario_doc(), **change}))  # NaN/Infinity literals
+        rc = run(command, "--scenario", path, "--out", tmp_path, *extra)
+    assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["s.json"] if change is not None else [])
+
+
 def test_partial_override_without_integrator_exits_2(tmp_path, capsys):
     doc = oblique_scenario_doc()
     del doc["integrator"]

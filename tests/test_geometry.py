@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bundleflow import catalog
+from bundleflow.bundle import (
+    BundleState, BundleSystem, covariant_targets, geodesic_residual, phi_mirror
+)
 from bundleflow.errors import EvalDomainError, PurityError, SingularMetricError
 from bundleflow.geometry import (
     CurvatureOperator,
@@ -18,6 +21,7 @@ from bundleflow.geometry import (
     curvature_power_closed,
     sample_chart_points,
 )
+from bundleflow.integrate import IntegratorConfig, compute_monitors, integrate
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 EXP2D = catalog.entry("exp2d").structure
@@ -280,7 +284,7 @@ def test_riemann_flat_is_zero():
 
 
 def test_constant_curvature_operator_example():
-    op = CurvatureOperator("constant", c=1.0)
+    op = CurvatureOperator(1.0)
     e1, e2 = np.eye(2)
     np.testing.assert_allclose(op.apply(e1, e2, e2, g_mat=np.eye(2)), e1)
 
@@ -345,25 +349,195 @@ def test_synthetic_override_fails_curvature_purity():
     assert not rep.passed
 
 
+def test_given_curvature_tensor_is_shape_checked_and_read_only():
+    with pytest.raises(ValueError, match="riemann"):
+        MetricStructure(2, [[1, 0], [0, 1]], [[1, 0], [0, -1]], riemann=np.zeros((2, 2, 2)))
+    tensor = catalog.entry("const_curv(1.0)").structure.riemann_tensor_at(np.zeros(4))
+    with pytest.raises(ValueError):
+        tensor[0, 0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("check", [check_norden, check_parallel_phi, check_curvature_purity])
+@pytest.mark.parametrize("n_points", [0, -3])
+def test_structure_checks_reject_an_empty_sample(check, n_points):
+    with pytest.raises(ValueError, match="n_points"):
+        check(FLAT, n_points=n_points)
+
+
+@pytest.mark.parametrize("name", [*catalog.entry_names(), "const_curv(-2.5)"])
+def test_curvature_tensor_contracts_to_the_curvature_operator(name):
+    # one curvature path: R(X, Y)Z is the contraction of the tensor that the
+    # structure checks and the jet recursion read, synthetic curvature included
+    ent = catalog.entry(name)
+    M = ent.structure
+    rng = np.random.default_rng(11)
+    for p in sample_chart_points(M, 4, rng):
+        X, Y, Z = rng.normal(size=(3, M.dim))
+        got = M.riemann_at(p, X, Y, Z)
+        contracted = np.einsum("lkij,i,j,k->l", M.riemann_tensor_at(p), X, Y, Z)
+        scale = np.einsum("lkij,i,j,k->l", np.abs(M.riemann_tensor_at(p)), *np.abs([X, Y, Z]))
+        assert np.all(np.abs(got - contracted) <= 1e-13 * np.max(scale, initial=1e-300))
+        if ent.curvature_op is not None:
+            expected = ent.curvature_op.apply(X, Y, Z, g_mat=M.metric_at(p))
+            np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13 * np.max(scale))
+            assert np.max(np.abs(got)) > 0.1
+
+
+# -- one geometry for a point or a stack of points ----------------------------------
+
+_STACK_CHARTS = {
+    "exp2d": EXP2D,
+    "poly2d": POLY,
+    "fd_exp2d": fd_variant(EXP2D),
+    "const_curv": catalog.entry("const_curv(1.5)").structure,
+    "curved": CURVED,
+}
+
+
+def _geometry_pieces(geo, v, vdot, vddot, xdot, xddot):
+    v_prime = geo.to_covariant(v, vdot, xdot)
+    rate = geo.covariant_rate(v, vdot, vddot, xdot, xddot)
+    return [
+        geo.g, geo.ginv, geo.phi, geo.gamma, geo.dgamma, geo.riemann_tensor,
+        v_prime, geo.to_coordinate(v, v_prime, xdot),
+        rate, geo.coordinate_rate(v, vdot, rate, xdot, xddot),
+    ]
+
+
+def _assert_relative(got, want, rel):
+    scale = max(float(np.max(np.abs(want))), 1e-300)
+    assert float(np.max(np.abs(got - want))) <= rel * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_STACK_CHARTS)), st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_stacked_geometry_equals_the_geometry_at_each_point(name, n, seed):
+    M = _STACK_CHARTS[name]
+    rng = np.random.default_rng(seed)
+    pts = sample_chart_points(M, n, rng)
+    vectors = rng.normal(size=(5, n, M.dim))
+    stacked = _geometry_pieces(M.at(pts), *vectors)
+    per_point = [_geometry_pieces(M.at(p), *vectors[:, i]) for i, p in enumerate(pts)]
+    for k, got in enumerate(stacked):
+        want = np.stack([pieces[k] for pieces in per_point])
+        # a piece that does not depend on the point is one shared unstacked array
+        _assert_relative(np.broadcast_to(got, want.shape), want, 1e-13)
+
+
+def _closed_form(name, family, **params):
+    ent = catalog.entry(name)
+    fam = ent.family(family, **params)
+    return ent.structure, fam.system, fam.trajectory(ent.structure, np.linspace(0.0, 0.5, 21))
+
+
+def _integrated(M, kind):
+    state = BundleState([0.1, 0.2], [0.3, -0.2], [0.5, 0.1], [0.0, 0.2])
+    traj = integrate(M, BundleSystem(kind), state, IntegratorConfig(step=0.05, t_span=(0.0, 1.0)))
+    return M, BundleSystem(kind), traj
+
+
+_TRAJECTORIES = {
+    "exp2d_natural": lambda: _closed_form("exp2d", "natural_lift"),
+    "poly2d_f_geodesic": lambda: _closed_form("poly2d", "f_geodesic_lift"),
+    "poly2d_f_planar": lambda: _closed_form("poly2d", "f_planar_lift"),
+    "flat_diag_planar": lambda: _closed_form("flat_diag", "hphi_planar"),  # rho varies in t
+    "fd_exp2d_integrated": lambda: _integrated(fd_variant(EXP2D), "geodesic_tm"),
+    "curved_integrated": lambda: _integrated(CURVED, "geodesic_tm"),
+}
+
+
+def _per_sample_monitors(M, traj):
+    rows = []
+    for i in range(traj.n):
+        geo = M.at(traj.x[i])
+        xi, xdot = traj.xi[i], traj.xdot[i]
+        xi_prime = geo.to_covariant(xi, traj.xidot[i], xdot)
+        gphi = geo.g @ geo.phi
+        rows.append([xi @ gphi @ xi, xi_prime @ gphi @ xi, xi_prime @ gphi @ xi_prime,
+                     xdot @ geo.g @ xdot])
+    return dict(zip(("unit_norm", "fiber_ortho", "rho_sq", "speed_sq"), np.array(rows).T))
+
+
+def _per_sample_residual(M, system, traj):
+    geos = [M.at(x) for x in traj.x]
+    xi_prime = np.array(
+        [geo.to_covariant(traj.xi[i], traj.xidot[i], traj.xdot[i]) for i, geo in enumerate(geos)]
+    )
+    differenced = traj.xddot is None
+    dxdot = np.gradient(traj.xdot, traj.times, axis=0)
+    dxi_prime = np.gradient(xi_prime, traj.times, axis=0)
+    res = []
+    for i, geo in enumerate(geos):
+        xdot, xi = traj.xdot[i], traj.xi[i]
+        if differenced:
+            gamma_dd = dxdot[i] + geo.connection(xdot, xdot)
+            xi_dd = dxi_prime[i] + geo.connection(xi_prime[i], xdot)
+        else:
+            gamma_dd = geo.to_covariant(xdot, traj.xddot[i], xdot)
+            rate = geo.covariant_rate(xi, traj.xidot[i], traj.xiddot[i], xdot, traj.xddot[i])
+            xi_dd = geo.to_covariant(xi_prime[i], rate, xdot)
+        accel, fiber = covariant_targets(geo, system, float(traj.times[i]), xdot, xi, xi_prime[i])
+        res.append(np.hypot(np.linalg.norm(gamma_dd - accel), np.linalg.norm(xi_dd - fiber)))
+    return np.array(res)
+
+
+def _per_sample_mirror(M, traj):
+    xi, xidot, xiddot = [], [], []
+    for i in range(traj.n):
+        geo = M.at(traj.x[i])
+        xdot = traj.xdot[i]
+        mu = geo.phi @ traj.xi[i]
+        xi_prime = geo.to_covariant(traj.xi[i], traj.xidot[i], xdot)
+        mu_prime = geo.phi @ xi_prime
+        xi.append(mu)
+        xidot.append(geo.to_coordinate(mu, mu_prime, xdot))
+        if traj.xiddot is not None:
+            xddot = traj.xddot[i]
+            rate = geo.covariant_rate(traj.xi[i], traj.xidot[i], traj.xiddot[i], xdot, xddot)
+            mu_dd = geo.phi @ geo.to_covariant(xi_prime, rate, xdot)
+            dmu_prime = geo.to_coordinate(mu_prime, mu_dd, xdot)
+            xiddot.append(geo.coordinate_rate(mu, xidot[-1], dmu_prime, xdot, xddot))
+    return xi, xidot, xiddot
+
+
+@pytest.mark.parametrize("case", sorted(_TRAJECTORIES))
+def test_trajectory_post_processing_equals_a_per_sample_reference(case):
+    M, system, traj = _TRAJECTORIES[case]()
+    compute_monitors(M, traj)
+    for name, want in _per_sample_monitors(M, traj).items():
+        _assert_relative(traj.monitors[name], want, 1e-13)
+
+    # the residual is a difference of nearly equal terms: judge it on their scale
+    got = geodesic_residual(M, system, traj).residuals
+    scale = max(float(np.max(np.abs(a))) for a in (traj.xdot, traj.xi, traj.xidot))
+    assert float(np.max(np.abs(got - _per_sample_residual(M, system, traj)))) <= 1e-12 * scale**2
+
+    mirrored = phi_mirror(M, traj, check_parallel=False)
+    mirror_blocks = (mirrored.xi, mirrored.xidot, mirrored.xiddot)
+    for got, want in zip(mirror_blocks, _per_sample_mirror(M, traj)):
+        if want:
+            _assert_relative(got, np.array(want), 1e-13)
+
+
 # -- curvature powers -------------------------------------------------------------
 
 
-def test_from_metric_operator_wraps_the_structure():
-    op = CurvatureOperator("from_metric", structure=CURVED)
-    p = np.array([0.5, 0.1])
+def test_constant_operator_tensor_contracts_to_apply():
     rng = np.random.default_rng(8)
-    X, Y, Z = rng.normal(size=(3, 2))
+    a = rng.normal(size=(4, 4))
+    g = a @ a.T + 4.0 * np.eye(4)
+    X, Y, Z = rng.normal(size=(3, 4))
+    op = CurvatureOperator(-1.5)
+    tensor = op.tensor(g)
     np.testing.assert_allclose(
-        op.apply(X, Y, Z, point=p), CURVED.riemann_at(p, X, Y, Z)
+        np.einsum("lkij,i,j,k->l", tensor, X, Y, Z), op.apply(X, Y, Z, g_mat=g), rtol=1e-13
     )
-    with pytest.raises(ValueError):
-        CurvatureOperator("from_metric")  # needs a structure
-    with pytest.raises(ValueError):
-        CurvatureOperator("constant", c=1.0).apply(X, Y, Z)  # needs g at the point
+    with pytest.raises(TypeError):
+        op.apply(X, Y, Z)  # needs g at the point
 
 
 def test_curvature_power_base_case():
-    op = CurvatureOperator("constant", c=2.0)
+    op = CurvatureOperator(2.0)
     g = np.eye(4)
     X = np.array([1.0, 0.0, 0.0, 0.0])
     Y = np.array([0.0, 1.0, 0.0, 0.0])
@@ -377,7 +551,7 @@ def test_curvature_power_base_case():
 
 def test_curvature_power_odd_closed_form():
     # orthonormal pair, c = 1: R^3 = -R
-    op = CurvatureOperator("constant", c=1.0)
+    op = CurvatureOperator(1.0)
     g = np.eye(4)
     e = np.eye(4)
     Z = np.array([0.2, -0.4, 1.0, 0.5])
@@ -388,7 +562,7 @@ def test_curvature_power_odd_closed_form():
 
 def test_curvature_power_even_closed_form():
     # orthonormal pair, c = 2: R^4 = -4 R^2
-    op = CurvatureOperator("constant", c=2.0)
+    op = CurvatureOperator(2.0)
     g = np.eye(4)
     e = np.eye(4)
     Z = np.array([0.2, -0.4, 1.0, 0.5])
@@ -407,7 +581,7 @@ def test_curvature_power_closed_matches_iteration_generic():
     Y = 0.6 * rng.normal(size=4)
     Z = rng.normal(size=4)
     for c in (-2.0, 1.0, 3.0):
-        op = CurvatureOperator("constant", c=c)
+        op = CurvatureOperator(c)
         for p in range(1, 9):
             naive = curvature_power(op, p, X, Y, Z, g_mat=g)
             closed = curvature_power_closed(op, p, X, Y, Z, g_mat=g)
