@@ -7,9 +7,11 @@ fiber vector along it.  The ODE state keeps the coordinate derivative
     xi'^l = xidot^l + Gamma^l_{ij} xdot^j xi^i
 
 is a derived view.  :class:`~bundleflow.geometry.PointGeometry` is the one
-place where xi' <-> xidot and gamma'' <-> xddot are converted; the functions
-here build one per RHS call, or one for all stored samples of a trajectory
-at once.
+place where xi' <-> xidot and gamma'' <-> xddot are converted, every
+Christoffel contraction going through ``PointGeometry.along`` (A = Gamma
+xdot); the functions here build one for all stored samples of a trajectory
+at once.  :func:`make_rhs` is the single-point path: specialised to the
+system's kind when it is built, it forms A once per call.
 
 Every system supported here prescribes covariant targets
 
@@ -253,9 +255,12 @@ def covariant_deriv_along(M: MetricStructure, state: BundleState, xddot=None):
 
 
 def unit_fiber_acceleration(g_mat, phi_mat, xi, xi_prime) -> np.ndarray:
-    """Fiber acceleration -g(xi', phi xi') xi forced by the unit constraint."""
-    rho_sq = bilinear(xi_prime, g_mat @ phi_mat, xi_prime)
-    return -rho_sq[..., None] * xi
+    """Fiber acceleration -g(xi', phi xi') xi forced by the unit constraint,
+    at one sample or at each of a stack of samples."""
+    gphi = g_mat @ phi_mat
+    if xi.ndim == 1:
+        return -(xi_prime @ gphi @ xi_prime) * xi
+    return -bilinear(xi_prime, gphi, xi_prime)[:, None] * xi
 
 
 def covariant_targets(geo: PointGeometry, system: BundleSystem, t, xdot, xi, xi_prime):
@@ -276,8 +281,16 @@ def covariant_targets(geo: PointGeometry, system: BundleSystem, t, xdot, xi, xi_
 
 
 def make_rhs(M: MetricStructure, system: BundleSystem):
-    """First-order right-hand side for the flattened state (x, xdot, xi, xidot)."""
+    """First-order right-hand side for the flattened state (x, xdot, xi, xidot).
+
+    :func:`covariant_targets` and the :class:`PointGeometry` conversions at
+    one point, specialised to the system's kind when it is built, with
+    A = Gamma xdot formed once per call.
+    """
     dim = M.dim
+    forcing = _forcing(system, dim)
+    unit = system.on_unit_bundle
+    varying_gamma = not M.has_constant_christoffel
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         x = y[:dim]
@@ -285,14 +298,53 @@ def make_rhs(M: MetricStructure, system: BundleSystem):
         xi = y[2 * dim : 3 * dim]
         xidot = y[3 * dim :]
         geo = M.at(x)
-        xi_prime = geo.to_covariant(xi, xidot, xdot)
-        accel, fiber = covariant_targets(geo, system, t, xdot, xi, xi_prime)
-        xddot = geo.to_coordinate(xdot, accel, xdot)
-        dxi_prime = geo.to_coordinate(xi_prime, fiber, xdot)
-        xiddot = geo.coordinate_rate(xi, xidot, dxi_prime, xdot, xddot)
+        g = geo.g  # evaluated for every kind: it checks that g is regular here
+        a = geo.along(xdot)
+        xi_prime = xidot + a @ xi
+        accel = ((geo.riemann_tensor @ (geo.phi @ xi)) @ xi_prime) @ xdot
+        accel, fiber = forcing(geo, t, xdot, xi_prime, accel)
+        if unit:
+            fiber = fiber + unit_fiber_acceleration(g, geo.phi, xi, xi_prime)
+        xddot = accel - a @ xdot
+        rate = fiber - a @ xi_prime  # d(xi')/dt in coordinates
+        if varying_gamma:
+            dgamma = geo.dgamma.reshape(dim, -1)
+            rate = rate - ((xdot @ dgamma).reshape(dim, dim, dim) @ xdot) @ xi
+        xiddot = rate - geo.along(xddot) @ xi - a @ xidot
         return np.concatenate([xdot, xddot, xidot, xiddot])
 
     return rhs
+
+
+def _forcing(system: BundleSystem, dim: int):
+    """The system's covariant targets on TM at one sample, as a function
+    ``(geo, t, xdot, xi_prime, accel) -> (gamma'' target, xi'' target)`` of
+    the curvature term ``accel`` = R(xi', phi xi) xdot."""
+    if system.kind in _PLANAR_KINDS:
+        f_on = system.f_tensor.on
+        rho1_at, rho2_at = system.coefficients.rho1, system.coefficients.rho2
+
+        def forcing(geo, t, xdot, xi_prime, accel):
+            rho1, rho2 = rho1_at((t,)), rho2_at((t,))
+            f_mat = f_on(geo)
+            return (
+                accel + rho1 * xdot + rho2 * (f_mat @ xdot),
+                rho1 * xi_prime + rho2 * (f_mat @ xi_prime),
+            )
+    elif system.kind in _F_KINDS:  # (rho1, rho2) = (0, 1)
+        f_on = system.f_tensor.on
+
+        def forcing(geo, t, xdot, xi_prime, accel):
+            f_mat = f_on(geo)
+            return accel + f_mat @ xdot, f_mat @ xi_prime
+    else:
+        zero = np.zeros(dim)
+        zero.setflags(write=False)
+
+        def forcing(geo, t, xdot, xi_prime, accel):
+            return accel, zero
+
+    return forcing
 
 
 def normalized_unit_state(

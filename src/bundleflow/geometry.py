@@ -250,21 +250,29 @@ class MetricStructure:
         return self.phi.at(point)
 
     def twin_metric_at(self, point, *, tol: float = 1e-10) -> np.ndarray:
-        """Twin metric G_ij = g_ik phi^k_j, symmetrized after a purity check."""
-        g = self.metric_at(point)
-        twin = g @ self.phi_at(point)
-        asym = float(np.max(np.abs(twin - twin.T)))
-        if asym > tol * float(np.max(np.abs(twin))):
+        """Twin metric G_ij = g_ik phi^k_j, symmetrized after a purity check.
+
+        The asymmetry is judged relative to max|G| at each point, so that g
+        and c*g are judged alike and one point's scale does not excuse
+        another's.
+        """
+        twin = self.metric_at(point) @ self.phi_at(point)
+        transposed = twin.swapaxes(-1, -2)
+        asym = np.max(np.abs(twin - transposed), axis=(-2, -1))
+        impure = asym > tol * np.max(np.abs(twin), axis=(-2, -1))
+        if np.any(impure):
+            i = int(np.argmax(impure))
+            worst, where = (asym, point) if impure.ndim == 0 else (asym[i], point[i])
             raise PurityError(
-                f"twin metric asymmetry {asym:g} exceeds tolerance at {point}"
+                f"twin metric asymmetry {worst:g} exceeds tolerance at {where}"
             )
-        return 0.5 * (twin + twin.T)
+        return 0.5 * (twin + transposed)
 
     def christoffel_at(self, point) -> np.ndarray:
         if self.christoffel is not None:
             return self.christoffel.at(point)
         point = np.asarray(point, dtype=float)
-        gamma = self._fd_christoffel(point.reshape(-1, self.dim))
+        gamma = _in_blocks(self._fd_christoffel, point.reshape(-1, self.dim))
         return gamma.reshape(point.shape + (self.dim,) * 2)
 
     def _fd_christoffel(self, centres: np.ndarray) -> np.ndarray:
@@ -281,7 +289,8 @@ class MetricStructure:
         dg = _central_diff(g_all[n:], centres, h)  # [n, l, i, j] = d_l g_ij
         # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
         sym = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
-        return 0.5 * np.einsum("nkl,nijl->nkij", ginv, sym)
+        d = self.dim
+        return 0.5 * (ginv @ sym.reshape(n, d * d, d).swapaxes(1, 2)).reshape(n, d, d, d)
 
     @property
     def _dgamma_step(self) -> float:
@@ -293,15 +302,18 @@ class MetricStructure:
         """d_m Gamma^k_{ij}, indexed [..., m, k, i, j]."""
         if self.has_constant_christoffel:
             return np.zeros((self.dim,) * 4)
-        h = self._dgamma_step
         point = np.asarray(point, dtype=float)
-        points = point.reshape(-1, self.dim)
+        grad = _in_blocks(self._christoffel_grad, point.reshape(-1, self.dim))
+        return grad.reshape(point.shape + (self.dim,) * 3)
+
+    def _christoffel_grad(self, points: np.ndarray) -> np.ndarray:
+        h = self._dgamma_step
         centres = _stencil(points, h)
         if self.christoffel is not None:
             gammas = self.christoffel.at(centres)
         else:
             gammas = self._fd_christoffel(centres)
-        return _central_diff(gammas, points, h).reshape(point.shape + (self.dim,) * 3)
+        return _central_diff(gammas, points, h)
 
     def riemann_tensor_at(self, point) -> np.ndarray:
         """Full curvature R^l_{kij} such that (R(X,Y)Z)^l = R^l_{kij} X^i Y^j Z^k."""
@@ -314,6 +326,39 @@ class MetricStructure:
         """The geometry at one chart point or at each row of an ``(n, dim)``
         stack, evaluated lazily and then shared."""
         return PointGeometry(self, point)
+
+
+# samples per block when a stack is finite-differenced: the stencil
+# evaluations of one block (about 25 KB per sample for dGamma on an FD chart
+# of dimension 4) are freed before the next block starts
+_BLOCK = 256
+
+
+def _in_blocks(evaluate, points: np.ndarray) -> np.ndarray:
+    """``evaluate`` on an (n, d) stack, at most ``_BLOCK`` samples at a time.
+
+    Each sample's result is the one an unblocked call gives, bit for bit.
+    """
+    first = evaluate(points[:_BLOCK])
+    if len(points) <= _BLOCK:
+        return first
+    out = np.empty((len(points),) + first.shape[1:])
+    out[:_BLOCK] = first
+    for start in range(_BLOCK, len(points), _BLOCK):
+        out[start : start + _BLOCK] = evaluate(points[start : start + _BLOCK])
+    return out
+
+
+def _contract(t, v, rank: int) -> np.ndarray:
+    """t[..., j] v^j for a tensor t of rank ``rank`` (d x ... x d).
+
+    At one point, v is a vector and this is ``t @ v``.  For an (n, d) stack
+    of vectors, t is stacked along a leading sample axis too, or is one
+    tensor shared by all samples; the result has the sample axis.
+    """
+    if v.ndim == 1:
+        return t @ v
+    return (t @ v.reshape((len(v),) + (1,) * (rank - 2) + (v.shape[1], 1)))[..., 0]
 
 
 def _stencil(points: np.ndarray, h: float) -> np.ndarray:
@@ -350,7 +395,11 @@ class PointGeometry:
     v' = vdot + Gamma(v, xdot) (xi' <-> xidot, and with v = xdot,
     gamma'' <-> xddot), and d(v')/dt = vddot + dGamma(xdot; v, xdot)
     + Gamma(v, xddot) + Gamma(vdot, xdot) is the second-order pair, whose
-    dGamma term is skipped where dGamma is the shared zero.
+    dGamma term is skipped where dGamma is the shared zero.  Every Gamma
+    contraction goes through :meth:`along`, A = Gamma xdot with
+    Gamma(v, xdot) = A v; the integrator's right-hand side
+    (:func:`bundleflow.bundle.make_rhs`) forms A once per call and applies
+    these same formulas at its single point.
     """
 
     __slots__ = ("M", "x", "_g", "_ginv", "_phi", "_gamma", "_dgamma", "_riemann")
@@ -411,27 +460,45 @@ class PointGeometry:
 
     def _curvature(self) -> np.ndarray:
         gam, dgam = self.gamma, self.dgamma
+        d, lead = self.M.dim, gam.shape[:-3]
         # dgam[..., m, k, i, j] = d_m Gamma^k_ij; the transposes are
         # d_i Gamma^l_jk and d_j Gamma^l_ik, indexed [..., l, k, i, j]
-        n = dgam.ndim - 4
-        lead = tuple(range(n))
+        n = len(lead)
+        axes = tuple(range(n))
+        # gg[..., l, i, j, k] = Gamma^l_im Gamma^m_jk; its transposes are
+        # that product and Gamma^l_jm Gamma^m_ik, indexed [..., l, k, i, j]
+        gg = gam.reshape(lead + (d * d, d)) @ gam.reshape(lead + (d, d * d))
+        gg = gg.reshape(lead + (d,) * 4)
         return (
-            dgam.transpose(*lead, n + 1, n + 3, n, n + 2)
-            - dgam.transpose(*lead, n + 1, n + 3, n + 2, n)
-            + np.einsum("...lim,...mjk->...lkij", gam, gam)
-            - np.einsum("...ljm,...mik->...lkij", gam, gam)
+            dgam.transpose(*axes, n + 1, n + 3, n, n + 2)
+            - dgam.transpose(*axes, n + 1, n + 3, n + 2, n)
+            + gg.transpose(*axes, n, n + 3, n + 1, n + 2)
+            - gg.transpose(*axes, n, n + 3, n + 2, n + 1)
         )
 
     def riemann(self, X, Y, Z) -> np.ndarray:
         """R(X, Y)Z."""
-        return np.einsum("...lkij,...i,...j,...k->...l", self.riemann_tensor, X, Y, Z)
+        return _contract(_contract(_contract(self.riemann_tensor, Y, 4), X, 3), Z, 2)
+
+    def along(self, xdot) -> np.ndarray:
+        """A^l_i = Gamma^l_{ij} xdot^j, indexed [..., l, i].
+
+        The one contraction of Gamma with a velocity: Gamma(v, xdot) = A v
+        for every v along the curve.
+        """
+        return _contract(self.gamma, xdot, 3)
 
     def connection(self, u, v) -> np.ndarray:
         """Gamma(u, v)^l = Gamma^l_{ij} u^i v^j."""
-        return np.einsum("...lij,...i,...j->...l", self.gamma, u, v)
+        return _contract(self.along(v), u, 2)
 
     def _dconnection(self, v, xdot) -> np.ndarray:
-        return np.einsum("...klij,...k,...i,...j->...l", self.dgamma, xdot, v, xdot)
+        """dGamma(xdot; v, xdot)^l = d_m Gamma^l_ij xdot^m v^i xdot^j."""
+        d, dgam = self.M.dim, self.dgamma
+        lead = dgam.shape[:-4]
+        # rate[..., l, i, j] = xdot^m d_m Gamma^l_ij, a Christoffel-shaped array
+        rate = _contract(dgam.reshape(lead + (d, d**3)).swapaxes(-1, -2), xdot, 2)
+        return _contract(_contract(rate.reshape(lead + (d,) * 3), xdot, 3), v, 2)
 
     def to_covariant(self, v, vdot, xdot) -> np.ndarray:
         """Covariant derivative v' of v along a curve with velocity xdot."""

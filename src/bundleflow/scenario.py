@@ -4,6 +4,7 @@ an initial state, integrator settings and requested outputs."""
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,6 +42,17 @@ class Scenario:
     zero_span: bool = False  # t0 == t1: outputs are headers only
 
 
+def _integer(raw, what: str) -> int:
+    """An integer field: a JSON number with no fractional part, not a bool."""
+    if (
+        isinstance(raw, bool)
+        or not isinstance(raw, numbers.Real)
+        or not float(raw).is_integer()
+    ):
+        raise ScenarioError(f"{what} must be an integer, got {raw!r}")
+    return int(raw)
+
+
 def _vector(raw, dim: int, what: str) -> np.ndarray:
     try:
         vec = np.asarray(raw, dtype=float)
@@ -60,10 +72,9 @@ def _build_structure(spec) -> tuple[MetricStructure, FTensor | None]:
         return ent.structure, ent.f_tensor
     if not isinstance(spec, dict):
         raise ScenarioError("manifold must be a catalog name or an inline object")
-    try:
-        dim = int(spec["dim"])
-    except (KeyError, TypeError, ValueError):
-        raise ScenarioError("inline manifold needs an integer 'dim'") from None
+    if "dim" not in spec:
+        raise ScenarioError("inline manifold needs an integer 'dim'")
+    dim = _integer(spec["dim"], "inline manifold 'dim'")
     try:
         g = FieldTensor.from_spec(spec["g"], dim)
         phi = FieldTensor.from_spec(spec["phi"], dim)
@@ -155,12 +166,13 @@ def _build_integrator(doc) -> tuple[IntegratorConfig | None, bool]:
         raise ScenarioError("integrator needs numeric 'step' and 't_span': [t0, t1]") from None
     if t1 == t0 and np.isfinite(t0):
         return None, True  # degenerate span: emit headers only
+    monitor_every = _integer(raw.get("monitor_every", 1), "integrator.monitor_every")
     try:
         cfg = IntegratorConfig(
             step=step,
             t_span=(t0, t1),
             method=str(raw.get("method", "rk4")),
-            monitor_every=int(raw.get("monitor_every", 1)),
+            monitor_every=monitor_every,
         )
     except ValueError as exc:
         raise ScenarioError(f"bad integrator config: {exc}") from None
@@ -187,15 +199,17 @@ def scenario_from_dict(doc: dict, *, name: str = "scenario") -> Scenario:
     outputs = doc.get("output", {})
     if not isinstance(outputs, dict):
         raise ScenarioError("'output' must be an object")
+    seed = _integer(doc.get("seed", 12345), "seed")
+    check_points = _integer(doc.get("check_points", 100), "check_points")
+    frenet_opts = doc.get("frenet", {}) or {}
+    if not isinstance(frenet_opts, dict):
+        raise ScenarioError("'frenet' must be an object")
+    # default jet order adapts to the chart dimension
+    frenet_order = _integer(frenet_opts.get("order", min(3, structure.dim)), "frenet.order")
     try:
-        seed = int(doc.get("seed", 12345))
-        check_points = int(doc.get("check_points", 100))
-        frenet_opts = doc.get("frenet", {}) or {}
-        # default jet order adapts to the chart dimension
-        frenet_order = int(frenet_opts.get("order", min(3, structure.dim)))
         constancy_tol = float(frenet_opts.get("constancy_tol", 1e-4))
-    except (AttributeError, TypeError, ValueError):
-        raise ScenarioError("seed, check_points and the frenet options must be numbers") from None
+    except (TypeError, ValueError):
+        raise ScenarioError("frenet.constancy_tol must be a number") from None
     if seed < 0 or check_points < 1:
         raise ScenarioError(f"need seed >= 0 and check_points >= 1, got {seed} and {check_points}")
     if not 2 <= frenet_order <= structure.dim:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bundleflow import cli
+from bundleflow.scenario import scenario_from_dict
 from bundleflow.verify import euclid_oblique_family
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -282,6 +283,17 @@ def test_non_finite_fd_step_exits_2(tmp_path, capsys, fd_step):
         ("frenet", {"frenet": {"constancy_tol": -1e-4}}, []),
         ("integrate", {"output": "out.csv"}, []),
         ("integrate", {"output": [["trajectory", "t.csv"]]}, []),
+        # integer fields take integral numbers only: no bools, fractions or strings
+        ("check", {"check_points": 2.9}, []),
+        ("check", {"check_points": "100"}, []),
+        ("check", {"seed": True}, []),
+        ("check", {"seed": 7.5}, []),
+        ("frenet", {"frenet": {"order": 2.5}}, []),
+        ("frenet", {"frenet": {"order": False}}, []),
+        ("integrate", {"integrator": {"step": 1e-3, "t_span": [0.0, 1.0], "monitor_every": 1.5}}, []),
+        ("integrate", {"integrator": {"step": 1e-3, "t_span": [0.0, 1.0], "monitor_every": True}}, []),
+        ("check", {"manifold": {"dim": 2.5, "g": [[1, 0], [0, 1]], "phi": [[1, 0], [0, -1]]}}, []),
+        ("check", {"manifold": {"dim": True, "g": [[1, 0], [0, 1]], "phi": [[1, 0], [0, -1]]}}, []),
     ],
 )
 def test_bad_sample_counts_and_scenario_values_exit_2(tmp_path, capsys, command, change, extra):
@@ -294,6 +306,14 @@ def test_bad_sample_counts_and_scenario_values_exit_2(tmp_path, capsys, command,
     assert rc == 2
     assert "configuration error" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == (["s.json"] if change is not None else [])
+
+
+def test_integral_numbers_read_as_integers():
+    doc = {**oblique_scenario_doc(), "check_points": 20.0, "seed": np.int64(7), "frenet": {"order": 2.0}}
+    doc["integrator"] = {**doc["integrator"], "monitor_every": 5.0}
+    scen = scenario_from_dict(doc)
+    values = (scen.check_points, scen.seed, scen.frenet_order, scen.integrator.monitor_every)
+    assert values == (20, 7, 2, 5) and all(type(v) is int for v in values)
 
 
 def test_partial_override_without_integrator_exits_2(tmp_path, capsys):

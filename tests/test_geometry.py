@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bundleflow import catalog
+from bundleflow import catalog, geometry
 from bundleflow.bundle import (
     BundleState, BundleSystem, covariant_targets, geodesic_residual, phi_mirror
 )
@@ -131,6 +132,25 @@ def test_twin_metric_purity_violation():
         bad.twin_metric_at((0.0, 0.0))
 
 
+@pytest.mark.parametrize("name", ["exp2d", "poly2d", "euclid_oblique"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+def test_stacked_twin_metric_equals_the_twin_metric_at_each_point(name, n):
+    # n = dim once per chart: the stack's sample axis must not be transposed
+    M = catalog.entry(name).structure
+    pts = sample_chart_points(M, n, np.random.default_rng(n))
+    stacked = np.broadcast_to(M.twin_metric_at(pts), (n, M.dim, M.dim))
+    for p, twin in zip(pts, stacked):
+        np.testing.assert_array_equal(twin, M.twin_metric_at(p))
+
+
+def test_stacked_twin_metric_judges_each_point_on_its_own_scale():
+    # twin = exp(x2) [[0, 1 + x1], [1, 0]]: pure at x1 = 0 whatever its scale
+    M = MetricStructure(2, [["exp(x2)", "0"], ["0", "exp(x2)"]], [["0", "1 + x1"], ["1", "0"]])
+    M.twin_metric_at(np.array([[0.0, 30.0], [0.0, 0.0]]))
+    with pytest.raises(PurityError, match=r"asymmetry 1e-06 .* at \[1.e-06 0.e\+00\]"):
+        M.twin_metric_at(np.array([[0.0, 30.0], [1e-6, 0.0]]))
+
+
 # -- christoffel symbols -------------------------------------------------------
 
 
@@ -243,6 +263,35 @@ def test_batched_stencils_match_point_by_point_loops(M):
             assert np.max(np.abs(gam - _loop_christoffel(M, p))) <= scale
         diff = M.christoffel_grad_at(p) - _loop_christoffel_grad(M, p)
         assert 2.0 * M._dgamma_step * np.max(np.abs(diff)) <= scale
+
+
+def _traced_peak(evaluate) -> int:
+    tracemalloc.start()
+    try:
+        evaluate()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fd_christoffel_grad_memory_is_bounded_on_long_stacks(monkeypatch):
+    # unblocked, dGamma on this chart holds about 25 KB per sample; in blocks,
+    # 4000 samples need less than 1000 samples did in one batch
+    pts = sample_chart_points(FD_DIAG4, 4000, np.random.default_rng(5))
+    blocked = _traced_peak(lambda: FD_DIAG4.christoffel_grad_at(pts))
+    monkeypatch.setattr(geometry, "_BLOCK", len(pts))
+    assert blocked < _traced_peak(lambda: FD_DIAG4.christoffel_grad_at(pts[:1000]))
+
+
+@pytest.mark.parametrize("method", ["christoffel_at", "christoffel_grad_at"])
+@pytest.mark.parametrize("chart", ["fd_diag4", "poly2d", "curved"])
+def test_blocked_stack_equals_one_batch_bit_for_bit(monkeypatch, method, chart):
+    M = {"fd_diag4": FD_DIAG4, "poly2d": POLY, "curved": CURVED}[chart]
+    pts = sample_chart_points(M, 2 * geometry._BLOCK + 37, np.random.default_rng(6))
+    blocked = getattr(M, method)(pts)
+    monkeypatch.setattr(geometry, "_BLOCK", len(pts))
+    one_batch = getattr(M, method)(pts)
+    assert blocked.shape == one_batch.shape and blocked.tobytes() == one_batch.tobytes()
 
 
 def test_stencil_point_outside_the_domain_raises():

@@ -1,15 +1,26 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bundleflow import catalog
-from bundleflow.bundle import BundleState, BundleSystem, FPlanarCoefficients, FTensor, make_rhs
+from bundleflow import bundle, catalog, scenario
+from bundleflow.bundle import (
+    SYSTEM_KINDS,
+    BundleState,
+    BundleSystem,
+    FPlanarCoefficients,
+    FTensor,
+    covariant_targets,
+    make_rhs,
+)
 from bundleflow.errors import SingularMetricError
 from bundleflow.expressions import ScalarField
 from bundleflow.geometry import FieldTensor, MetricStructure
-from bundleflow.integrate import IntegratorConfig, integrate
+from bundleflow.integrate import IntegratorConfig, _rk4_step, integrate
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 EXP2D = catalog.entry("exp2d").structure
 POLY = catalog.entry("poly2d").structure
 FD_EXP2D = MetricStructure(2, EXP2D.g, EXP2D.phi, chart_box=EXP2D.chart_box)
@@ -18,6 +29,18 @@ FD_DIAG4 = MetricStructure(
     [["exp(x1)", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
 )
+
+
+def _curved():
+    # the curved conformal chart CURVED of test_geometry.py: the catalog's
+    # non-constant-Gamma charts are flat with R = 0 exactly
+    return MetricStructure(
+        2,
+        [["exp(2*x1^2)", "0"], ["0", "exp(2*x1^2)"]],
+        [["1", "0"], ["0", "-1"]],
+        chart_box=[(-0.8, 0.8), (-0.8, 0.8)],
+    )
+
 
 _unit = st.floats(0.0, 1.0)
 _component = st.floats(-2.0, 2.0)
@@ -44,9 +67,8 @@ def _assert_close(a, b, *magnitudes):
 
 def _system(kind):
     if kind.startswith("f_planar"):
-        return BundleSystem(
-            kind, f_tensor=FTensor(is_phi=True), coefficients=FPlanarCoefficients.constant(0.5, 1.0)
-        )
+        coefficients = FPlanarCoefficients.parse("0.5 + t", "1 - t^2")
+        return BundleSystem(kind, f_tensor=FTensor(is_phi=True), coefficients=coefficients)
     if kind.startswith("f_"):
         return BundleSystem(kind, f_tensor=FTensor(is_phi=True))
     return BundleSystem(kind)
@@ -57,10 +79,7 @@ def _system(kind):
     [(FD_EXP2D, 5), (FD_DIAG4, 9), (EXP2D, 0)],
     ids=["fd_exp2d", "fd_diag4", "analytic_exp2d"],
 )
-@pytest.mark.parametrize(
-    "kind",
-    ["geodesic_tm", "geodesic_unit", "f_geodesic_tm", "f_geodesic_unit", "f_planar_tm", "f_planar_unit"],
-)
+@pytest.mark.parametrize("kind", SYSTEM_KINDS)
 def test_rhs_evaluates_christoffel_once_per_stencil_point(monkeypatch, M, expected, kind):
     # one christoffel_at call; on the FD path Gamma at x, plus Gamma at the
     # 2 * dim points of the dGamma stencil, each finite-differenced once
@@ -83,6 +102,79 @@ def test_rhs_evaluates_christoffel_once_per_stencil_point(monkeypatch, M, expect
     assert np.all(np.isfinite(out))
     assert len(calls) == 1
     assert len(fd_centres) == len(set(fd_centres)) == expected
+
+
+# -- the integrator's right-hand side ---------------------------------------------
+
+_RHS_CHARTS = {
+    "exp2d": lambda: catalog.entry("exp2d").structure,  # analytic, constant Gamma
+    "poly2d": lambda: catalog.entry("poly2d").structure,  # analytic, varying Gamma
+    "fd_exp2d": lambda: MetricStructure(2, EXP2D.g, EXP2D.phi, chart_box=EXP2D.chart_box),
+    "const_curv": lambda: catalog.entry("const_curv(1.5)").structure,  # given R
+    "curved": _curved,  # finite differences, R varies
+}
+_RHS_STRUCTURES = {name: make() for name, make in _RHS_CHARTS.items()}
+
+
+def _reference_rhs(M, system, t, y):
+    """The right-hand side from the stacked-sample formulas: covariant_targets
+    and the PointGeometry conversions."""
+    x, xdot, xi, xidot = np.split(y, 4)
+    geo = M.at(x)
+    xi_prime = geo.to_covariant(xi, xidot, xdot)
+    accel, fiber = covariant_targets(geo, system, t, xdot, xi, xi_prime)
+    xddot = geo.to_coordinate(xdot, accel, xdot)
+    dxi_prime = geo.to_coordinate(xi_prime, fiber, xdot)
+    xiddot = geo.coordinate_rate(xi, xidot, dxi_prime, xdot, xddot)
+    return np.concatenate([xdot, xddot, xidot, xiddot])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(_RHS_CHARTS)),
+    st.sampled_from(SYSTEM_KINDS),
+    st.floats(0.0, 0.9),
+    st.lists(_unit, min_size=4, max_size=4),
+    _vectors(4, 3),
+)
+def test_rhs_equals_the_stacked_reference(chart, kind, t, fractions, vecs):
+    M = _RHS_STRUCTURES[chart]
+    d = M.dim
+    y = np.concatenate([_point(M, fractions[:d])] + [v[:d] for v in vecs])
+    system = _system(kind)
+    got = make_rhs(M, system)(t, y)
+    expected = _reference_rhs(M, system, t, y)
+    # relative to the largest term: the reference sums the same products
+    # in another order
+    scale = max(float(np.max(np.abs(expected))), float(np.max(np.abs(y))))
+    assert float(np.max(np.abs(got - expected))) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("kind", SYSTEM_KINDS)
+@pytest.mark.parametrize("chart", sorted(_RHS_CHARTS))
+def test_rk4_step_makes_no_einsum_call(monkeypatch, chart, kind):
+    M = _RHS_CHARTS[chart]()  # fresh: pieces built on first use are built here
+    rhs = make_rhs(M, _system(kind))
+    y = np.concatenate([M.chart_box.mean(axis=1), np.linspace(0.1, 0.4, 3 * M.dim)])
+
+    def no_einsum(*args, **kwargs):
+        raise AssertionError("np.einsum called during an RK4 step")
+
+    monkeypatch.setattr(np, "einsum", no_einsum)
+    assert np.all(np.isfinite(_rk4_step(rhs, 0.0, y, 0.01)))
+
+
+def test_unit_fiber_acceleration_drives_the_unit_bundle_integrator(monkeypatch):
+    scen = scenario.load_scenario(SCENARIOS / "euclid_oblique.json", t_span=[0.0, 0.1])
+    assert scen.system.kind == "geodesic_unit"
+
+    def final():
+        return integrate(scen.structure, scen.system, scen.initial, scen.integrator).state(-1).flat()
+
+    unchanged = final()
+    original = bundle.unit_fiber_acceleration
+    monkeypatch.setattr(bundle, "unit_fiber_acceleration", lambda *args: -original(*args))
+    assert float(np.max(np.abs(final() - unchanged))) > 1e-4
 
 
 # -- covariant <-> coordinate conversions ------------------------------------------
@@ -177,10 +269,7 @@ def test_point_geometry_evaluates_each_piece_once(monkeypatch):
 
 _MAKE = {name: lambda name=name: catalog.entry(name).structure for name in catalog.entry_names()}
 _MAKE["fd_exp2d"] = lambda: MetricStructure(2, EXP2D.g, EXP2D.phi, chart_box=EXP2D.chart_box)
-# the catalog's non-constant-Gamma charts are flat with R = 0 exactly; this one is curved
-_MAKE["fd_curved"] = lambda: MetricStructure(
-    2, [["exp(2*x1^2)", "0"], ["0", "exp(2*x1^2)"]], [["1", "0"], ["0", "-1"]]
-)
+_MAKE["fd_curved"] = _curved
 
 
 def _pieces(geo, X, Y, Z):
