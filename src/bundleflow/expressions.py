@@ -12,8 +12,11 @@ concurrently from several threads.  A tree is evaluated either at one point,
 by a walk in plain floats (:func:`evaluate`), or at every row of an
 ``(n, dim)`` array at once with numpy ufuncs (:func:`evaluate_many`); both
 raise the same :class:`~bundleflow.errors.EvalDomainError` on the same
-inputs.  There is deliberately no symbolic differentiation here; derivatives
-of fields are taken by finite differences downstream.
+inputs.  The batch walk also carries exact first and second derivatives
+(:func:`jet_many`): forward-mode propagation of each node's value, gradient
+and Hessian, which is how the geometry differentiates g and analytic
+Christoffel symbols.  There is deliberately no symbolic differentiation: no
+derivative tree is ever built.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ __all__ = [
     "parse",
     "evaluate",
     "evaluate_many",
+    "jet_many",
     "pretty",
     "FUNCTIONS",
 ]
@@ -336,8 +340,46 @@ def evaluate_many(node: Node, points) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     out = np.empty(len(points))
     with np.errstate(all="ignore"):
-        out[:] = _evaluate_rows(node, points)
+        out[:] = _evaluate_rows(node, points)[0]
     return out
+
+
+def jet_many(nodes, points, order: int) -> np.ndarray:
+    """Values and exact derivatives of trees at each row of an ``(n, dim)`` array.
+
+    Returns one array ``[n, c, f]`` of Taylor coefficients, with the trees
+    along the last axis (an entry None stands for the zero function):
+    ``c = 0`` is the value, ``c = 1 + l`` the first derivative d_l
+    (order >= 1) and ``c = 1 + dim + m dim + l`` the second derivative
+    d_m d_l (order 2).  Every node carries its value, gradient
+    and Hessian and combines them by the chain and product rules
+    (forward-mode Taylor arithmetic; Griewank & Walther, *Evaluating
+    Derivatives*, ch. 13), so the derivatives are those of the evaluation
+    itself, with no step size.  The values are :func:`evaluate_many`'s bit
+    for bit, and the call raises its errors, with its messages, on the same
+    inputs.  Beyond those, an :class:`~bundleflow.errors.EvalDomainError`
+    names a row where a tree's value is finite but its derivatives are not
+    (``sqrt`` at 0 has none): the first such row of the first such tree.
+    """
+    points = np.asarray(points, dtype=float)
+    n, dim = points.shape
+    size = len(nodes)
+    jet = np.zeros((n, (1, 1 + dim, 1 + dim + dim * dim)[order], size))
+    # a part beyond the order is never written: the walk gives None there
+    hessians = jet[:, 1 + dim :].reshape(n, dim, dim, size) if order > 1 else None
+    parts = (jet[:, 0], jet[:, 1 : 1 + dim], hessians)
+    with np.errstate(all="ignore"):
+        for f, node in enumerate(nodes):
+            if node is None:
+                continue
+            for part, value in zip(parts, _evaluate_rows(node, points, order)):
+                if value is not None:
+                    part[..., f] = value
+    if order and not np.isfinite(jet[:, 1:]).all():
+        for f in range(size):
+            bad = np.isfinite(jet[:, 0, f]) & ~np.isfinite(jet[:, 1:, f]).all(axis=1)
+            _check_rows(bad, jet[:, 0, f], points, "no finite derivative where the value is {}")
+    return jet
 
 
 def _check_rows(bad, values, points, message) -> None:
@@ -356,43 +398,144 @@ def _no_overflow(out, arg, points, message):
     return out
 
 
-def _evaluate_rows(node: Node, points: np.ndarray):
-    """:func:`evaluate_many`'s walk; a variable-free subtree stays a scalar."""
+# Derivatives in the walk below are None where they are zero (the subtree
+# has no variable) or not carried (beyond the order); otherwise a gradient
+# is (n, dim) and a Hessian (n, dim, dim), whatever the shape of the value.
+
+
+def _add(a, b):
+    if a is None:
+        return b
+    return a if b is None else a + b
+
+
+def _neg(a):
+    return None if a is None else -a
+
+
+def _times(a, factor):
+    """A derivative times a scalar or an (n,) array of row factors."""
+    if a is None:
+        return None
+    if isinstance(factor, np.ndarray):
+        factor = factor.reshape(factor.shape + (1,) * (a.ndim - 1))
+    return a * factor
+
+
+def _sym_outer(a, b):
+    """a b^T + b a^T per row, for two gradients."""
+    if a is None or b is None:
+        return None
+    ab = a[:, :, None] * b[:, None, :]
+    return ab + ab.swapaxes(1, 2)
+
+
+def _chain(order, d1, d2, f1, f2):
+    """The derivatives of f(u) from u's (d1, d2) and the (n,) arrays f', f''
+    at u."""
+    grad = d1 * f1[:, None]
+    if order < 2:
+        return grad, None
+    hess = (d1 * f2[:, None])[:, :, None] * d1[:, None, :]
+    return grad, hess if d2 is None else hess + d2 * f1[:, None, None]
+
+
+def _binop_jet(op, order, left, l1, l2, right, r1, r2, value) -> tuple:
+    """The derivatives of ``value = left op right`` from its operands'."""
+    if op == "+":
+        return _add(l1, r1), _add(l2, r2)
+    if op == "-":
+        return _add(l1, _neg(r1)), _add(l2, _neg(r2))
+    if op == "*":
+        d1 = _add(_times(l1, right), _times(r1, left))
+        if order < 2:
+            return d1, None
+        return d1, _add(_add(_times(l2, right), _times(r2, left)), _sym_outer(l1, r1))
+    # q = l / r: q' = (l' - q r') / r and q'' = (l'' - q r'' - q' r'^T - r' q'^T) / r
+    d1 = _add(_times(l1, 1.0 / right), _times(r1, -value / right))
+    if order < 2:
+        return d1, None
+    d2 = _add(_add(l2, _neg(_times(r2, value))), _neg(_sym_outer(d1, r1)))
+    return d1, _times(d2, 1.0 / right)
+
+
+def _slopes(func: str, arg, value) -> tuple:
+    """f'(arg) and f''(arg) of the function ``func``, given value = f(arg)."""
+    if func == "exp":
+        return value, value
+    if func == "ln":
+        f1 = 1.0 / arg
+        return f1, -f1 * f1
+    if func == "sqrt":
+        f1 = 0.5 / value  # infinite at 0, where there is no derivative
+        return f1, -0.5 * f1 / arg
+    if func == "sin":
+        return np.cos(arg), -value
+    return -np.sin(arg), -value
+
+
+def _evaluate_rows(node: Node, points: np.ndarray, order: int = 0) -> tuple:
+    """(value, gradient, Hessian) of a node at every row, the derivatives up
+    to ``order``: the walk of :func:`evaluate_many` and :func:`jet_many`.
+    A variable-free subtree's value stays a scalar."""
     if isinstance(node, Const):
-        return node.value
+        return node.value, None, None
     if isinstance(node, Var):
-        return points[:, node.index]
+        value = points[:, node.index]
+        if order == 0:
+            return value, None, None
+        grad = np.zeros(points.shape)
+        grad[:, node.index] = 1.0
+        return value, grad, None
     if isinstance(node, Neg):
-        return -_evaluate_rows(node.child, points)
+        value, d1, d2 = _evaluate_rows(node.child, points, order)
+        if d1 is None:
+            return -value, None, None
+        return -value, -d1, _neg(d2)
     if isinstance(node, BinOp):
-        left = _evaluate_rows(node.left, points)
-        right = _evaluate_rows(node.right, points)
+        left, l1, l2 = _evaluate_rows(node.left, points, order)
+        right, r1, r2 = _evaluate_rows(node.right, points, order)
         if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        _check_rows(np.equal(right, 0.0), right, points, "division by zero")
-        return np.divide(left, right)
+            value = left + right
+        elif node.op == "-":
+            value = left - right
+        elif node.op == "*":
+            value = left * right
+        else:
+            _check_rows(np.equal(right, 0.0), right, points, "division by zero")
+            value = np.divide(left, right)
+        if l1 is None and r1 is None:
+            return value, None, None
+        return (value,) + _binop_jet(node.op, order, left, l1, l2, right, r1, r2, value)
     if isinstance(node, Pow):
-        base = _evaluate_rows(node.base, points)
-        if node.exponent < 0:
+        base, d1, d2 = _evaluate_rows(node.base, points, order)
+        k = node.exponent
+        if k < 0:
             _check_rows(np.equal(base, 0.0), base, points, "zero raised to a negative power")
         # float_power calls libm's pow, as float ** int does; power does not
-        return _no_overflow(np.float_power(base, node.exponent), base, points, _POW_OVERFLOW)
+        value = _no_overflow(np.float_power(base, k), base, points, _POW_OVERFLOW)
+        if d1 is None or k == 0:
+            return value, None, None
+        if k == 1:  # b's own jet; the rule below would take 1/b, infinite at 0
+            return value, d1, d2
+        f2 = k * (k - 1) * np.float_power(base, k - 2) if order > 1 else None
+        return (value,) + _chain(order, d1, d2, k * np.float_power(base, k - 1), f2)
     if isinstance(node, Call):
-        arg = _evaluate_rows(node.arg, points)
+        arg, d1, d2 = _evaluate_rows(node.arg, points, order)
         if node.func == "exp":
-            return _no_overflow(np.exp(arg), arg, points, _EXP_OVERFLOW)
-        if node.func == "ln":
+            value = _no_overflow(np.exp(arg), arg, points, _EXP_OVERFLOW)
+        elif node.func == "ln":
             _check_rows(np.less_equal(arg, 0.0), arg, points, "ln of non-positive value {}")
-            return np.log(arg)
-        if node.func == "sqrt":
+            value = np.log(arg)
+        elif node.func == "sqrt":
             _check_rows(np.less(arg, 0.0), arg, points, "sqrt of negative value {}")
-            return np.sqrt(arg)
-        _check_rows(np.isinf(arg), arg, points, node.func + " of infinite value {}")
-        return np.sin(arg) if node.func == "sin" else np.cos(arg)
+            value = np.sqrt(arg)
+        else:
+            _check_rows(np.isinf(arg), arg, points, node.func + " of infinite value {}")
+            value = np.sin(arg) if node.func == "sin" else np.cos(arg)
+        if d1 is None:
+            return value, None, None
+        return (value,) + _chain(order, d1, d2, *_slopes(node.func, arg, value))
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -4,8 +4,9 @@ A :class:`MetricStructure` bundles a metric ``g``, an almost para-complex
 structure ``phi`` (phi^2 = id with balanced eigenbundles) and, optionally,
 analytic Christoffel symbols or a constant curvature tensor.  Geometry is
 evaluated at one chart point or at every row of an ``(n, dim)`` stack of
-points at once; derivatives of the component fields are taken by central
-finite differences, with all points of a stencil evaluated in one batch.
+points at once; derivatives of the component fields are exact, from
+forward-mode jets of their expression trees, so Gamma and dGamma of a chart
+without analytic Christoffel symbols come from one 2-jet of g.
 What does not depend on the point is computed once per structure, on first
 use, and shared read-only as one array that broadcasts against stacks: the
 symmetrized g and its inverse when every component of g is constant, and
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PurityError, SingularMetricError
-from .expressions import ScalarField
+from .expressions import ScalarField, jet_many
 
 __all__ = [
     "FieldTensor",
@@ -74,7 +75,7 @@ class FieldTensor:
     Christoffel symbols.  Fields are stored flat, in row-major order.
     """
 
-    __slots__ = ("dim", "rank", "fields", "_const", "_variable", "_template")
+    __slots__ = ("dim", "rank", "fields", "_const", "_variable", "_trees", "_template")
 
     def __init__(self, fields, dim: int, rank: int):
         if len(fields) != dim**rank:
@@ -88,6 +89,8 @@ class FieldTensor:
             dtype=float,
         )
         self._variable = [k for k, f in enumerate(self.fields) if f.const_value is None]
+        # the trees of the varying fields, None for the constant ones
+        self._trees = [None if f.const_value is not None else f.ast for f in self.fields]
         self._const: np.ndarray | None = None
         if not self._variable:
             self._const = self._template.reshape((dim,) * rank)
@@ -136,6 +139,17 @@ class FieldTensor:
             out[k] = self.fields[k](point)
         return out.reshape((self.dim,) * self.rank)
 
+    def jet(self, points: np.ndarray, order: int) -> np.ndarray:
+        """Taylor coefficients ``[n, c, ...]`` of the components at each row
+        of an ``(n, dim)`` array, from one
+        :func:`~bundleflow.expressions.jet_many` pass over the non-constant
+        fields: ``c = 0`` the components, ``c = 1 + l`` their d_l and, for
+        order 2, ``c = 1 + dim + m dim + l`` their d_m d_l.
+        """
+        jet = jet_many(self._trees, points, order)
+        jet[:, 0] += self._template
+        return jet.reshape(jet.shape[:2] + (self.dim,) * self.rank)
+
 
 class MetricStructure:
     """Metric + para-structure on a single chart, with optional analytic data.
@@ -149,8 +163,12 @@ class MetricStructure:
         Component matrices ``g_ij`` and ``phi^i_j`` as expression strings,
         numbers or :class:`ScalarField` objects.
     christoffel:
-        Optional analytic ``Gamma^k_{ij}``; when absent, Christoffel symbols
-        come from central differences of g with step ``fd_step``.
+        Optional analytic ``Gamma^k_{ij}``; when absent, Gamma and its
+        derivatives come from exact forward-mode derivatives (jets) of g's
+        fields, Gamma = 1/2 g^-1 S(dg).
+    fd_step:
+        Central-difference step of the d phi stencil in
+        :func:`check_parallel_phi`.
     riemann:
         Optional constant curvature tensor ``R^l_{kij}`` of shape
         ``(dim,) * 4``, used in place of the metric-derived one; for
@@ -191,7 +209,13 @@ class MetricStructure:
         self.fd_step = float(fd_step)
         if chart_box is None:
             chart_box = [(-1.0, 1.0)] * dim
-        self.chart_box = np.asarray(chart_box, dtype=float).reshape(dim, 2)
+        try:
+            self.chart_box = np.asarray(chart_box, dtype=float).reshape(dim, 2)
+        except (TypeError, ValueError):
+            raise ValueError(f"chart_box must be {dim} pairs [lo, hi], got {chart_box!r}") from None
+        lo, hi = self.chart_box.T
+        if not (np.all(np.isfinite(self.chart_box)) and np.all(lo < hi)):
+            raise ValueError(f"chart_box needs finite lo < hi in each pair, got {self.chart_box.tolist()}")
         self.name = name
         self._shared: dict[str, np.ndarray] = {}
         if riemann is not None:
@@ -221,6 +245,11 @@ class MetricStructure:
     def has_constant_christoffel(self) -> bool:
         """Analytic Gamma with constant components: dGamma = 0 and R is constant."""
         return self.christoffel is not None and self.christoffel.is_constant
+
+    @property
+    def _jet_of_g(self) -> bool:
+        """g and g^-1 at a point come with Gamma from one jet of varying g."""
+        return self.christoffel is None and not self.g.is_constant
 
     # -- evaluation at a point or a stack of points ---------------------------
 
@@ -269,51 +298,37 @@ class MetricStructure:
         return 0.5 * (twin + transposed)
 
     def christoffel_at(self, point) -> np.ndarray:
-        if self.christoffel is not None:
-            return self.christoffel.at(point)
-        point = np.asarray(point, dtype=float)
-        gamma = _in_blocks(self._fd_christoffel, point.reshape(-1, self.dim))
-        return gamma.reshape(point.shape + (self.dim,) * 2)
-
-    def _fd_christoffel(self, centres: np.ndarray) -> np.ndarray:
-        """Finite-difference Gamma at each of n centres (n, d), indexed [n, k, i, j].
-
-        g is evaluated once, on the centres and all their stencil points.
-        """
-        n, h = len(centres), self.fd_step
-        points = np.concatenate([centres, _stencil(centres, h)])
-        g_all = self.g.at(points)
-        if self.g.is_constant:  # the one shared matrix
-            g_all = np.broadcast_to(g_all, (len(points),) + g_all.shape)
-        ginv = np.linalg.inv(self._checked_metric(g_all[:n], centres))
-        dg = _central_diff(g_all[n:], centres, h)  # [n, l, i, j] = d_l g_ij
-        # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-        sym = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
-        d = self.dim
-        return 0.5 * (ginv @ sym.reshape(n, d * d, d).swapaxes(1, 2)).reshape(n, d, d, d)
-
-    @property
-    def _dgamma_step(self) -> float:
-        # differentiating finite-difference Christoffels is noisier, so a
-        # coarser step balances truncation against the inherited roundoff
-        return self.fd_step if self.christoffel is not None else 1e-4
+        """Gamma^k_{ij}, indexed [..., k, i, j]."""
+        return self.at(point).gamma
 
     def christoffel_grad_at(self, point) -> np.ndarray:
         """d_m Gamma^k_{ij}, indexed [..., m, k, i, j]."""
-        if self.has_constant_christoffel:
-            return np.zeros((self.dim,) * 4)
-        point = np.asarray(point, dtype=float)
-        grad = _in_blocks(self._christoffel_grad, point.reshape(-1, self.dim))
-        return grad.reshape(point.shape + (self.dim,) * 3)
+        return self.at(point).dgamma
 
-    def _christoffel_grad(self, points: np.ndarray) -> np.ndarray:
-        h = self._dgamma_step
-        centres = _stencil(points, h)
+    def _connection(self, points: np.ndarray) -> tuple:
+        """Gamma [n, k, i, j] and dGamma [n, m, k, i, j] at each of n points
+        (n, d) from one jet: a 1-jet of analytic Christoffel symbols, or else
+        a 2-jet of g, and then the checked g and g^-1 they come from lead the
+        tuple.
+        """
         if self.christoffel is not None:
-            gammas = self.christoffel.at(centres)
-        else:
-            gammas = self._fd_christoffel(centres)
-        return _central_diff(gammas, points, h)
+            jet = self.christoffel.jet(points, 1)
+            return jet[:, 0], jet[:, 1:]
+        n, d = points.shape
+        jet = self.g.jet(points, 2)
+        g = self._checked_metric(jet[:, 0], points)
+        ginv = np.linalg.inv(g)
+        # [n, a, l, i, j]: d_l g_ij for a = 0, and d_m d_l g_ij for a = 1 + m
+        dg = jet[:, 1:].reshape(n, 1 + d, d, d, d)
+        # S_pij = d_i g_pj + d_j g_pi - d_p g_ij, and d_m S_pij, as [n, a, p, i, j]
+        s = dg.transpose(0, 1, 3, 2, 4) + dg.transpose(0, 1, 3, 4, 2) - dg
+        s = s.reshape(n, 1 + d, d, d * d)
+        # Gamma^k_ij = 1/2 g^kp S_pij
+        gamma = 0.5 * (ginv @ s[:, 0])
+        # d_m Gamma^k_ij = g^kp (1/2 d_m S_pij - d_m g_pq Gamma^q_ij)
+        rate = 0.5 * s[:, 1:] - (dg[:, 0].reshape(n, d * d, d) @ gamma).reshape(n, d, d, d * d)
+        dgamma = ginv[:, None] @ rate
+        return g, ginv, gamma.reshape(n, d, d, d), dgamma.reshape(n, d, d, d, d)
 
     def riemann_tensor_at(self, point) -> np.ndarray:
         """Full curvature R^l_{kij} such that (R(X,Y)Z)^l = R^l_{kij} X^i Y^j Z^k."""
@@ -328,24 +343,26 @@ class MetricStructure:
         return PointGeometry(self, point)
 
 
-# samples per block when a stack is finite-differenced: the stencil
-# evaluations of one block (about 25 KB per sample for dGamma on an FD chart
-# of dimension 4) are freed before the next block starts
+# samples per block when the connection of a stack is evaluated: the jets and
+# temporaries of one block (a few KB per sample for dGamma of a chart of
+# dimension 4) are freed before the next block starts
 _BLOCK = 256
 
 
-def _in_blocks(evaluate, points: np.ndarray) -> np.ndarray:
-    """``evaluate`` on an (n, d) stack, at most ``_BLOCK`` samples at a time.
+def _in_blocks(evaluate, points: np.ndarray) -> tuple:
+    """``evaluate``, returning a tuple of stacks, on an (n, d) stack at most
+    ``_BLOCK`` samples at a time.
 
-    Each sample's result is the one an unblocked call gives, bit for bit.
+    Each sample's results are the ones an unblocked call gives, bit for bit.
     """
     first = evaluate(points[:_BLOCK])
     if len(points) <= _BLOCK:
         return first
-    out = np.empty((len(points),) + first.shape[1:])
-    out[:_BLOCK] = first
-    for start in range(_BLOCK, len(points), _BLOCK):
-        out[start : start + _BLOCK] = evaluate(points[start : start + _BLOCK])
+    out = tuple(np.empty((len(points),) + part.shape[1:]) for part in first)
+    for start in range(0, len(points), _BLOCK):
+        block = first if start == 0 else evaluate(points[start : start + _BLOCK])
+        for whole, part in zip(out, block):
+            whole[start : start + _BLOCK] = part
     return out
 
 
@@ -382,9 +399,13 @@ class PointGeometry:
     stack (every piece, vector and conversion then has a leading sample
     axis), each piece computed on first use.
 
-    g, phi, Gamma and dGamma come from the structure's ``metric_at``,
-    ``phi_at``, ``christoffel_at`` and ``christoffel_grad_at``; R and g^-1
-    are derived from them.  Pieces that do not depend on the point are the
+    Gamma and dGamma come from one exact jet per point or stack (see
+    :meth:`MetricStructure._connection`).  On a chart without analytic
+    Christoffel symbols that is a 2-jet of g, which also fills g and g^-1:
+    the first of the four pieces asked for fills all of them, once.  Where
+    analytic Gamma varies, Gamma and dGamma come from a 1-jet of its fields,
+    and g from ``metric_at``.  phi comes from ``phi_at``, and R is derived
+    from Gamma and dGamma.  Pieces that do not depend on the point are the
     structure's shared read-only arrays, without a sample axis, computed once
     per structure after passing their checks: g and g^-1 when g is constant,
     phi and Gamma when constant, and dGamma (zero) and R when analytic Gamma
@@ -410,20 +431,36 @@ class PointGeometry:
         self._g = self._ginv = self._phi = None
         self._gamma = self._dgamma = self._riemann = None
 
+    def _fill(self) -> None:
+        """Gamma and dGamma, with g and g^-1 where a jet of g gives them."""
+        M, x = self.M, np.asarray(self.x, dtype=float)
+        pieces = _in_blocks(M._connection, x.reshape(-1, M.dim))
+        lead = x.shape[:-1]
+        pieces = [p.reshape(lead + p.shape[1:]) for p in pieces]
+        self._gamma, self._dgamma = pieces[-2:]
+        if len(pieces) == 4 and not M.g.is_constant:
+            self._g, self._ginv = pieces[:2]
+
     # slots, not functools.cached_property: its first-access lock (Python
     # < 3.12) costs a few percent of an analytic RHS call
     @property
     def g(self) -> np.ndarray:
         if self._g is None:
-            self._g = self.M.metric_at(self.x)
+            if self.M._jet_of_g:
+                self._fill()
+            else:
+                self._g = self.M.metric_at(self.x)
         return self._g
 
     @property
     def ginv(self) -> np.ndarray:
         if self._ginv is None:
-            self._ginv = self.M._shared_piece(
-                self.M.g.is_constant, "ginv", lambda: np.linalg.inv(self.g)
-            )
+            if self.M._jet_of_g:
+                self._fill()
+            else:
+                self._ginv = self.M._shared_piece(
+                    self.M.g.is_constant, "ginv", lambda: np.linalg.inv(self.g)
+                )
         return self._ginv
 
     @property
@@ -435,17 +472,21 @@ class PointGeometry:
     @property
     def gamma(self) -> np.ndarray:
         if self._gamma is None:
-            self._gamma = self.M.christoffel_at(self.x)
+            if self.M.has_constant_christoffel:
+                self._gamma = self.M.christoffel.at(self.x)
+            else:
+                self._fill()
         return self._gamma
 
     @property
     def dgamma(self) -> np.ndarray:
         if self._dgamma is None:
-            self._dgamma = self.M._shared_piece(
-                self.M.has_constant_christoffel,
-                "dgamma",
-                lambda: self.M.christoffel_grad_at(self.x),
-            )
+            if self.M.has_constant_christoffel:
+                self._dgamma = self.M._shared_piece(
+                    True, "dgamma", lambda: np.zeros((self.M.dim,) * 4)
+                )
+            else:
+                self._fill()
         return self._dgamma
 
     @property
@@ -640,11 +681,13 @@ def check_parallel_phi(
     *,
     n_points: int = 100,
     seed: int = 12345,
-    tol: float | None = None,
+    tol: float = 1e-8,
 ) -> CheckReport:
-    """Check nabla phi = 0 for the Levi-Civita connection at sampled points."""
-    if tol is None:
-        tol = 1e-8 if M.christoffel is not None else 1e-5
+    """Check nabla phi = 0 for the Levi-Civita connection at sampled points.
+
+    d phi is taken by central differences with step ``M.fd_step``; Gamma is
+    exact.
+    """
     pts = _check_points(M, n_points, seed)
     d, h = M.dim, M.fd_step
     stencil = _stencil(pts, h)
@@ -666,11 +709,9 @@ def check_curvature_purity(
     *,
     n_points: int = 20,
     seed: int = 12345,
-    tol: float | None = None,
+    tol: float = 1e-6,
 ) -> CheckReport:
     """Check g(R(phi X, Y)Z, W) = g(R(X, phi Y)Z, W) on basis tuples."""
-    if tol is None:
-        tol = 1e-6 if M.christoffel is not None else 1e-4
     pts = _check_points(M, n_points, seed)
     phi = M.phi_at(pts)
     tensor = M.riemann_tensor_at(pts)

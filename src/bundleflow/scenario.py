@@ -86,13 +86,16 @@ def _build_structure(spec) -> tuple[MetricStructure, FTensor | None]:
             f_tensor = FTensor.from_spec(spec["F"], dim)
     except (ExprSyntaxError, ValueError, KeyError) as exc:
         raise ScenarioError(f"bad inline manifold: {exc}") from None
+    fd_step = spec.get("fd_step", 1e-5)
+    if isinstance(fd_step, bool) or not isinstance(fd_step, numbers.Real):
+        raise ScenarioError(f"bad inline manifold: 'fd_step' must be a number, got {fd_step!r}")
     try:
         structure = MetricStructure(
             dim,
             g,
             phi,
             christoffel=christoffel,
-            fd_step=float(spec.get("fd_step", 1e-5)),
+            fd_step=float(fd_step),
             chart_box=spec.get("chart_box"),
             name=str(spec.get("name", "inline")),
         )

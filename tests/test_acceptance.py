@@ -40,7 +40,7 @@ def test_criterion_01_structure_axioms(claims):
     group = claims("structure")
     _report("1 structure axioms", group.values())
     fd_names = [n for n in group if n.endswith("_fd")]
-    assert fd_names, "finite-difference path must be exercised"
+    assert fd_names, "the path without analytic Christoffel symbols must be exercised"
     assert group["structure/negative_control_random_phi"].passed
 
 

@@ -266,6 +266,35 @@ def test_non_finite_fd_step_exits_2(tmp_path, capsys, fd_step):
     assert "bad inline manifold" in capsys.readouterr().err
 
 
+_INLINE = {"dim": 2, "g": [["exp(2*x1)", "0"], ["0", "exp(2*x2)"]], "phi": [["1", "0"], ["0", "-1"]]}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"fd_step": [1]},
+        {"fd_step": None},
+        {"fd_step": {}},
+        {"fd_step": True},  # not read as 1.0
+        {"fd_step": "1e-5"},
+        {"chart_box": [[math.nan, 1.0], [-1.0, 1.0]]},
+        {"chart_box": [[-1.0, 1.0], [-1.0, math.inf]]},
+        {"chart_box": [[1.0, 1.0], [-1.0, 1.0]]},  # lo = hi
+        {"chart_box": [[-1.0, 1.0], [1.0, -1.0]]},  # lo > hi
+        {"chart_box": [[-1.0, 1.0]]},
+        {"chart_box": {}},
+    ],
+)
+def test_bad_inline_manifold_values_exit_2(tmp_path, capsys, change):
+    # each one used to end in a traceback with exit 1, or pass unnoticed
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"manifold": {**_INLINE, **change}}))  # NaN/Infinity literals
+    assert run("check", "--scenario", path, "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: bad inline manifold" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
+
 @pytest.mark.parametrize(
     "command, change, extra",
     [
@@ -348,6 +377,22 @@ def test_integrate_shipped_log_geodesic_scenario(tmp_path):
     lam = math.sqrt(0.5)
     np.testing.assert_allclose(data[:, 1], np.log(1.0 + lam * data[:, 0]), atol=1e-6)
     np.testing.assert_allclose(data[:, 5], lam / (1.0 + lam * data[:, 0]), atol=1e-6)
+
+
+def test_h2xh2_scenario_conserves_its_monitors(tmp_path):
+    # a curved chart whose Gamma varies, with no analytic Christoffel symbols:
+    # rho_sq and speed_sq stay at the roundoff floor (finite-difference Gamma
+    # drifted by 1.2e-10 and 2.2e-10 here)
+    path = SCENARIOS / "h2xh2_geodesic.json"
+    assert json.loads(path.read_text())["manifold"].get("christoffel") is None
+    assert run("check", "--scenario", path, "--out", tmp_path / "check") == 0
+    assert run("integrate", "--scenario", path, "--out", tmp_path) == 0
+    header = (tmp_path / "monitors.csv").read_text().splitlines()[0].split(",")
+    monitors = np.loadtxt(tmp_path / "monitors.csv", delimiter=",", skiprows=1)
+    assert monitors.shape[0] == 1001
+    for name in ("rho_sq", "speed_sq"):
+        series = monitors[:, header.index(name)]
+        assert np.max(np.abs(series - series[0])) <= 1e-12
 
 
 # -- frenet ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ from bundleflow.expressions import (
     Var,
     evaluate,
     evaluate_many,
+    jet_many,
     parse,
     pretty,
 )
@@ -273,3 +274,117 @@ def test_batched_evaluation_matches_scalar_rows(ast, rows):
         assert got == want or (math.isnan(got) and math.isnan(want)) or (
             abs(got - want) <= _ULPS * eps * scale
         )
+
+
+# -- exact derivatives: the batch walk carrying gradients and Hessians ----------
+
+
+def _walk(fn):
+    """fn() and the text of the EvalDomainError it raises, if any."""
+    try:
+        return fn(), None
+    except EvalDomainError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _ast_strategy(),
+    st.lists(st.lists(_COORD, min_size=_DIM, max_size=_DIM), min_size=1, max_size=6),
+)
+def test_jet_values_and_errors_are_evaluate_many_s(ast, rows):
+    points = np.array(rows)
+    values, error = _walk(lambda: evaluate_many(ast, points))
+    for order in (0, 1, 2):
+        jet, jet_error = _walk(lambda: jet_many([ast], points, order))
+        if error is not None:
+            assert jet_error == error
+        elif jet_error is not None:
+            # only a derivative that is not finite where the value is
+            assert order > 0 and jet_error.startswith("no finite derivative where the value is")
+        else:
+            assert jet.shape == (len(points), (1, 1 + _DIM, 1 + _DIM + _DIM**2)[order], 1)
+            assert jet[:, 0, 0].tobytes() == values.tobytes()
+
+
+def _central(f, x, h, dim=_DIM):
+    """Central-difference gradient and Hessian of f at x, from f on the
+    points x + h (s_i e_i + s_j e_j)."""
+    eye = h * np.eye(dim)
+    grad = np.array([(f(x + e) - f(x - e)) / (2.0 * h) for e in eye])
+    hess = np.array(
+        [[(f(x + a + b) - f(x + a - b) - f(x - a + b) + f(x - a - b)) / (4.0 * h * h) for b in eye]
+         for a in eye]
+    )
+    return grad, hess
+
+
+_MODERATE = st.lists(st.floats(-2.0, 2.0), min_size=_DIM, max_size=_DIM)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ast_strategy(), _MODERATE)
+def test_jet_derivatives_agree_with_central_differences(ast, point):
+    x = np.array(point)
+    jet, error = _walk(lambda: jet_many([ast], x[None], 2)[0, :, 0])
+    if error is not None:
+        return
+    value, grad, hess = jet[0], jet[1 : 1 + _DIM], jet[1 + _DIM :].reshape(_DIM, _DIM)
+
+    def f(p):
+        return float(evaluate_many(ast, p[None])[0])
+
+    # central differences at h and 2h: their gap, three times the O(h^2)
+    # error at h, estimates that error; near a singularity the stencil
+    # leaves the domain or the estimate is useless, and the point is skipped
+    references = []
+    for h in (1e-3, 2e-3):
+        reference, error = _walk(lambda: _central(f, x, h))
+        if error is not None:
+            return
+        references.append(reference)
+    (g1, h1), (g2, h2) = references
+    scale = max(1.0, abs(value), float(np.max(np.abs(grad))), float(np.max(np.abs(hess))))
+    if not np.isfinite(scale) or scale > 1e6:
+        return
+    # a kink inside the stencil (sqrt(x3^2) at x3 = 1e-55) makes the second
+    # differences at h and 2h disagree, and the differences mean nothing
+    if np.any(np.abs(h1 - h2) > 1e-2 * np.maximum(1.0, np.abs(h1))):
+        return
+    eps = np.finfo(float).eps
+    # roundoff of the differences is eps |f| / h and eps |f| / h^2; that of
+    # the jet is eps times its largest intermediate term (1/(1.5 + 1/x) near
+    # x = 0 sums terms of size 1/x into a second derivative of -3)
+    subtrees = [jet_many([t], x[None], 2) for t in _subtrees(ast)]
+    walk = 10.0 * eps * max(float(np.max(np.abs(j))) for j in subtrees)
+    assert np.all(np.abs(grad - g1) <= np.abs(g1 - g2) + 1e-9 * scale + 1e3 * eps * scale + walk)
+    assert np.all(np.abs(hess - h1) <= np.abs(h1 - h2) + 1e-6 * scale + 1e6 * eps * scale + walk)
+
+
+def _subtrees(node):
+    yield node
+    for name in ("child", "left", "right", "base", "arg"):
+        if hasattr(node, name):
+            yield from _subtrees(getattr(node, name))
+
+
+@pytest.mark.parametrize("source", ["sqrt(x1)", "sqrt(x1^2)", "2 + sqrt(x1*x2)"])
+def test_a_derivative_that_does_not_exist_raises(source):
+    # the value is fine at the origin; forward mode has no derivative there
+    # (a central difference would step to -h and raise as well)
+    points = np.array([[1.0, 1.0], [0.0, 0.0]])
+    tree = parse(source, 2)
+    jet_many([tree], points, 0)
+    for order in (1, 2):
+        with pytest.raises(EvalDomainError, match=r"no finite derivative where the value is \S+ at \[0\. 0\.\]"):
+            jet_many([tree], points, order)
+
+
+def test_jet_of_a_product_and_a_quotient():
+    # f = x1^2 x2 / (1 + x2): every rule of the walk at once
+    x1, x2 = 0.7, -0.3
+    jet = jet_many([parse("x1^2*x2/(1 + x2)", 2)], np.array([[x1, x2]]), 2)[0, :, 0]
+    q = x2 / (1 + x2)
+    dq, ddq = 1 / (1 + x2) ** 2, -2 / (1 + x2) ** 3
+    want = [x1**2 * q, 2 * x1 * q, x1**2 * dq, 2 * q, 2 * x1 * dq, 2 * x1 * dq, x1**2 * ddq]
+    np.testing.assert_allclose(jet, want, rtol=1e-14)

@@ -30,7 +30,9 @@ FLAT = catalog.entry("flat_diag").structure
 POLY = catalog.entry("poly2d").structure
 
 
-def fd_variant(M: MetricStructure) -> MetricStructure:
+def derived_twin(M: MetricStructure) -> MetricStructure:
+    """M without its analytic Christoffel symbols: Gamma and dGamma then
+    come from jets of g."""
     return MetricStructure(M.dim, M.g, M.phi, fd_step=M.fd_step, chart_box=M.chart_box)
 
 
@@ -172,28 +174,29 @@ def test_christoffel_analytic_values():
 
 @pytest.mark.parametrize("M", [EXP2D, POLY], ids=["exp2d", "poly2d"])
 def test_finite_difference_matches_analytic(M):
-    fd = fd_variant(M)
+    # the central-difference reference and the jet-derived Gamma both match
+    # the analytic symbols
+    twin = derived_twin(M)
     rng = np.random.default_rng(3)
     for p in sample_chart_points(M, 10, rng):
-        np.testing.assert_allclose(
-            fd.christoffel_at(p), M.christoffel_at(p), atol=1e-6
-        )
+        np.testing.assert_allclose(_fd_christoffel(twin, p), M.christoffel_at(p), atol=1e-6)
+        np.testing.assert_allclose(twin.christoffel_at(p), M.christoffel_at(p), atol=1e-6)
 
 
 def test_christoffel_symmetry_and_compatibility():
-    fd = fd_variant(POLY)
+    twin = derived_twin(POLY)
     rng = np.random.default_rng(11)
-    h = fd.fd_step
-    for p in sample_chart_points(fd, 10, rng):
-        gam = fd.christoffel_at(p)
+    h = twin.fd_step
+    for p in sample_chart_points(twin, 10, rng):
+        gam = twin.christoffel_at(p)
         np.testing.assert_allclose(gam, gam.transpose(0, 2, 1), atol=1e-12)
         # nabla g = 0: d_k g_ij - Gamma^l_ki g_lj - Gamma^l_kj g_il
         dg = np.empty((2, 2, 2))
         for k in range(2):
             shift = np.zeros(2)
             shift[k] = h
-            dg[k] = (fd.g.at(p + shift) - fd.g.at(p - shift)) / (2 * h)
-        g = fd.metric_at(p)
+            dg[k] = (twin.g.at(p + shift) - twin.g.at(p - shift)) / (2 * h)
+        g = twin.metric_at(p)
         compat = (
             dg
             - np.einsum("lki,lj->kij", gam, g)
@@ -213,18 +216,22 @@ def test_fd_step_must_be_finite(fd_step):
         MetricStructure(2, [["1", "0"], ["0", "1"]], [["1", "0"], ["0", "-1"]], fd_step=fd_step)
 
 
-# -- finite-difference stencils, evaluated in one batch ----------------------------
+# -- exact jets against central-difference references ------------------------------
 
 FD_DIAG4 = MetricStructure(
     4,
     [["exp(x1)", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
 )
+FD_STEP = 1e-5
+# differencing the central-difference Gamma is noisier, so a coarser step
+# balances truncation against the inherited roundoff
+FD_GRAD_STEP = 1e-4
 
 
-def _loop_christoffel(M, point):
-    """FD Gamma with g evaluated point by point, as a reference."""
-    d, h = M.dim, M.fd_step
+def _fd_christoffel(M, point):
+    """Gamma from central differences of g, point by point, as a reference."""
+    d, h = M.dim, FD_STEP
     point = np.asarray(point, dtype=float)
     dg = np.empty((d, d, d))
     for l in range(d):
@@ -236,33 +243,37 @@ def _loop_christoffel(M, point):
     return 0.5 * np.einsum("kl,ijl->kij", ginv, sym)
 
 
-def _loop_christoffel_grad(M, point):
-    """dGamma with Gamma evaluated centre by centre, as a reference."""
-    d, h = M.dim, M._dgamma_step
-    gamma = M.christoffel.at if M.christoffel is not None else (lambda p: _loop_christoffel(M, p))
+def _fd_christoffel_grad(M, point):
+    """dGamma from central differences of Gamma (analytic, or the reference
+    above), centre by centre."""
+    d = M.dim
+    if M.christoffel is not None:
+        gamma, h = M.christoffel.at, FD_STEP
+    else:
+        gamma, h = (lambda p: _fd_christoffel(M, p)), FD_GRAD_STEP
     point = np.asarray(point, dtype=float)
     out = np.empty((d, d, d, d))
     for m in range(d):
         shift = np.zeros(d)
         shift[m] = h
         out[m] = (gamma(point + shift) - gamma(point - shift)) / (2.0 * h)
-    return out
+    return out, h
 
 
 @pytest.mark.parametrize(
-    "M", [fd_variant(EXP2D), FD_DIAG4, POLY], ids=["fd_exp2d", "fd_diag4", "poly2d"]
+    "M", [derived_twin(EXP2D), FD_DIAG4, POLY], ids=["fd_exp2d", "fd_diag4", "poly2d"]
 )
 def test_batched_stencils_match_point_by_point_loops(M):
     # 1e-9 relative to Gamma; dGamma is compared through its central
-    # differences 2h dGamma, since FD dGamma is zero up to roundoff here
-    # except on poly2d
+    # differences 2h dGamma, since the reference's dGamma is zero up to
+    # roundoff here except on poly2d
     for p in sample_chart_points(M, 10, np.random.default_rng(11)):
         gam = M.christoffel_at(p)
         scale = 1e-9 * np.max(np.abs(gam))
         if M.christoffel is None:
-            assert np.max(np.abs(gam - _loop_christoffel(M, p))) <= scale
-        diff = M.christoffel_grad_at(p) - _loop_christoffel_grad(M, p)
-        assert 2.0 * M._dgamma_step * np.max(np.abs(diff)) <= scale
+            assert np.max(np.abs(gam - _fd_christoffel(M, p))) <= scale
+        reference, h = _fd_christoffel_grad(M, p)
+        assert 2.0 * h * np.max(np.abs(M.christoffel_grad_at(p) - reference)) <= scale
 
 
 def _traced_peak(evaluate) -> int:
@@ -275,12 +286,14 @@ def _traced_peak(evaluate) -> int:
 
 
 def test_fd_christoffel_grad_memory_is_bounded_on_long_stacks(monkeypatch):
-    # unblocked, dGamma on this chart holds about 25 KB per sample; in blocks,
-    # 4000 samples need less than 1000 samples did in one batch
+    # unblocked, the jets and temporaries of dGamma on this chart hold about
+    # 10 KB per sample, and the stacked g, g^-1, Gamma and dGamma kept as
+    # results 2.8 KB; in blocks, 4000 samples need less than 2000 samples
+    # did in one batch
     pts = sample_chart_points(FD_DIAG4, 4000, np.random.default_rng(5))
     blocked = _traced_peak(lambda: FD_DIAG4.christoffel_grad_at(pts))
     monkeypatch.setattr(geometry, "_BLOCK", len(pts))
-    assert blocked < _traced_peak(lambda: FD_DIAG4.christoffel_grad_at(pts[:1000]))
+    assert blocked < _traced_peak(lambda: FD_DIAG4.christoffel_grad_at(pts[:2000]))
 
 
 @pytest.mark.parametrize("method", ["christoffel_at", "christoffel_grad_at"])
@@ -295,19 +308,97 @@ def test_blocked_stack_equals_one_batch_bit_for_bit(monkeypatch, method, chart):
 
 
 def test_stencil_point_outside_the_domain_raises():
+    # exact derivatives need no stencil: x1 = h/2 works, as long as the
+    # centre itself is in the domain
     M = MetricStructure(2, [["ln(x1)", 0], [0, 1]], [[1, 0], [0, -1]])
-    M.metric_at((0.5 * M.fd_step, 0.0))  # the centre itself is in the domain
+    np.testing.assert_allclose(
+        M.christoffel_at((0.5 * M.fd_step, 0.0))[0, 0, 0], 0.5 / (0.5 * M.fd_step * np.log(0.5 * M.fd_step))
+    )
     with pytest.raises(EvalDomainError, match="ln of non-positive value"):
-        M.christoffel_at((0.5 * M.fd_step, 0.0))
+        M.christoffel_at((-0.5 * M.fd_step, 0.0))
+    with pytest.raises(EvalDomainError, match="ln of non-positive value"):
+        M.christoffel_grad_at((0.0, 0.0))
 
 
 def test_singular_stencil_centre_raises():
     M = MetricStructure(2, [["x1^2", 0], [0, 1]], [[1, 0], [0, -1]])
-    with pytest.raises(SingularMetricError):
-        M.christoffel_at((0.0, 0.3))
-    # x1 - 1e-4 = 0 is one of the dGamma stencil's centres
-    with pytest.raises(SingularMetricError, match=r"at \[0\. +0\.3\]"):
-        M.christoffel_grad_at((1e-4, 0.3))
+    for method in (M.christoffel_at, M.christoffel_grad_at):
+        with pytest.raises(SingularMetricError, match=r"at \[0\. +0\.3\]"):
+            method((0.0, 0.3))
+    # with no stencil, a point next to the singular one is regular
+    np.testing.assert_allclose(M.christoffel_grad_at((1e-4, 0.3))[0, 0, 0, 0], -1e8)
+
+
+# -- exact Gamma, dGamma and R on charts with an analytic twin ----------------------
+
+_H2_G = [["1", 0, 0, 0], [0, "exp(2*x1)", 0, 0], [0, 0, "1", 0], [0, 0, 0, "exp(2*x3)"]]
+_H2_PHI = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
+
+
+def _h2xh2_christoffel():
+    # Gamma^1_22 = -e^{2 x1}, Gamma^2_12 = Gamma^2_21 = 1, the same on (x3, x4)
+    gamma = [[["0"] * 4 for _ in range(4)] for _ in range(4)]
+    for a, b in ((0, 1), (2, 3)):
+        gamma[a][b][b] = f"-exp(2*x{a + 1})"
+        gamma[b][a][b] = gamma[b][b][a] = "1"
+    return gamma
+
+
+# H^2 x H^2 in horocyclic coordinates: a Riemannian product, so phi is
+# parallel, and curved, with K = -1 on each factor.  Unlike the catalog's
+# charts, g_22 depends on x1, not on x2, so the -d_l g_ij term of Gamma is
+# not zero: a transposed index there shows.
+H2XH2_ANALYTIC = MetricStructure(
+    4, _H2_G, _H2_PHI, christoffel=_h2xh2_christoffel(), chart_box=[(-1.0, 1.0)] * 4
+)
+H2XH2 = derived_twin(H2XH2_ANALYTIC)
+_TWINS = {"h2xh2": H2XH2_ANALYTIC, "exp2d": EXP2D, "poly2d": POLY}
+
+
+def _product_of_hyperbolic_planes(g):
+    """R^l_kij of two K = -1 planes, R(X, Y)Z = -(g(Y, Z) X - g(X, Z) Y) on
+    each factor, for g at one point."""
+    tensor = np.zeros((4,) * 4)
+    for block in (slice(0, 2), slice(2, 4)):
+        tensor[block, block, block, block] = CurvatureOperator(-1.0).tensor(g[block, block])
+    return tensor
+
+
+@pytest.mark.parametrize("name", sorted(_TWINS))
+def test_derived_connection_and_curvature_equal_the_analytic_ones(name):
+    analytic = _TWINS[name]
+    derived = derived_twin(analytic)
+    pts = sample_chart_points(analytic, 7, np.random.default_rng(23))
+    for x in (pts, pts[3]):
+        want, got = analytic.at(x), derived.at(x)
+        gam = np.max(np.abs(want.gamma))
+        # derived dGamma = g^-1 (dS / 2 - dg Gamma) cancels terms of size
+        # Gamma^2 (exactly, where analytic dGamma is 0), and R sums dGamma
+        # and Gamma Gamma terms: both are judged on that scale
+        second = np.max(np.abs(want.dgamma)) + gam**2
+        scales = (gam, second, second)
+        for piece, scale in zip(("gamma", "dgamma", "riemann_tensor"), scales):
+            # a point-independent piece is one unstacked shared array
+            diff = np.subtract(*np.broadcast_arrays(getattr(got, piece), getattr(want, piece)))
+            assert diff.shape[-3:] == (analytic.dim,) * 3
+            assert np.max(np.abs(diff)) <= 1e-12 * scale, piece
+
+
+def test_h2xh2_curvature_is_two_hyperbolic_planes():
+    for M in (H2XH2, H2XH2_ANALYTIC):
+        for p in sample_chart_points(M, 5, np.random.default_rng(29)):
+            want = _product_of_hyperbolic_planes(M.metric_at(p))
+            got = M.riemann_tensor_at(p)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(H2XH2.riemann_tensor_at(np.array([0.1, 0.2, 0.3, 0.4])))) > 1.0
+
+
+def test_h2xh2_passes_the_structure_checks_at_their_one_tolerance():
+    for M in (H2XH2, H2XH2_ANALYTIC):
+        assert check_norden(M, n_points=50).passed
+        par, pur = check_parallel_phi(M, n_points=50), check_curvature_purity(M, n_points=5)
+        assert (par.tol, pur.tol) == (1e-8, 1e-6)
+        assert par.passed and pur.passed
 
 
 # -- curvature ------------------------------------------------------------------
@@ -437,7 +528,7 @@ def test_curvature_tensor_contracts_to_the_curvature_operator(name):
 _STACK_CHARTS = {
     "exp2d": EXP2D,
     "poly2d": POLY,
-    "fd_exp2d": fd_variant(EXP2D),
+    "fd_exp2d": derived_twin(EXP2D),
     "const_curv": catalog.entry("const_curv(1.5)").structure,
     "curved": CURVED,
 }
@@ -490,7 +581,7 @@ _TRAJECTORIES = {
     "poly2d_f_geodesic": lambda: _closed_form("poly2d", "f_geodesic_lift"),
     "poly2d_f_planar": lambda: _closed_form("poly2d", "f_planar_lift"),
     "flat_diag_planar": lambda: _closed_form("flat_diag", "hphi_planar"),  # rho varies in t
-    "fd_exp2d_integrated": lambda: _integrated(fd_variant(EXP2D), "geodesic_tm"),
+    "fd_exp2d_integrated": lambda: _integrated(derived_twin(EXP2D), "geodesic_tm"),
     "curved_integrated": lambda: _integrated(CURVED, "geodesic_tm"),
 }
 

@@ -76,32 +76,26 @@ def _system(kind):
 
 @pytest.mark.parametrize(
     "M, expected",
-    [(FD_EXP2D, 5), (FD_DIAG4, 9), (EXP2D, 0)],
+    [(FD_EXP2D, [("g", 2)]), (FD_DIAG4, [("g", 2)]), (EXP2D, [])],
     ids=["fd_exp2d", "fd_diag4", "analytic_exp2d"],
 )
 @pytest.mark.parametrize("kind", SYSTEM_KINDS)
 def test_rhs_evaluates_christoffel_once_per_stencil_point(monkeypatch, M, expected, kind):
-    # one christoffel_at call; on the FD path Gamma at x, plus Gamma at the
-    # 2 * dim points of the dGamma stencil, each finite-differenced once
-    calls, fd_centres = [], []
-    original_at, original_fd = MetricStructure.christoffel_at, MetricStructure._fd_christoffel
+    # without analytic Christoffel symbols, one 2-jet of g gives g, Gamma and
+    # dGamma; constant analytic Gamma needs no jet at all
+    jets = []
+    original = FieldTensor.jet
 
-    def counted_at(self, point):
-        calls.append(1)
-        return original_at(self, point)
+    def counted(self, points, order):
+        jets.append(("g" if self is M.g else "other", order))
+        return original(self, points, order)
 
-    def counted_fd(self, centres):
-        fd_centres.extend(map(tuple, centres))
-        return original_fd(self, centres)
-
-    monkeypatch.setattr(MetricStructure, "christoffel_at", counted_at)
-    monkeypatch.setattr(MetricStructure, "_fd_christoffel", counted_fd)
+    monkeypatch.setattr(FieldTensor, "jet", counted)
     rhs = make_rhs(M, _system(kind))
     y = np.linspace(0.1, 0.4, 4 * M.dim)
     out = rhs(0.0, y)
     assert np.all(np.isfinite(out))
-    assert len(calls) == 1
-    assert len(fd_centres) == len(set(fd_centres)) == expected
+    assert jets == expected
 
 
 # -- the integrator's right-hand side ---------------------------------------------
@@ -111,7 +105,7 @@ _RHS_CHARTS = {
     "poly2d": lambda: catalog.entry("poly2d").structure,  # analytic, varying Gamma
     "fd_exp2d": lambda: MetricStructure(2, EXP2D.g, EXP2D.phi, chart_box=EXP2D.chart_box),
     "const_curv": lambda: catalog.entry("const_curv(1.5)").structure,  # given R
-    "curved": _curved,  # finite differences, R varies
+    "curved": _curved,  # Gamma from jets of g, R varies
 }
 _RHS_STRUCTURES = {name: make() for name, make in _RHS_CHARTS.items()}
 
