@@ -306,14 +306,14 @@ class MetricStructure:
         return self.at(point).dgamma
 
     def _connection(self, points: np.ndarray) -> tuple:
-        """Gamma [n, k, i, j] and dGamma [n, m, k, i, j] at each of n points
-        (n, d) from one jet: a 1-jet of analytic Christoffel symbols, or else
-        a 2-jet of g, and then the checked g and g^-1 they come from lead the
-        tuple.
+        """(g, g^-1, Gamma [n, k, i, j], dGamma [n, m, k, i, j]) at each of n
+        points (n, d) from one jet: a 1-jet of analytic Christoffel symbols,
+        with g and g^-1 None, or else a 2-jet of g, with the checked g and
+        g^-1 that Gamma comes from.
         """
         if self.christoffel is not None:
             jet = self.christoffel.jet(points, 1)
-            return jet[:, 0], jet[:, 1:]
+            return None, None, jet[:, 0], jet[:, 1:]
         n, d = points.shape
         jet = self.g.jet(points, 2)
         g = self._checked_metric(jet[:, 0], points)
@@ -350,19 +350,24 @@ _BLOCK = 256
 
 
 def _in_blocks(evaluate, points: np.ndarray) -> tuple:
-    """``evaluate``, returning a tuple of stacks, on an (n, d) stack at most
-    ``_BLOCK`` samples at a time.
+    """``evaluate``, returning a tuple of stacks or None, on an (n, d) stack
+    at most ``_BLOCK`` samples at a time.
 
     Each sample's results are the ones an unblocked call gives, bit for bit.
     """
-    first = evaluate(points[:_BLOCK])
+    block = evaluate(points[:_BLOCK])
     if len(points) <= _BLOCK:
-        return first
-    out = tuple(np.empty((len(points),) + part.shape[1:]) for part in first)
+        return block
+    out = tuple(
+        None if part is None else np.empty((len(points),) + part.shape[1:]) for part in block
+    )
     for start in range(0, len(points), _BLOCK):
-        block = first if start == 0 else evaluate(points[start : start + _BLOCK])
+        if start:
+            del block  # freed before the next block is evaluated
+            block = evaluate(points[start : start + _BLOCK])
         for whole, part in zip(out, block):
-            whole[start : start + _BLOCK] = part
+            if whole is not None:
+                whole[start : start + _BLOCK] = part
     return out
 
 
@@ -436,10 +441,11 @@ class PointGeometry:
         M, x = self.M, np.asarray(self.x, dtype=float)
         pieces = _in_blocks(M._connection, x.reshape(-1, M.dim))
         lead = x.shape[:-1]
-        pieces = [p.reshape(lead + p.shape[1:]) for p in pieces]
-        self._gamma, self._dgamma = pieces[-2:]
-        if len(pieces) == 4 and not M.g.is_constant:
-            self._g, self._ginv = pieces[:2]
+        g, ginv, self._gamma, self._dgamma = (
+            p if p is None else p.reshape(lead + p.shape[1:]) for p in pieces
+        )
+        if M._jet_of_g:  # a constant g is the structure's shared piece instead
+            self._g, self._ginv = g, ginv
 
     # slots, not functools.cached_property: its first-access lock (Python
     # < 3.12) costs a few percent of an analytic RHS call

@@ -276,24 +276,32 @@ def test_batched_stencils_match_point_by_point_loops(M):
         assert 2.0 * h * np.max(np.abs(M.christoffel_grad_at(p) - reference)) <= scale
 
 
-def _traced_peak(evaluate) -> int:
+def _temporaries_peak(evaluate) -> int:
+    """Traced peak during ``evaluate()`` above what its kept result holds."""
     tracemalloc.start()
     try:
-        evaluate()
-        return tracemalloc.get_traced_memory()[1]
+        kept = evaluate()
+        current, peak = tracemalloc.get_traced_memory()
+        del kept
+        return peak - current
     finally:
         tracemalloc.stop()
 
 
+def _filled(points):
+    geo = FD_DIAG4.at(points)
+    geo.dgamma  # fills g, g^-1, Gamma and dGamma, which geo keeps
+    return geo
+
+
 def test_fd_christoffel_grad_memory_is_bounded_on_long_stacks(monkeypatch):
     # unblocked, the jets and temporaries of dGamma on this chart hold about
-    # 10 KB per sample, and the stacked g, g^-1, Gamma and dGamma kept as
-    # results 2.8 KB; in blocks, 4000 samples need less than 2000 samples
-    # did in one batch
+    # 7 KB per sample on top of the results kept; in blocks, 4000 samples
+    # need less of them than 1000 samples did in one batch
     pts = sample_chart_points(FD_DIAG4, 4000, np.random.default_rng(5))
-    blocked = _traced_peak(lambda: FD_DIAG4.christoffel_grad_at(pts))
+    blocked = _temporaries_peak(lambda: _filled(pts))
     monkeypatch.setattr(geometry, "_BLOCK", len(pts))
-    assert blocked < _traced_peak(lambda: FD_DIAG4.christoffel_grad_at(pts[:2000]))
+    assert blocked < _temporaries_peak(lambda: _filled(pts[:1000]))
 
 
 @pytest.mark.parametrize("method", ["christoffel_at", "christoffel_grad_at"])
