@@ -7,21 +7,39 @@ Fields on an n-dimensional chart are written in a small infix language:
 * binary ``+ - * /`` (left associative) and ``^`` with integer exponents,
 * unary negation, with precedence ``^`` > unary ``-`` > ``* /`` > ``+ -``.
 
-Parsed trees are immutable, so a :class:`ScalarField` may be evaluated
-concurrently from several threads.  A tree is evaluated either at one point,
-by a walk in plain floats (:func:`evaluate`), or at every row of an
-``(n, dim)`` array at once with numpy ufuncs (:func:`evaluate_many`); both
-raise the same :class:`~bundleflow.errors.EvalDomainError` on the same
-inputs.  The batch walk also carries exact first and second derivatives
-(:func:`jet_many`): forward-mode propagation of each node's value, gradient
-and Hessian, which is how the geometry differentiates g and analytic
-Christoffel symbols.  There is deliberately no symbolic differentiation: no
-derivative tree is ever built.
+Two walkers are the reference.  :func:`evaluate` walks a tree at one point
+in plain floats; :func:`evaluate_many` walks it once over every row of an
+``(n, dim)`` array with numpy ufuncs.  Both raise the same
+:class:`~bundleflow.errors.EvalDomainError` on the same inputs.  The batch
+walk also carries exact first and second derivatives (:func:`jet_many`):
+forward-mode propagation of each node's value, gradient and Hessian, which
+is how the geometry differentiates g and analytic Christoffel symbols.
+There is deliberately no symbolic differentiation: no derivative tree is
+ever built.
+
+At one point, the walk is replaced by straight-line code.
+:func:`compile_point` emits one Python function of a point for a list of
+trees: their values, bit for bit :func:`evaluate`'s, or their jets, bit for
+bit :func:`jet_many`'s on that one row (a zero derivative may differ in its
+sign).  Forward mode thus becomes a source transformation (Griewank &
+Walther, *Evaluating Derivatives*, ch. 13), done once per tree instead of on
+every call.  The generated code has no error text of its own: at a domain
+condition, a float exception or a derivative that is not finite, it hands
+the point back to the walker, which returns the result or raises its own
+error.  :class:`ScalarField` at one point and ``FieldTensor.at``/``jet`` at
+one point or one row compile on first use and keep the function; stacks
+always take the batch walk.
+
+Parsed trees are immutable, and a compiled function is a pure function of
+its point, so a :class:`ScalarField` may be evaluated concurrently from
+several threads.  Two threads that use a field first at the same time may
+both compile it; each gets the same function.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -41,6 +59,7 @@ __all__ = [
     "evaluate",
     "evaluate_many",
     "jet_many",
+    "compile_point",
     "pretty",
     "FUNCTIONS",
 ]
@@ -360,6 +379,13 @@ def jet_many(nodes, points, order: int) -> np.ndarray:
     inputs.  Beyond those, an :class:`~bundleflow.errors.EvalDomainError`
     names a row where a tree's value is finite but its derivatives are not
     (``sqrt`` at 0 has none): the first such row of the first such tree.
+
+    Near a removable singularity of an expression the derivatives lose
+    accuracy, and nothing raises: at x = 2.220446049250313e-16,
+    ``1/(1.5 + 1/x)`` gets d²f/dx² = -4 against the exact -3, because the
+    walk adds two terms of size 2/x ≈ 9e15.  The compiled jets of
+    :func:`compile_point` do the same arithmetic and inherit this.  Written
+    in its cancelled form, ``x/(1.5 x + 1)``, the field gets -3.
     """
     points = np.asarray(points, dtype=float)
     n, dim = points.shape
@@ -539,6 +565,249 @@ def _evaluate_rows(node: Node, points: np.ndarray, order: int = 0) -> tuple:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+# -- straight-line code for one point -------------------------------------------
+
+# what the generated code calls: math at order 0 (evaluate's functions), numpy
+# ufuncs on floats at orders 1 and 2 (the walk's)
+_CALLS = (
+    {"_exp": math.exp, "_ln": math.log, "_sqrt": math.sqrt, "_sin": math.sin, "_cos": math.cos},
+    {"_exp": np.exp, "_ln": np.log, "_sqrt": np.sqrt, "_sin": np.sin, "_cos": np.cos,
+     "_pow": np.float_power},
+)
+# the arguments a ufunc takes without a floating-point warning; the walk takes
+# the others.  Powers get a bound on |base| from their exponents (below).
+_GUARDS = {"exp": "{} < 709.0", "ln": "{} > 0.0", "sqrt": "{} >= 0.0",
+           "sin": "-_inf < {} < _inf", "cos": "-_inf < {} < _inf"}
+
+
+def _sum(a, b):
+    return a if b is None else b if a is None else f"({a} + {b})"
+
+
+def _product(a, b):
+    if a is None or b is None:
+        return None
+    return b if a == "1.0" else a if b == "1.0" else f"({a} * {b})"
+
+
+class _PointSource:
+    """The body of one function ``_point(p)`` for trees at one point.
+
+    It mirrors :func:`evaluate` at order 0 and :func:`_evaluate_rows` at
+    orders 1 and 2, operation for operation.  Derivatives are dicts of
+    expressions, ``{l: d_l}`` and ``{(m, l): d_m d_l}``, None where the walk
+    has None; an entry the walk would compute from structural zeros alone is
+    left out.  At order 0 a node's "gradient" only marks that it has a
+    variable.
+    """
+
+    def __init__(self, order: int):
+        self.order = order
+        self.lines: list[str] = []
+        self.names = {"_f": float, "_inf": math.inf, **_CALLS[min(order, 1)]}
+        self.loaded: dict[int, str] = {}
+
+    def let(self, expr: str) -> str:
+        """A name for ``expr``: a new temporary unless it is a name or 1.0."""
+        if expr.isidentifier() or expr == "1.0":
+            return expr
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"{name} = {expr}")
+        return name
+
+    def lets(self, d):
+        return None if d is None else {k: self.let(e) for k, e in d.items()}
+
+    def guard(self, condition: str) -> None:
+        self.lines.append(f"if not {condition}: return None")
+
+    @staticmethod
+    def add(a, b):
+        if a is None or b is None:
+            return b if a is None else a
+        return {k: _sum(a.get(k), b.get(k)) for k in sorted(a.keys() | b.keys())}
+
+    @staticmethod
+    def neg(a):
+        return None if a is None else {k: f"(-{e})" for k, e in a.items()}
+
+    @staticmethod
+    def times(a, factor):
+        return None if a is None else {k: _product(e, factor) for k, e in a.items()}
+
+    @staticmethod
+    def sym_outer(a, b):
+        if a is None or b is None:
+            return None
+        keys = sorted({(i, j) for i in a for j in b} | {(j, i) for i in a for j in b})
+        return {(i, j): _sum(_product(a.get(i), b.get(j)), _product(a.get(j), b.get(i)))
+                for i, j in keys}
+
+    def chain(self, d1, d2, f1, f2) -> tuple:
+        grad = self.lets(self.times(d1, f1))
+        if f2 is None:
+            return grad, None
+        scaled = self.lets(self.times(d1, f2))
+        hess = {(m, l): _product(scaled[m], d1[l]) for m in scaled for l in d1}
+        return grad, self.lets(self.add(hess, self.times(d2, f1)))
+
+    def binop_jet(self, op, left, l1, l2, right, r1, r2, value) -> tuple:
+        if op in "+-":
+            if op == "-":
+                r1, r2 = self.neg(r1), self.neg(r2)
+            return self.lets(self.add(l1, r1)), self.lets(self.add(l2, r2))
+        if op == "*":
+            d1 = self.lets(self.add(self.times(l1, right), self.times(r1, left)))
+            if self.order < 2:
+                return d1, None
+            d2 = self.add(self.add(self.times(l2, right), self.times(r2, left)),
+                          self.sym_outer(l1, r1))
+            return d1, self.lets(d2)
+        inverse = self.let(f"1.0 / {right}")
+        slope = self.let(f"-{value} / {right}") if r1 is not None else None
+        d1 = self.lets(self.add(self.times(l1, inverse), self.times(r1, slope)))
+        if self.order < 2:
+            return d1, None
+        d2 = self.add(self.add(l2, self.neg(self.times(r2, value))),
+                      self.neg(self.sym_outer(d1, r1)))
+        return d1, self.lets(self.times(d2, inverse))
+
+    def walk(self, node) -> tuple:
+        """(value, gradient, Hessian) of ``node``, as names."""
+        order = self.order
+        if isinstance(node, Const):
+            name = f"c{len(self.names)}"
+            self.names[name] = node.value
+            return name, None, None
+        if isinstance(node, Var):
+            i = operator.index(node.index)  # nothing but an integer enters the source
+            if i not in self.loaded:
+                self.loaded[i] = self.let(f"_f(p[{i}])")
+            return self.loaded[i], {i: "1.0"}, None
+        if isinstance(node, Neg):
+            v, d1, d2 = self.walk(node.child)
+            value = self.let(f"-{v}")
+            if d1 is None or not order:
+                return value, d1, None
+            return value, self.lets(self.neg(d1)), self.lets(self.neg(d2))
+        if isinstance(node, BinOp):
+            left, l1, l2 = self.walk(node.left)
+            right, r1, r2 = self.walk(node.right)
+            op = node.op if node.op in ("+", "-", "*") else "/"  # as the walkers read it
+            value = self.let(f"{left} {op} {right}")
+            if not order or (l1 is None and r1 is None):
+                return value, l1 or r1, None
+            return (value,) + self.binop_jet(op, left, l1, l2, right, r1, r2, value)
+        if isinstance(node, Pow):
+            base, d1, d2 = self.walk(node.base)
+            k = operator.index(node.exponent)
+            if not order:
+                power = f"{base} ** ({k})"
+                return self.let(power if d1 else f"_f({power})"), d1, None
+            if k >= 2:  # |base|^k and its derivatives' powers stay below 2^1000
+                bound = 2.0 ** (1000.0 / k)
+                self.guard(f"{-bound!r} < {base} < {bound!r}")
+            elif k < 0:  # and so do 1/|base|^-k, 1/|base|^(1-k) and 1/|base|^(2-k)
+                bound = 2.0 ** (-1000.0 / (2 - k))
+                self.guard(f"not {-bound!r} < {base} < {bound!r}")
+            value = self.let(f"_f(_pow({base}, {k}))")
+            if d1 is None or k == 0:
+                return value, None, None
+            if k == 1:
+                return value, d1, d2
+            f1 = self.let(f"{k} * _f(_pow({base}, {k - 1}))")
+            f2 = self.let(f"{k * (k - 1)} * _f(_pow({base}, {k - 2}))") if order > 1 else None
+            return (value,) + self.chain(d1, d2, f1, f2)
+        if isinstance(node, Call) and node.func in FUNCTIONS:
+            arg, d1, d2 = self.walk(node.arg)
+            func = node.func
+            if not order:
+                return self.let(f"_{func}({arg})"), d1, None
+            self.guard(_GUARDS[func].format(arg))
+            value = self.let(f"_f(_{func}({arg}))")
+            if d1 is None:
+                return value, None, None
+            if func == "exp":
+                f1 = f2 = value
+            elif func == "ln":
+                f1 = self.let(f"1.0 / {arg}")
+                f2 = self.let(f"-{f1} * {f1}")
+            elif func == "sqrt":
+                f1 = self.let(f"0.5 / {value}")  # 0.5 / 0 raises: no derivative at 0
+                f2 = self.let(f"-0.5 * {f1} / {arg}")
+            else:
+                f1 = self.let(f"_f(_cos({arg}))" if func == "sin" else f"-_f(_sin({arg}))")
+                f2 = self.let(f"-{value}")
+            return (value,) + self.chain(d1, d2, f1, f2 if order > 1 else None)
+        raise TypeError(f"not an expression node: {node!r}")
+
+
+def compile_point(nodes, dim: int, order: int = 0):
+    """One straight-line Python function of a point for the trees ``nodes``
+    (an entry None stands for the zero function).
+
+    At order 0 the function returns the trees' values, :func:`evaluate`'s bit
+    for bit: the same :mod:`math` calls and float operations in the same
+    order.  At orders 1 and 2 it returns the ``[1, c, f]`` array that
+    :func:`jet_many` gives for the point as its one row: the walk's numpy
+    ufuncs, called on floats, and its arithmetic in its order, leaving out
+    the terms of variables a subtree does not contain, so a derivative the
+    walk sums to a zero may differ in the sign of that zero.  The code checks
+    nothing itself: at a domain condition, a float exception or a value or
+    derivative that is not finite it hands the point to :func:`evaluate` or
+    :func:`jet_many`, which return the result or raise their own error.
+    Only parsed trees are compiled; constants are bound as names, and every
+    node is one temporary, so deep trees do not nest.
+    """
+    source = _PointSource(order)
+    roots = [None if n is None else source.walk(n) for n in nodes]
+    if order:
+        size = len(nodes)
+        entries = {}  # the flat index in the [c, f] jet of each name
+        for f, root in enumerate(roots):
+            if root is not None:
+                value, grad, hess = root
+                entries[f] = value
+                for l, e in (grad or {}).items():
+                    entries[(1 + l) * size + f] = e
+                for (m, l), e in (hess or {}).items():
+                    entries[(1 + dim + m * dim + l) * size + f] = e
+        index = np.array(list(entries), dtype=np.intp)
+        shape = (1, (1, 1 + dim, 1 + dim + dim * dim)[order], size)
+        source.names.update(_sum=sum, _isfinite=math.isfinite)
+        source.lines += ["o = (" + "".join(f"{e}, " for e in entries.values()) + ")",
+                         "if not _isfinite(_sum(o)): return None", "return o"]
+    else:
+        source.lines.append(f"return [{', '.join('0.0' if r is None else r[0] for r in roots)}]")
+    text = "def _point(p):\n" + "".join(f"    {line}\n" for line in source.lines)
+    names = {"__builtins__": {}, **source.names}
+    exec(compile(text, "<bundleflow point program>", "exec"), names)  # noqa: S102 - generated
+    point_fn = names["_point"]
+
+    if not order:
+
+        def values(point) -> list:
+            try:
+                return point_fn(point)
+            except (ArithmeticError, ValueError):
+                return [0.0 if n is None else evaluate(n, point) for n in nodes]
+
+        return values
+
+    def jet(point) -> np.ndarray:
+        try:
+            found = point_fn(point)
+        except ArithmeticError:
+            found = None
+        if found is None:
+            return jet_many(nodes, np.asarray(point, dtype=float)[None], order)
+        out = np.zeros(shape)
+        out.reshape(-1)[index] = found
+        return out
+
+    return jet
+
+
 # Precedence levels used by the printer; mirrors the parser.
 _ADD, _MUL, _UNARY, _POW, _ATOM = 0, 1, 2, 3, 4
 
@@ -601,13 +870,14 @@ class ScalarField:
     catalog structures with constant components stays cheap.
     """
 
-    __slots__ = ("ast", "dim", "source", "_const")
+    __slots__ = ("ast", "dim", "source", "_const", "_point")
 
     def __init__(self, ast: Node, dim: int, source: str | None = None):
         self.ast = ast
         self.dim = dim
         self.source = source if source is not None else pretty(ast)
         self._const: float | None = None
+        self._point = None  # compile_point's function, built on first use
         if not _has_variable(ast):
             try:
                 self._const = evaluate(ast, ())
@@ -629,8 +899,10 @@ class ScalarField:
     def __call__(self, point):
         """The value at one point, a sequence of ``dim`` coordinates.
 
-        Given an ``(n, dim)`` array instead, returns the ``n`` values at its
-        rows from one pass of :func:`evaluate_many`.
+        The tree is compiled on first use (:func:`compile_point`), and the
+        value is :func:`evaluate`'s bit for bit.  Given an ``(n, dim)`` array
+        instead, returns the ``n`` values at its rows from one pass of
+        :func:`evaluate_many`.
         """
         if getattr(point, "ndim", 1) == 2:
             if self._const is not None:
@@ -638,7 +910,9 @@ class ScalarField:
             return evaluate_many(self.ast, point)
         if self._const is not None:
             return self._const
-        return evaluate(self.ast, point)
+        if self._point is None:
+            self._point = compile_point([self.ast], self.dim)
+        return self._point(point)[0]
 
     def __repr__(self) -> str:
         return f"ScalarField({self.source!r}, dim={self.dim})"

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PurityError, SingularMetricError
-from .expressions import ScalarField, jet_many
+from .expressions import ScalarField, compile_point, jet_many
 
 __all__ = [
     "FieldTensor",
@@ -75,7 +75,9 @@ class FieldTensor:
     Christoffel symbols.  Fields are stored flat, in row-major order.
     """
 
-    __slots__ = ("dim", "rank", "fields", "_const", "_variable", "_trees", "_template")
+    __slots__ = (
+        "dim", "rank", "fields", "_const", "_variable", "_trees", "_template", "_programs"
+    )
 
     def __init__(self, fields, dim: int, rank: int):
         if len(fields) != dim**rank:
@@ -88,11 +90,15 @@ class FieldTensor:
             [0.0 if f.const_value is None else f.const_value for f in self.fields],
             dtype=float,
         )
-        self._variable = [k for k, f in enumerate(self.fields) if f.const_value is None]
+        self._variable = np.array(
+            [k for k, f in enumerate(self.fields) if f.const_value is None], dtype=np.intp
+        )
         # the trees of the varying fields, None for the constant ones
         self._trees = [None if f.const_value is not None else f.ast for f in self.fields]
+        # compile_point's functions by order, built on first use
+        self._programs: dict = {}
         self._const: np.ndarray | None = None
-        if not self._variable:
+        if not self._variable.size:
             self._const = self._template.reshape((dim,) * rank)
             self._const.setflags(write=False)
 
@@ -122,10 +128,15 @@ class FieldTensor:
         """The components at one point, or stacked along a first axis at each
         row of an ``(n, dim)`` array of points.
 
-        Only the non-constant fields are evaluated (on a batch, on all rows
-        at once); the constant ones are filled in.  A constant tensor returns
-        its one shared read-only array for a point and a stack alike; it
-        broadcasts against stacked values.
+        Only the non-constant fields are evaluated, the constant ones are
+        filled in.  At one point they are evaluated by one straight-line
+        function compiled from their trees on first use
+        (:func:`~bundleflow.expressions.compile_point`), bit for bit what
+        :func:`~bundleflow.expressions.evaluate` gives, which it falls back on
+        at a domain error; on a batch, by one
+        :func:`~bundleflow.expressions.evaluate_many` pass each over all
+        rows.  A constant tensor returns its one shared read-only array for a
+        point and a stack alike; it broadcasts against stacked values.
         """
         if self._const is not None:
             return self._const
@@ -135,8 +146,7 @@ class FieldTensor:
                 out[:, k] = self.fields[k](point)
             return out.reshape((len(point),) + (self.dim,) * self.rank)
         out = self._template.copy()
-        for k in self._variable:
-            out[k] = self.fields[k](point)
+        out[self._variable] = self._program(0)(point)
         return out.reshape((self.dim,) * self.rank)
 
     def jet(self, points: np.ndarray, order: int) -> np.ndarray:
@@ -144,11 +154,26 @@ class FieldTensor:
         of an ``(n, dim)`` array, from one
         :func:`~bundleflow.expressions.jet_many` pass over the non-constant
         fields: ``c = 0`` the components, ``c = 1 + l`` their d_l and, for
-        order 2, ``c = 1 + dim + m dim + l`` their d_m d_l.
+        order 2, ``c = 1 + dim + m dim + l`` their d_m d_l.  A single row
+        goes through the compiled function of that order instead, which
+        gives ``jet_many``'s result bit for bit (a zero derivative may differ
+        in its sign) and falls back on it where it raises.
         """
-        jet = jet_many(self._trees, points, order)
+        if len(points) == 1:
+            jet = self._program(order)(points[0])
+        else:
+            jet = jet_many(self._trees, points, order)
         jet[:, 0] += self._template
         return jet.reshape(jet.shape[:2] + (self.dim,) * self.rank)
+
+    def _program(self, order: int):
+        """The compiled one-point function of the varying fields at ``order``:
+        their values (order 0) or the jet of all fields."""
+        run = self._programs.get(order)
+        if run is None:
+            trees = [self.fields[k].ast for k in self._variable] if order == 0 else self._trees
+            run = self._programs[order] = compile_point(trees, self.dim, order)
+        return run
 
 
 class MetricStructure:

@@ -53,6 +53,13 @@ def _integer(raw, what: str) -> int:
     return int(raw)
 
 
+def _number(raw, what: str) -> float:
+    """A real field: a JSON number, not a bool or a string."""
+    if isinstance(raw, bool) or not isinstance(raw, numbers.Real):
+        raise ScenarioError(f"{what} must be a number, got {raw!r}")
+    return float(raw)
+
+
 def _vector(raw, dim: int, what: str) -> np.ndarray:
     try:
         vec = np.asarray(raw, dtype=float)
@@ -86,16 +93,14 @@ def _build_structure(spec) -> tuple[MetricStructure, FTensor | None]:
             f_tensor = FTensor.from_spec(spec["F"], dim)
     except (ExprSyntaxError, ValueError, KeyError) as exc:
         raise ScenarioError(f"bad inline manifold: {exc}") from None
-    fd_step = spec.get("fd_step", 1e-5)
-    if isinstance(fd_step, bool) or not isinstance(fd_step, numbers.Real):
-        raise ScenarioError(f"bad inline manifold: 'fd_step' must be a number, got {fd_step!r}")
+    fd_step = _number(spec.get("fd_step", 1e-5), "bad inline manifold: 'fd_step'")
     try:
         structure = MetricStructure(
             dim,
             g,
             phi,
             christoffel=christoffel,
-            fd_step=float(fd_step),
+            fd_step=fd_step,
             chart_box=spec.get("chart_box"),
             name=str(spec.get("name", "inline")),
         )
@@ -202,17 +207,19 @@ def scenario_from_dict(doc: dict, *, name: str = "scenario") -> Scenario:
     outputs = doc.get("output", {})
     if not isinstance(outputs, dict):
         raise ScenarioError("'output' must be an object")
+    for key, value in outputs.items():
+        if not isinstance(value, str) or Path(value).name in ("", ".."):
+            raise ScenarioError(f"output {key!r} must name a file, got {value!r}")
     seed = _integer(doc.get("seed", 12345), "seed")
     check_points = _integer(doc.get("check_points", 100), "check_points")
-    frenet_opts = doc.get("frenet", {}) or {}
+    frenet_opts = doc.get("frenet")
+    if frenet_opts is None:
+        frenet_opts = {}
     if not isinstance(frenet_opts, dict):
-        raise ScenarioError("'frenet' must be an object")
+        raise ScenarioError(f"'frenet' must be an object, got {frenet_opts!r}")
     # default jet order adapts to the chart dimension
     frenet_order = _integer(frenet_opts.get("order", min(3, structure.dim)), "frenet.order")
-    try:
-        constancy_tol = float(frenet_opts.get("constancy_tol", 1e-4))
-    except (TypeError, ValueError):
-        raise ScenarioError("frenet.constancy_tol must be a number") from None
+    constancy_tol = _number(frenet_opts.get("constancy_tol", 1e-4), "frenet.constancy_tol")
     if seed < 0 or check_points < 1:
         raise ScenarioError(f"need seed >= 0 and check_points >= 1, got {seed} and {check_points}")
     if not 2 <= frenet_order <= structure.dim:

@@ -66,6 +66,16 @@ def test_check_fails_on_random_phi(tmp_path):
     assert not report["checks"][0]["passed"]
 
 
+def test_check_of_a_constant_chart_at_one_point(tmp_path):
+    doc = json.loads((SCENARIOS / "inline_random_phi.json").read_text())
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**doc, "check_points": 1}))  # a one-row jet of a constant g
+    assert run("check", "--scenario", path, "--out", tmp_path) == 1
+    report = json.loads((tmp_path / "check_report.json").read_text())
+    assert [c["name"] for c in report["checks"]] == ["norden", "parallel_phi"]
+    assert report["checks"][1]["max_residual"] == 0.0  # constant phi, zero Γ
+
+
 def test_check_flat_diag_parallel_residual_exactly_zero(tmp_path):
     doc = {"manifold": "flat_diag", "checks": ["norden", "parallel_phi"]}
     path = tmp_path / "s.json"
@@ -323,6 +333,17 @@ def test_bad_inline_manifold_values_exit_2(tmp_path, capsys, change):
         ("integrate", {"integrator": {"step": 1e-3, "t_span": [0.0, 1.0], "monitor_every": True}}, []),
         ("check", {"manifold": {"dim": 2.5, "g": [[1, 0], [0, 1]], "phi": [[1, 0], [0, -1]]}}, []),
         ("check", {"manifold": {"dim": True, "g": [[1, 0], [0, 1]], "phi": [[1, 0], [0, -1]]}}, []),
+        # an output value names a file: a non-empty string, not a directory
+        ("integrate", {"output": {"trajectory": 5}}, []),
+        ("integrate", {"output": {"trajectory": ""}}, []),
+        ("integrate", {"output": {"trajectory": "."}}, []),
+        ("integrate", {"output": {"trajectory": "sub/.."}}, []),
+        # frenet is an object or null, and its tolerance a number
+        ("frenet", {"frenet": []}, []),
+        ("frenet", {"frenet": 0}, []),
+        ("frenet", {"frenet": False}, []),
+        ("frenet", {"frenet": {"constancy_tol": True}}, []),
+        ("frenet", {"frenet": {"constancy_tol": "1e-4"}}, []),
     ],
 )
 def test_bad_sample_counts_and_scenario_values_exit_2(tmp_path, capsys, command, change, extra):
@@ -343,6 +364,11 @@ def test_integral_numbers_read_as_integers():
     scen = scenario_from_dict(doc)
     values = (scen.check_points, scen.seed, scen.frenet_order, scen.integrator.monitor_every)
     assert values == (20, 7, 2, 5) and all(type(v) is int for v in values)
+
+
+def test_null_frenet_options_mean_the_defaults():
+    scen = scenario_from_dict({**oblique_scenario_doc(), "frenet": None})
+    assert (scen.frenet_order, scen.constancy_tol) == (3, 1e-4)
 
 
 def test_partial_override_without_integrator_exits_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from bundleflow.expressions import (
     Pow,
     ScalarField,
     Var,
+    compile_point,
     evaluate,
     evaluate_many,
     jet_many,
@@ -139,11 +141,11 @@ def test_constant_folding():
 _DIM = 3
 
 
-def _ast_strategy():
-    leaves = st.one_of(
-        st.builds(Const, st.floats(-3.0, 3.0, allow_nan=False).map(float)),
-        st.builds(Var, st.integers(0, _DIM - 1)),
-    )
+def _ast_strategy(special_constants=False):
+    constants = st.floats(-3.0, 3.0, allow_nan=False).map(float)
+    if special_constants:
+        constants = st.one_of(constants, st.sampled_from([math.inf, -math.inf, math.nan]))
+    leaves = st.one_of(st.builds(Const, constants), st.builds(Var, st.integers(0, _DIM - 1)))
 
     def extend(children):
         return st.one_of(
@@ -190,6 +192,9 @@ def test_eval_matches_reference(ast, point):
             _reference_eval(text, point)
         return
     theirs = _reference_eval(text, point)
+    if math.isnan(ours) or math.isnan(theirs):  # inf - inf, say
+        assert math.isnan(ours) and math.isnan(theirs)
+        return
     if math.isinf(ours) or math.isinf(theirs):
         assert ours == theirs
         return
@@ -388,3 +393,88 @@ def test_jet_of_a_product_and_a_quotient():
     dq, ddq = 1 / (1 + x2) ** 2, -2 / (1 + x2) ** 3
     want = [x1**2 * q, 2 * x1 * q, x1**2 * dq, 2 * q, 2 * x1 * dq, 2 * x1 * dq, x1**2 * ddq]
     np.testing.assert_allclose(jet, want, rtol=1e-14)
+
+
+# -- the compiled one-point functions against the walkers ----------------------
+
+
+def _outcome(fn):
+    """fn() and the type and text of the error it raises, if any."""
+    try:
+        return fn(), None
+    except Exception as exc:  # noqa: BLE001 - compared with the reference's
+        return None, (type(exc), str(exc))
+
+
+def _assert_compiled_matches_the_walkers(ast, row):
+    """Compiled values are evaluate's and compiled jets jet_many's, bit for
+    bit (a zero may differ in sign), or both raise the same error.  Any NaN
+    equals any NaN: the sign of nan * nan depends on which of CPython's
+    float multiplications runs, which its bytecode specialisation picks."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        want, want_error = _outcome(lambda: evaluate(ast, row))
+        got, got_error = _outcome(lambda: compile_point([ast], _DIM)(row)[0])
+        assert got_error == want_error
+        if want_error is None:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes() or (
+                math.isnan(got) and math.isnan(want)
+            )
+        for order in (1, 2):
+            want, want_error = _outcome(lambda: jet_many([ast, None], row[None], order))
+            got, got_error = _outcome(lambda: compile_point([ast, None], _DIM, order)(row))
+            assert got_error == want_error
+            if want_error is None:
+                assert got.shape == want.shape
+                assert np.array_equal(got, want, equal_nan=True)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ast_strategy(special_constants=True), st.lists(_COORD, min_size=_DIM, max_size=_DIM))
+def test_compiled_point_functions_are_the_walkers_bit_for_bit(ast, row):
+    _assert_compiled_matches_the_walkers(ast, np.array(row))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "(x1*x2 + sin(x3))*(exp(x1)*x3 - x2^2)",  # both Hessians and the cross term
+        "(x1*x2 + x3)/(x1^2 + exp(x2*x3))",
+        "sin(x1*x2*x3) + cos(x1 - x2*x3)",
+        "ln(2 + x1^2*x2^2)*sqrt(1 + x1^2*x3^2)",
+        "(2 + x1 + x2*x3)^(-3) - x1^3*x2",
+    ],
+)
+def test_compiled_jets_are_the_walk_on_many_points(source):
+    # a regrouped sum or product moves the last bit at some of these points
+    ast = parse(source, _DIM)
+    points = np.random.default_rng(7).uniform(-1.5, 1.5, size=(300, _DIM))
+    for order in (1, 2):
+        want = jet_many([ast], points, order)
+        run = compile_point([ast], _DIM, order)
+        assert all(np.array_equal(run(p)[0], w) for p, w in zip(points, want))
+
+
+@pytest.mark.parametrize("row", [[0.3, -1.2, 2.0], [0.0, -0.0, 1.0], [800.0, 2.0, -3.0]])
+def test_a_long_sum_compiles_flat(row):
+    # 500 terms: one temporary per node, no nesting in the generated code
+    text = " + ".join(f"{k % 7 - 3}*x{k % 3 + 1}^2*exp(x{(k + 1) % 3 + 1}/{k + 1})" for k in range(500))
+    _assert_compiled_matches_the_walkers(parse(text, _DIM), np.array(row))
+
+
+@pytest.mark.parametrize(
+    "source, row",
+    [
+        ("ln(x1)", [0.0, 1.0, 1.0]),  # domain errors: the walkers' own messages
+        ("1/(x1 - x2)", [1.0, 1.0, 1.0]),
+        ("x1^(-2)", [-0.0, 1.0, 1.0]),
+        ("exp(x1)*x2", [800.0, 1.0, 1.0]),
+        ("x1^3", [1e200, 1.0, 1.0]),
+        ("sin(x1 + x2)", [math.inf, 1.0, 1.0]),
+        ("sqrt(x1*x2)", [0.0, 1.0, 1.0]),  # no derivative at 0
+        ("x1*x2*x3", [1e300, 1e300, 1e-300]),  # an infinite value, no error
+        ("x1 + 0*x2", [1.0, math.nan, 1.0]),
+    ],
+)
+def test_compiled_functions_fall_back_to_the_walkers(source, row):
+    _assert_compiled_matches_the_walkers(parse(source, _DIM), np.array(row))

@@ -1,3 +1,4 @@
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bundleflow import bundle, catalog, scenario
+from bundleflow import bundle, catalog, geometry, scenario
 from bundleflow.bundle import (
     SYSTEM_KINDS,
     BundleState,
@@ -309,6 +310,17 @@ def test_singular_constant_metric_raises_on_every_call():
             M.at(np.zeros(2)).ginv
 
 
+@pytest.mark.parametrize("n", [None, 1, 257])  # 257 rows leave a one-row block
+def test_constant_metric_without_christoffel_has_zero_connection(n):
+    M = MetricStructure(2, [[1, 0], [0, 1]], [[1, 0], [0, -1]])
+    x = np.full(2, 0.3) if n is None else np.linspace(-1.0, 1.0, 2 * n).reshape(n, 2)
+    lead = () if n is None else (n,)
+    assert np.array_equal(M.christoffel_at(x), np.zeros(lead + (2,) * 3))
+    assert np.array_equal(M.christoffel_grad_at(x), np.zeros(lead + (2,) * 4))
+    if n is None:
+        assert np.array_equal(M.riemann_tensor_at(x), np.zeros((2,) * 4))
+
+
 def test_christoffel_grad_runs_at_most_once_per_structure(monkeypatch):
     calls = []
     original = MetricStructure.christoffel_grad_at
@@ -340,17 +352,52 @@ def test_field_tensor_rank_follows_nesting():
 
 
 def test_field_tensor_evaluates_only_its_varying_fields(monkeypatch):
-    calls = []
-    original = ScalarField.__call__
+    compiled, calls = [], []
+    original_compile, original_call = geometry.compile_point, ScalarField.__call__
 
-    def counted(self, point):
+    def counted_compile(trees, dim, order=0):
+        compiled.append((list(trees), order))
+        return original_compile(trees, dim, order)
+
+    def counted_call(self, point):
         calls.append(self.const_value)
-        return original(self, point)
+        return original_call(self, point)
 
-    monkeypatch.setattr(ScalarField, "__call__", counted)
-    g = EXP2D.g.at((0.1, 0.2))
-    assert calls == [None, None]
-    np.testing.assert_array_equal(g, np.diag(np.exp([0.2, 0.4])))
+    monkeypatch.setattr(geometry, "compile_point", counted_compile)
+    monkeypatch.setattr(ScalarField, "__call__", counted_call)
+    g = FieldTensor(EXP2D.g.fields, 2, 2)  # fresh: nothing compiled yet
+    for _ in range(2):  # compiled once, on first use
+        np.testing.assert_array_equal(g.at((0.1, 0.2)), np.diag(np.exp([0.2, 0.4])))
+    varying = [f.ast for f in EXP2D.g.fields if f.const_value is None]
+    assert len(varying) == 2 and compiled == [(varying, 0)]
+    assert calls == []
+
+
+def test_concurrent_first_use_gives_the_single_thread_results():
+    spec = [["exp(x1)*x2", "sin(x1*x2)"], ["sin(x1*x2)", "ln(2 + x2^2)/(1 + x1^2)"]]
+    point = np.array([0.3, -0.7])
+    want = FieldTensor.from_spec(spec, 2)
+    want = (want.at(point), want.jet(point[None], 2))
+    tensor = FieldTensor.from_spec(spec, 2)  # fresh: each thread may compile it first
+    barrier = threading.Barrier(4)
+    results, errors = [None] * 4, []
+
+    def work(i):
+        try:
+            barrier.wait(timeout=10)
+            results[i] = (tensor.at(point), tensor.jet(point[None], 2))
+        except Exception as exc:  # noqa: BLE001 - reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    assert errors == []
+    for at, jet in results:
+        assert at.tobytes() == want[0].tobytes() and jet.tobytes() == want[1].tobytes()
 
 
 @pytest.mark.parametrize(
