@@ -36,7 +36,8 @@ import numpy as np
 from .errors import ConstraintError
 from .expressions import ScalarField
 from .geometry import (
-    FieldTensor, MetricStructure, PointGeometry, bilinear, matvec, sample_chart_points
+    FieldTensor, MetricStructure, PointGeometry, bilinear, json_number, matvec,
+    sample_chart_points,
 )
 
 __all__ = [
@@ -417,7 +418,7 @@ class ResidualReport:
     residuals: np.ndarray
 
     def as_dict(self) -> dict:
-        return {"max_residual": float(self.max_residual)}
+        return {"max_residual": json_number(self.max_residual)}
 
 
 def geodesic_residual(M: MetricStructure, system: BundleSystem, traj) -> ResidualReport:

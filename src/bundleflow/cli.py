@@ -29,7 +29,7 @@ from .errors import (
     UnknownEntryError,
 )
 from .frenet import arc_length_reparam, constancy_check, covariant_jets, frenet_curvatures
-from .geometry import check_curvature_purity, check_norden, check_parallel_phi
+from .geometry import check_curvature_purity, check_norden, check_parallel_phi, json_number
 from .integrate import integrate
 from .scenario import Scenario, load_scenario
 
@@ -38,6 +38,12 @@ _CONFIG_ERRORS = (ScenarioError, UnknownEntryError, ParameterError)
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    """Write a report as strict JSON: a NaN or an infinity raises, so every
+    figure that may not be finite is written as None (null)."""
+    path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def _out_path(scenario: Scenario, out_dir: Path, key: str, default: str) -> Path:
@@ -109,18 +115,15 @@ def cmd_check(args) -> int:
     passed = all(r.passed for r in reports)
     out_dir = Path(args.out)
     report_path = _out_path(scenario, out_dir, "report", "check_report.json")
-    report_path.write_text(
-        json.dumps(
-            {
-                "scenario": scenario.name,
-                "manifold": M.name or "inline",
-                "seed": scenario.seed,
-                "checks": [r.as_dict() for r in reports],
-                "passed": passed,
-            },
-            indent=2,
-        )
-        + "\n"
+    _write_json(
+        report_path,
+        {
+            "scenario": scenario.name,
+            "manifold": M.name or "inline",
+            "seed": scenario.seed,
+            "checks": [r.as_dict() for r in reports],
+            "passed": passed,
+        },
     )
     print(("all checks passed" if passed else "checks FAILED") + f" -> {report_path}")
     return 0 if passed else 1
@@ -184,18 +187,15 @@ def cmd_frenet(args) -> int:
             f"  max_deviation={dev:.3e}  tol={report.tol:.1e}"
         )
     report_path = _out_path(scenario, out_dir, "report", "frenet_report.json")
-    report_path.write_text(
-        json.dumps(
-            {
-                "scenario": scenario.name,
-                "frame_rank": result.frame_rank,
-                "curvature_means": [float(v) for v in result.means],
-                "speed": {"min": float(np.min(arc.speed)), "max": float(np.max(arc.speed))},
-                "constancy": report.as_dict(),
-            },
-            indent=2,
-        )
-        + "\n"
+    _write_json(
+        report_path,
+        {
+            "scenario": scenario.name,
+            "frame_rank": result.frame_rank,
+            "curvature_means": [json_number(v) for v in result.means],
+            "speed": {"min": json_number(np.min(arc.speed)), "max": json_number(np.max(arc.speed))},
+            "constancy": report.as_dict(),
+        },
     )
     print(f"wrote curvature table -> {csv_path}")
     return 0  # constancy is reported, not enforced
@@ -214,17 +214,14 @@ def cmd_verify(args) -> int:
     if args.out is not None:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "verify_report.json").write_text(
-            json.dumps(
-                {
-                    "target": target,
-                    "seed": seed,
-                    "claims": [c.as_dict() for c in claims],
-                    "passed": all(c.passed for c in claims),
-                },
-                indent=2,
-            )
-            + "\n"
+        _write_json(
+            out_dir / "verify_report.json",
+            {
+                "target": target,
+                "seed": seed,
+                "claims": [c.as_dict() for c in claims],
+                "passed": all(c.passed for c in claims),
+            },
         )
     return 0 if all(c.passed for c in claims) else 1
 

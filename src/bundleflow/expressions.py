@@ -7,28 +7,26 @@ Fields on an n-dimensional chart are written in a small infix language:
 * binary ``+ - * /`` (left associative) and ``^`` with integer exponents,
 * unary negation, with precedence ``^`` > unary ``-`` > ``* /`` > ``+ -``.
 
-Two walkers are the reference.  :func:`evaluate` walks a tree at one point
-in plain floats; :func:`evaluate_many` walks it once over every row of an
-``(n, dim)`` array with numpy ufuncs.  Both raise the same
-:class:`~bundleflow.errors.EvalDomainError` on the same inputs.  The batch
-walk also carries exact first and second derivatives (:func:`jet_many`):
-forward-mode propagation of each node's value, gradient and Hessian, which
-is how the geometry differentiates g and analytic Christoffel symbols.
-There is deliberately no symbolic differentiation: no derivative tree is
-ever built.
+:func:`evaluate` walks a tree at one point in plain floats; it is the
+reference of every other evaluation, which raises its
+:class:`~bundleflow.errors.EvalDomainError` on the same inputs.  All else
+runs generated code.  One emitter turns a list of trees into one
+straight-line Python function, one temporary per node, for a point
+(:func:`compile_point`) or for the ``(n,)`` columns of an ``(n, dim)``
+stack (:func:`compile_rows`).  Up to order 2 it also writes exact
+derivatives by forward mode, each node's value, gradient and Hessian from
+its children's by the chain, product and quotient rules: a source
+transformation (Griewank & Walther, *Evaluating Derivatives*, ch. 13),
+done once per tree, and no derivative tree is ever built.  This is how the
+geometry differentiates g and analytic Christoffel symbols.
 
-At one point, the walk is replaced by straight-line code.
-:func:`compile_point` emits one Python function of a point for a list of
-trees: their values, bit for bit :func:`evaluate`'s, or their jets, bit for
-bit :func:`jet_many`'s on that one row (a zero derivative may differ in its
-sign).  Forward mode thus becomes a source transformation (Griewank &
-Walther, *Evaluating Derivatives*, ch. 13), done once per tree instead of on
-every call.  The generated code has no error text of its own: at a domain
-condition, a float exception or a derivative that is not finite, it hands
-the point back to the walker, which returns the result or raises its own
-error.  :class:`ScalarField` at one point and ``FieldTensor.at``/``jet`` at
-one point or one row compile on first use and keep the function; stacks
-always take the batch walk.
+The two targets do the same arithmetic.  The stack program checks every row
+as :func:`evaluate` does and raises its error with the first bad row.  The
+point function has no error text: at a domain condition, a float exception
+or a derivative that is not finite, it hands the point to :func:`evaluate`
+(values) or to the stack program (jets).  :func:`evaluate_many` and
+:func:`jet_many` run stack programs; :class:`ScalarField` and
+``FieldTensor`` compile on first use and keep their programs.
 
 Parsed trees are immutable, and a compiled function is a pure function of
 its point, so a :class:`ScalarField` may be evaluated concurrently from
@@ -60,6 +58,7 @@ __all__ = [
     "evaluate_many",
     "jet_many",
     "compile_point",
+    "compile_rows",
     "pretty",
     "FUNCTIONS",
 ]
@@ -342,11 +341,6 @@ def evaluate(node: Node, point) -> float:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-# evaluate's messages for the OverflowError of math.exp and of float ** int
-_EXP_OVERFLOW = "overflow in exp: math range error"
-_POW_OVERFLOW = "overflow in power: (34, 'Numerical result out of range')"
-
-
 def evaluate_many(node: Node, points) -> np.ndarray:
     """Evaluate an expression tree at each row of an ``(n, dim)`` array.
 
@@ -354,13 +348,9 @@ def evaluate_many(node: Node, points) -> np.ndarray:
     :class:`~bundleflow.errors.EvalDomainError` that :func:`evaluate` raises
     at some row, with the same text followed by that row.  The
     values agree with :func:`evaluate` up to the last-digit differences
-    between numpy's ufuncs and :mod:`math`.
+    between numpy's ufuncs and :mod:`math`.  This is :func:`jet_many` at 0.
     """
-    points = np.asarray(points, dtype=float)
-    out = np.empty(len(points))
-    with np.errstate(all="ignore"):
-        out[:] = _evaluate_rows(node, points)[0]
-    return out
+    return jet_many([node], points, 0)[:, 0, 0]
 
 
 def jet_many(nodes, points, order: int) -> np.ndarray:
@@ -380,32 +370,32 @@ def jet_many(nodes, points, order: int) -> np.ndarray:
     names a row where a tree's value is finite but its derivatives are not
     (``sqrt`` at 0 has none): the first such row of the first such tree.
 
+    It runs the :func:`compile_rows` program of these very tree objects,
+    kept with up to 63 others.  A term of a variable that a subtree does not
+    contain is never computed, so beside a value that is not finite a
+    derivative may be 0 where forward mode on dense gradients has 0 * inf.
+
     Near a removable singularity of an expression the derivatives lose
     accuracy, and nothing raises: at x = 2.220446049250313e-16,
     ``1/(1.5 + 1/x)`` gets d²f/dx² = -4 against the exact -3, because the
-    walk adds two terms of size 2/x ≈ 9e15.  The compiled jets of
+    jet adds two terms of size 2/x ≈ 9e15.  The compiled jets of
     :func:`compile_point` do the same arithmetic and inherit this.  Written
     in its cancelled form, ``x/(1.5 x + 1)``, the field gets -3.
     """
     points = np.asarray(points, dtype=float)
-    n, dim = points.shape
-    size = len(nodes)
-    jet = np.zeros((n, (1, 1 + dim, 1 + dim + dim * dim)[order], size))
-    # a part beyond the order is never written: the walk gives None there
-    hessians = jet[:, 1 + dim :].reshape(n, dim, dim, size) if order > 1 else None
-    parts = (jet[:, 0], jet[:, 1 : 1 + dim], hessians)
-    with np.errstate(all="ignore"):
-        for f, node in enumerate(nodes):
-            if node is None:
-                continue
-            for part, value in zip(parts, _evaluate_rows(node, points, order)):
-                if value is not None:
-                    part[..., f] = value
-    if order and not np.isfinite(jet[:, 1:]).all():
-        for f in range(size):
-            bad = np.isfinite(jet[:, 0, f]) & ~np.isfinite(jet[:, 1:, f]).all(axis=1)
-            _check_rows(bad, jet[:, 0, f], points, "no finite derivative where the value is {}")
-    return jet
+    key = (tuple(map(id, nodes)), points.shape[1], order)
+    kept = _KEPT.get(key)
+    if kept is None:
+        if len(_KEPT) >= 64:
+            _KEPT.clear()
+        kept = _KEPT[key] = (list(nodes), compile_rows(nodes, points.shape[1], order))
+    return kept[1](points)
+
+
+# jet_many's programs, by the identity of their trees (Const(0.0) and
+# Const(-0.0) are equal dataclasses): each entry holds its trees, so no other
+# object can take their ids while it is kept
+_KEPT: dict = {}
 
 
 def _check_rows(bad, values, points, message) -> None:
@@ -424,160 +414,31 @@ def _no_overflow(out, arg, points, message):
     return out
 
 
-# Derivatives in the walk below are None where they are zero (the subtree
-# has no variable) or not carried (beyond the order); otherwise a gradient
-# is (n, dim) and a Hessian (n, dim, dim), whatever the shape of the value.
+# -- straight-line programs: one emitter, two targets ---------------------------
 
-
-def _add(a, b):
-    if a is None:
-        return b
-    return a if b is None else a + b
-
-
-def _neg(a):
-    return None if a is None else -a
-
-
-def _times(a, factor):
-    """A derivative times a scalar or an (n,) array of row factors."""
-    if a is None:
-        return None
-    if isinstance(factor, np.ndarray):
-        factor = factor.reshape(factor.shape + (1,) * (a.ndim - 1))
-    return a * factor
-
-
-def _sym_outer(a, b):
-    """a b^T + b a^T per row, for two gradients."""
-    if a is None or b is None:
-        return None
-    ab = a[:, :, None] * b[:, None, :]
-    return ab + ab.swapaxes(1, 2)
-
-
-def _chain(order, d1, d2, f1, f2):
-    """The derivatives of f(u) from u's (d1, d2) and the (n,) arrays f', f''
-    at u."""
-    grad = d1 * f1[:, None]
-    if order < 2:
-        return grad, None
-    hess = (d1 * f2[:, None])[:, :, None] * d1[:, None, :]
-    return grad, hess if d2 is None else hess + d2 * f1[:, None, None]
-
-
-def _binop_jet(op, order, left, l1, l2, right, r1, r2, value) -> tuple:
-    """The derivatives of ``value = left op right`` from its operands'."""
-    if op == "+":
-        return _add(l1, r1), _add(l2, r2)
-    if op == "-":
-        return _add(l1, _neg(r1)), _add(l2, _neg(r2))
-    if op == "*":
-        d1 = _add(_times(l1, right), _times(r1, left))
-        if order < 2:
-            return d1, None
-        return d1, _add(_add(_times(l2, right), _times(r2, left)), _sym_outer(l1, r1))
-    # q = l / r: q' = (l' - q r') / r and q'' = (l'' - q r'' - q' r'^T - r' q'^T) / r
-    d1 = _add(_times(l1, 1.0 / right), _times(r1, -value / right))
-    if order < 2:
-        return d1, None
-    d2 = _add(_add(l2, _neg(_times(r2, value))), _neg(_sym_outer(d1, r1)))
-    return d1, _times(d2, 1.0 / right)
-
-
-def _slopes(func: str, arg, value) -> tuple:
-    """f'(arg) and f''(arg) of the function ``func``, given value = f(arg)."""
-    if func == "exp":
-        return value, value
-    if func == "ln":
-        f1 = 1.0 / arg
-        return f1, -f1 * f1
-    if func == "sqrt":
-        f1 = 0.5 / value  # infinite at 0, where there is no derivative
-        return f1, -0.5 * f1 / arg
-    if func == "sin":
-        return np.cos(arg), -value
-    return -np.sin(arg), -value
-
-
-def _evaluate_rows(node: Node, points: np.ndarray, order: int = 0) -> tuple:
-    """(value, gradient, Hessian) of a node at every row, the derivatives up
-    to ``order``: the walk of :func:`evaluate_many` and :func:`jet_many`.
-    A variable-free subtree's value stays a scalar."""
-    if isinstance(node, Const):
-        return node.value, None, None
-    if isinstance(node, Var):
-        value = points[:, node.index]
-        if order == 0:
-            return value, None, None
-        grad = np.zeros(points.shape)
-        grad[:, node.index] = 1.0
-        return value, grad, None
-    if isinstance(node, Neg):
-        value, d1, d2 = _evaluate_rows(node.child, points, order)
-        if d1 is None:
-            return -value, None, None
-        return -value, -d1, _neg(d2)
-    if isinstance(node, BinOp):
-        left, l1, l2 = _evaluate_rows(node.left, points, order)
-        right, r1, r2 = _evaluate_rows(node.right, points, order)
-        if node.op == "+":
-            value = left + right
-        elif node.op == "-":
-            value = left - right
-        elif node.op == "*":
-            value = left * right
-        else:
-            _check_rows(np.equal(right, 0.0), right, points, "division by zero")
-            value = np.divide(left, right)
-        if l1 is None and r1 is None:
-            return value, None, None
-        return (value,) + _binop_jet(node.op, order, left, l1, l2, right, r1, r2, value)
-    if isinstance(node, Pow):
-        base, d1, d2 = _evaluate_rows(node.base, points, order)
-        k = node.exponent
-        if k < 0:
-            _check_rows(np.equal(base, 0.0), base, points, "zero raised to a negative power")
-        # float_power calls libm's pow, as float ** int does; power does not
-        value = _no_overflow(np.float_power(base, k), base, points, _POW_OVERFLOW)
-        if d1 is None or k == 0:
-            return value, None, None
-        if k == 1:  # b's own jet; the rule below would take 1/b, infinite at 0
-            return value, d1, d2
-        f2 = k * (k - 1) * np.float_power(base, k - 2) if order > 1 else None
-        return (value,) + _chain(order, d1, d2, k * np.float_power(base, k - 1), f2)
-    if isinstance(node, Call):
-        arg, d1, d2 = _evaluate_rows(node.arg, points, order)
-        if node.func == "exp":
-            value = _no_overflow(np.exp(arg), arg, points, _EXP_OVERFLOW)
-        elif node.func == "ln":
-            _check_rows(np.less_equal(arg, 0.0), arg, points, "ln of non-positive value {}")
-            value = np.log(arg)
-        elif node.func == "sqrt":
-            _check_rows(np.less(arg, 0.0), arg, points, "sqrt of negative value {}")
-            value = np.sqrt(arg)
-        else:
-            _check_rows(np.isinf(arg), arg, points, node.func + " of infinite value {}")
-            value = np.sin(arg) if node.func == "sin" else np.cos(arg)
-        if d1 is None:
-            return value, None, None
-        return (value,) + _chain(order, d1, d2, *_slopes(node.func, arg, value))
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-# -- straight-line code for one point -------------------------------------------
-
-# what the generated code calls: math at order 0 (evaluate's functions), numpy
-# ufuncs on floats at orders 1 and 2 (the walk's)
-_CALLS = (
-    {"_exp": math.exp, "_ln": math.log, "_sqrt": math.sqrt, "_sin": math.sin, "_cos": math.cos},
-    {"_exp": np.exp, "_ln": np.log, "_sqrt": np.sqrt, "_sin": np.sin, "_cos": np.cos,
-     "_pow": np.float_power},
-)
-# the arguments a ufunc takes without a floating-point warning; the walk takes
-# the others.  Powers get a bound on |base| from their exponents (below).
+# what the generated code calls: math for values at one point (evaluate's
+# functions), numpy for jets at one point (ufuncs on floats) and on stacks
+_MATH = {"_exp": math.exp, "_ln": math.log, "_sqrt": math.sqrt, "_sin": math.sin, "_cos": math.cos}
+_UFUNCS = {"_exp": np.exp, "_ln": np.log, "_sqrt": np.sqrt, "_sin": np.sin, "_cos": np.cos,
+           "_pow": np.float_power, "_check_rows": _check_rows, "_no_overflow": _no_overflow,
+           "_zeros": np.zeros, "_equal": np.equal, "_less": np.less,
+           "_less_equal": np.less_equal, "_isinf": np.isinf}
+# at one point, the arguments a ufunc takes without a floating-point warning;
+# the stack program takes the others.  Powers get a bound on |base| from their
+# exponents (below).
 _GUARDS = {"exp": "{} < 709.0", "ln": "{} > 0.0", "sqrt": "{} >= 0.0",
            "sin": "-_inf < {} < _inf", "cos": "-_inf < {} < _inf"}
+# on a stack, the operands evaluate rejects and its messages (a negative
+# power rejects a zero base); then exp and powers reject an infinite result
+# from a finite operand with the message of their OverflowError
+_CHECKS = {"/": ("_equal({}, 0.0)", "division by zero"),
+           "pow": ("_equal({}, 0.0)", "zero raised to a negative power"),
+           "ln": ("_less_equal({}, 0.0)", "ln of non-positive value {}"),
+           "sqrt": ("_less({}, 0.0)", "sqrt of negative value {}"),
+           "sin": ("_isinf({})", "sin of infinite value {}"),
+           "cos": ("_isinf({})", "cos of infinite value {}")}
+_OVERFLOW = {"exp": "overflow in exp: math range error",
+             "pow": "overflow in power: (34, 'Numerical result out of range')"}
 
 
 def _sum(a, b):
@@ -590,21 +451,23 @@ def _product(a, b):
     return b if a == "1.0" else a if b == "1.0" else f"({a} * {b})"
 
 
-class _PointSource:
-    """The body of one function ``_point(p)`` for trees at one point.
+class _Source:
+    """The body of one generated function of ``p`` for trees: at one point
+    ``p``, or with ``rows`` on the ``(n,)`` columns of an ``(n, dim)`` stack.
 
-    It mirrors :func:`evaluate` at order 0 and :func:`_evaluate_rows` at
-    orders 1 and 2, operation for operation.  Derivatives are dicts of
-    expressions, ``{l: d_l}`` and ``{(m, l): d_m d_l}``, None where the walk
-    has None; an entry the walk would compute from structural zeros alone is
-    left out.  At order 0 a node's "gradient" only marks that it has a
-    variable.
+    At one point and order 0 it follows :func:`evaluate` operation for
+    operation; otherwise both targets do forward mode with numpy's ufuncs,
+    the same arithmetic in the same order.  Derivatives are dicts of
+    expressions, ``{l: d_l}`` and ``{(m, l): d_m d_l}``, None where the
+    subtree has no variable or beyond the order; a term of a variable the
+    subtree does not contain is left out.  At one point and order 0 a
+    node's "gradient" only marks that it has a variable.
     """
 
-    def __init__(self, order: int):
-        self.order = order
+    def __init__(self, order: int, rows: bool):
+        self.order, self.rows = order, rows
         self.lines: list[str] = []
-        self.names = {"_f": float, "_inf": math.inf, **_CALLS[min(order, 1)]}
+        self.names = {"_f": float, "_inf": math.inf, **(_UFUNCS if order or rows else _MATH)}
         self.loaded: dict[int, str] = {}
 
     def let(self, expr: str) -> str:
@@ -620,6 +483,36 @@ class _PointSource:
 
     def guard(self, condition: str) -> None:
         self.lines.append(f"if not {condition}: return None")
+
+    def check(self, op: str, operand: str) -> None:
+        rejects, message = _CHECKS[op]
+        self.lines.append(f"_check_rows({rejects.format(operand)}, {operand}, p, {message!r})")
+
+    def ufunc(self, expr: str) -> str:
+        """A ufunc's result: a float at one point, a column on a stack."""
+        return expr if self.rows else f"_f({expr})"
+
+    def apply(self, func: str, arg: str, k: int = 0) -> str:
+        """The name of ``func(arg)``, or ``arg^k`` for "pow", after the
+        target's handling of the domain: at one point a guard that returns
+        None (the caller then takes the stack program), on a stack the
+        checks of :func:`evaluate` on every row."""
+        call = f"_pow({arg}, {k})" if func == "pow" else f"_{func}({arg})"
+        if not self.rows:
+            if func != "pow":
+                self.guard(_GUARDS[func].format(arg))
+            elif k >= 2:  # |base|^k and its derivatives' powers stay below 2^1000
+                bound = 2.0 ** (1000.0 / k)
+                self.guard(f"{-bound!r} < {arg} < {bound!r}")
+            elif k < 0:  # and so do 1/|base|^-k, 1/|base|^(1-k) and 1/|base|^(2-k)
+                bound = 2.0 ** (-1000.0 / (2 - k))
+                self.guard(f"not {-bound!r} < {arg} < {bound!r}")
+            return self.let(f"_f({call})")
+        if func in _CHECKS and (func != "pow" or k < 0):
+            self.check(func, arg)
+        if func in _OVERFLOW:
+            call = f"_no_overflow({call}, {arg}, p, {_OVERFLOW[func]!r})"
+        return self.let(call)
 
     @staticmethod
     def add(a, b):
@@ -637,6 +530,7 @@ class _PointSource:
 
     @staticmethod
     def sym_outer(a, b):
+        """a b^T + b a^T, for two gradients."""
         if a is None or b is None:
             return None
         keys = sorted({(i, j) for i in a for j in b} | {(j, i) for i in a for j in b})
@@ -644,6 +538,7 @@ class _PointSource:
                 for i, j in keys}
 
     def chain(self, d1, d2, f1, f2) -> tuple:
+        """The derivatives of f(u) from u's (d1, d2) and f', f'' at u."""
         grad = self.lets(self.times(d1, f1))
         if f2 is None:
             return grad, None
@@ -652,6 +547,7 @@ class _PointSource:
         return grad, self.lets(self.add(hess, self.times(d2, f1)))
 
     def binop_jet(self, op, left, l1, l2, right, r1, r2, value) -> tuple:
+        """The derivatives of ``value = left op right`` from its operands'."""
         if op in "+-":
             if op == "-":
                 r1, r2 = self.neg(r1), self.neg(r2)
@@ -663,6 +559,7 @@ class _PointSource:
             d2 = self.add(self.add(self.times(l2, right), self.times(r2, left)),
                           self.sym_outer(l1, r1))
             return d1, self.lets(d2)
+        # q = l / r: q' = (l' - q r') / r and q'' = (l'' - q r'' - q' r'^T - r' q'^T) / r
         inverse = self.let(f"1.0 / {right}")
         slope = self.let(f"-{value} / {right}") if r1 is not None else None
         d1 = self.lets(self.add(self.times(l1, inverse), self.times(r1, slope)))
@@ -674,7 +571,7 @@ class _PointSource:
 
     def walk(self, node) -> tuple:
         """(value, gradient, Hessian) of ``node``, as names."""
-        order = self.order
+        order, rows = self.order, self.rows
         if isinstance(node, Const):
             name = f"c{len(self.names)}"
             self.names[name] = node.value
@@ -682,7 +579,7 @@ class _PointSource:
         if isinstance(node, Var):
             i = operator.index(node.index)  # nothing but an integer enters the source
             if i not in self.loaded:
-                self.loaded[i] = self.let(f"_f(p[{i}])")
+                self.loaded[i] = self.let(f"p[:, {i}]" if rows else f"_f(p[{i}])")
             return self.loaded[i], {i: "1.0"}, None
         if isinstance(node, Neg):
             v, d1, d2 = self.walk(node.child)
@@ -693,7 +590,9 @@ class _PointSource:
         if isinstance(node, BinOp):
             left, l1, l2 = self.walk(node.left)
             right, r1, r2 = self.walk(node.right)
-            op = node.op if node.op in ("+", "-", "*") else "/"  # as the walkers read it
+            op = node.op if node.op in ("+", "-", "*") else "/"  # as evaluate reads it
+            if op == "/" and rows:
+                self.check(op, right)
             value = self.let(f"{left} {op} {right}")
             if not order or (l1 is None and r1 is None):
                 return value, l1 or r1, None
@@ -701,31 +600,27 @@ class _PointSource:
         if isinstance(node, Pow):
             base, d1, d2 = self.walk(node.base)
             k = operator.index(node.exponent)
-            if not order:
+            if not (order or rows):
                 power = f"{base} ** ({k})"
                 return self.let(power if d1 else f"_f({power})"), d1, None
-            if k >= 2:  # |base|^k and its derivatives' powers stay below 2^1000
-                bound = 2.0 ** (1000.0 / k)
-                self.guard(f"{-bound!r} < {base} < {bound!r}")
-            elif k < 0:  # and so do 1/|base|^-k, 1/|base|^(1-k) and 1/|base|^(2-k)
-                bound = 2.0 ** (-1000.0 / (2 - k))
-                self.guard(f"not {-bound!r} < {base} < {bound!r}")
-            value = self.let(f"_f(_pow({base}, {k}))")
-            if d1 is None or k == 0:
+            # float_power calls libm's pow, as float ** int does; power does not
+            value = self.apply("pow", base, k)
+            if not order or d1 is None or k == 0:
                 return value, None, None
-            if k == 1:
+            if k == 1:  # the base's own jet; the rule below would take 1/base, infinite at 0
                 return value, d1, d2
-            f1 = self.let(f"{k} * _f(_pow({base}, {k - 1}))")
-            f2 = self.let(f"{k * (k - 1)} * _f(_pow({base}, {k - 2}))") if order > 1 else None
+            f1 = self.let(f"{k} * {self.ufunc(f'_pow({base}, {k - 1})')}")
+            f2 = None
+            if order > 1:
+                f2 = self.let(f"{k * (k - 1)} * {self.ufunc(f'_pow({base}, {k - 2})')}")
             return (value,) + self.chain(d1, d2, f1, f2)
         if isinstance(node, Call) and node.func in FUNCTIONS:
             arg, d1, d2 = self.walk(node.arg)
             func = node.func
-            if not order:
+            if not (order or rows):
                 return self.let(f"_{func}({arg})"), d1, None
-            self.guard(_GUARDS[func].format(arg))
-            value = self.let(f"_f(_{func}({arg}))")
-            if d1 is None:
+            value = self.apply(func, arg)
+            if not order or d1 is None:
                 return value, None, None
             if func == "exp":
                 f1 = f2 = value
@@ -733,13 +628,42 @@ class _PointSource:
                 f1 = self.let(f"1.0 / {arg}")
                 f2 = self.let(f"-{f1} * {f1}")
             elif func == "sqrt":
-                f1 = self.let(f"0.5 / {value}")  # 0.5 / 0 raises: no derivative at 0
+                f1 = self.let(f"0.5 / {value}")  # infinite at 0: no derivative there
                 f2 = self.let(f"-0.5 * {f1} / {arg}")
             else:
-                f1 = self.let(f"_f(_cos({arg}))" if func == "sin" else f"-_f(_sin({arg}))")
+                f1 = self.let(self.ufunc(f"_cos({arg})") if func == "sin"
+                              else "-" + self.ufunc(f"_sin({arg})"))
                 f2 = self.let(f"-{value}")
             return (value,) + self.chain(d1, d2, f1, f2 if order > 1 else None)
         raise TypeError(f"not an expression node: {node!r}")
+
+    def entries(self, nodes, dim: int) -> dict:
+        """Walk ``nodes``: the name of each nonzero entry of their jet, by
+        its ``(c, f)`` position in the ``[c, f]`` layout of :func:`jet_many`."""
+        entries = {}
+        for f, node in enumerate(nodes):
+            if node is None:
+                continue
+            value, grad, hess = self.walk(node)
+            entries[0, f] = value
+            if self.order:
+                for l, e in (grad or {}).items():
+                    entries[1 + l, f] = e
+                for (m, l), e in (hess or {}).items():
+                    entries[1 + dim + m * dim + l, f] = e
+        return entries
+
+    def define(self, name: str):
+        """The generated function."""
+        text = f"def {name}(p):\n" + "".join(f"    {line}\n" for line in self.lines)
+        names = {"__builtins__": {}, **self.names}
+        exec(compile(text, f"<bundleflow {name} program>", "exec"), names)  # noqa: S102 - generated
+        return names[name]
+
+
+def _width(dim: int, order: int) -> int:
+    """The number of Taylor coefficients up to ``order`` on a dim-chart."""
+    return (1, 1 + dim, 1 + dim + dim * dim)[order]
 
 
 def compile_point(nodes, dim: int, order: int = 0):
@@ -748,43 +672,21 @@ def compile_point(nodes, dim: int, order: int = 0):
 
     At order 0 the function returns the trees' values, :func:`evaluate`'s bit
     for bit: the same :mod:`math` calls and float operations in the same
-    order.  At orders 1 and 2 it returns the ``[1, c, f]`` array that
-    :func:`jet_many` gives for the point as its one row: the walk's numpy
-    ufuncs, called on floats, and its arithmetic in its order, leaving out
-    the terms of variables a subtree does not contain, so a derivative the
-    walk sums to a zero may differ in the sign of that zero.  The code checks
-    nothing itself: at a domain condition, a float exception or a value or
-    derivative that is not finite it hands the point to :func:`evaluate` or
-    :func:`jet_many`, which return the result or raise their own error.
-    Only parsed trees are compiled; constants are bound as names, and every
-    node is one temporary, so deep trees do not nest.
+    order.  At orders 1 and 2 it returns the ``[1, c, f]`` jet of the point,
+    the :func:`compile_rows` program's bit for bit: the same emitter, with
+    the same ufuncs called on floats.  The code checks nothing itself: at a
+    domain condition, a float exception or a value or derivative that is
+    not finite it hands the point to :func:`evaluate` or :func:`jet_many`,
+    which return the result or raise their own error.  Only parsed trees
+    are compiled; constants are bound as names, and every node is one
+    temporary, so deep trees do not nest.
     """
-    source = _PointSource(order)
-    roots = [None if n is None else source.walk(n) for n in nodes]
-    if order:
-        size = len(nodes)
-        entries = {}  # the flat index in the [c, f] jet of each name
-        for f, root in enumerate(roots):
-            if root is not None:
-                value, grad, hess = root
-                entries[f] = value
-                for l, e in (grad or {}).items():
-                    entries[(1 + l) * size + f] = e
-                for (m, l), e in (hess or {}).items():
-                    entries[(1 + dim + m * dim + l) * size + f] = e
-        index = np.array(list(entries), dtype=np.intp)
-        shape = (1, (1, 1 + dim, 1 + dim + dim * dim)[order], size)
-        source.names.update(_sum=sum, _isfinite=math.isfinite)
-        source.lines += ["o = (" + "".join(f"{e}, " for e in entries.values()) + ")",
-                         "if not _isfinite(_sum(o)): return None", "return o"]
-    else:
-        source.lines.append(f"return [{', '.join('0.0' if r is None else r[0] for r in roots)}]")
-    text = "def _point(p):\n" + "".join(f"    {line}\n" for line in source.lines)
-    names = {"__builtins__": {}, **source.names}
-    exec(compile(text, "<bundleflow point program>", "exec"), names)  # noqa: S102 - generated
-    point_fn = names["_point"]
-
+    source = _Source(order, rows=False)
+    entries = source.entries(nodes, dim)
+    size = len(nodes)
     if not order:
+        source.lines.append(f"return [{', '.join(entries.get((0, f), '0.0') for f in range(size))}]")
+        point_fn = source.define("_point")
 
         def values(point) -> list:
             try:
@@ -793,6 +695,13 @@ def compile_point(nodes, dim: int, order: int = 0):
                 return [0.0 if n is None else evaluate(n, point) for n in nodes]
 
         return values
+
+    index = np.array([c * size + f for c, f in entries], dtype=np.intp)
+    shape = (1, _width(dim, order), size)
+    source.names.update(_sum=sum, _isfinite=math.isfinite)
+    source.lines += ["o = (" + "".join(f"{e}, " for e in entries.values()) + ")",
+                     "if not _isfinite(_sum(o)): return None", "return o"]
+    point_fn = source.define("_point")
 
     def jet(point) -> np.ndarray:
         try:
@@ -803,6 +712,38 @@ def compile_point(nodes, dim: int, order: int = 0):
             return jet_many(nodes, np.asarray(point, dtype=float)[None], order)
         out = np.zeros(shape)
         out.reshape(-1)[index] = found
+        return out
+
+    return jet
+
+
+def compile_rows(nodes, dim: int, order: int = 0):
+    """One straight-line Python function of an ``(n, dim)`` stack for the
+    trees ``nodes`` (an entry None stands for the zero function): the
+    ``[n, c, f]`` array of :func:`jet_many`, the values alone at order 0.
+
+    The emitter of :func:`compile_point` writes it, on the stack's columns.
+    In place of the point guards it checks every row as :func:`evaluate`
+    does: the first operation that rejects a row raises evaluate's
+    :class:`~bundleflow.errors.EvalDomainError`, its text followed by the
+    first such row.  At orders 1 and 2 a last check names the first row
+    where a tree's value is finite but a derivative is not.
+    """
+    source = _Source(order, rows=True)
+    entries = source.entries(nodes, dim)
+    source.lines.append(f"o = _zeros((p.shape[0], {_width(dim, order)}, {len(nodes)}))")
+    source.lines += [f"o[:, {c}, {f}] = {e}" for (c, f), e in entries.items()]
+    source.lines.append("return o")
+    program = source.define("_rows")
+
+    def jet(points) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
+        with np.errstate(all="ignore"):
+            out = program(points)
+        if order and not np.isfinite(out[:, 1:]).all():
+            for f in range(len(nodes)):
+                bad = np.isfinite(out[:, 0, f]) & ~np.isfinite(out[:, 1:, f]).all(axis=1)
+                _check_rows(bad, out[:, 0, f], points, "no finite derivative where the value is {}")
         return out
 
     return jet
@@ -849,20 +790,6 @@ def pretty(node: Node) -> str:
     return _render(node)[0]
 
 
-def _has_variable(node: Node) -> bool:
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, Neg):
-        return _has_variable(node.child)
-    if isinstance(node, BinOp):
-        return _has_variable(node.left) or _has_variable(node.right)
-    if isinstance(node, Pow):
-        return _has_variable(node.base)
-    if isinstance(node, Call):
-        return _has_variable(node.arg)
-    return False
-
-
 class ScalarField:
     """A point-evaluable real function on a chart, backed by a parsed tree.
 
@@ -870,19 +797,18 @@ class ScalarField:
     catalog structures with constant components stays cheap.
     """
 
-    __slots__ = ("ast", "dim", "source", "_const", "_point")
+    __slots__ = ("ast", "dim", "source", "_const", "_point", "_rows")
 
     def __init__(self, ast: Node, dim: int, source: str | None = None):
         self.ast = ast
         self.dim = dim
         self.source = source if source is not None else pretty(ast)
         self._const: float | None = None
-        self._point = None  # compile_point's function, built on first use
-        if not _has_variable(ast):
-            try:
-                self._const = evaluate(ast, ())
-            except EvalDomainError:
-                self._const = None  # surface the domain error at use time
+        self._point = self._rows = None  # compiled programs, built on first use
+        try:  # a variable indexes the empty point; a domain error surfaces at use
+            self._const = evaluate(ast, ())
+        except (EvalDomainError, IndexError):
+            pass
 
     @classmethod
     def parse(cls, source: str, dim: int) -> "ScalarField":
@@ -901,13 +827,15 @@ class ScalarField:
 
         The tree is compiled on first use (:func:`compile_point`), and the
         value is :func:`evaluate`'s bit for bit.  Given an ``(n, dim)`` array
-        instead, returns the ``n`` values at its rows from one pass of
-        :func:`evaluate_many`.
+        instead, the ``n`` values at its rows, :func:`evaluate_many`'s, from
+        the stack program (:func:`compile_rows`), compiled on first use too.
         """
         if getattr(point, "ndim", 1) == 2:
             if self._const is not None:
                 return np.full(len(point), self._const)
-            return evaluate_many(self.ast, point)
+            if self._rows is None:
+                self._rows = compile_rows([self.ast], self.dim)
+            return self._rows(point)[:, 0, 0]
         if self._const is not None:
             return self._const
         if self._point is None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SignatureError, VerticalCurveError
-from .geometry import MetricStructure, bilinear, matvec
+from .geometry import MetricStructure, bilinear, json_number, matvec
 from .integrate import Trajectory
 
 __all__ = [
@@ -244,7 +244,7 @@ class ConstancyReport:
             "tol": float(self.tol),
             "passed": bool(self.passed),
             "curvatures": [
-                {"index": int(i), "max_deviation": float(d)}
+                {"index": int(i), "max_deviation": json_number(d)}
                 for i, d in zip(self.index, self.max_deviation)
             ],
         }

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PurityError, SingularMetricError
-from .expressions import ScalarField, compile_point, jet_many
+from .expressions import ScalarField, compile_point, compile_rows
 
 __all__ = [
     "FieldTensor",
@@ -47,6 +47,7 @@ __all__ = [
     "curvature_power_closed",
     "matvec",
     "bilinear",
+    "json_number",
 ]
 
 
@@ -95,7 +96,7 @@ class FieldTensor:
         )
         # the trees of the varying fields, None for the constant ones
         self._trees = [None if f.const_value is not None else f.ast for f in self.fields]
-        # compile_point's functions by order, built on first use
+        # compiled functions by order and target, built on first use
         self._programs: dict = {}
         self._const: np.ndarray | None = None
         if not self._variable.size:
@@ -128,51 +129,49 @@ class FieldTensor:
         """The components at one point, or stacked along a first axis at each
         row of an ``(n, dim)`` array of points.
 
-        Only the non-constant fields are evaluated, the constant ones are
-        filled in.  At one point they are evaluated by one straight-line
-        function compiled from their trees on first use
-        (:func:`~bundleflow.expressions.compile_point`), bit for bit what
-        :func:`~bundleflow.expressions.evaluate` gives, which it falls back on
-        at a domain error; on a batch, by one
-        :func:`~bundleflow.expressions.evaluate_many` pass each over all
-        rows.  A constant tensor returns its one shared read-only array for a
-        point and a stack alike; it broadcasts against stacked values.
+        Only the non-constant fields are evaluated, by a function compiled
+        from their trees on first use and kept, one per target: at one point
+        (:func:`~bundleflow.expressions.compile_point`) it gives what
+        :func:`~bundleflow.expressions.evaluate` gives, on a stack
+        (:func:`~bundleflow.expressions.compile_rows`) what
+        :func:`~bundleflow.expressions.evaluate_many` gives, bit for bit.  A
+        constant tensor returns its one shared read-only array for a point
+        and a stack alike; it broadcasts against stacked values.
         """
         if self._const is not None:
             return self._const
         if getattr(point, "ndim", 1) == 2:
             out = self._template[None].repeat(len(point), axis=0)
-            for k in self._variable:
-                out[:, k] = self.fields[k](point)
+            out[:, self._variable] = self._program(0, rows=True)(point)[:, 0]
             return out.reshape((len(point),) + (self.dim,) * self.rank)
         out = self._template.copy()
         out[self._variable] = self._program(0)(point)
         return out.reshape((self.dim,) * self.rank)
 
     def jet(self, points: np.ndarray, order: int) -> np.ndarray:
-        """Taylor coefficients ``[n, c, ...]`` of the components at each row
-        of an ``(n, dim)`` array, from one
-        :func:`~bundleflow.expressions.jet_many` pass over the non-constant
-        fields: ``c = 0`` the components, ``c = 1 + l`` their d_l and, for
-        order 2, ``c = 1 + dim + m dim + l`` their d_m d_l.  A single row
-        goes through the compiled function of that order instead, which
-        gives ``jet_many``'s result bit for bit (a zero derivative may differ
-        in its sign) and falls back on it where it raises.
+        """Taylor coefficients ``[n, c, ...]`` of order 1 or 2 of the
+        components at each row of an ``(n, dim)`` array, as
+        :func:`~bundleflow.expressions.jet_many` gives them: ``c = 0`` the
+        components (:meth:`at` gives them alone), ``c = 1 + l`` their d_l
+        and, for order 2, ``c = 1 + dim + m dim + l`` their d_m d_l.  Like
+        :meth:`at`, a stack and a single row run the compiled functions of
+        their targets, which give the same bit for bit.
         """
         if len(points) == 1:
             jet = self._program(order)(points[0])
         else:
-            jet = jet_many(self._trees, points, order)
+            jet = self._program(order, rows=True)(points)
         jet[:, 0] += self._template
         return jet.reshape(jet.shape[:2] + (self.dim,) * self.rank)
 
-    def _program(self, order: int):
-        """The compiled one-point function of the varying fields at ``order``:
-        their values (order 0) or the jet of all fields."""
-        run = self._programs.get(order)
+    def _program(self, order: int, rows: bool = False):
+        """The compiled function, for one point or for stacks (``rows``), of
+        the varying fields' values (order 0) or of all fields' jet."""
+        run = self._programs.get((order, rows))
         if run is None:
             trees = [self.fields[k].ast for k in self._variable] if order == 0 else self._trees
-            run = self._programs[order] = compile_point(trees, self.dim, order)
+            compile_for = compile_rows if rows else compile_point
+            run = self._programs[order, rows] = compile_for(trees, self.dim, order)
         return run
 
 
@@ -191,9 +190,6 @@ class MetricStructure:
         Optional analytic ``Gamma^k_{ij}``; when absent, Gamma and its
         derivatives come from exact forward-mode derivatives (jets) of g's
         fields, Gamma = 1/2 g^-1 S(dg).
-    fd_step:
-        Central-difference step of the d phi stencil in
-        :func:`check_parallel_phi`.
     riemann:
         Optional constant curvature tensor ``R^l_{kij}`` of shape
         ``(dim,) * 4``, used in place of the metric-derived one; for
@@ -210,14 +206,11 @@ class MetricStructure:
         *,
         christoffel=None,
         riemann=None,
-        fd_step: float = 1e-5,
         chart_box=None,
         name: str = "",
     ):
         if dim < 2 or dim % 2 != 0:
             raise ValueError(f"dimension must be even and >= 2, got {dim}")
-        if not (np.isfinite(fd_step) and fd_step >= 1e-12):
-            raise ValueError(f"finite-difference step must be finite and >= 1e-12, got {fd_step}")
         self.dim = dim
         self.g, self.phi = (
             t if isinstance(t, FieldTensor) else FieldTensor.from_spec(t, dim)
@@ -231,7 +224,6 @@ class MetricStructure:
             self.christoffel is not None and self.christoffel.rank != 3
         ):
             raise ValueError("g and phi must be matrices, christoffel a rank-3 array")
-        self.fd_step = float(fd_step)
         if chart_box is None:
             chart_box = [(-1.0, 1.0)] * dim
         try:
@@ -406,22 +398,6 @@ def _contract(t, v, rank: int) -> np.ndarray:
     if v.ndim == 1:
         return t @ v
     return (t @ v.reshape((len(v),) + (1,) * (rank - 2) + (v.shape[1], 1)))[..., 0]
-
-
-def _stencil(points: np.ndarray, h: float) -> np.ndarray:
-    """The 2·n·d central-difference points p ± h e_l of n points (n, d).
-
-    Ordered [point, sign, l]; :func:`_central_diff` takes values in this order.
-    """
-    shift = h * np.eye(points.shape[1])
-    return (points[:, None] + np.concatenate([shift, -shift])).reshape(-1, points.shape[1])
-
-
-def _central_diff(values: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
-    """d_l f at each of n points (n, d), indexed [point, l, ...], from f on their stencil."""
-    n, d = points.shape
-    values = values.reshape((n, 2, d) + values.shape[1:])
-    return (values[:, 0] - values[:, 1]) / (2.0 * h)
 
 
 class PointGeometry:
@@ -650,6 +626,13 @@ def curvature_power_closed(op: CurvatureOperator, power: int, X, Y, Z, *, g_mat)
 # -- sampled structure checks ----------------------------------------------
 
 
+def json_number(value) -> float | None:
+    """``value`` as a float for a JSON report, None (null) where it is not
+    finite: strict JSON has no NaN or Infinity."""
+    value = float(value)
+    return value if np.isfinite(value) else None
+
+
 @dataclass(frozen=True)
 class CheckReport:
     name: str
@@ -663,10 +646,10 @@ class CheckReport:
         return {
             "name": self.name,
             "passed": bool(self.passed),
-            "max_residual": float(self.max_residual),
+            "max_residual": json_number(self.max_residual),
             "tol": float(self.tol),
             "n_points": int(self.n_points),
-            "details": {k: float(v) for k, v in self.details.items()},
+            "details": {k: json_number(v) for k, v in self.details.items()},
         }
 
 
@@ -716,15 +699,12 @@ def check_parallel_phi(
 ) -> CheckReport:
     """Check nabla phi = 0 for the Levi-Civita connection at sampled points.
 
-    d phi is taken by central differences with step ``M.fd_step``; Gamma is
-    exact.
+    d phi and Gamma are exact: d phi from one 1-jet of phi's fields.
     """
     pts = _check_points(M, n_points, seed)
-    d, h = M.dim, M.fd_step
-    stencil = _stencil(pts, h)
-    dphi = _central_diff(np.broadcast_to(M.phi_at(stencil), (len(stencil), d, d)), pts, h)
+    jet = M.phi.jet(pts, 1)
+    phi, dphi = jet[:, 0], jet[:, 1:]  # dphi[n, i, k, j] = d_i phi^k_j
     gam = M.christoffel_at(pts)
-    phi = M.phi_at(pts)
     # (nabla_i phi)^k_j = d_i phi^k_j + Gamma^k_il phi^l_j - Gamma^l_ij phi^k_l
     nabla = (
         dphi

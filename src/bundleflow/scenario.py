@@ -93,14 +93,12 @@ def _build_structure(spec) -> tuple[MetricStructure, FTensor | None]:
             f_tensor = FTensor.from_spec(spec["F"], dim)
     except (ExprSyntaxError, ValueError, KeyError) as exc:
         raise ScenarioError(f"bad inline manifold: {exc}") from None
-    fd_step = _number(spec.get("fd_step", 1e-5), "bad inline manifold: 'fd_step'")
     try:
         structure = MetricStructure(
             dim,
             g,
             phi,
             christoffel=christoffel,
-            fd_step=fd_step,
             chart_box=spec.get("chart_box"),
             name=str(spec.get("name", "inline")),
         )

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bundleflow.errors import EvalDomainError, ExprSyntaxError
@@ -16,12 +16,14 @@ from bundleflow.expressions import (
     ScalarField,
     Var,
     compile_point,
+    compile_rows,
     evaluate,
     evaluate_many,
     jet_many,
     parse,
     pretty,
 )
+from reference_walk import walk_jet, walk_values
 
 
 def test_parse_catalog_components():
@@ -329,6 +331,18 @@ _MODERATE = st.lists(st.floats(-2.0, 2.0), min_size=_DIM, max_size=_DIM)
 
 @settings(max_examples=300, deadline=None)
 @given(_ast_strategy(), _MODERATE)
+# 1/c overflows to inf, so the value is inf - inf = NaN and the jet holds NaN
+@example(
+    BinOp("-", BinOp("/", Const(1.0), Const(2.2250738585e-313)),
+          BinOp("/", Var(0), Const(2.2250738585e-313))),
+    [1.0, 0.0, 0.0],
+)
+# a removable singularity: the quotient rule's terms of size 1/x and 1/x^2
+# cancel to derivatives of 0, up to their roundoff
+@example(BinOp("/", Var(0), Pow(BinOp("*", Const(1.5), Var(0)), 1)), [1.4366502597272176e-06, 0.0, 0.0])
+@example(BinOp("/", Pow(Var(2), 3), Const(2.680118310480628e-272)), [0.0, 0.0, 2.680118310480628e-272])
+@example(Pow(Call("sqrt", BinOp("-", Var(0), Var(0))), 0), [0.0, 0.0, 0.0])
+@example(Call("sin", Pow(Var(0), -1)), [0.04466309843493077, 0.0, 0.0])
 def test_jet_derivatives_agree_with_central_differences(ast, point):
     x = np.array(point)
     jet, error = _walk(lambda: jet_many([ast], x[None], 2)[0, :, 0])
@@ -336,8 +350,11 @@ def test_jet_derivatives_agree_with_central_differences(ast, point):
         return
     value, grad, hess = jet[0], jet[1 : 1 + _DIM], jet[1 + _DIM :].reshape(_DIM, _DIM)
 
+    stencil = []  # every value that the differences take
+
     def f(p):
-        return float(evaluate_many(ast, p[None])[0])
+        stencil.append(float(evaluate_many(ast, p[None])[0]))
+        return stencil[-1]
 
     # central differences at h and 2h: their gap, three times the O(h^2)
     # error at h, estimates that error; near a singularity the stencil
@@ -349,21 +366,54 @@ def test_jet_derivatives_agree_with_central_differences(ast, point):
             return
         references.append(reference)
     (g1, h1), (g2, h2) = references
-    scale = max(1.0, abs(value), float(np.max(np.abs(grad))), float(np.max(np.abs(hess))))
+    # numpy's max, unlike Python's, gives NaN if any entry is NaN; the
+    # differences' roundoff grows with |f| on the stencil (x^3/c at x = c
+    # takes 4e262 there, and its second differences are 0, not 6)
+    scale = float(np.max(np.abs(np.concatenate(([1.0, value], grad, hess.ravel(), stencil)))))
     if not np.isfinite(scale) or scale > 1e6:
         return
     # a kink inside the stencil (sqrt(x3^2) at x3 = 1e-55) makes the second
-    # differences at h and 2h disagree, and the differences mean nothing
+    # differences at h and 2h disagree, and a variation on the scale of h
+    # (sin(1/x1) at x1 = 0.045) the first: the differences then mean nothing
     if np.any(np.abs(h1 - h2) > 1e-2 * np.maximum(1.0, np.abs(h1))):
+        return
+    if np.any(np.abs(g1 - g2) > 1e-2 * np.maximum(1.0, np.abs(g1))):
         return
     eps = np.finfo(float).eps
     # roundoff of the differences is eps |f| / h and eps |f| / h^2; that of
-    # the jet is eps times its largest intermediate term (1/(1.5 + 1/x) near
-    # x = 0 sums terms of size 1/x into a second derivative of -3)
-    subtrees = [jet_many([t], x[None], 2) for t in _subtrees(ast)]
-    walk = 10.0 * eps * max(float(np.max(np.abs(j))) for j in subtrees)
-    assert np.all(np.abs(grad - g1) <= np.abs(g1 - g2) + 1e-9 * scale + 1e3 * eps * scale + walk)
-    assert np.all(np.abs(hess - h1) <= np.abs(h1 - h2) + 1e-6 * scale + 1e6 * eps * scale + walk)
+    # the jet is eps times its largest intermediate term
+    first, second = (10.0 * eps * t for t in _largest_terms(ast, x))
+    assert np.all(np.abs(grad - g1) <= np.abs(g1 - g2) + 1e-9 * scale + 1e3 * eps * scale + first)
+    assert np.all(np.abs(hess - h1) <= np.abs(h1 - h2) + 1e-6 * scale + 1e6 * eps * scale + second)
+
+
+def _largest_terms(ast, x) -> tuple[float, float]:
+    """The largest terms that the jet of ``ast`` at x sums, for its first and
+    its second derivatives: every subtree's jet entries, and the quotient
+    rule's inner terms (1/(1.5 + 1/x) near x = 0 sums terms of size 1/x into
+    a second derivative of -3; x/(1.5 x) terms of size 1/x into a first
+    derivative of 0, and 1/x^2 into a second)."""
+    def jet(t):
+        return walk_jet([t], x[None], 2)[0, :, 0]
+
+    first = second = 0.0
+    with np.errstate(all="ignore"):
+        for t in _subtrees(ast):
+            # sqrt(x1 - x1)^0 at 0: the power drops a subtree without derivatives
+            subtree, error = _walk(lambda: jet(t))
+            if error is not None:
+                continue
+            size = float(np.max(np.abs(subtree)))
+            first, second = max(first, size), max(second, size)
+            if isinstance(t, BinOp) and t.op == "/":
+                (l, *dl), (r, *dr) = jet(t.left), jet(t.right)
+                q = l / r
+                l1, l2 = (np.max(np.abs(dl[a:b])) / abs(r) for a, b in ((0, _DIM), (_DIM, None)))
+                r1, r2 = (np.max(np.abs(dr[a:b])) / abs(r) for a, b in ((0, _DIM), (_DIM, None)))
+                # q' = (l' - q r') / r; q'' = (l'' - q r'' - q' r'^T - r' q'^T) / r
+                first = max(first, l1, abs(q) * r1)
+                second = max(second, first, l2, abs(q) * r2, (l1 + abs(q) * r1) * r1)
+    return first, second
 
 
 def _subtrees(node):
@@ -407,8 +457,9 @@ def _outcome(fn):
 
 
 def _assert_compiled_matches_the_walkers(ast, row):
-    """Compiled values are evaluate's and compiled jets jet_many's, bit for
-    bit (a zero may differ in sign), or both raise the same error.  Any NaN
+    """Compiled values are evaluate's and compiled jets those of the stack
+    program (jet_many), bit for bit (a zero may differ in sign), or both
+    raise the same error.  Any NaN
     equals any NaN: the sign of nan * nan depends on which of CPython's
     float multiplications runs, which its bytecode specialisation picks."""
     with warnings.catch_warnings():
@@ -451,6 +502,7 @@ def test_compiled_jets_are_the_walk_on_many_points(source):
     points = np.random.default_rng(7).uniform(-1.5, 1.5, size=(300, _DIM))
     for order in (1, 2):
         want = jet_many([ast], points, order)
+        assert np.array_equal(want, walk_jet([ast], points, order))
         run = compile_point([ast], _DIM, order)
         assert all(np.array_equal(run(p)[0], w) for p, w in zip(points, want))
 
@@ -478,3 +530,64 @@ def test_a_long_sum_compiles_flat(row):
 )
 def test_compiled_functions_fall_back_to_the_walkers(source, row):
     _assert_compiled_matches_the_walkers(parse(source, _DIM), np.array(row))
+
+
+# -- the generated stack programs against the reference walker ---------------------
+
+
+def _assert_stack_program_matches_the_walker(trees, points):
+    """jet_many, which runs the generated stack program, raises the error
+    text of the reference walker, or gives its jet: its values everywhere,
+    and every derivative in each row where a tree's value is finite (a zero
+    may differ in sign)."""
+    for order in (0, 1, 2):
+        want, want_error = _walk(lambda: walk_jet(trees, points, order))
+        got, got_error = _walk(lambda: jet_many(trees, points, order))
+        assert got_error == want_error
+        if want_error is None:
+            assert got.shape == want.shape
+            assert np.array_equal(got[:, 0], want[:, 0], equal_nan=True)
+            finite = np.isfinite(want[:, 0])  # [row, tree]
+            assert np.array_equal(got.transpose(0, 2, 1)[finite], want.transpose(0, 2, 1)[finite])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(st.none(), _ast_strategy(special_constants=True)), min_size=1, max_size=3),
+    st.lists(st.lists(_COORD, min_size=_DIM, max_size=_DIM), min_size=1, max_size=6),
+)
+def test_stack_programs_are_the_reference_walk(trees, rows):
+    _assert_stack_program_matches_the_walker(trees, np.array(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(st.none(), _ast_strategy()), min_size=1, max_size=3),
+    st.lists(_MODERATE, min_size=1, max_size=6),
+)
+def test_stack_programs_are_the_reference_walk_on_moderate_inputs(trees, rows):
+    # mostly finite values, where every derivative rule is compared
+    _assert_stack_program_matches_the_walker(trees, np.array(rows))
+
+
+def test_beside_an_infinite_value_a_structural_zero_stays_zero():
+    # u = x1 x2 = inf here, and so is u x3.  The walker's d/dx1 of u x3 is
+    # x2 x3 + 0 * u, whose dense term 0 * inf is NaN; the program never
+    # computes that term and gets x2 x3.  The value is not finite: no error.
+    tree, points = parse("x1*x2*x3", _DIM), np.array([[1e300, 1e300, 1e-300]])
+    _assert_stack_program_matches_the_walker([tree], points)
+    want, got = walk_jet([tree], points, 1)[0, :, 0], jet_many([tree], points, 1)[0, :, 0]
+    assert np.isnan(want[1:3]).all() and want[3] == got[3] == got[0] == math.inf
+    assert got[1] == got[2] == 1e300 * 1e-300
+
+
+def test_the_stack_program_checks_every_row_as_evaluate_does():
+    # the first row that an operation rejects raises, with evaluate's text
+    points = np.array([[1.0, 2.0, 0.5], [2.0, 2.0, -1.0], [0.5, 2.0, -3.0]])
+    tree = parse("x1/(x1 - x2) + ln(x3)", _DIM)
+    with pytest.raises(EvalDomainError) as scalar:
+        evaluate(tree, points[1])
+    with pytest.raises(EvalDomainError) as stack:
+        compile_rows([tree], _DIM, 2)(points)
+    assert str(stack.value) == f"{scalar.value} at {points[1]}"
+    assert walk_values(tree, points[[0]]).tobytes() == evaluate_many(tree, points[[0]]).tobytes()

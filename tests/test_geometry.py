@@ -33,7 +33,7 @@ POLY = catalog.entry("poly2d").structure
 def derived_twin(M: MetricStructure) -> MetricStructure:
     """M without its analytic Christoffel symbols: Gamma and dGamma then
     come from jets of g."""
-    return MetricStructure(M.dim, M.g, M.phi, fd_step=M.fd_step, chart_box=M.chart_box)
+    return MetricStructure(M.dim, M.g, M.phi, chart_box=M.chart_box)
 
 
 # -- metric and twin metric ----------------------------------------------------
@@ -186,7 +186,7 @@ def test_finite_difference_matches_analytic(M):
 def test_christoffel_symmetry_and_compatibility():
     twin = derived_twin(POLY)
     rng = np.random.default_rng(11)
-    h = twin.fd_step
+    h = 1e-5
     for p in sample_chart_points(twin, 10, rng):
         gam = twin.christoffel_at(p)
         np.testing.assert_allclose(gam, gam.transpose(0, 2, 1), atol=1e-12)
@@ -203,17 +203,6 @@ def test_christoffel_symmetry_and_compatibility():
             - np.einsum("lkj,il->kij", gam, g)
         )
         assert np.max(np.abs(compat)) < 1e-9
-
-
-def test_fd_step_underflow_rejected():
-    with pytest.raises(ValueError):
-        MetricStructure(2, [["1", "0"], ["0", "1"]], [["1", "0"], ["0", "-1"]], fd_step=1e-14)
-
-
-@pytest.mark.parametrize("fd_step", [float("nan"), float("inf")])
-def test_fd_step_must_be_finite(fd_step):
-    with pytest.raises(ValueError, match="finite"):
-        MetricStructure(2, [["1", "0"], ["0", "1"]], [["1", "0"], ["0", "-1"]], fd_step=fd_step)
 
 
 # -- exact jets against central-difference references ------------------------------
@@ -318,12 +307,12 @@ def test_blocked_stack_equals_one_batch_bit_for_bit(monkeypatch, method, chart):
 def test_stencil_point_outside_the_domain_raises():
     # exact derivatives need no stencil: x1 = h/2 works, as long as the
     # centre itself is in the domain
-    M = MetricStructure(2, [["ln(x1)", 0], [0, 1]], [[1, 0], [0, -1]])
+    M, h = MetricStructure(2, [["ln(x1)", 0], [0, 1]], [[1, 0], [0, -1]]), 1e-5
     np.testing.assert_allclose(
-        M.christoffel_at((0.5 * M.fd_step, 0.0))[0, 0, 0], 0.5 / (0.5 * M.fd_step * np.log(0.5 * M.fd_step))
+        M.christoffel_at((0.5 * h, 0.0))[0, 0, 0], 0.5 / (0.5 * h * np.log(0.5 * h))
     )
     with pytest.raises(EvalDomainError, match="ln of non-positive value"):
-        M.christoffel_at((-0.5 * M.fd_step, 0.0))
+        M.christoffel_at((-0.5 * h, 0.0))
     with pytest.raises(EvalDomainError, match="ln of non-positive value"):
         M.christoffel_grad_at((0.0, 0.0))
 

@@ -353,23 +353,36 @@ def test_field_tensor_rank_follows_nesting():
 
 def test_field_tensor_evaluates_only_its_varying_fields(monkeypatch):
     compiled, calls = [], []
-    original_compile, original_call = geometry.compile_point, ScalarField.__call__
+    original_call = ScalarField.__call__
 
-    def counted_compile(trees, dim, order=0):
-        compiled.append((list(trees), order))
-        return original_compile(trees, dim, order)
+    def counting(target, original):
+        def counted_compile(trees, dim, order=0):
+            compiled.append((target, list(trees), order))
+            return original(trees, dim, order)
+
+        return counted_compile
 
     def counted_call(self, point):
         calls.append(self.const_value)
         return original_call(self, point)
 
-    monkeypatch.setattr(geometry, "compile_point", counted_compile)
+    for name in ("compile_point", "compile_rows"):
+        monkeypatch.setattr(geometry, name, counting(name, getattr(geometry, name)))
     monkeypatch.setattr(ScalarField, "__call__", counted_call)
     g = FieldTensor(EXP2D.g.fields, 2, 2)  # fresh: nothing compiled yet
     for _ in range(2):  # compiled once, on first use
         np.testing.assert_array_equal(g.at((0.1, 0.2)), np.diag(np.exp([0.2, 0.4])))
     varying = [f.ast for f in EXP2D.g.fields if f.const_value is None]
-    assert len(varying) == 2 and compiled == [(varying, 0)]
+    assert len(varying) == 2 and compiled == [("compile_point", varying, 0)]
+    # a stack: one program per order, values of the varying fields, jets of all
+    stack = np.array([[0.1, 0.2], [0.3, -0.4], [0.5, 0.0]])
+    for _ in range(2):
+        np.testing.assert_array_equal(g.at(stack), [np.diag(np.exp(2 * p)) for p in stack])
+        for order in (1, 2):
+            np.testing.assert_array_equal(g.jet(stack, order)[:, 0], g.at(stack))
+    trees = [None if f.const_value is not None else f.ast for f in EXP2D.g.fields]
+    assert compiled[1:] == [("compile_rows", varying, 0), ("compile_rows", trees, 1),
+                            ("compile_rows", trees, 2)]
     assert calls == []
 
 
