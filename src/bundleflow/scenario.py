@@ -91,7 +91,7 @@ def _build_structure(spec) -> tuple[MetricStructure, FTensor | None]:
         f_tensor = None
         if "F" in spec:
             f_tensor = FTensor.from_spec(spec["F"], dim)
-    except (ExprSyntaxError, ValueError, KeyError) as exc:
+    except (ExprSyntaxError, ValueError, TypeError, KeyError) as exc:
         raise ScenarioError(f"bad inline manifold: {exc}") from None
     try:
         structure = MetricStructure(

@@ -292,6 +292,11 @@ _INLINE = {"dim": 2, "g": [["exp(2*x1)", "0"], ["0", "exp(2*x2)"]], "phi": [["1"
 @pytest.mark.parametrize(
     "change",
     [
+        {"g": None},
+        {"g": [["exp(2*x1)", "0"]]},  # one row for dim 2
+        {"g": [["exp(2*x1)", "0"], ["0", "exp(2*x2"]]},
+        {"phi": [["1", "0"], ["0", "y7"]]},  # no coordinate y7
+        {"christoffel": [[["0"]]]},
         {"chart_box": [[math.nan, 1.0], [-1.0, 1.0]]},
         {"chart_box": [[-1.0, 1.0], [-1.0, math.inf]]},
         {"chart_box": [[1.0, 1.0], [-1.0, 1.0]]},  # lo = hi
