@@ -25,8 +25,8 @@ as :func:`evaluate` does and raises its error with the first bad row.  The
 point function has no error text: at a domain condition, a float exception
 or a derivative that is not finite, it hands the point to :func:`evaluate`
 (values) or to the stack program (jets).  :func:`evaluate_many` and
-:func:`jet_many` run stack programs; :class:`ScalarField` and
-``FieldTensor`` compile on first use and keep their programs.
+:func:`jet_many` compile a stack program and run it once; :class:`ScalarField`
+and ``FieldTensor`` compile on first use and keep their programs.
 
 Parsed trees are immutable, and a compiled function is a pure function of
 its point, so a :class:`ScalarField` may be evaluated concurrently from
@@ -370,10 +370,11 @@ def jet_many(nodes, points, order: int) -> np.ndarray:
     names a row where a tree's value is finite but its derivatives are not
     (``sqrt`` at 0 has none): the first such row of the first such tree.
 
-    It runs the :func:`compile_rows` program of these very tree objects,
-    kept with up to 63 others.  A term of a variable that a subtree does not
-    contain is never computed, so beside a value that is not finite a
-    derivative may be 0 where forward mode on dense gradients has 0 * inf.
+    It compiles the :func:`compile_rows` program of the trees and runs it
+    once; a caller that jets the same trees again keeps the program.  A
+    term of a variable that a subtree does not contain is never computed,
+    so beside a value that is not finite a derivative may be 0 where
+    forward mode on dense gradients has 0 * inf.
 
     Near a removable singularity of an expression the derivatives lose
     accuracy, and nothing raises: at x = 2.220446049250313e-16,
@@ -383,19 +384,7 @@ def jet_many(nodes, points, order: int) -> np.ndarray:
     in its cancelled form, ``x/(1.5 x + 1)``, the field gets -3.
     """
     points = np.asarray(points, dtype=float)
-    key = (tuple(map(id, nodes)), points.shape[1], order)
-    kept = _KEPT.get(key)
-    if kept is None:
-        if len(_KEPT) >= 64:
-            _KEPT.clear()
-        kept = _KEPT[key] = (list(nodes), compile_rows(nodes, points.shape[1], order))
-    return kept[1](points)
-
-
-# jet_many's programs, by the identity of their trees (Const(0.0) and
-# Const(-0.0) are equal dataclasses): each entry holds its trees, so no other
-# object can take their ids while it is kept
-_KEPT: dict = {}
+    return compile_rows(nodes, points.shape[1], order)(points)
 
 
 def _check_rows(bad, values, points, message) -> None:
@@ -421,8 +410,7 @@ def _no_overflow(out, arg, points, message):
 _MATH = {"_exp": math.exp, "_ln": math.log, "_sqrt": math.sqrt, "_sin": math.sin, "_cos": math.cos}
 _UFUNCS = {"_exp": np.exp, "_ln": np.log, "_sqrt": np.sqrt, "_sin": np.sin, "_cos": np.cos,
            "_pow": np.float_power, "_check_rows": _check_rows, "_no_overflow": _no_overflow,
-           "_zeros": np.zeros, "_equal": np.equal, "_less": np.less,
-           "_less_equal": np.less_equal, "_isinf": np.isinf}
+           "_equal": np.equal, "_less": np.less, "_less_equal": np.less_equal, "_isinf": np.isinf}
 # at one point, the arguments a ufunc takes without a floating-point warning;
 # the stack program takes the others.  Powers get a bound on |base| from their
 # exponents (below).
@@ -661,6 +649,12 @@ class _Source:
         return names[name]
 
 
+def _tuple(entries: dict) -> str:
+    """The source of a tuple of the entries' names, in their order; the
+    callers scatter it into the jet by the entries' positions."""
+    return "(" + "".join(f"{e}, " for e in entries.values()) + ")"
+
+
 def _width(dim: int, order: int) -> int:
     """The number of Taylor coefficients up to ``order`` on a dim-chart."""
     return (1, 1 + dim, 1 + dim + dim * dim)[order]
@@ -676,7 +670,8 @@ def compile_point(nodes, dim: int, order: int = 0):
     the :func:`compile_rows` program's bit for bit: the same emitter, with
     the same ufuncs called on floats.  The code checks nothing itself: at a
     domain condition, a float exception or a value or derivative that is
-    not finite it hands the point to :func:`evaluate` or :func:`jet_many`,
+    not finite it hands the point to :func:`evaluate` or to the trees'
+    :func:`compile_rows` program (built at the first such point and kept),
     which return the result or raise their own error.  Only parsed trees
     are compiled; constants are bound as names, and every node is one
     temporary, so deep trees do not nest.
@@ -699,17 +694,21 @@ def compile_point(nodes, dim: int, order: int = 0):
     index = np.array([c * size + f for c, f in entries], dtype=np.intp)
     shape = (1, _width(dim, order), size)
     source.names.update(_sum=sum, _isfinite=math.isfinite)
-    source.lines += ["o = (" + "".join(f"{e}, " for e in entries.values()) + ")",
-                     "if not _isfinite(_sum(o)): return None", "return o"]
+    source.lines += [f"o = {_tuple(entries)}", "if not _isfinite(_sum(o)): return None", "return o"]
     point_fn = source.define("_point")
 
+    rows_fn = None  # the stack program of the fallback, built on its first use
+
     def jet(point) -> np.ndarray:
+        nonlocal rows_fn
         try:
             found = point_fn(point)
         except ArithmeticError:
             found = None
         if found is None:
-            return jet_many(nodes, np.asarray(point, dtype=float)[None], order)
+            if rows_fn is None:
+                rows_fn = compile_rows(nodes, dim, order)
+            return rows_fn(np.asarray(point, dtype=float)[None])
         out = np.zeros(shape)
         out.reshape(-1)[index] = found
         return out
@@ -731,15 +730,22 @@ def compile_rows(nodes, dim: int, order: int = 0):
     """
     source = _Source(order, rows=True)
     entries = source.entries(nodes, dim)
-    source.lines.append(f"o = _zeros((p.shape[0], {_width(dim, order)}, {len(nodes)}))")
-    source.lines += [f"o[:, {c}, {f}] = {e}" for (c, f), e in entries.items()]
-    source.lines.append("return o")
-    program = source.define("_rows")
+    # most stack programs run once or twice, so compiling is their main
+    # cost: the program returns its entries, the shortest source, and an
+    # all-zero jet compiles nothing
+    source.lines.append(f"return {_tuple(entries)}")
+    program = source.define("_rows") if entries else lambda p: ()
+    index = [c * len(nodes) + f for c, f in entries]
+    shape = (_width(dim, order), len(nodes))
 
     def jet(points) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         with np.errstate(all="ignore"):
-            out = program(points)
+            found = program(points)
+        out = np.zeros((len(points),) + shape)
+        flat = out.reshape(len(points), -1)
+        for k, column in zip(index, found):
+            flat[:, k] = column
         if order and not np.isfinite(out[:, 1:]).all():
             for f in range(len(nodes)):
                 bad = np.isfinite(out[:, 0, f]) & ~np.isfinite(out[:, 1:, f]).all(axis=1)
