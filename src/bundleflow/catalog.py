@@ -2,11 +2,13 @@
 
 Each entry carries a :class:`MetricStructure` (with analytic Christoffel
 symbols), an optional default F tensor, and a set of closed-form solution
-families.  The families evaluate positions together with exact first and
-second coordinate derivatives, so a sampled family can be pushed through the
-residual evaluators without differentiation noise; they also enforce their
-parameter constraints (raising :class:`ParameterError`) and their validity
-intervals.
+families.  A family is its base curve x(t) and its fiber xi(t), written as
+expressions in ``t`` in the language of the scenario fields, together with
+its parameter constraints (raising :class:`ParameterError`) and its validity
+interval.  Its first and second derivatives are the exact jets of those
+expressions, from the engine that differentiates the manifold's fields, so a
+sampled family can be pushed through the residual evaluators without
+differentiation noise.
 
 Entries:
 
@@ -31,13 +33,15 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
 from .bundle import BundleState, BundleSystem, FPlanarCoefficients, FTensor
 from .errors import ParameterError, UnknownEntryError
+from .expressions import compile_rows, parse
 from .geometry import CurvatureOperator, FieldTensor, MetricStructure
 from .integrate import Trajectory, compute_monitors
 
@@ -50,26 +54,41 @@ __all__ = [
     "perturbed_base",
 ]
 
-_NAMES = ("exp2d", "flat_diag", "poly2d", "euclid_oblique", "const_curv")
-
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """A parameterized exact solution of one of the bundle systems."""
+    """A parameterized exact solution of one of the bundle systems.
+
+    ``base`` and ``fiber`` hold the components of x(t) and xi(t) as
+    expressions in ``t``, each parameter written as the ``repr`` of its
+    float so that the text parses back to the same double.  They are
+    compiled once, into one program that returns their values and their
+    first and second derivatives at a stack of times.
+    """
 
     name: str
     manifold: str
     system: BundleSystem
-    base: Callable  # times -> (x, xdot, xddot), each (n, dim)
-    fiber: Callable  # times -> (xi, xidot, xiddot)
+    base: tuple[str, ...]  # x^i(t)
+    fiber: tuple[str, ...]  # xi^i(t)
     validity: Callable  # (t0, t1) -> None, raises ParameterError
     unit_geodesic: bool = False
+    _jet: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        trees = [parse(text, 1) for text in self.base + self.fiber]
+        object.__setattr__(self, "_jet", compile_rows(trees, 1, 2))
+
+    def _blocks(self, times: np.ndarray) -> np.ndarray:
+        """``[[x, xdot, xddot], [xi, xidot, xiddot]]`` at ``times``, each (n, dim)."""
+        jet = self._jet(times[:, None])  # [n, 3, 2 dim]: value, d/dt, d^2/dt^2
+        n, dim = len(times), len(self.base)
+        return np.ascontiguousarray(jet.reshape(n, 3, 2, dim).transpose(2, 1, 0, 3))
 
     def trajectory(self, M: MetricStructure, times) -> Trajectory:
         times = np.asarray(times, dtype=float)
         self.validity(float(times[0]), float(times[-1]))
-        x, xdot, xddot = self.base(times)
-        xi, xidot, xiddot = self.fiber(times)
+        (x, xdot, xddot), (xi, xidot, xiddot) = self._blocks(times)
         traj = Trajectory(
             times=times.copy(),
             x=x,
@@ -89,9 +108,9 @@ class ClosedForm:
         return traj
 
     def initial_state(self, t0: float = 0.0) -> BundleState:
-        t = np.array([float(t0)])
-        x, xdot, _ = self.base(t)
-        xi, xidot, _ = self.fiber(t)
+        t0 = float(t0)
+        self.validity(t0, t0)
+        (x, xdot, _), (xi, xidot, _) = self._blocks(np.array([t0]))
         return BundleState(x[0], xdot[0], xi[0], xidot[0])
 
 
@@ -113,7 +132,7 @@ class CatalogEntry:
 
 
 def entry_names() -> tuple[str, ...]:
-    return _NAMES
+    return tuple(_BUILDERS)
 
 
 def entry(name: str, **kwargs) -> CatalogEntry:
@@ -122,16 +141,9 @@ def entry(name: str, **kwargs) -> CatalogEntry:
     if match:
         return _const_curv(c=float(match.group(1)), **kwargs)
     key = name.strip()
-    builders = {
-        "exp2d": _exp2d,
-        "flat_diag": _flat_diag,
-        "poly2d": _poly2d,
-        "euclid_oblique": _euclid_oblique,
-        "const_curv": _const_curv,
-    }
-    if key not in builders:
-        raise UnknownEntryError(f"unknown catalog entry {name!r}; known: {_NAMES}")
-    return builders[key](**kwargs)
+    if key not in _BUILDERS:
+        raise UnknownEntryError(f"unknown catalog entry {name!r}; known: {entry_names()}")
+    return _BUILDERS[key](**kwargs)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -141,6 +153,28 @@ def _require(condition: bool, message: str) -> None:
 
 def _span_inside(t0, t1, lo, hi, what):
     _require(lo < t0 <= t1 < hi, f"{what}: need t in ({lo:g}, {hi:g})")
+
+
+def _everywhere(t0, t1) -> None:
+    """The validity of a family defined for every t."""
+
+
+def _literals(**params) -> SimpleNamespace:
+    """Each parameter as expression text that parses back to its double, a
+    vector parameter as a list of them; a parameter that is not finite has
+    no such text and raises :class:`ParameterError`."""
+
+    def literal(name, value) -> str:
+        value = float(value)
+        _require(math.isfinite(value), f"parameter {name} must be finite, got {value}")
+        text = repr(value)
+        return f"({text})" if text.startswith("-") else text
+
+    return SimpleNamespace(**{
+        name: [literal(f"{name}[{i}]", v) for i, v in enumerate(value)] if np.ndim(value)
+        else literal(name, value)
+        for name, value in params.items()
+    })
 
 
 # -- exp2d --------------------------------------------------------------------
@@ -159,76 +193,39 @@ def _exp2d() -> CatalogEntry:
         name="exp2d",
     )
 
-    def log_base(a, b, lam, eta):
-        def base(t):
-            p = 1.0 + lam * t
-            q = 1.0 + eta * t
-            x = np.stack([a + np.log(p), b + np.log(q)], axis=1)
-            xdot = np.stack([lam / p, eta / q], axis=1)
-            xddot = np.stack([-(lam**2) / p**2, -(eta**2) / q**2], axis=1)
-            return x, xdot, xddot
-
-        return base
-
-    def log_validity(lam, eta):
+    def log_lift(name, p, fiber, lam, eta) -> ClosedForm:
         def validity(t0, t1):
             for t in (t0, t1):
                 _require(1.0 + lam * t > 0.0, f"need 1 + {lam:g} t > 0 at t = {t:g}")
                 _require(1.0 + eta * t > 0.0, f"need 1 + {eta:g} t > 0 at t = {t:g}")
 
-        return validity
+        base = (f"{p.a} + ln(1 + {p.lam}*t)", f"{p.b} + ln(1 + {p.eta}*t)")
+        return ClosedForm(
+            name, "exp2d", BundleSystem("geodesic_unit"), base, fiber, validity,
+            unit_geodesic=True,
+        )
 
     def natural_lift(a=0.0, b=0.0, lam=math.sqrt(0.5), eta=math.sqrt(0.5)) -> ClosedForm:
+        p = _literals(a=a, b=b, lam=lam, eta=eta)
         norm = 2.0 * lam * eta * math.exp(a + b)
         _require(
             abs(norm - 1.0) <= 1e-12,
             f"natural lift leaves the phi-unit bundle: 2 lam eta e^(a+b) = {norm:.17g}",
         )
-
-        def fiber(t):
-            p = 1.0 + lam * t
-            q = 1.0 + eta * t
-            xi = np.stack([lam / p, eta / q], axis=1)
-            xidot = np.stack([-(lam**2) / p**2, -(eta**2) / q**2], axis=1)
-            xiddot = np.stack([2.0 * lam**3 / p**3, 2.0 * eta**3 / q**3], axis=1)
-            return xi, xidot, xiddot
-
-        return ClosedForm(
-            "natural_lift",
-            "exp2d",
-            BundleSystem("geodesic_unit"),
-            log_base(a, b, lam, eta),
-            fiber,
-            log_validity(lam, eta),
-            unit_geodesic=True,
-        )
+        fiber = (f"{p.lam}/(1 + {p.lam}*t)", f"{p.eta}/(1 + {p.eta}*t)")
+        return log_lift("natural_lift", p, fiber, lam, eta)
 
     def horizontal_lift(
         a=0.0, b=0.0, lam=math.sqrt(0.5), eta=math.sqrt(0.5), h1=1.0, h2=0.5
     ) -> ClosedForm:
+        p = _literals(a=a, b=b, lam=lam, eta=eta, h1=h1, h2=h2)
         norm = 2.0 * h1 * h2 * math.exp(a + b)
         _require(
             abs(norm - 1.0) <= 1e-12,
             f"horizontal lift leaves the phi-unit bundle: 2 h1 h2 e^(a+b) = {norm:.17g}",
         )
-
-        def fiber(t):
-            p = 1.0 + lam * t
-            q = 1.0 + eta * t
-            xi = np.stack([h1 / p, h2 / q], axis=1)
-            xidot = np.stack([-h1 * lam / p**2, -h2 * eta / q**2], axis=1)
-            xiddot = np.stack([2.0 * h1 * lam**2 / p**3, 2.0 * h2 * eta**2 / q**3], axis=1)
-            return xi, xidot, xiddot
-
-        return ClosedForm(
-            "horizontal_lift",
-            "exp2d",
-            BundleSystem("geodesic_unit"),
-            log_base(a, b, lam, eta),
-            fiber,
-            log_validity(lam, eta),
-            unit_geodesic=True,
-        )
+        fiber = (f"{p.h1}/(1 + {p.lam}*t)", f"{p.h2}/(1 + {p.eta}*t)")
+        return log_lift("horizontal_lift", p, fiber, lam, eta)
 
     return CatalogEntry(
         "exp2d",
@@ -251,47 +248,18 @@ def _flat_diag() -> CatalogEntry:
     )
     f_phi = FTensor(is_phi=True)
 
-    def exp_pair(kp, ko, sign):
-        # one component of the exponential family: kp e^{sign t} + ko
-        def values(t):
-            e = np.exp(sign * t)
-            return kp * e + ko, sign * kp * e, kp * e
-
-        return values
-
     def hphi_geodesic(
         k1=0.5, k2=0.1, k3=0.3, k4=-0.2, k5=0.4, k6=0.0, k7=0.25, k8=0.05
     ) -> ClosedForm:
-        cx = exp_pair(k1, k2, 1.0)
-        cy = exp_pair(k3, k4, -1.0)
-        cu = exp_pair(k5, k6, 1.0)
-        cv = exp_pair(k7, k8, -1.0)
-
-        def base(t):
-            x0, xd0, xdd0 = cx(t)
-            x1, xd1, xdd1 = cy(t)
-            return (
-                np.stack([x0, x1], axis=1),
-                np.stack([xd0, xd1], axis=1),
-                np.stack([xdd0, xdd1], axis=1),
-            )
-
-        def fiber(t):
-            u0, ud0, udd0 = cu(t)
-            u1, ud1, udd1 = cv(t)
-            return (
-                np.stack([u0, u1], axis=1),
-                np.stack([ud0, ud1], axis=1),
-                np.stack([udd0, udd1], axis=1),
-            )
-
+        # every component is k e^{+-t} + k'
+        p = _literals(k1=k1, k2=k2, k3=k3, k4=k4, k5=k5, k6=k6, k7=k7, k8=k8)
         return ClosedForm(
             "hphi_geodesic",
             "flat_diag",
             BundleSystem("f_geodesic_tm", f_tensor=f_phi),
-            base,
-            fiber,
-            lambda t0, t1: None,
+            (f"{p.k1}*exp(t) + {p.k2}", f"{p.k3}*exp(-t) + {p.k4}"),
+            (f"{p.k5}*exp(t) + {p.k6}", f"{p.k7}*exp(-t) + {p.k8}"),
+            _everywhere,
         )
 
     def hphi_planar(
@@ -300,43 +268,21 @@ def _flat_diag() -> CatalogEntry:
         # coefficient functions 1/(t+1) and 1/(t-1); components solve
         #   w'' = (rho1 +/- rho2) w'
         # with the cubic branch for +, the logarithmic branch for -
+        p = _literals(a1=a1, a2=a2, a3=a3, a4=a4, b1=b1, b2=b2, b3=b3, b4=b4)
         coeffs = FPlanarCoefficients.parse("1/(t + 1)", "1/(t - 1)")
 
-        def cubic(p, o, t):
-            return p * t**3 - 3.0 * p * t + o, 3.0 * p * (t**2 - 1.0), 6.0 * p * t
+        def cubic(k, o):
+            return f"{k}*t^3 - 3*{k}*t + {o}"
 
-        def logbr(p, o, t):
-            tm = t - 1.0
-            return (
-                p * np.log(tm**2) + p * t + o,
-                2.0 * p / tm + p,
-                -2.0 * p / tm**2,
-            )
-
-        def base(t):
-            x0, xd0, xdd0 = cubic(a1, a2, t)
-            x1, xd1, xdd1 = logbr(a3, a4, t)
-            return (
-                np.stack([x0, x1], axis=1),
-                np.stack([xd0, xd1], axis=1),
-                np.stack([xdd0, xdd1], axis=1),
-            )
-
-        def fiber(t):
-            u0, ud0, udd0 = cubic(b1, b2, t)
-            u1, ud1, udd1 = logbr(b3, b4, t)
-            return (
-                np.stack([u0, u1], axis=1),
-                np.stack([ud0, ud1], axis=1),
-                np.stack([udd0, udd1], axis=1),
-            )
+        def logarithmic(k, o):
+            return f"{k}*ln((t - 1)^2) + {k}*t + {o}"
 
         return ClosedForm(
             "hphi_planar",
             "flat_diag",
             BundleSystem("f_planar_tm", f_tensor=f_phi, coefficients=coeffs),
-            base,
-            fiber,
+            (cubic(p.a1, p.a2), logarithmic(p.a3, p.a4)),
+            (cubic(p.b1, p.b2), logarithmic(p.b3, p.b4)),
             lambda t0, t1: _span_inside(t0, t1, -1.0, 1.0, "hphi_planar coefficients"),
         )
 
@@ -365,78 +311,30 @@ def _poly2d(a: float = 1.0, b: float = -0.5) -> CatalogEntry:
     )
     f_tensor = FTensor.from_spec([[a, 0.0], [0.0, b]], 2)
 
-    def sqrt_component(eps, c_grow, c_off, rate):
-        # x = eps sqrt(c_grow e^{rate t} + c_off)
-        def values(t):
-            w = c_grow * np.exp(rate * t) + c_off
-            wp = rate * c_grow * np.exp(rate * t)
-            wpp = rate * wp
-            root = np.sqrt(w)
-            x = eps * root
-            xd = eps * wp / (2.0 * root)
-            xdd = eps * (wpp / (2.0 * root) - wp**2 / (4.0 * w * root))
-            return x, xd, xdd
-
-        def positive_on(t0, t1):
-            for t in (t0, t1):
-                _require(
-                    c_grow * math.exp(rate * t) + c_off > 0.0,
-                    f"sqrt argument not positive at t = {t:g}",
-                )
-
-        return values, positive_on
-
-    def _lift(name, system, rate1, rate2, c1, c2, c3, c4, eps1, eps2, k1, k2):
-        cx, vx = sqrt_component(eps1, c1, c2, rate1)
-        cy, vy = sqrt_component(eps2, c3, c4, rate2)
-
-        def base(t):
-            x0, xd0, xdd0 = cx(t)
-            x1, xd1, xdd1 = cy(t)
-            return (
-                np.stack([x0, x1], axis=1),
-                np.stack([xd0, xd1], axis=1),
-                np.stack([xdd0, xdd1], axis=1),
-            )
-
-        def fiber(t):
-            x0, xd0, xdd0 = cx(t)
-            x1, xd1, xdd1 = cy(t)
-            u = k1 / x0
-            v = k2 / x1
-            ud = -k1 * xd0 / x0**2
-            vd = -k2 * xd1 / x1**2
-            udd = -k1 * (xdd0 * x0 - 2.0 * xd0**2) / x0**3
-            vdd = -k2 * (xdd1 * x1 - 2.0 * xd1**2) / x1**3
-            return (
-                np.stack([u, v], axis=1),
-                np.stack([ud, vd], axis=1),
-                np.stack([udd, vdd], axis=1),
-            )
+    def _lift(name, system, rates, c1, c2, c3, c4, eps1, eps2, k1, k2) -> ClosedForm:
+        # x^i = eps_i sqrt(c_grow e^{rate_i t} + c_off) with (c_grow, c_off)
+        # = (c1, c2) and (c3, c4); the horizontal lift has fibers k_i / x^i
+        p = _literals(c1=c1, c2=c2, c3=c3, c4=c4, eps1=eps1, eps2=eps2, k1=k1, k2=k2,
+                      rate=rates)
+        roots = ((p.eps1, p.c1, p.c2, p.rate[0]), (p.eps2, p.c3, p.c4, p.rate[1]))
+        base = tuple(f"{eps}*sqrt({grow}*exp({rate}*t) + {off})" for eps, grow, off, rate in roots)
 
         def validity(t0, t1):
-            vx(t0, t1)
-            vy(t0, t1)
+            for t in (t0, t1):
+                for grow, off, rate in ((c1, c2, rates[0]), (c3, c4, rates[1])):
+                    _require(
+                        grow * math.exp(rate * t) + off > 0.0,
+                        f"sqrt argument not positive at t = {t:g}",
+                    )
 
+        fiber = (f"{p.k1}/({base[0]})", f"{p.k2}/({base[1]})")
         return ClosedForm(name, "poly2d", system, base, fiber, validity)
 
     def f_geodesic_lift(
         c1=1.0, c2=0.5, c3=1.0, c4=0.5, eps1=1.0, eps2=1.0, k1=0.3, k2=0.4
     ) -> ClosedForm:
-        return _lift(
-            "f_geodesic_lift",
-            BundleSystem("f_geodesic_tm", f_tensor=f_tensor),
-            a,
-            b,
-            c1,
-            c2,
-            c3,
-            c4,
-            eps1,
-            eps2,
-            k1,
-            k2,
-        )
+        system = BundleSystem("f_geodesic_tm", f_tensor=f_tensor)
+        return _lift("f_geodesic_lift", system, (a, b), c1, c2, c3, c4, eps1, eps2, k1, k2)
 
     def f_planar_lift(
         rho1=0.4,
@@ -452,24 +350,14 @@ def _poly2d(a: float = 1.0, b: float = -0.5) -> CatalogEntry:
     ) -> ClosedForm:
         # coefficient functions taken constant so the family stays exact;
         # validated by residual only
-        return _lift(
-            "f_planar_lift",
-            BundleSystem(
-                "f_planar_tm",
-                f_tensor=f_tensor,
-                coefficients=FPlanarCoefficients.constant(rho1, rho2),
-            ),
-            rho1 + a * rho2,
-            rho1 + b * rho2,
-            c1,
-            c2,
-            c3,
-            c4,
-            eps1,
-            eps2,
-            k1,
-            k2,
+        _literals(rho1=rho1, rho2=rho2)  # names a coefficient that is not finite
+        system = BundleSystem(
+            "f_planar_tm",
+            f_tensor=f_tensor,
+            coefficients=FPlanarCoefficients.constant(rho1, rho2),
         )
+        rates = (rho1 + a * rho2, rho1 + b * rho2)
+        return _lift("f_planar_lift", system, rates, c1, c2, c3, c4, eps1, eps2, k1, k2)
 
     return CatalogEntry(
         "poly2d",
@@ -514,10 +402,8 @@ def _euclid_oblique() -> CatalogEntry:
     structure = _flat4_structure("euclid_oblique")
 
     def oblique_geodesic(rho, c1, c2, c3, c4) -> ClosedForm:
+        p = _literals(rho=rho, c1=c1, c2=c2, c3=c3, c4=c4)
         c1 = np.asarray(c1, dtype=float)
-        c2 = np.asarray(c2, dtype=float)
-        c3 = np.asarray(c3, dtype=float)
-        c4 = np.asarray(c4, dtype=float)
         _require(0.0 < rho < 1.0, "oblique geodesics need 0 < rho < 1")
         _check_fiber_constants(c3, c4)
         speed_sq = float(c1 @ c1)
@@ -525,57 +411,26 @@ def _euclid_oblique() -> CatalogEntry:
             abs(speed_sq - (1.0 - rho**2)) <= 1e-12,
             f"natural parametrization needs |c1|^2 = 1 - rho^2, got {speed_sq:.17g}",
         )
-
-        def base(t):
-            n = t.size
-            x = c2[None, :] + t[:, None] * c1[None, :]
-            xdot = np.broadcast_to(c1, (n, 4)).copy()
-            return x, xdot, np.zeros((n, 4))
-
-        def fiber(t):
-            cos = np.cos(rho * t)[:, None]
-            sin = np.sin(rho * t)[:, None]
-            xi = c3[None, :] * cos + c4[None, :] * sin
-            xidot = rho * (-c3[None, :] * sin + c4[None, :] * cos)
-            return xi, xidot, -(rho**2) * xi
-
         return ClosedForm(
             "oblique_geodesic",
             "euclid_oblique",
             BundleSystem("geodesic_unit"),
-            base,
-            fiber,
-            lambda t0, t1: None,
+            tuple(f"{o} + {v}*t" for o, v in zip(p.c2, p.c1)),
+            tuple(f"{u}*cos({p.rho}*t) + {w}*sin({p.rho}*t)" for u, w in zip(p.c3, p.c4)),
+            _everywhere,
             unit_geodesic=True,
         )
 
     def vertical_oscillation(c3, c4, x0=(0.0, 0.0, 0.0, 0.0)) -> ClosedForm:
-        c3 = np.asarray(c3, dtype=float)
-        c4 = np.asarray(c4, dtype=float)
-        x0 = np.asarray(x0, dtype=float)
+        p = _literals(c3=c3, c4=c4, x0=x0)
         _check_fiber_constants(c3, c4)
-
-        def base(t):
-            n = t.size
-            return (
-                np.broadcast_to(x0, (n, 4)).copy(),
-                np.zeros((n, 4)),
-                np.zeros((n, 4)),
-            )
-
-        def fiber(t):
-            cos = np.cos(t)[:, None]
-            sin = np.sin(t)[:, None]
-            xi = c3[None, :] * cos + c4[None, :] * sin
-            return xi, -c3[None, :] * sin + c4[None, :] * cos, -xi
-
         return ClosedForm(
             "vertical_oscillation",
             "euclid_oblique",
             BundleSystem("geodesic_unit"),
-            base,
-            fiber,
-            lambda t0, t1: None,
+            tuple(p.x0),
+            tuple(f"{u}*cos(t) + {w}*sin(t)" for u, w in zip(p.c3, p.c4)),
+            _everywhere,
             unit_geodesic=True,
         )
 
@@ -596,6 +451,15 @@ def _const_curv(c: float = 1.0) -> CatalogEntry:
     op = CurvatureOperator(c)
     structure = _flat4_structure(f"const_curv({c:g})", riemann=op.tensor(np.eye(4)))
     return CatalogEntry(structure.name, structure, curvature_op=op)
+
+
+_BUILDERS = {
+    "exp2d": _exp2d,
+    "flat_diag": _flat_diag,
+    "poly2d": _poly2d,
+    "euclid_oblique": _euclid_oblique,
+    "const_curv": _const_curv,
+}
 
 
 # -- random families for the lift-equivalence suite ---------------------------
@@ -623,54 +487,30 @@ def random_f_planar_solution(rng, *, on_unit: bool = False) -> ClosedForm:
     else:
         fiber_const = rng.uniform(-1.0, 1.0, size=2)
         kind = "f_planar_tm"
-
-    def base(t):
-        cols = []
-        for rate, speed, offset in zip(rates, speeds, offsets):
-            e = np.exp(rate * t)
-            cols.append((offset + speed * np.expm1(rate * t) / rate, speed * e, rate * speed * e))
-        x = np.stack([c[0] for c in cols], axis=1)
-        xdot = np.stack([c[1] for c in cols], axis=1)
-        xddot = np.stack([c[2] for c in cols], axis=1)
-        return x, xdot, xddot
-
-    def fiber(t):
-        n = t.size
-        return (
-            np.broadcast_to(fiber_const, (n, 2)).copy(),
-            np.zeros((n, 2)),
-            np.zeros((n, 2)),
-        )
-
+    p = _literals(rate=rates, speed=speeds, offset=offsets, fiber=fiber_const)
+    ramps = zip(p.offset, p.speed, p.rate)
     system = BundleSystem(
         kind,
         f_tensor=FTensor(is_phi=True),
         coefficients=FPlanarCoefficients.constant(rho1, rho2),
     )
     return ClosedForm(
-        "random_f_planar", "flat_diag", system, base, fiber, lambda t0, t1: None
+        "random_f_planar",
+        "flat_diag",
+        system,
+        tuple(f"{o} + {s}*(exp({r}*t) - 1)/{r}" for o, s, r in ramps),
+        tuple(p.fiber),
+        _everywhere,
     )
 
 
 def perturbed_base(solution: ClosedForm, *, amplitude: float = 0.01, freq: float = 5.0) -> ClosedForm:
     """Negative control: add a smooth non-solution wiggle to the base curve."""
-
-    def base(t):
-        x, xdot, xddot = solution.base(t)
-        x = x.copy()
-        xdot = xdot.copy()
-        xddot = xddot.copy()
-        x[:, 0] += amplitude * np.sin(freq * t)
-        xdot[:, 0] += amplitude * freq * np.cos(freq * t)
-        xddot[:, 0] -= amplitude * freq**2 * np.sin(freq * t)
-        return x, xdot, xddot
-
-    return ClosedForm(
-        solution.name + "_perturbed",
-        solution.manifold,
-        solution.system,
-        base,
-        solution.fiber,
-        solution.validity,
+    p = _literals(amplitude=amplitude, freq=freq)
+    wiggle = f"({solution.base[0]}) + {p.amplitude}*sin({p.freq}*t)"
+    return replace(
+        solution,
+        name=solution.name + "_perturbed",
+        base=(wiggle,) + solution.base[1:],
         unit_geodesic=False,
     )

@@ -85,12 +85,11 @@ class Trajectory:
         return BundleState(self.x[i], self.xdot[i], self.xi[i], self.xidot[i])
 
     @classmethod
-    def from_base_curve(cls, times, x, xdot, xddot=None, *, dim_fiber=None, meta=None):
+    def from_base_curve(cls, times, x, xdot, xddot=None):
         """Wrap a plain base curve (zero fiber) for Frenet-style analysis."""
         times = np.asarray(times, dtype=float)
         x = np.asarray(x, dtype=float)
-        d = x.shape[1] if dim_fiber is None else dim_fiber
-        zeros = np.zeros((times.size, d))
+        zeros = np.zeros(x.shape)
         return cls(
             times=times,
             x=x,
@@ -99,7 +98,6 @@ class Trajectory:
             xidot=zeros.copy(),
             xddot=None if xddot is None else np.asarray(xddot, dtype=float),
             xiddot=None if xddot is None else zeros.copy(),
-            meta=dict(meta or {}),
         )
 
 

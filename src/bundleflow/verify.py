@@ -90,6 +90,20 @@ def _trajectory_error(traj, reference: Trajectory) -> float:
     return err
 
 
+def _residual(M, fam, t1: float = 1.0) -> float:
+    """The family's largest residual on 201 samples of [0, t1]."""
+    traj = fam.trajectory(M, np.linspace(0.0, t1, 201))
+    return geodesic_residual(M, fam.system, traj).max_residual
+
+
+def _rk4_run(M, fam, t1: float = 1.0) -> tuple[Trajectory, Trajectory]:
+    """An RK4 run at h = 1e-3 over [0, t1] from the family's state at 0, and
+    the family at the run's times."""
+    cfg = IntegratorConfig(step=1e-3, t_span=(0.0, t1))
+    traj = integrate(M, fam.system, fam.initial_state(), cfg)
+    return traj, fam.trajectory(M, traj.times)
+
+
 def _drift_order_ratio(M, system, init, t_span, h) -> float:
     drifts = []
     for step in (h, h / 2.0):
@@ -181,15 +195,8 @@ def verify_structure(seed: int = DEFAULT_SEED) -> list[Claim]:
 def verify_euclid_oblique(seed: int = DEFAULT_SEED) -> list[Claim]:
     ent, fam = euclid_oblique_family(rho=0.5)
     M = ent.structure
-    claims = []
-    times = np.linspace(0.0, 1.0, 201)
-    sampled = fam.trajectory(M, times)
-    res = geodesic_residual(M, fam.system, sampled)
-    claims.append(_claim("euclid_oblique/closed_form_residual", res.max_residual, 1e-8))
-
-    cfg = IntegratorConfig(step=1e-3, t_span=(0.0, 1.0))
-    traj = integrate(M, fam.system, fam.initial_state(), cfg)
-    reference = fam.trajectory(M, traj.times)
+    claims = [_claim("euclid_oblique/closed_form_residual", _residual(M, fam), 1e-8)]
+    traj, reference = _rk4_run(M, fam)
     claims.append(
         _claim(
             "euclid_oblique/integration_error",
@@ -231,19 +238,13 @@ def verify_exp2d(seed: int = DEFAULT_SEED) -> list[Claim]:
     M = ent.structure
     claims = []
     lam = math.sqrt(0.5)
-    cfg = IntegratorConfig(step=1e-3, t_span=(0.0, 1.0))
     for label, params in (
         ("natural", dict(a=0.0, b=0.0, lam=lam, eta=lam)),
         ("horizontal", dict(a=0.0, b=0.0, lam=lam, eta=lam, h1=1.0, h2=0.5)),
     ):
         fam = ent.family(f"{label}_lift", **params)
-        times = np.linspace(0.0, 1.0, 201)
-        res = geodesic_residual(M, fam.system, fam.trajectory(M, times))
-        claims.append(
-            _claim(f"exp2d/{label}_closed_form_residual", res.max_residual, 1e-8)
-        )
-        traj = integrate(M, fam.system, fam.initial_state(), cfg)
-        reference = fam.trajectory(M, traj.times)
+        claims.append(_claim(f"exp2d/{label}_closed_form_residual", _residual(M, fam), 1e-8))
+        traj, reference = _rk4_run(M, fam)
         claims.append(
             _claim(
                 f"exp2d/{label}_integration_error",
@@ -279,12 +280,8 @@ def verify_flat_diag(seed: int = DEFAULT_SEED) -> list[Claim]:
     claims = []
 
     fam = ent.family("hphi_geodesic")
-    times = np.linspace(0.0, 1.0, 201)
-    res = geodesic_residual(M, fam.system, fam.trajectory(M, times))
-    claims.append(_claim("flat_diag/hphi_geodesic_residual", res.max_residual, 1e-8))
-    cfg = IntegratorConfig(step=1e-3, t_span=(0.0, 1.0))
-    traj = integrate(M, fam.system, fam.initial_state(), cfg)
-    reference = fam.trajectory(M, traj.times)
+    claims.append(_claim("flat_diag/hphi_geodesic_residual", _residual(M, fam), 1e-8))
+    traj, reference = _rk4_run(M, fam)
     claims.append(
         _claim(
             "flat_diag/hphi_geodesic_integration",
@@ -295,12 +292,8 @@ def verify_flat_diag(seed: int = DEFAULT_SEED) -> list[Claim]:
     )
 
     fam = ent.family("hphi_planar")
-    times = np.linspace(0.0, 0.9, 201)
-    res = geodesic_residual(M, fam.system, fam.trajectory(M, times))
-    claims.append(_claim("flat_diag/hphi_planar_residual", res.max_residual, 1e-8))
-    cfg = IntegratorConfig(step=1e-3, t_span=(0.0, 0.9))
-    traj = integrate(M, fam.system, fam.initial_state(), cfg)
-    reference = fam.trajectory(M, traj.times)
+    claims.append(_claim("flat_diag/hphi_planar_residual", _residual(M, fam, 0.9), 1e-8))
+    traj, reference = _rk4_run(M, fam, 0.9)
     claims.append(
         _claim(
             "flat_diag/hphi_planar_integration",
@@ -315,14 +308,9 @@ def verify_flat_diag(seed: int = DEFAULT_SEED) -> list[Claim]:
 def verify_poly2d(seed: int = DEFAULT_SEED) -> list[Claim]:
     ent = catalog.entry("poly2d")
     M = ent.structure
-    claims = []
     fam = ent.family("f_geodesic_lift")
-    times = np.linspace(0.0, 1.0, 201)
-    res = geodesic_residual(M, fam.system, fam.trajectory(M, times))
-    claims.append(_claim("poly2d/f_geodesic_residual", res.max_residual, 1e-8))
-    cfg = IntegratorConfig(step=1e-3, t_span=(0.0, 1.0))
-    traj = integrate(M, fam.system, fam.initial_state(), cfg)
-    reference = fam.trajectory(M, traj.times)
+    claims = [_claim("poly2d/f_geodesic_residual", _residual(M, fam), 1e-8)]
+    traj, reference = _rk4_run(M, fam)
     claims.append(
         _claim(
             "poly2d/f_geodesic_integration",
@@ -332,11 +320,10 @@ def verify_poly2d(seed: int = DEFAULT_SEED) -> list[Claim]:
         )
     )
     fam = ent.family("f_planar_lift")
-    res = geodesic_residual(M, fam.system, fam.trajectory(M, times))
     claims.append(
         _claim(
             "poly2d/f_planar_residual",
-            res.max_residual,
+            _residual(M, fam),
             1e-8,
             detail="constant coefficients; residual-only validation",
         )
@@ -539,12 +526,10 @@ def verify_lift_equivalence(seed: int = DEFAULT_SEED) -> list[Claim]:
     ent = catalog.entry("flat_diag")
     M = ent.structure
     rng = np.random.default_rng(seed)
-    times = np.linspace(0.0, 1.0, 201)
     worst = 0.0
     for i in range(20):
         sol = catalog.random_f_planar_solution(rng, on_unit=bool(i % 2))
-        res = geodesic_residual(M, sol.system, sol.trajectory(M, times))
-        worst = max(worst, res.max_residual)
+        worst = max(worst, _residual(M, sol))
     claims = [
         _claim(
             "lift_equivalence/random_horizontal_lifts",
@@ -554,12 +539,10 @@ def verify_lift_equivalence(seed: int = DEFAULT_SEED) -> list[Claim]:
         )
     ]
     sol = catalog.random_f_planar_solution(np.random.default_rng(seed + 1))
-    bad = catalog.perturbed_base(sol)
-    res = geodesic_residual(M, bad.system, bad.trajectory(M, times))
     claims.append(
         _claim_at_least(
             "lift_equivalence/negative_control",
-            res.max_residual,
+            _residual(M, catalog.perturbed_base(sol)),
             1e-3,
             detail="perturbed base must violate the lifted equations",
         )

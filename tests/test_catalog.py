@@ -149,3 +149,86 @@ def test_random_f_planar_solutions_are_exact():
         sol = catalog.random_f_planar_solution(rng, on_unit=on_unit)
         res = geodesic_residual(flat.structure, sol.system, sol.trajectory(flat.structure, times))
         assert res.max_residual < 1e-10
+
+
+def test_initial_state_outside_the_validity_interval_raises():
+    with pytest.raises(ParameterError):
+        catalog.entry("exp2d").family("natural_lift").initial_state(-5.0)  # 1 + lam t < 0
+    lift = catalog.entry("poly2d").family("f_geodesic_lift", c1=1.0, c2=-0.9)
+    with pytest.raises(ParameterError):
+        lift.initial_state(-3.0)  # e^{-3} - 0.9 < 0 under the square root
+
+
+def test_a_parameter_that_is_not_finite_is_refused_by_name():
+    flat = catalog.entry("flat_diag")
+    with pytest.raises(ParameterError, match="k1"):
+        flat.family("hphi_geodesic", k1=math.inf)
+    with pytest.raises(ParameterError, match="k4"):
+        flat.family("hphi_geodesic", k4=math.nan)
+
+
+_OBLIQUE = dict(
+    rho=0.5,
+    c1=math.sqrt(0.75) * np.array([0.6, 0.8, 0.0, 0.0]),
+    c2=np.array([0.1, -0.3, 0.2, 0.05]),
+    c3=np.array([math.cosh(0.3), 0.0, math.sinh(0.3), 0.0]),
+    c4=np.array([0.0, math.cosh(0.2), 0.0, -math.sinh(0.2)]),
+)
+
+
+def test_numpy_parameters_give_the_states_of_python_floats():
+    ent = catalog.entry("euclid_oblique")
+    arrays = dict(_OBLIQUE, rho=np.float64(0.5))
+    floats = {k: float(v) if np.ndim(v) == 0 else [float(c) for c in v] for k, v in arrays.items()}
+    times = np.linspace(0.0, 1.0, 11)
+    a = ent.family("oblique_geodesic", **arrays)
+    b = ent.family("oblique_geodesic", **floats)
+    assert a.base == b.base and a.fiber == b.fiber
+    ta, tb = a.trajectory(ent.structure, times), b.trajectory(ent.structure, times)
+    for name in ("x", "xdot", "xddot", "xi", "xidot", "xiddot"):
+        assert np.array_equal(getattr(ta, name), getattr(tb, name)), name
+    assert np.array_equal(a.initial_state(0.3).flat(), b.initial_state(0.3).flat())
+
+
+def _every_family():
+    """(structure, family, span) for each catalog family and the random ones."""
+    named = [
+        ("exp2d", "natural_lift", {}, 1.0),
+        ("exp2d", "horizontal_lift", {}, 1.0),
+        ("flat_diag", "hphi_geodesic", {}, 1.0),
+        ("flat_diag", "hphi_planar", {}, 0.9),
+        ("poly2d", "f_geodesic_lift", {}, 1.0),
+        ("poly2d", "f_planar_lift", {}, 1.0),
+        ("euclid_oblique", "oblique_geodesic", _OBLIQUE, 1.0),
+        ("euclid_oblique", "vertical_oscillation", dict(c3=[1, 0, 0, 0], c4=[0, 1, 0, 0]), 1.0),
+    ]
+    out = [(catalog.entry(e).structure, catalog.entry(e).family(f, **p), t1) for e, f, p, t1 in named]
+    flat = catalog.entry("flat_diag").structure
+    tm = catalog.random_f_planar_solution(np.random.default_rng(3))
+    unit = catalog.random_f_planar_solution(np.random.default_rng(4), on_unit=True)
+    return out + [(flat, tm, 1.0), (flat, unit, 1.0), (flat, catalog.perturbed_base(tm), 1.0)]
+
+
+def test_family_derivatives_agree_with_central_differences_of_its_values():
+    # An oracle that does not use the engine's derivative rules: at 19
+    # interior times, the first and second derivatives of x and xi must
+    # match central differences of the family's own values with h = 1e-4,
+    # to 1e-6 * max(1, |derivative|).  The stencils' truncation (h^2 f'''/6,
+    # h^2 f''''/12) and roundoff (eps |f| / h^2 ~ 1e-8 |f|) stay below
+    # 2.4e-7 here, the worst being hphi_planar next to its pole at t = 1.
+    h, tol = 1e-4, 1e-6
+    for M, fam, t1 in _every_family():
+        centers = np.linspace(0.0, t1, 21)[1:-1]
+        times = (centers[:, None] + h * np.array([-1.0, 0.0, 1.0])).ravel()
+        traj = fam.trajectory(M, times)
+        for value, first, second in (
+            (traj.x, traj.xdot, traj.xddot),
+            (traj.xi, traj.xidot, traj.xiddot),
+        ):
+            f = value.reshape(-1, 3, value.shape[1])
+            d1 = first.reshape(f.shape)[:, 1]
+            d2 = second.reshape(f.shape)[:, 1]
+            fd1 = (f[:, 2] - f[:, 0]) / (2.0 * h)
+            fd2 = (f[:, 2] - 2.0 * f[:, 1] + f[:, 0]) / h**2
+            assert np.all(np.abs(fd1 - d1) <= tol * np.maximum(1.0, np.abs(d1))), fam.name
+            assert np.all(np.abs(fd2 - d2) <= tol * np.maximum(1.0, np.abs(d2))), fam.name

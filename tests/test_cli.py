@@ -85,17 +85,35 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
+# 1/1e-320 overflows to inf and 0 * inf is NaN: g22 is NaN everywhere
+NAN_CHART = {"dim": 2, "g": [["1", "0"], ["0", "1 + 0*(1/1e-320)"]], "phi": [["1", "0"], ["0", "-1"]]}
+
+
 def test_check_of_a_nan_chart_writes_strict_json(tmp_path):
-    # 1/1e-320 overflows to inf and 0 * inf is NaN: g22 is NaN everywhere
     path = tmp_path / "s.json"
-    g = [["1", "0"], ["0", "1 + 0*(1/1e-320)"]]
-    path.write_text(json.dumps({"manifold": {"dim": 2, "g": g, "phi": [["1", "0"], ["0", "-1"]]}}))
+    path.write_text(json.dumps({"manifold": NAN_CHART}))
     with np.errstate(invalid="ignore"):  # numpy's det of a NaN matrix
         assert run("check", "--scenario", path, "--out", tmp_path) == 1
     report = _strict_json((tmp_path / "check_report.json").read_text())
     assert report["passed"] is False
     assert [c["max_residual"] for c in report["checks"]] == [None, None, None]
     assert report["checks"][0]["details"] == {"purity": None, "phi_square": 0.0}
+
+
+def test_integrate_on_a_nan_chart_stops_at_the_first_step(tmp_path, capsys):
+    doc = {
+        "manifold": NAN_CHART,
+        "system": "geodesic_tm",
+        "initial": {"x": [0, 0], "xdot": [1, 0], "xi": [1, 0], "xidot": [0, 0]},
+        "integrator": {"step": 0.01, "t_span": [0, 1]},
+    }
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert run("integrate", "--scenario", path, "--out", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "integration blew up: non-finite state at t = 0.01; partial output written" in err
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+    assert lines == ["t,x1,x2,xdot1,xdot2,xi1,xi2,xidot1,xidot2", "0,0,0,1,0,1,0,0,0"]
 
 
 def test_check_flat_diag_parallel_residual_exactly_zero(tmp_path):
