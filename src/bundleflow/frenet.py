@@ -1,12 +1,13 @@
 """Frenet analysis of projected base curves.
 
-The projected curve of a bundle trajectory is analyzed at every sample:
-covariant jets gamma', gamma'', ... (from one geometry evaluation on all
-samples), a Gram-Schmidt frame in the metric along the curve, and the Frenet
-curvatures k_1, k_2, ....  The frame is truncated at
-the first curvature below tolerance; all of this presumes the metric is
-positive definite on the span of the jets, otherwise a SignatureError is
-raised (the Frenet construction has no meaning for indefinite restrictions).
+The projected curve of a bundle trajectory is analyzed at all samples at
+once: covariant jets gamma', gamma'', ... (from one geometry evaluation on
+all samples), a Gram-Schmidt frame in the metric along the curve, and the
+Frenet curvatures k_1, k_2, ....  Each jet order is one array step over the
+samples; boolean masks truncate each sample's frame at its own first
+curvature below tolerance.  All of this presumes the metric is positive
+definite on the span of the jets, otherwise a SignatureError is raised (the
+Frenet construction has no meaning for indefinite restrictions).
 
 Curvatures are extracted from the triangular Gram-Schmidt coefficients: with
 r_i the orthogonal remainder norm of the i-th jet, k_i = r_{i+1} / (r_i |gamma'|),
@@ -36,6 +37,9 @@ __all__ = [
     "constancy_check",
 ]
 
+TRUNCATION_TOL = 1e-7  # a frame stops at its first remainder norm below this
+MIN_SPEED = 1e-6  # a projected curve slower than this somewhere is vertical
+
 
 @dataclass(frozen=True)
 class ArcLength:
@@ -50,15 +54,13 @@ class ArcLength:
         return float(np.max(self.speed) - np.min(self.speed))
 
 
-def arc_length_reparam(
-    M: MetricStructure, traj: Trajectory, *, min_speed: float = 1e-6
-) -> ArcLength:
+def arc_length_reparam(M: MetricStructure, traj: Trajectory) -> ArcLength:
     """Arc length of the projected curve; rejects (near-)vertical curves."""
     sq = bilinear(traj.xdot, M.metric_at(traj.x), traj.xdot)
     if np.any(sq < 0.0):
         raise SignatureError("negative squared speed along the projected curve")
     speed = np.sqrt(sq)
-    if float(np.min(speed)) < min_speed:
+    if float(np.min(speed)) < MIN_SPEED:
         raise VerticalCurveError(
             f"projected curve is vertical: min |gamma'| = {np.min(speed):g}"
         )
@@ -156,7 +158,6 @@ class FrenetResult:
     frame_rank: int
     frames: np.ndarray  # (n, m, dim), orthonormal in g; m = r or r + 1
     speed: np.ndarray
-    truncation_tol: float
     details: dict = field(default_factory=dict)
 
     @property
@@ -168,66 +169,58 @@ class FrenetResult:
         return np.max(np.abs(self.curvatures - self.means), axis=0)
 
 
-def frenet_curvatures(
-    M: MetricStructure,
-    jets: CovariantJets,
-    *,
-    truncation_tol: float = 1e-7,
-) -> FrenetResult:
-    """Gram-Schmidt frame and curvatures from covariant jets.
+def frenet_curvatures(M: MetricStructure, jets: CovariantJets) -> FrenetResult:
+    """Gram-Schmidt frame and curvatures from covariant jets, at all samples at once.
 
-    A second orthogonalization pass controls cancellation for nearly
-    dependent jets.  Indefinite directions in the jet span raise
-    :class:`SignatureError`.
+    Each jet order is one array step over every sample.  A mask holds the
+    samples whose frame is still growing, so each sample's frame stops on its
+    own, at its first remainder norm below ``TRUNCATION_TOL``.  A second
+    orthogonalization pass controls cancellation for nearly dependent jets.
+    Indefinite directions in the jet span raise :class:`SignatureError` and a
+    vanishing velocity raises :class:`VerticalCurveError`; where several
+    samples fail, the one with the lowest index decides.
     """
     if jets.order < 2:
         raise ValueError("need jets to order >= 2 for curvatures")
     n = jets.times.size
-    n_jets = jets.order
-    dim = jets.jets[0].shape[1]
-    radii = np.full((n, n_jets), np.nan)
-    frames = np.zeros((n, n_jets, dim))
-    ranks = np.empty(n, dtype=int)
-    basis_lens = np.empty(n, dtype=int)
-    speed = np.empty(n)
-    g_all = np.broadcast_to(M.metric_at(jets.x), (n, dim, dim))
-    for i in range(n):
-        g = g_all[i]
-        basis: list[np.ndarray] = []
-        rdiag: list[float] = []
-        for v in (jet[i] for jet in jets.jets):
-            w = v.astype(float).copy()
-            for _ in range(2):  # reorthogonalization pass
-                for e in basis:
-                    w = w - float(w @ g @ e) * e
-            sq = float(w @ g @ w)
-            if sq < -(truncation_tol**2):
-                raise SignatureError(
-                    "metric is not positive definite on the jet span "
-                    f"(g(w, w) = {sq:g} at sample {i})"
-                )
-            r = float(np.sqrt(max(sq, 0.0)))
-            rdiag.append(r)
-            if r < truncation_tol:
-                break
-            basis.append(w / r)
-        if len(rdiag) == 1:
-            raise VerticalCurveError("projected curve has vanishing velocity jet")
-        ranks[i] = len(rdiag) - 1  # number of curvatures available
-        basis_lens[i] = len(basis)
-        speed[i] = rdiag[0]
-        radii[i, : len(rdiag)] = rdiag
-        for j, e in enumerate(basis):
-            frames[i, j] = e
-    r = int(np.min(ranks))
-    curv = radii[:, 1 : r + 1] / (radii[:, :r] * speed[:, None])
+    g = M.metric_at(jets.x)
+    radii = np.full((n, jets.order), np.nan)
+    basis = np.zeros((jets.order, n, jets.jets[0].shape[1]))  # rows past a frame stay 0
+    n_radii = np.zeros(n, dtype=int)
+    n_basis = np.zeros(n, dtype=int)
+    growing = np.ones(n, dtype=bool)
+    negative = np.full(n, np.nan)  # g(w, w) where a growing frame met an indefinite direction
+    for j, v in enumerate(jets.jets):
+        w = v.astype(float)
+        for _ in range(2):  # reorthogonalization pass
+            for e in basis[:j]:
+                w = w - bilinear(w, g, e)[:, None] * e
+        sq = bilinear(w, g, w)
+        bad = growing & (sq < -(TRUNCATION_TOL**2))
+        negative[bad] = sq[bad]
+        r = np.sqrt(np.maximum(sq, 0.0))
+        radii[growing, j] = r[growing]
+        n_radii += growing
+        growing &= ~(r < TRUNCATION_TOL)  # a NaN radius keeps its frame growing
+        basis[j, growing] = w[growing] / r[growing, None]
+        n_basis += growing
+    failed = ~np.isnan(negative) | (n_radii == 1)
+    if failed.any():
+        i = int(np.argmax(failed))
+        if not np.isnan(negative[i]):
+            raise SignatureError(
+                "metric is not positive definite on the jet span "
+                f"(g(w, w) = {float(negative[i]):g} at sample {i})"
+            )
+        raise VerticalCurveError("projected curve has vanishing velocity jet")
+    rank = int(np.min(n_radii)) - 1  # curvatures available at every sample
+    speed = radii[:, 0]
     return FrenetResult(
         times=jets.times.copy(),
-        curvatures=curv,
-        frame_rank=r,
-        frames=frames[:, : int(np.min(basis_lens)), :],
+        curvatures=radii[:, 1 : rank + 1] / (radii[:, :rank] * speed[:, None]),
+        frame_rank=rank,
+        frames=basis[: int(np.min(n_basis))].swapaxes(0, 1),
         speed=speed,
-        truncation_tol=truncation_tol,
         details={"jet_source": jets.source},
     )
 

@@ -295,17 +295,18 @@ class MetricStructure:
     def phi_at(self, point) -> np.ndarray:
         return self.phi.at(point)
 
-    def twin_metric_at(self, point, *, tol: float = 1e-10) -> np.ndarray:
+    def twin_metric_at(self, point) -> np.ndarray:
         """Twin metric G_ij = g_ik phi^k_j, symmetrized after a purity check.
 
-        The asymmetry is judged relative to max|G| at each point, so that g
+        The asymmetry is judged relative to max|G| at each point (it may
+        reach 1e-10 of it), so that g
         and c*g are judged alike and one point's scale does not excuse
         another's.
         """
         twin = self.metric_at(point) @ self.phi_at(point)
         transposed = twin.swapaxes(-1, -2)
         asym = np.max(np.abs(twin - transposed), axis=(-2, -1))
-        impure = asym > tol * np.max(np.abs(twin), axis=(-2, -1))
+        impure = asym > 1e-10 * np.max(np.abs(twin), axis=(-2, -1))
         if np.any(impure):
             i = int(np.argmax(impure))
             worst, where = (asym, point) if impure.ndim == 0 else (asym[i], point[i])

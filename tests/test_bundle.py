@@ -205,11 +205,9 @@ def test_normalized_unit_state_rejects_bad_fiber():
             M, BundleState(np.zeros(2), np.zeros(2), np.array([2.0, 0.0]), np.zeros(2))
         )
     # negative phi-norm fibers cannot be rescaled
-    with pytest.raises(ConstraintError):
+    with pytest.raises(ConstraintError, match=r"g\(xi, phi xi\) = -1, expected 1"):
         normalized_unit_state(
-            M,
-            BundleState(np.zeros(2), np.zeros(2), np.array([0.0, 1.0]), np.zeros(2)),
-            tol=10.0,
+            M, BundleState(np.zeros(2), np.zeros(2), np.array([0.0, 1.0]), np.zeros(2))
         )
 
 

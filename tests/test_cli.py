@@ -484,6 +484,26 @@ def test_frenet_vertical_geodesic_exits_1(tmp_path, capsys):
     assert "vertical" in capsys.readouterr().err
 
 
+def test_frenet_on_an_indefinite_jet_span_exits_1(tmp_path, capsys):
+    # the structure is sound, but F turns the curve into the timelike direction
+    doc = {
+        "manifold": {"dim": 2, "g": [["1", "0"], ["0", "-1"]], "phi": [["1", "0"], ["0", "-1"]]},
+        "F": [[0, 1], [1, 0]],
+        "system": "f_geodesic_tm",
+        "initial": {"x": [0, 0], "xdot": [1, 0], "xi": [1, 0], "xidot": [0, 0]},
+        "integrator": {"step": 0.01, "t_span": [0, 0.5]},
+    }
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert run("check", "--scenario", path, "--out", tmp_path / "check") == 0
+    capsys.readouterr()
+    assert run("frenet", "--scenario", path, "--out", tmp_path / "frenet") == 1
+    assert capsys.readouterr().err == (
+        "error: metric is not positive definite on the jet span (g(w, w) = -1.00003 at sample 0)\n"
+    )
+    assert not (tmp_path / "frenet" / "frenet.csv").exists()
+
+
 # -- verify ----------------------------------------------------------------------
 
 

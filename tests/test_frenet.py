@@ -1,11 +1,15 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bundleflow import catalog
 from bundleflow.errors import SignatureError, VerticalCurveError
 from bundleflow.frenet import (
+    CovariantJets,
     arc_length_reparam,
     constancy_check,
     covariant_jets,
@@ -14,6 +18,7 @@ from bundleflow.frenet import (
 from bundleflow.geometry import MetricStructure
 from bundleflow.integrate import IntegratorConfig, Trajectory, integrate
 from bundleflow.verify import const_curv_run, euclid_oblique_family
+from reference_frenet import frenet_curvatures as loop_frenet_curvatures
 
 FLAT2 = catalog.entry("flat_diag").structure
 FLAT4 = catalog.entry("euclid_oblique").structure
@@ -245,3 +250,114 @@ def test_const_curv_run_constancy():
     assert report.passed
     assert result.frame_rank == 3
     assert np.max(np.abs(result.curvatures[:, 2])) < 1e-6
+
+
+# -- the array code against the per-sample loop ------------------------------------
+
+_IDENTITY4 = np.eye(4).tolist()
+CHARTS = {
+    "definite": MetricStructure(
+        4,
+        [[2.0, 0.5, 0.1, 0.0], [0.5, 1.0, 0.2, 0.3], [0.1, 0.2, 1.5, 0.0], [0.0, 0.3, 0.0, 1.0]],
+        _IDENTITY4,
+    ),
+    # positive definite on the first three coordinates, timelike along the fourth
+    "indefinite": MetricStructure(
+        4,
+        [[1.0, 0.3, 0.0, 0.0], [0.3, 1.0, 0.2, 0.0], [0.0, 0.2, 1.0, 0.1], [0.0, 0.0, 0.1, -1.0]],
+        _IDENTITY4,
+    ),
+    "varying": MetricStructure(
+        4,
+        [
+            ["exp(x1)", "0.2*x2", "0", "0"],
+            ["0.2*x2", "1 + x1^2", "0", "0"],
+            ["0", "0", "2", "0.3*sin(x4)"],
+            ["0", "0", "0.3*sin(x4)", "1"],
+        ],
+        _IDENTITY4,
+    ),
+    "exp2d": catalog.entry("exp2d").structure,
+}
+
+
+@st.composite
+def _frenet_cases(draw):
+    """A chart, sample points and jets, with planted zero velocities, dependent
+    jets and NaN entries; on the indefinite chart the timelike coordinate of
+    every jet is scaled down so that some cases pass."""
+    name = draw(st.sampled_from(sorted(CHARTS)))
+    dim = CHARTS[name].dim
+    n = draw(st.integers(1, 40))
+    order = draw(st.integers(2, dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(-0.5, 0.5, (n, dim))
+    jets = rng.normal(size=(order, n, dim))
+    if name == "indefinite":
+        jets[..., 3] *= draw(st.sampled_from([0.0, 1e-3, 0.1, 1.0]))
+    plants = st.sampled_from(["zero", "dependent", "nan"])
+    for kind in draw(st.lists(plants, max_size=4)):
+        i = draw(st.integers(0, n - 1))
+        if kind == "zero":
+            jets[0, i] = 0.0
+        elif kind == "dependent":
+            k = draw(st.integers(1, order - 1))
+            jets[k, i] = rng.normal(size=k) @ jets[:k, i]
+        else:
+            jets[draw(st.integers(0, order - 1)), i, draw(st.integers(0, dim - 1))] = np.nan
+    return name, x, jets
+
+
+def _outcome(frenet, M, jets):
+    try:
+        return frenet(M, jets)
+    except (SignatureError, VerticalCurveError) as exc:
+        return exc
+
+
+_E = np.eye(4)
+# a NaN entry at sample 1 gives NaN curvatures there, not an error
+NAN_CASE = ("definite", np.zeros((3, 4)), np.array([_E[:3], [_E[1], [0.5, np.nan, 0, 0], _E[3]]]))
+# sample 0 meets the timelike direction at jet 1; samples 1 and 2 fail at jet 0
+SIGNATURE_CASE = ("indefinite", np.zeros((3, 4)), np.array([[_E[0], 0 * _E[0], _E[3]], [_E[3], _E[1], _E[1]]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_frenet_cases())
+@example(NAN_CASE)
+@example(SIGNATURE_CASE)
+def test_frenet_curvatures_equal_the_per_sample_loop(case):
+    name, x, arrays = case
+    M = CHARTS[name]
+    jets = CovariantJets(np.arange(len(x), dtype=float), x, list(arrays), "fd")
+    got = _outcome(frenet_curvatures, M, jets)
+    want = _outcome(loop_frenet_curvatures, M, jets)
+    if isinstance(want, Exception) or isinstance(got, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    assert got.frame_rank == want.frame_rank
+    for field in ("curvatures", "frames", "speed"):
+        assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True), field
+
+
+def _calls_in_one_run(M, jets) -> int:
+    frenet_curvatures(M, jets)  # warm-up
+    events = 0
+
+    def count(frame, event, arg):
+        nonlocal events
+        events += event in ("call", "c_call")
+
+    sys.setprofile(count)
+    try:
+        frenet_curvatures(M, jets)
+    finally:
+        sys.setprofile(None)
+    return events
+
+
+def test_frenet_curvatures_make_as_many_calls_at_1000_samples_as_at_10():
+    counts = [
+        _calls_in_one_run(FLAT4, covariant_jets(FLAT4, _helix(n=n), 3)) for n in (10, 1000)
+    ]
+    assert counts[0] == counts[1]
