@@ -10,8 +10,13 @@ is a derived view.  :class:`~bundleflow.geometry.PointGeometry` is the one
 place where xi' <-> xidot and gamma'' <-> xddot are converted, every
 Christoffel contraction going through ``PointGeometry.along`` (A = Gamma
 xdot); the functions here build one for all stored samples of a trajectory
-at once.  :func:`make_rhs` is the single-point path: specialised to the
-system's kind when it is built, it forms A once per call.
+at once.  The integrator's right-hand side (:func:`make_rhs`) is the one
+single-point path: one straight-line function of plain floats per structure
+and system (:func:`bundleflow.rhs.compile_rhs`), the same formulas with
+everything that does not depend on the point folded in as constants.  At a
+point it cannot vouch for (a failed guard, a singular metric, a float
+exception) it returns the stacked formulas' result at that point, which
+raise the library's errors.
 
 Every system supported here prescribes covariant targets
 
@@ -39,6 +44,7 @@ from .geometry import (
     FieldTensor, MetricStructure, PointGeometry, bilinear, json_number, matvec,
     sample_chart_points,
 )
+from .rhs import compile_rhs
 
 __all__ = [
     "BundlePoint",
@@ -116,17 +122,25 @@ class BundleState:
 
 
 class FTensor:
-    """A (1,1)-tensor field F^i_j: explicit components, phi reused, or a
-    function of the :class:`PointGeometry` at the point."""
+    """A (1,1)-tensor field F^i_j: explicit components, phi reused, or
+    ``strength`` g^-1 Omega for a 2-form Omega_ij (see :func:`lorentz_force`)."""
 
-    __slots__ = ("matrix", "is_phi", "func")
+    __slots__ = ("matrix", "is_phi", "form", "strength")
 
-    def __init__(self, matrix: FieldTensor | None = None, *, is_phi: bool = False, func=None):
-        if sum(x is not None for x in (matrix, func)) + int(is_phi) != 1:
-            raise ValueError("provide exactly one of matrix, func or is_phi")
+    def __init__(
+        self,
+        matrix: FieldTensor | None = None,
+        *,
+        is_phi: bool = False,
+        form: FieldTensor | None = None,
+        strength: float = 1.0,
+    ):
+        if sum(x is not None for x in (matrix, form)) + int(is_phi) != 1:
+            raise ValueError("provide exactly one of matrix, form or is_phi")
         self.matrix = matrix
         self.is_phi = is_phi
-        self.func = func
+        self.form = form
+        self.strength = float(strength)
 
     @classmethod
     def from_spec(cls, rows, dim: int) -> "FTensor":
@@ -142,8 +156,8 @@ class FTensor:
         """F at the point of an already built geometry."""
         if self.is_phi:
             return geo.phi
-        if self.func is not None:
-            return np.asarray(self.func(geo), dtype=float)
+        if self.form is not None:
+            return self.strength * (geo.ginv @ self.form.at(geo.x))
         return self.matrix.at(geo.x)
 
 
@@ -283,70 +297,49 @@ def covariant_targets(geo: PointGeometry, system: BundleSystem, t, xdot, xi, xi_
 
 
 def make_rhs(M: MetricStructure, system: BundleSystem):
-    """First-order right-hand side for the flattened state (x, xdot, xi, xidot).
+    """First-order right-hand side ``rhs(t, y)`` for the flattened state
+    array y = (x, xdot, xi, xidot).
 
-    :func:`covariant_targets` and the :class:`PointGeometry` conversions at
-    one point, specialised to the system's kind when it is built, with
-    A = Gamma xdot formed once per call.
+    It is one straight-line function of floats, written on first use for
+    the structure and the system (:func:`bundleflow.rhs.compile_rhs`) and
+    kept on the structure: :func:`covariant_targets` and the
+    :class:`PointGeometry` conversions at one point, with the pieces that do
+    not depend on the point (g, phi, Gamma, R, F) folded in as constants and
+    structurally zero terms left out.  Where it cannot vouch for its result
+    at a point (a failed guard of a field, a metric that fails or nears the
+    singular-metric test, a jet that is not finite, a float exception), it
+    returns :func:`_reference_rhs` at that point, which raises the library's
+    :class:`~bundleflow.errors.EvalDomainError` or
+    :class:`~bundleflow.errors.SingularMetricError` where the point is bad.
     """
-    dim = M.dim
-    forcing = _forcing(system, dim)
-    unit = system.on_unit_bundle
-    varying_gamma = not M.has_constant_christoffel
+    rhs = M._rhs.get(system)
+    if rhs is None:
+        def reference(t, y):
+            return _reference_rhs(M, system, t, y)
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        x = y[:dim]
-        xdot = y[dim : 2 * dim]
-        xi = y[2 * dim : 3 * dim]
-        xidot = y[3 * dim :]
-        geo = M.at(x)
-        g = geo.g  # evaluated for every kind: it checks that g is regular here
-        a = geo.along(xdot)
-        xi_prime = xidot + a @ xi
-        accel = ((geo.riemann_tensor @ (geo.phi @ xi)) @ xi_prime) @ xdot
-        accel, fiber = forcing(geo, t, xdot, xi_prime, accel)
-        if unit:
-            fiber = fiber + unit_fiber_acceleration(g, geo.phi, xi, xi_prime)
-        xddot = accel - a @ xdot
-        rate = fiber - a @ xi_prime  # d(xi')/dt in coordinates
-        if varying_gamma:
-            dgamma = geo.dgamma.reshape(dim, -1)
-            rate = rate - ((xdot @ dgamma).reshape(dim, dim, dim) @ xdot) @ xi
-        xiddot = rate - geo.along(xddot) @ xi - a @ xidot
-        return np.concatenate([xdot, xddot, xidot, xiddot])
-
+        kind = system.kind
+        rhs = M._rhs[system] = compile_rhs(
+            M,
+            reference,
+            unit=system.on_unit_bundle,
+            force=system.f_tensor if kind in _F_KINDS else None,
+            coefficients=system.coefficients if kind in _PLANAR_KINDS else None,
+        )
     return rhs
 
 
-def _forcing(system: BundleSystem, dim: int):
-    """The system's covariant targets on TM at one sample, as a function
-    ``(geo, t, xdot, xi_prime, accel) -> (gamma'' target, xi'' target)`` of
-    the curvature term ``accel`` = R(xi', phi xi) xdot."""
-    if system.kind in _PLANAR_KINDS:
-        f_on = system.f_tensor.on
-        rho1_at, rho2_at = system.coefficients.rho1, system.coefficients.rho2
-
-        def forcing(geo, t, xdot, xi_prime, accel):
-            rho1, rho2 = rho1_at((t,)), rho2_at((t,))
-            f_mat = f_on(geo)
-            return (
-                accel + rho1 * xdot + rho2 * (f_mat @ xdot),
-                rho1 * xi_prime + rho2 * (f_mat @ xi_prime),
-            )
-    elif system.kind in _F_KINDS:  # (rho1, rho2) = (0, 1)
-        f_on = system.f_tensor.on
-
-        def forcing(geo, t, xdot, xi_prime, accel):
-            f_mat = f_on(geo)
-            return accel + f_mat @ xdot, f_mat @ xi_prime
-    else:
-        zero = np.zeros(dim)
-        zero.setflags(write=False)
-
-        def forcing(geo, t, xdot, xi_prime, accel):
-            return accel, zero
-
-    return forcing
+def _reference_rhs(M: MetricStructure, system: BundleSystem, t, y) -> np.ndarray:
+    """The right-hand side at one point from the stacked-sample formulas:
+    :func:`covariant_targets` and the :class:`PointGeometry` conversions."""
+    x, xdot, xi, xidot = np.split(np.asarray(y, dtype=float), 4)
+    geo = M.at(x)
+    geo.g  # noqa: B018 - evaluated first, for every kind: it checks that g is regular here
+    xi_prime = geo.to_covariant(xi, xidot, xdot)
+    accel, fiber = covariant_targets(geo, system, t, xdot, xi, xi_prime)
+    xddot = geo.to_coordinate(xdot, accel, xdot)
+    dxi_prime = geo.to_coordinate(xi_prime, fiber, xdot)  # d(xi')/dt in coordinates
+    xiddot = geo.coordinate_rate(xi, xidot, dxi_prime, xdot, xddot)
+    return np.concatenate([xdot, xddot, xidot, xiddot])
 
 
 def normalized_unit_state(M: MetricStructure, state: BundleState) -> BundleState:
@@ -382,7 +375,9 @@ def lorentz_force(M: MetricStructure, omega: FieldTensor, strength: float = 1.0)
 
     Scaled by ``strength`` so that feeding the result to an F-geodesic system
     integrates the magnetic-curve equation gamma'' = q Phi gamma'.  The form's
-    antisymmetry is checked at 8 chart points drawn with seed 0.
+    antisymmetry is checked at 8 chart points drawn with seed 0.  The result
+    holds Omega and the strength, so that the right-hand side compiles it
+    like any other F.
     """
     pts = sample_chart_points(M, 8, np.random.default_rng(0))
     w = omega.at(pts)
@@ -390,11 +385,7 @@ def lorentz_force(M: MetricStructure, omega: FieldTensor, strength: float = 1.0)
     bad = np.max(np.abs(w + w.swapaxes(-1, -2)), axis=(-2, -1)) > 1e-10 * scale
     if np.any(bad):
         raise ValueError(f"2-form is not antisymmetric at {pts[np.argmax(bad)]}")
-
-    def components(geo):
-        return strength * (geo.ginv @ omega.at(geo.x))
-
-    return FTensor(func=components)
+    return FTensor(form=omega, strength=strength)
 
 
 # -- residuals and the phi-mirror --------------------------------------------

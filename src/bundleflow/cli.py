@@ -8,7 +8,9 @@ significant digits so doubles round-trip exactly.
 Exit codes: 0 success; 1 failed checks, failed claims or any other error
 during a run; 2 configuration errors.  Any failure inside an integration (a
 non-finite state, a singular metric, an expression domain error) writes the
-partial trajectory and monitor CSVs before exiting 1.
+partial trajectory and monitor CSVs before exiting 1, in ``integrate`` and
+``frenet`` alike; a Frenet analysis that fails on a whole trajectory writes
+that trajectory's CSVs.
 """
 
 from __future__ import annotations
@@ -141,40 +143,61 @@ def _integrate_scenario(scenario: Scenario):
     )
 
 
+def _write_run(scenario: Scenario, out_dir: Path, traj) -> tuple[Path, Path]:
+    """Write the trajectory and monitor CSVs (headers alone for None)."""
+    traj_path = _out_path(scenario, out_dir, "trajectory", "trajectory.csv")
+    mon_path = _out_path(scenario, out_dir, "monitors", "monitors.csv")
+    _write_trajectory_csv(traj_path, scenario.structure.dim, traj)
+    _write_monitors_csv(mon_path, traj)
+    return traj_path, mon_path
+
+
+def _run(scenario: Scenario, out_dir: Path):
+    """The scenario's trajectory, or None after a failure inside the run,
+    whose partial trajectory and monitor CSVs are then written."""
+    try:
+        return _integrate_scenario(scenario)
+    except IntegrationBlowUp as exc:
+        _write_run(scenario, out_dir, exc.trajectory)
+        print(f"integration blew up: {exc}; partial output written", file=sys.stderr)
+        return None
+
+
 def cmd_integrate(args) -> int:
     scenario = _load(args)
     out_dir = Path(args.out)
-    traj_path = _out_path(scenario, out_dir, "trajectory", "trajectory.csv")
-    mon_path = _out_path(scenario, out_dir, "monitors", "monitors.csv")
     if scenario.zero_span:
-        _write_trajectory_csv(traj_path, scenario.structure.dim, None)
-        _write_monitors_csv(mon_path, None)
+        traj_path, mon_path = _write_run(scenario, out_dir, None)
         print(f"zero-length span: wrote headers -> {traj_path}, {mon_path}")
         return 0
-    try:
-        traj = _integrate_scenario(scenario)
-    except IntegrationBlowUp as exc:
-        _write_trajectory_csv(traj_path, scenario.structure.dim, exc.trajectory)
-        _write_monitors_csv(mon_path, exc.trajectory)
-        print(f"integration blew up: {exc}; partial output written", file=sys.stderr)
+    traj = _run(scenario, out_dir)
+    if traj is None:
         return 1
-    _write_trajectory_csv(traj_path, scenario.structure.dim, traj)
-    _write_monitors_csv(mon_path, traj)
+    traj_path, _ = _write_run(scenario, out_dir, traj)
     print(f"wrote {traj.n} samples -> {traj_path}")
     return 0
 
 
 def cmd_frenet(args) -> int:
+    """Frenet analysis of the projected curve.  Where the run fails, or the
+    analysis does, the trajectory and monitor CSVs are written (the partial
+    ones after a failure inside the run) and no curvature table."""
     scenario = _load(args)
     if scenario.zero_span:
         raise ScenarioError("frenet analysis needs a non-degenerate t_span")
     M = scenario.structure
-    traj = _integrate_scenario(scenario)
-    arc = arc_length_reparam(M, traj)
-    jets = covariant_jets(M, traj, scenario.frenet_order)
-    result = frenet_curvatures(M, jets)
-    report = constancy_check(result, scenario.constancy_tol)
     out_dir = Path(args.out)
+    traj = _run(scenario, out_dir)
+    if traj is None:
+        return 1
+    try:
+        arc = arc_length_reparam(M, traj)
+        jets = covariant_jets(M, traj, scenario.frenet_order)
+        result = frenet_curvatures(M, jets)
+    except BundleFlowError:
+        _write_run(scenario, out_dir, traj)
+        raise
+    report = constancy_check(result, scenario.constancy_tol)
     csv_path = _out_path(scenario, out_dir, "frenet", "frenet.csv")
     # map arc length onto the jets' (possibly trimmed) sample window
     idx = np.searchsorted(traj.times, jets.times)

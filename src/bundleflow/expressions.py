@@ -406,8 +406,10 @@ def _no_overflow(out, arg, points, message):
 # -- straight-line programs: one emitter, two targets ---------------------------
 
 # what the generated code calls: math for values at one point (evaluate's
-# functions), numpy for jets at one point (ufuncs on floats) and on stacks
-_MATH = {"_exp": math.exp, "_ln": math.log, "_sqrt": math.sqrt, "_sin": math.sin, "_cos": math.cos}
+# functions), numpy for jets at one point (ufuncs on floats) and on stacks;
+# the names differ, so that one function may hold values and jets
+_MATH = {"_m_exp": math.exp, "_m_ln": math.log, "_m_sqrt": math.sqrt, "_m_sin": math.sin,
+         "_m_cos": math.cos}
 _UFUNCS = {"_exp": np.exp, "_ln": np.log, "_sqrt": np.sqrt, "_sin": np.sin, "_cos": np.cos,
            "_pow": np.float_power, "_check_rows": _check_rows, "_no_overflow": _no_overflow,
            "_equal": np.equal, "_less": np.less, "_less_equal": np.less_equal, "_isinf": np.isinf}
@@ -455,8 +457,9 @@ class _Source:
     def __init__(self, order: int, rows: bool):
         self.order, self.rows = order, rows
         self.lines: list[str] = []
-        self.names = {"_f": float, "_inf": math.inf, **(_UFUNCS if order or rows else _MATH)}
+        self.names = {"_f": float, "_inf": math.inf, **_MATH, **_UFUNCS}
         self.loaded: dict[int, str] = {}
+        self.fail = "return None"  # what a failed point guard does
 
     def let(self, expr: str) -> str:
         """A name for ``expr``: a new temporary unless it is a name or 1.0."""
@@ -470,7 +473,7 @@ class _Source:
         return None if d is None else {k: self.let(e) for k, e in d.items()}
 
     def guard(self, condition: str) -> None:
-        self.lines.append(f"if not {condition}: return None")
+        self.lines.append(f"if not {condition}: {self.fail}")
 
     def check(self, op: str, operand: str) -> None:
         rejects, message = _CHECKS[op]
@@ -606,7 +609,7 @@ class _Source:
             arg, d1, d2 = self.walk(node.arg)
             func = node.func
             if not (order or rows):
-                return self.let(f"_{func}({arg})"), d1, None
+                return self.let(f"_m_{func}({arg})"), d1, None
             value = self.apply(func, arg)
             if not order or d1 is None:
                 return value, None, None
@@ -625,6 +628,17 @@ class _Source:
             return (value,) + self.chain(d1, d2, f1, f2 if order > 1 else None)
         raise TypeError(f"not an expression node: {node!r}")
 
+    def walk_in(self, node, order: int, variables) -> tuple:
+        """:meth:`walk` at ``order``, the tree's variables bound to the names
+        ``variables``: one function may hold trees at several orders and on
+        several charts, such as fields in x and coefficients in t."""
+        saved = self.order, self.loaded
+        self.order, self.loaded = order, dict(enumerate(variables))
+        try:
+            return self.walk(node)
+        finally:
+            self.order, self.loaded = saved
+
     def entries(self, nodes, dim: int) -> dict:
         """Walk ``nodes``: the name of each nonzero entry of their jet, by
         its ``(c, f)`` position in the ``[c, f]`` layout of :func:`jet_many`."""
@@ -641,9 +655,9 @@ class _Source:
                     entries[1 + dim + m * dim + l, f] = e
         return entries
 
-    def define(self, name: str):
-        """The generated function."""
-        text = f"def {name}(p):\n" + "".join(f"    {line}\n" for line in self.lines)
+    def define(self, name: str, params: str, body) -> object:
+        """The generated function ``name(params)`` with the lines ``body``."""
+        text = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in body)
         names = {"__builtins__": {}, **self.names}
         exec(compile(text, f"<bundleflow {name} program>", "exec"), names)  # noqa: S102 - generated
         return names[name]
@@ -681,7 +695,7 @@ def compile_point(nodes, dim: int, order: int = 0):
     size = len(nodes)
     if not order:
         source.lines.append(f"return [{', '.join(entries.get((0, f), '0.0') for f in range(size))}]")
-        point_fn = source.define("_point")
+        point_fn = source.define("_point", "p", source.lines)
 
         def values(point) -> list:
             try:
@@ -695,7 +709,7 @@ def compile_point(nodes, dim: int, order: int = 0):
     shape = (1, _width(dim, order), size)
     source.names.update(_sum=sum, _isfinite=math.isfinite)
     source.lines += [f"o = {_tuple(entries)}", "if not _isfinite(_sum(o)): return None", "return o"]
-    point_fn = source.define("_point")
+    point_fn = source.define("_point", "p", source.lines)
 
     rows_fn = None  # the stack program of the fallback, built on its first use
 
@@ -734,7 +748,7 @@ def compile_rows(nodes, dim: int, order: int = 0):
     # cost: the program returns its entries, the shortest source, and an
     # all-zero jet compiles nothing
     source.lines.append(f"return {_tuple(entries)}")
-    program = source.define("_rows") if entries else lambda p: ()
+    program = source.define("_rows", "p", source.lines) if entries else lambda p: ()
     index = [c * len(nodes) + f for c, f in entries]
     shape = (_width(dim, order), len(nodes))
 

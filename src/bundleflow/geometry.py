@@ -235,6 +235,8 @@ class MetricStructure:
             raise ValueError(f"chart_box needs finite lo < hi in each pair, got {self.chart_box.tolist()}")
         self.name = name
         self._shared: dict[str, np.ndarray] = {}
+        # the integrator's compiled right-hand sides, by system (bundle.make_rhs)
+        self._rhs: dict = {}
         if riemann is not None:
             riemann = np.array(riemann, dtype=float)
             if riemann.shape != (dim,) * 4:
@@ -425,9 +427,12 @@ class PointGeometry:
     + Gamma(v, xddot) + Gamma(vdot, xdot) is the second-order pair, whose
     dGamma term is skipped where dGamma is the shared zero.  Every Gamma
     contraction goes through :meth:`along`, A = Gamma xdot with
-    Gamma(v, xdot) = A v; the integrator's right-hand side
-    (:func:`bundleflow.bundle.make_rhs`) forms A once per call and applies
-    these same formulas at its single point.
+    Gamma(v, xdot) = A v.  The integrator's right-hand side
+    (:func:`bundleflow.bundle.make_rhs`) applies these same formulas at its
+    single point in compiled straight-line code, with A formed once per call
+    and the pieces that do not depend on the point folded in as constants;
+    at a point where that code cannot vouch for its result it returns these
+    stacked formulas' result.
     """
 
     __slots__ = ("M", "x", "_g", "_ginv", "_phi", "_gamma", "_dgamma", "_riemann")

@@ -9,6 +9,7 @@ stored states, never interpolated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -162,45 +163,66 @@ def integrate(
     :class:`SingularMetricError` or :class:`EvalDomainError` raised by a step)
     raises :class:`IntegrationBlowUp` carrying the trajectory up to the last
     good sample; a raised error is chained as its ``__cause__``.
+
+    The trajectory's ``meta`` records the run: ``steps`` taken,
+    ``rhs_calls`` (4 per RK4 step, 1 per Euler step), and the seconds spent
+    building the right-hand side (``rhs_build_s``), stepping (``step_s``) and
+    computing the monitors (``monitor_s``).
     """
     if system.on_unit_bundle:
         init = normalized_unit_state(M, init)
-    rhs = make_rhs(M, system)
     step = _rk4_step if cfg.method == "rk4" else _euler_step
     times = _time_grid(cfg.t_span[0], cfg.t_span[1], cfg.step)
     dim = M.dim
     ys = np.empty((times.size, 4 * dim))
     ys[0] = init.flat()
+    calls = 0
+
+    def counted(t, y):
+        nonlocal calls
+        calls += 1
+        return rhs(t, y)
+
     # blow-ups are detected on the state, so let arithmetic reach inf quietly
+    # (a constant g that is not finite is met when the right-hand side is built)
     with np.errstate(over="ignore", invalid="ignore"):
+        start = perf_counter()
+        rhs = make_rhs(M, system)
+        record = {"rhs_build_s": perf_counter() - start}
+        start = perf_counter()
         for k in range(times.size - 1):
             h = times[k + 1] - times[k]
             try:
-                ys[k + 1] = step(rhs, times[k], ys[k], h)
+                ys[k + 1] = step(counted, times[k], ys[k], h)
             except (SingularMetricError, EvalDomainError) as exc:
                 cause, reason = exc, f"{exc} in the step from t = {times[k]:g}"
             else:
                 if np.all(np.isfinite(ys[k + 1])):
                     continue
                 cause, reason = None, f"non-finite state at t = {times[k + 1]:g}"
-            partial = _partial_trajectory(M, system, times[: k + 1], ys[: k + 1], cfg)
+            record.update(steps=k, rhs_calls=calls, step_s=perf_counter() - start)
+            partial = _partial_trajectory(M, system, times[: k + 1], ys[: k + 1], cfg, record)
             raise IntegrationBlowUp(reason, partial, float(partial.times[-1])) from cause
-    return _build_trajectory(M, system, times, ys, cfg)
+    record.update(steps=times.size - 1, rhs_calls=calls, step_s=perf_counter() - start)
+    return _build_trajectory(M, system, times, ys, cfg, record)
 
 
-def _partial_trajectory(M, system, times, ys, cfg) -> Trajectory:
+def _partial_trajectory(M, system, times, ys, cfg, record) -> Trajectory:
     """The run up to its last sample, or to the one before when the geometry
     fails at the last (a step that failed at its own start point).  A failure
     at the initial sample is raised as it is."""
     try:
-        return _build_trajectory(M, system, times, ys, cfg)
+        return _build_trajectory(M, system, times, ys, cfg, record)
     except (SingularMetricError, EvalDomainError):
         if times.size == 1:
             raise
-        return _build_trajectory(M, system, times[:-1], ys[:-1], cfg)
+        return _build_trajectory(M, system, times[:-1], ys[:-1], cfg, record)
 
 
-def _build_trajectory(M, system, times, ys, cfg) -> Trajectory:
+def _build_trajectory(M, system, times, ys, cfg, record) -> Trajectory:
+    """The trajectory of the samples, its monitors, and in its meta the run
+    record: steps taken, RHS calls, and the seconds spent building the
+    right-hand side, stepping and computing the monitors."""
     dim = M.dim
     traj = Trajectory(
         times=np.asarray(times, dtype=float),
@@ -214,9 +236,12 @@ def _build_trajectory(M, system, times, ys, cfg) -> Trajectory:
             "method": cfg.method,
             "step": cfg.step,
             "manifold": M.name,
+            **record,
         },
     )
+    start = perf_counter()
     compute_monitors(M, traj, cfg.monitor_every)
+    traj.meta["monitor_s"] = perf_counter() - start
     return traj
 
 

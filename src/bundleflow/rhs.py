@@ -1,0 +1,397 @@
+"""The integrator's right-hand side as one straight-line function of (t, y).
+
+:func:`compile_rhs` writes, for one structure and one system, a Python
+function of plain floats with the emitter of
+:mod:`bundleflow.expressions` (one point): the varying fields of g, phi, F
+and the coefficients rho(t) inline, as values, with the 2-jet of g where
+Gamma comes from g and the 1-jet of analytic Gamma where that varies.
+Everything that does not depend on the point (g, phi, Gamma, R, F) is
+folded in as constants when the function is written, and a product with a
+structurally zero factor is never written.
+
+Without analytic Christoffel symbols, g is inverted block by block over the
+connected blocks of its structural pattern, by cofactors: a diagonal g
+entry by entry, and no elimination that would need a pivot (a neutral g
+may have a zero diagonal); Gamma and the nonzero entries of dGamma follow
+from the jet of g.  The curvature term R(xi', phi xi) xdot and the term
+dGamma(xdot; xi, xdot) are sums of monomials in the entries of Gamma and
+dGamma and the vectors' components, so the curvature tensor is not built
+where Gamma varies.  Every sum is written with its like terms merged,
+so terms that cancel as entries of R cancel when the program is written,
+as they do exactly in the reference.
+
+The function checks nothing itself.  Where a point guard of the emitter
+fails, where the metric is singular or close to it, where a jet is not
+finite, or where the arithmetic raises, it returns what its reference gives
+at that point; the reference is the stacked-sample formulas, which raise
+the library's errors with their messages.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+
+from .errors import SingularMetricError
+from .expressions import _Source
+
+__all__ = ["compile_rhs"]
+
+# the singular-metric test of MetricStructure._checked_metric is
+# |det g| <= 1e-12 max|g_ij|^dim; the program hands the point to the reference
+# below twice that bound, since its determinant is summed in another order
+_SINGULAR_MARGIN = 2e-12
+# terms per emitted sum: longer sums are split, so that no expression nests deeply
+_CHUNK = 32
+
+
+def _value(name: str):
+    """An emitter name as a value of the program: the literal 1.0 folded."""
+    return 1.0 if name == "1.0" else name
+
+
+class _Program:
+    """The body of the right-hand side: sums of products of values, each a
+    float folded when the program is written or the name of a temporary."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.src = _Source(2, rows=False)
+        self.src.fail = "return _reference(t, y)"
+        self.walked: dict = {}
+        self.sums: dict = {}  # each sum is written once
+        self.minors: dict = {}
+
+    # -- emission ---------------------------------------------------------------
+
+    def lit(self, c: float) -> str:
+        if math.isfinite(c):
+            return repr(c)
+        name = f"k{len(self.src.names)}"
+        self.src.names[name] = c
+        return name
+
+    def sum(self, terms):
+        """The sum of products, each a tuple of values.  Constant factors
+        are folded, like terms are merged (a product's factors in a fixed
+        order), and a term whose constant factor is zero is left out."""
+        const, merged = 0.0, {}
+        for factors in terms:
+            coef, names = 1.0, []
+            for f in factors:
+                if isinstance(f, str):
+                    names.append(f)
+                else:
+                    coef *= f
+            if coef == 0.0:
+                continue
+            if names:
+                key = tuple(sorted(names))
+                merged[key] = merged.get(key, 0.0) + coef
+            else:
+                const += coef
+        parts = [(coef, list(key)) for key, coef in sorted(merged.items()) if coef != 0.0]
+        if not parts:
+            return const
+        if const != 0.0:
+            parts.append((const, []))
+        while len(parts) > _CHUNK:
+            parts = [(1.0, [self._let(parts[i : i + _CHUNK])])
+                     for i in range(0, len(parts), _CHUNK)]
+        return self._let(parts)
+
+    def _let(self, parts) -> str:
+        expr = self._render(parts)
+        if expr not in self.sums:
+            self.sums[expr] = self.src.let(expr)
+        return self.sums[expr]
+
+    def _render(self, parts) -> str:
+        out = []
+        for coef, names in parts:
+            factors = ([] if abs(coef) == 1.0 and names else [self.lit(abs(coef))]) + names
+            product = " * ".join(factors)
+            if coef < 0.0:
+                out.append(f"- {product}" if out else f"-{product}")
+            else:
+                out.append(f"+ {product}" if out else product)
+        return " ".join(out)
+
+    def finite(self, names) -> None:
+        """Hand the point to the reference unless every name is finite."""
+        total = self.sum((n,) for n in names)
+        if isinstance(total, str):
+            self.src.guard(f"_isfinite({total})")
+
+    # -- fields -----------------------------------------------------------------
+
+    def walk(self, node, order: int, variables) -> tuple:
+        """(value, gradient, Hessian) of a tree, each tree written once."""
+        key = (node, order, variables)
+        if key not in self.walked:
+            self.walked[key] = self.src.walk_in(node, order, variables)
+        return self.walked[key]
+
+    def values(self, fields, variables) -> list:
+        return [f.const_value if f.const_value is not None
+                else _value(self.walk(f.ast, 0, variables)[0]) for f in fields]
+
+    def jets(self, fields, order: int, variables) -> tuple:
+        """Values, gradients {l: value} and Hessians {(m, l): value} of the
+        fields, after a check that the varying ones are finite."""
+        vals, grads, hessians, names = [], [], [], []
+        for f in fields:
+            if f.const_value is not None:
+                vals.append(f.const_value)
+                grads.append({})
+                hessians.append({})
+                continue
+            value, grad, hess = self.walk(f.ast, order, variables)
+            grad, hess = grad or {}, hess or {}
+            names += [value, *grad.values(), *hess.values()]
+            vals.append(_value(value))
+            grads.append({k: _value(e) for k, e in grad.items()})
+            hessians.append({k: _value(e) for k, e in hess.items()})
+        self.finite([n for n in names if n != "1.0"])
+        return vals, grads, hessians
+
+    def matrix(self, flat) -> list:
+        d = self.dim
+        return [flat[i * d : (i + 1) * d] for i in range(d)]
+
+    # -- linear algebra ---------------------------------------------------------
+
+    def matvec(self, m, v) -> list:
+        return [self.sum((m[i][j], v[j]) for j in range(self.dim)) for i in range(self.dim)]
+
+    def matmul(self, a, b) -> list:
+        r = range(self.dim)
+        return [[self.sum((a[i][k], b[k][j]) for k in r) for j in r] for i in r]
+
+    def connection(self, gamma, u, w) -> list:
+        """Gamma(u, w)^l = Gamma^l_ij u^i w^j."""
+        r = range(self.dim)
+        return [self.sum((gamma[l][i][j], u[i], w[j]) for i in r for j in r) for l in r]
+
+    def inverse(self, g, blocks) -> list:
+        """g^-1 by cofactors over each of the ``blocks`` of g's structural
+        pattern, whose determinants :meth:`blocks` formed."""
+        inv = [[0.0] * self.dim for _ in range(self.dim)]
+        for block, det in blocks:
+            scale = 1.0 / det if not isinstance(det, str) else self.src.let(f"1.0 / {det}")
+            for r, row in enumerate(block):
+                for c in range(r, len(block)):
+                    rows = block[:c] + block[c + 1 :]
+                    cols = block[:r] + block[r + 1 :]
+                    sign = -1.0 if (r + c) % 2 else 1.0
+                    inv[row][block[c]] = inv[block[c]][row] = self.sum(
+                        [(sign, self.minor(g, rows, cols), scale)]
+                    )
+        return inv
+
+    def blocks(self, g) -> list:
+        """The connected blocks of g's structural pattern, each with its
+        determinant."""
+        d, seen, out = self.dim, set(), []
+        for start in range(d):
+            if start in seen:
+                continue
+            seen.add(start)
+            stack, block = [start], []
+            while stack:
+                a = stack.pop()
+                block.append(a)
+                for b in range(d):
+                    if b not in seen and g[a][b] != 0.0:
+                        seen.add(b)
+                        stack.append(b)
+            block = tuple(sorted(block))
+            out.append((block, self.minor(g, block, block)))
+        return out
+
+    def minor(self, g, rows: tuple, cols: tuple):
+        """det g[rows, cols], expanded along its first row, memoized."""
+        if not rows:
+            return 1.0
+        key = (rows, cols)
+        if key not in self.minors:
+            self.minors[key] = self.sum(
+                (-1.0 if n % 2 else 1.0, g[rows[0]][c],
+                 self.minor(g, rows[1:], cols[:n] + cols[n + 1 :]))
+                for n, c in enumerate(cols)
+                if g[rows[0]][c] != 0.0
+            )
+        return self.minors[key]
+
+
+def _curvature(p: _Program, gamma, dgamma, X, Y, Z) -> list:
+    """R(X, Y)Z from Gamma and dGamma, one sum of monomials per component,
+
+        (R(X, Y)Z)^l = X^i Y^j Z^k (d_i Gamma^l_jk - d_j Gamma^l_ik
+                                    + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik),
+
+    so that terms that cancel as entries of R cancel here, when written."""
+    r = range(p.dim)
+    nonzero = [[(i, m, gamma[l][i][m]) for i in r for m in r if gamma[l][i][m] != 0.0] for l in r]
+    out = []
+    for l in r:
+        terms = []
+        for a, b in itertools.product(r, r):
+            terms += [(e, X[m], Y[a], Z[b]) for m, e in dgamma[l][a][b].items()]
+            terms += [(-1.0, e, X[a], Y[m], Z[b]) for m, e in dgamma[l][a][b].items()]
+        for i, m, e in nonzero[l]:
+            terms += [(e, f, X[i], Y[j], Z[k]) for j, k, f in nonzero[m]]
+            terms += [(-1.0, e, f, X[j], Y[i], Z[k]) for j, k, f in nonzero[m]]
+        out.append(p.sum(terms))
+    return out
+
+
+def compile_rhs(M, reference, *, unit: bool, force, coefficients):
+    """The right-hand side ``rhs(t, y)`` of the flattened state
+    (x, xdot, xi, xidot) on ``M``, as one generated function.
+
+    ``force`` is the system's F tensor (None for geodesics),
+    ``coefficients`` its F-planar coefficients rho1(t), rho2(t) (None for
+    (0, 1)), and ``unit`` adds the phi-unit bundle's fiber term.
+    ``reference(t, y)`` gives the same right-hand side from the stacked
+    formulas; the function returns it wherever it cannot vouch for its own
+    result (see the module docstring).
+    """
+    d = M.dim
+    r = range(d)
+    x, v, s, w = ([f"{c}{i}" for i in r] for c in "xvsw")
+    xs = tuple(x)
+    p = _Program(d)
+    emit = p.src.lines.append
+    emit(f"{', '.join(x + v + s + w)}, = y.tolist()")
+
+    # g, symmetrized as MetricStructure._checked_metric does, and checked
+    jet_of_g = M.christoffel is None and not M.g.is_constant
+    if M.g.is_constant:
+        try:
+            g = M.metric_at(M.chart_box.mean(axis=1)).tolist()
+        except SingularMetricError:
+            return reference
+    else:
+        if jet_of_g:
+            g_raw, g_grad, g_hess = p.jets(M.g.fields, 2, xs)
+        else:
+            g_raw = p.values(M.g.fields, xs)
+        raw = p.matrix(g_raw)
+        g = [[raw[i][j] if i == j or raw[i][j] == raw[j][i]
+              else p.sum([(0.5, raw[i][j]), (0.5, raw[j][i])]) for j in r] for i in r]
+    blocks = p.blocks(g)
+    det = p.sum([tuple(b for _, b in blocks)])
+    if not isinstance(det, str) and not (det != 0.0 and math.isfinite(det)):
+        return reference
+    if not M.g.is_constant:
+        sizes = [f"_abs({e})" if isinstance(e, str) else p.lit(abs(e))
+                 for e in dict.fromkeys(e for row in g for e in row if e != 0.0)]
+        largest = sizes[0] if len(sizes) == 1 else f"_max({', '.join(sizes)})"
+        size = f"_abs({det})" if isinstance(det, str) else p.lit(abs(det))
+        p.src.guard(f"{size} > {p.lit(_SINGULAR_MARGIN)} * {largest} ** {d}")
+
+    phi = p.matrix(p.values(M.phi.fields, xs))
+    ginv = None
+    if jet_of_g or (force is not None and force.form is not None):
+        ginv = p.inverse(g, blocks)
+
+    # Gamma, and dGamma as {m: d_m Gamma^k_ij} where Gamma varies
+    dgamma = None
+    if M.christoffel is not None and M.christoffel.is_constant:
+        gamma = M.christoffel.at(np.zeros(d)).tolist()
+    elif M.christoffel is not None:
+        vals, grads, _ = p.jets(M.christoffel.fields, 1, xs)
+        gamma = [p.matrix(vals[k * d * d : (k + 1) * d * d]) for k in r]
+        dgamma = [p.matrix(grads[k * d * d : (k + 1) * d * d]) for k in r]
+    elif not jet_of_g:
+        gamma = [[[0.0] * d for _ in r] for _ in r]
+    else:
+        grad, hess = p.matrix(g_grad), p.matrix(g_hess)
+        dg = [[[grad[a][b].get(l, 0.0) for b in r] for a in r] for l in r]  # d_l g_ab
+        # Gamma^k_ij = 1/2 g^kq S_qij with S_qij = d_i g_qj + d_j g_qi - d_q g_ij
+        gamma = [[[p.sum(t for q in r for t in (
+            (0.5, ginv[k][q], dg[i][q][j]), (0.5, ginv[k][q], dg[j][q][i]),
+            (-0.5, ginv[k][q], dg[q][i][j]))) for j in r] for i in r] for k in r]
+        # d_m Gamma^k_ij = g^kq (1/2 d_m S_qij - d_m g_qc Gamma^c_ij)
+        dgamma = [[[{} for _ in r] for _ in r] for _ in r]
+        rows = [[q for q in r if ginv[k][q] != 0.0] for k in r]
+        for k, i, j, m in itertools.product(r, r, r, r):
+            e = p.sum(t for q in rows[k] for t in (
+                (0.5, ginv[k][q], hess[q][j].get((m, i), 0.0)),
+                (0.5, ginv[k][q], hess[q][i].get((m, j), 0.0)),
+                (-0.5, ginv[k][q], hess[i][j].get((m, q), 0.0)),
+                *((-1.0, ginv[k][q], dg[m][q][c], gamma[c][i][j]) for c in r
+                  if dg[m][q][c] != 0.0 and gamma[c][i][j] != 0.0)))
+            if e != 0.0:
+                dgamma[k][i][j][m] = e
+
+    # F and the coefficients
+    f_mat, rho_vals = None, (0.0, 1.0)
+    if force is not None:
+        if force.is_phi:
+            f_mat = phi
+        elif force.form is not None:
+            omega = p.matrix(p.values(force.form.fields, xs))
+            f_mat = [[p.sum((force.strength, ginv[i][k], omega[k][j]) for k in r) for j in r]
+                     for i in r]
+        else:
+            f_mat = p.matrix(p.values(force.matrix.fields, xs))
+    if coefficients is not None:
+        rho = (coefficients.rho1, coefficients.rho2)
+        if any(f.const_value is None for f in rho):
+            emit("t = _f(t)")
+        rho_vals = tuple(p.values(rho, ("t",)))
+
+    # A = Gamma xdot and xi' = xidot + A xi
+    a = [[p.sum((gamma[l][i][j], v[j]) for j in r) for i in r] for l in r]
+    xi_prime = [p.sum([(w[l],)] + [(a[l][i], s[i]) for i in r]) for l in r]
+
+    # R(xi', phi xi) xdot
+    riemann = M._shared.get("riemann")
+    if riemann is None and M.christoffel is not None and M.christoffel.is_constant:
+        riemann = M.at(np.zeros(d)).riemann_tensor
+    if riemann is not None and not np.any(riemann):
+        accel = [0.0] * d
+    elif riemann is not None:
+        eta = p.matvec(phi, s)
+        paired = [[p.sum((float(riemann[l, k, i, j]), xi_prime[i], eta[j]) for i in r for j in r)
+                   for k in r] for l in r]
+        accel = [p.sum((paired[l][k], v[k]) for k in r) for l in r]
+    elif dgamma is None:
+        accel = [0.0] * d
+    else:
+        accel = _curvature(p, gamma, dgamma, xi_prime, p.matvec(phi, s), v)
+
+    # the system's covariant targets
+    fiber = [0.0] * d
+    if f_mat is not None:
+        rho1, rho2 = rho_vals
+        fv, fx = p.matvec(f_mat, v), p.matvec(f_mat, xi_prime)
+        accel = [p.sum([(accel[l],), (rho1, v[l]), (rho2, fv[l])]) for l in r]
+        fiber = [p.sum([(rho1, xi_prime[l]), (rho2, fx[l])]) for l in r]
+    if unit:
+        gphi = p.matmul(g, phi)
+        q = p.sum((xi_prime[i], gphi[i][j], xi_prime[j]) for i in r for j in r)
+        fiber = [p.sum([(fiber[l],), (-1.0, q, s[l])]) for l in r]
+
+    # to coordinates: xddot, then d(xi')/dt and xiddot
+    xddot = [p.sum([(accel[l],)] + [(-1.0, a[l][i], v[i]) for i in r]) for l in r]
+    rate = [[(fiber[l],)] + [(-1.0, a[l][i], xi_prime[i]) for i in r] for l in r]
+    if dgamma is not None:  # dGamma(xdot; xi, xdot)
+        rate = [terms + [(-1.0, e, v[m], s[i], v[j]) for i in r for j in r
+                         for m, e in dgamma[l][i][j].items()] for l, terms in enumerate(rate)]
+    rate = [p.sum(terms) for terms in rate]
+    turn = p.connection(gamma, s, xddot)
+    xiddot = [p.sum([(rate[l],), (-1.0, turn[l])] + [(-1.0, a[l][i], w[i]) for i in r])
+              for l in r]
+
+    out = [e if isinstance(e, str) else p.lit(e) for e in v + xddot + w + xiddot]
+    emit(f"return _array(({', '.join(out)},))")
+    body = ["try:", *("    " + line for line in p.src.lines),
+            "except _errors:", "    pass", "return _reference(t, y)"]
+    p.src.names.update(_array=np.array, _abs=abs, _max=max, _isfinite=math.isfinite,
+                       _errors=(ArithmeticError, ValueError), _reference=reference)
+    return p.src.define("_rhs", "t, y", body)

@@ -518,3 +518,35 @@ def test_verify_single_group(tmp_path, capsys):
 
 def test_verify_unknown_target_exits_2():
     assert run("verify", "warp_drive") == 2
+
+
+def test_frenet_keeps_the_partial_run_when_integration_blows_up(tmp_path, capsys):
+    # rho2 = 1/(t - 1) cannot be evaluated at t = 1
+    out = tmp_path / "frenet"
+    rc = run("frenet", "--scenario", SCENARIOS / "flat_diag_hphi_planar.json", "--tspan", "0,1.2",
+             "--out", out)
+    assert rc == 1
+    assert "partial output written" in capsys.readouterr().err
+    data = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1, ndmin=2)
+    mon = np.loadtxt(out / "monitors.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert data.shape[0] == mon.shape[0] >= 2 and data[-1, 0] < 1.0
+    assert not (out / "frenet.csv").exists() and not (out / "frenet_report.json").exists()
+
+
+def test_frenet_on_an_indefinite_jet_span_keeps_the_trajectory(tmp_path, capsys):
+    doc = {
+        "manifold": {"dim": 2, "g": [["1", "0"], ["0", "-1"]], "phi": [["1", "0"], ["0", "-1"]]},
+        "F": [[0, 1], [1, 0]],
+        "system": "f_geodesic_tm",
+        "initial": {"x": [0, 0], "xdot": [1, 0], "xi": [1, 0], "xidot": [0, 0]},
+        "integrator": {"step": 0.01, "t_span": [0, 0.5]},
+    }
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert run("frenet", "--scenario", path, "--out", tmp_path / "frenet") == 1
+    assert "at sample 0" in capsys.readouterr().err
+    assert run("integrate", "--scenario", path, "--out", tmp_path / "integrate") == 0
+    for name in ("trajectory.csv", "monitors.csv"):
+        written = (tmp_path / "frenet" / name).read_text()
+        assert written == (tmp_path / "integrate" / name).read_text() and written.count("\n") == 52
+    assert not (tmp_path / "frenet" / "frenet.csv").exists()

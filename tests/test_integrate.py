@@ -214,3 +214,25 @@ def test_step_failing_at_its_start_point_ends_one_sample_earlier():
     partial = err.value.trajectory
     np.testing.assert_array_equal(partial.x[:, 0], [0.75, 0.5, 0.25])
     assert err.value.time == partial.times[-1] == 0.5
+
+
+@pytest.mark.parametrize("method, stages", [("rk4", 4), ("euler", 1)])
+def test_run_record_counts_steps_and_rhs_calls(method, stages):
+    ent, fam = euclid_oblique_family(0.5)
+    cfg = IntegratorConfig(step=0.03, t_span=(0.0, 1.0), method=method)
+    traj = integrate(ent.structure, fam.system, fam.initial_state(), cfg)
+    meta = traj.meta
+    assert meta["steps"] == traj.n - 1 == 34  # the last step is shortened
+    assert meta["rhs_calls"] == stages * meta["steps"]
+    for phase in ("rhs_build_s", "step_s", "monitor_s"):
+        assert 0.0 <= meta[phase] < 60.0
+
+
+def test_run_record_of_a_blow_up_counts_the_steps_taken():
+    # rho2 = 1/(t - 1): the step from t = 0.999 fails in its last stage
+    scenario = load_scenario(SCENARIOS / "flat_diag_hphi_planar.json", t_span=(0.0, 1.2))
+    with pytest.raises(IntegrationBlowUp) as err:
+        integrate(scenario.structure, scenario.system, scenario.initial, scenario.integrator)
+    meta = err.value.trajectory.meta
+    assert meta["steps"] == err.value.trajectory.n - 1
+    assert meta["rhs_calls"] == 4 * meta["steps"] + 4

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bundleflow import bundle, catalog, geometry, scenario
+from bundleflow import bundle, catalog, expressions, geometry, scenario
 from bundleflow.bundle import (
     SYSTEM_KINDS,
     BundleState,
@@ -14,9 +14,11 @@ from bundleflow.bundle import (
     FPlanarCoefficients,
     FTensor,
     covariant_targets,
+    lorentz_force,
     make_rhs,
 )
-from bundleflow.errors import SingularMetricError
+from bundleflow.errors import EvalDomainError, SingularMetricError
+from bundleflow.rhs import compile_rhs
 from bundleflow.expressions import ScalarField
 from bundleflow.geometry import FieldTensor, MetricStructure
 from bundleflow.integrate import IntegratorConfig, _rk4_step, integrate
@@ -66,40 +68,109 @@ def _assert_close(a, b, *magnitudes):
 # -- one geometry evaluation per RHS call ----------------------------------------
 
 
-def _system(kind):
+def _lorentz(M):
+    # Omega_ij = 1 + x_i x_j above the diagonal, antisymmetric
+    d = M.dim
+    spec = [["0" if i == j else f"{'-' if i > j else ''}(1 + x{min(i, j) + 1}*x{max(i, j) + 1})"
+             for j in range(d)] for i in range(d)]
+    return lorentz_force(M, FieldTensor.from_spec(spec, d), strength=0.7)
+
+
+def _system(kind, force="phi", M=None):
+    f_tensor = _lorentz(M) if force == "lorentz" else FTensor(is_phi=True)
     if kind.startswith("f_planar"):
-        coefficients = FPlanarCoefficients.parse("0.5 + t", "1 - t^2")
-        return BundleSystem(kind, f_tensor=FTensor(is_phi=True), coefficients=coefficients)
+        coefficients = FPlanarCoefficients.parse("0.5 + t", "1 - t^2 + sin(3*t)")
+        return BundleSystem(kind, f_tensor=f_tensor, coefficients=coefficients)
     if kind.startswith("f_"):
-        return BundleSystem(kind, f_tensor=FTensor(is_phi=True))
+        return BundleSystem(kind, f_tensor=f_tensor)
     return BundleSystem(kind)
+
+
+def _fresh(M):
+    """A new structure with M's fields: nothing compiled for it yet."""
+    riemann = M._shared.get("riemann")
+    return MetricStructure(M.dim, M.g, M.phi, christoffel=M.christoffel, riemann=riemann,
+                           chart_box=M.chart_box)
 
 
 @pytest.mark.parametrize(
     "M, expected",
-    [(FD_EXP2D, [("g", 2)]), (FD_DIAG4, [("g", 2)]), (EXP2D, [])],
+    [(FD_EXP2D, 2), (FD_DIAG4, 2), (EXP2D, 0)],
     ids=["fd_exp2d", "fd_diag4", "analytic_exp2d"],
 )
 @pytest.mark.parametrize("kind", SYSTEM_KINDS)
 def test_rhs_evaluates_christoffel_once_per_stencil_point(monkeypatch, M, expected, kind):
-    # without analytic Christoffel symbols, one 2-jet of g gives g, Gamma and
-    # dGamma; constant analytic Gamma needs no jet at all
-    jets = []
-    original = FieldTensor.jet
+    # the right-hand side is one program per structure and system, built by
+    # the first make_rhs: without analytic Christoffel symbols it writes one
+    # 2-jet of each varying g tree (g, Gamma and dGamma all come from it),
+    # with constant analytic Gamma only g's values; a call evaluates no
+    # field tensor and writes nothing
+    M = _fresh(M)
+    walks, calls, builds = [], [], []
+    walk_in = expressions._Source.walk_in
 
-    def counted(self, points, order):
-        jets.append(("g" if self is M.g else "other", order))
-        return original(self, points, order)
+    def counted_walk(self, node, order, variables):
+        walks.append((node, order))
+        return walk_in(self, node, order, variables)
 
-    monkeypatch.setattr(FieldTensor, "jet", counted)
-    rhs = make_rhs(M, _system(kind))
+    def counted(name):
+        original = getattr(FieldTensor, name)
+
+        def call(self, *args):
+            calls.append(name)
+            return original(self, *args)
+
+        return call
+
+    def counted_build(*args, **kwargs):
+        builds.append(1)
+        return compile_rhs(*args, **kwargs)
+
+    monkeypatch.setattr(expressions._Source, "walk_in", counted_walk)
+    for name in ("at", "jet"):
+        monkeypatch.setattr(FieldTensor, name, counted(name))
+    monkeypatch.setattr(bundle, "compile_rhs", counted_build)
+    system = _system(kind)
+    rhs = make_rhs(M, system)
+    assert make_rhs(M, system) is rhs and builds == [1]
+    g_trees = [f.ast for f in M.g.fields if f.const_value is None]
+    g_walks = [(node, order) for node, order in walks if node in g_trees]
+    assert sorted(g_walks, key=str) == sorted({(t, expected) for t in g_trees}, key=str)
+    built, calls[:] = len(walks), []
     y = np.linspace(0.1, 0.4, 4 * M.dim)
-    out = rhs(0.0, y)
-    assert np.all(np.isfinite(out))
-    assert jets == expected
+    for t in (0.0, 0.1, 0.2):
+        assert np.all(np.isfinite(rhs(t, y)))
+    assert calls == [] and len(walks) == built and builds == [1]
 
 
 # -- the integrator's right-hand side ---------------------------------------------
+
+
+def _h2xh2():
+    # H^2 x H^2: Gamma and R vary, from jets of g
+    return MetricStructure(
+        4,
+        [["1", "0", "0", "0"], ["0", "exp(2*x1)", "0", "0"],
+         ["0", "0", "1", "0"], ["0", "0", "0", "exp(2*x3)"]],
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+    )
+
+
+def _neutral():
+    # a neutral metric with a zero diagonal: no pivot-free elimination inverts it
+    return MetricStructure(2, [["0", "exp(x1)"], ["exp(x1)", "0"]], [[0, 1], [1, 0]])
+
+
+def _dim6():
+    # blocks {1, 2}, {3, 4, 5} (dense, varying) and {6} of g
+    return MetricStructure(
+        6,
+        [["1", 0, 0, 0, 0, 0], [0, "exp(2*x1)", 0, 0, 0, 0],
+         [0, 0, "2 + x3^2", "x4/2", 0, 0], [0, 0, "x4/2", "2", "x5/3", 0],
+         [0, 0, 0, "x5/3", "3 - sin(x3)", 0], [0, 0, 0, 0, 0, "exp(x6)"]],
+        [[1 if i == j else 0 for j in range(6)] for i in range(6)],
+    )
+
 
 _RHS_CHARTS = {
     "exp2d": lambda: catalog.entry("exp2d").structure,  # analytic, constant Gamma
@@ -107,6 +178,9 @@ _RHS_CHARTS = {
     "fd_exp2d": lambda: MetricStructure(2, EXP2D.g, EXP2D.phi, chart_box=EXP2D.chart_box),
     "const_curv": lambda: catalog.entry("const_curv(1.5)").structure,  # given R
     "curved": _curved,  # Gamma from jets of g, R varies
+    "h2xh2": _h2xh2,
+    "neutral": _neutral,
+    "dim6": _dim6,
 }
 _RHS_STRUCTURES = {name: make() for name, make in _RHS_CHARTS.items()}
 
@@ -124,25 +198,86 @@ def _reference_rhs(M, system, t, y):
     return np.concatenate([xdot, xddot, xidot, xiddot])
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(
     st.sampled_from(sorted(_RHS_CHARTS)),
     st.sampled_from(SYSTEM_KINDS),
+    st.sampled_from(["phi", "lorentz"]),
     st.floats(0.0, 0.9),
-    st.lists(_unit, min_size=4, max_size=4),
-    _vectors(4, 3),
+    st.lists(_unit, min_size=6, max_size=6),
+    _vectors(6, 3),
 )
-def test_rhs_equals_the_stacked_reference(chart, kind, t, fractions, vecs):
+def test_rhs_equals_the_stacked_reference(chart, kind, force, t, fractions, vecs):
     M = _RHS_STRUCTURES[chart]
     d = M.dim
     y = np.concatenate([_point(M, fractions[:d])] + [v[:d] for v in vecs])
-    system = _system(kind)
+    system = _system(kind, force, M)
     got = make_rhs(M, system)(t, y)
     expected = _reference_rhs(M, system, t, y)
     # relative to the largest term: the reference sums the same products
     # in another order
     scale = max(float(np.max(np.abs(expected))), float(np.max(np.abs(y))))
     assert float(np.max(np.abs(got - expected))) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("force", ["phi", "lorentz"])
+@pytest.mark.parametrize("kind", SYSTEM_KINDS)
+@pytest.mark.parametrize("chart", sorted(_RHS_CHARTS))
+def test_rhs_needs_no_reference_inside_the_chart(monkeypatch, chart, kind, force):
+    # the compiled program vouches for its own result at a regular point
+    M = _RHS_CHARTS[chart]()
+    rhs = make_rhs(M, _system(kind, force, M))
+
+    def no_reference(*args):
+        raise AssertionError("the right-hand side fell back to its reference")
+
+    monkeypatch.setattr(bundle, "_reference_rhs", no_reference)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        x = _point(M, rng.uniform(0.1, 0.9, M.dim))
+        assert np.all(np.isfinite(rhs(0.3, np.concatenate([x, rng.normal(size=3 * M.dim)]))))
+
+
+def _failing(case):
+    """A structure, system, time and state where the right-hand side fails,
+    with the exception the stacked formulas raise there."""
+    y = np.array([800.0, 0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+    if case == "guard_jet":  # exp(x1) past its point guard, on a jet of g
+        M = MetricStructure(2, [["exp(x1)", 0], [0, 1]], [[1, 0], [0, -1]])
+        return M, BundleSystem("geodesic_unit"), 0.0, y, EvalDomainError, \
+            "overflow in exp: math range error at [800.   0.]"
+    if case == "guard_value":  # the same g, as values beside analytic Gamma
+        M = MetricStructure(2, [["exp(x1)", 0], [0, 1]], [[1, 0], [0, -1]],
+                            christoffel=[[["1/2", 0], [0, 0]], [[0, 0], [0, 0]]])
+        return M, BundleSystem("geodesic_tm"), 0.0, y, EvalDomainError, \
+            "overflow in exp: math range error"
+    if case == "rho2":  # rho2 = 1/(t - 1) at t = 1
+        scen = scenario.load_scenario(SCENARIOS / "flat_diag_hphi_planar.json")
+        return scen.structure, scen.system, 1.0, scen.initial.flat(), EvalDomainError, \
+            "division by zero"
+    # the pole of poly2d at x1 = 0: g is singular before Gamma = 1/x1 is evaluated
+    entry = catalog.entry("poly2d")
+    system = BundleSystem("f_geodesic_unit", f_tensor=entry.f_tensor)
+    y = np.array([0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    return entry.structure, system, 0.0, y, SingularMetricError, \
+        "metric singular at [0. 1.]: det = 0"
+
+
+@pytest.mark.parametrize("case", ["guard_jet", "guard_value", "rho2", "poly2d_pole"])
+def test_rhs_falls_back_to_the_reference_with_its_error(monkeypatch, case):
+    # the messages are the ones the numpy right-hand side raised at these points
+    M, system, t, y, error, message = _failing(case)
+    calls = []
+    reference = bundle._reference_rhs
+
+    def counted(*args):
+        calls.append(1)
+        return reference(*args)
+
+    monkeypatch.setattr(bundle, "_reference_rhs", counted)
+    with pytest.raises(error) as info:
+        make_rhs(M, system)(t, y)
+    assert str(info.value) == message and calls == [1]
 
 
 @pytest.mark.parametrize("kind", SYSTEM_KINDS)
@@ -159,17 +294,21 @@ def test_rk4_step_makes_no_einsum_call(monkeypatch, chart, kind):
     assert np.all(np.isfinite(_rk4_step(rhs, 0.0, y, 0.01)))
 
 
-def test_unit_fiber_acceleration_drives_the_unit_bundle_integrator(monkeypatch):
+def test_unit_fiber_acceleration_drives_the_unit_bundle_integrator():
+    # the unit-bundle right-hand side is the tangent-bundle one plus the unit
+    # term, as the residuals compute it, in the fiber acceleration
     scen = scenario.load_scenario(SCENARIOS / "euclid_oblique.json", t_span=[0.0, 0.1])
     assert scen.system.kind == "geodesic_unit"
-
-    def final():
-        return integrate(scen.structure, scen.system, scen.initial, scen.integrator).state(-1).flat()
-
-    unchanged = final()
-    original = bundle.unit_fiber_acceleration
-    monkeypatch.setattr(bundle, "unit_fiber_acceleration", lambda *args: -original(*args))
-    assert float(np.max(np.abs(final() - unchanged))) > 1e-4
+    M = scen.structure
+    traj = integrate(M, scen.system, scen.initial, scen.integrator)
+    for i in (0, traj.n - 1):
+        y = traj.state(i).flat()
+        x, xdot, xi, xidot = np.split(y, 4)
+        geo = M.at(x)
+        term = bundle.unit_fiber_acceleration(geo.g, geo.phi, xi, geo.to_covariant(xi, xidot, xdot))
+        assert float(np.max(np.abs(term))) > 1e-3
+        gap = make_rhs(M, scen.system)(0.0, y) - make_rhs(M, BundleSystem("geodesic_tm"))(0.0, y)
+        np.testing.assert_allclose(gap, np.concatenate([np.zeros(3 * M.dim), term]), rtol=0, atol=1e-14)
 
 
 # -- covariant <-> coordinate conversions ------------------------------------------
