@@ -298,7 +298,8 @@ def covariant_targets(geo: PointGeometry, system: BundleSystem, t, xdot, xi, xi_
 
 def make_rhs(M: MetricStructure, system: BundleSystem):
     """First-order right-hand side ``rhs(t, y)`` for the flattened state
-    array y = (x, xdot, xi, xidot).
+    y = (x, xdot, xi, xidot), a tuple of 4 dim floats; it returns the
+    derivative as a tuple of as many floats.
 
     It is one straight-line function of floats, written on first use for
     the structure and the system (:func:`bundleflow.rhs.compile_rhs`) and
@@ -308,14 +309,14 @@ def make_rhs(M: MetricStructure, system: BundleSystem):
     structurally zero terms left out.  Where it cannot vouch for its result
     at a point (a failed guard of a field, a metric that fails or nears the
     singular-metric test, a jet that is not finite, a float exception), it
-    returns :func:`_reference_rhs` at that point, which raises the library's
-    :class:`~bundleflow.errors.EvalDomainError` or
+    returns :func:`_reference_rhs` at that point, as a tuple, which raises
+    the library's :class:`~bundleflow.errors.EvalDomainError` or
     :class:`~bundleflow.errors.SingularMetricError` where the point is bad.
     """
     rhs = M._rhs.get(system)
     if rhs is None:
         def reference(t, y):
-            return _reference_rhs(M, system, t, y)
+            return tuple(_reference_rhs(M, system, t, y).tolist())
 
         kind = system.kind
         rhs = M._rhs[system] = compile_rhs(

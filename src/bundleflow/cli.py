@@ -38,10 +38,6 @@ from .scenario import Scenario, load_scenario
 _CONFIG_ERRORS = (ScenarioError, UnknownEntryError, ParameterError)
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def _write_json(path: Path, doc: dict) -> None:
     """Write a report as strict JSON: a NaN or an infinity raises, so every
     figure that may not be finite is written as None (null)."""
@@ -58,10 +54,12 @@ def _out_path(scenario: Scenario, out_dir: Path, key: str, default: str) -> Path
 
 
 def _write_rows(path: Path, header: list[str], rows) -> None:
+    """A CSV table: the header, then each value as %.17g (round-trip exact)."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(line % tuple(row))
 
 
 def _write_trajectory_csv(path: Path, dim: int, traj=None) -> None:

@@ -533,7 +533,7 @@ class _Source:
         grad = self.lets(self.times(d1, f1))
         if f2 is None:
             return grad, None
-        scaled = self.lets(self.times(d1, f2))
+        scaled = grad if f2 == f1 else self.lets(self.times(d1, f2))  # f'' = f' for exp
         hess = {(m, l): _product(scaled[m], d1[l]) for m in scaled for l in d1}
         return grad, self.lets(self.add(hess, self.times(d2, f1)))
 

@@ -235,8 +235,10 @@ class MetricStructure:
             raise ValueError(f"chart_box needs finite lo < hi in each pair, got {self.chart_box.tolist()}")
         self.name = name
         self._shared: dict[str, np.ndarray] = {}
-        # the integrator's compiled right-hand sides, by system (bundle.make_rhs)
+        # the integrator's compiled right-hand sides, by system (bundle.make_rhs),
+        # and its two stage kernels (integrate._stage_kernels)
         self._rhs: dict = {}
+        self._stages: tuple | None = None
         if riemann is not None:
             riemann = np.array(riemann, dtype=float)
             if riemann.shape != (dim,) * 4:

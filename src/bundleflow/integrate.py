@@ -4,17 +4,28 @@ Classic RK4 is the default; forward Euler is kept as a diagnostic for the
 convergence-order checks.  The step grid lands exactly on the final time by
 shortening the last step.  Conserved-quantity monitors are evaluated from
 stored states, never interpolated.
+
+A step runs on plain floats.  The state is a tuple of 4 dim floats, the
+right-hand side (:func:`bundleflow.bundle.make_rhs`) takes and returns
+tuples, and the stage arithmetic is two straight-line functions written
+for the state's length and kept on the structure: y + a k, for every RK4
+stage and the Euler step, and the RK4 sum
+y + (h/6) (((k1 + 2 k2) + 2 k3) + k4).  Each entry is the arithmetic numpy
+does on the arrays, in its order, so a run is the array formulas' run bit
+for bit.  Each step is stored in a preallocated array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 from time import perf_counter
 
 import numpy as np
 
 from .bundle import BundleState, BundleSystem, make_rhs, normalized_unit_state
 from .errors import EvalDomainError, IntegrationBlowUp, SingularMetricError
+from .expressions import _Source
 from .geometry import MetricStructure, bilinear
 
 __all__ = [
@@ -102,16 +113,39 @@ class Trajectory:
         )
 
 
-def _rk4_step(rhs, t, y, h):
+def _stage_kernels(n: int) -> tuple:
+    """The stage arithmetic on states of ``n`` floats, as two generated
+    straight-line functions of tuples: ``shift(y, a, k)``, y + a k, and
+    ``rk4_sum(y, c, k1, k2, k3, k4)``, y + c (((k1 + 2 k2) + 2 k3) + k4)."""
+    r = range(n)
+    src = _Source(0, rows=False)
+
+    def kernel(name, scalar, tuples, entry):
+        """``name(y, scalar, *tuples)``, the tuple of ``entry(i)``, where
+        entry i of each tuple argument ``a`` is the local ``a_i``."""
+        body = [f"{', '.join(f'{a}_{i}' for i in r)}, = {a}" for a in ("y", *tuples)]
+        body.append(f"return ({', '.join(entry(i) for i in r)},)")
+        return src.define(name, ", ".join(("y", scalar, *tuples)), body)
+
+    return (
+        kernel("_shift", "a", ("k",), lambda i: f"y_{i} + a * k_{i}"),
+        kernel("_rk4_sum", "c", ("k1", "k2", "k3", "k4"),
+               lambda i: f"y_{i} + c * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"),
+    )
+
+
+def _rk4_step(rhs, t, y, h, kernels):
+    shift, rk4_sum = kernels
+    half = 0.5 * h
     k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = rhs(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = rhs(t + half, shift(y, half, k1))
+    k3 = rhs(t + half, shift(y, half, k2))
+    k4 = rhs(t + h, shift(y, h, k3))
+    return rk4_sum(y, h / 6.0, k1, k2, k3, k4)
 
 
-def _euler_step(rhs, t, y, h):
-    return y + h * rhs(t, y)
+def _euler_step(rhs, t, y, h, kernels):
+    return kernels[0](y, h, rhs(t, y))
 
 
 def _time_grid(t0: float, t1: float, h: float) -> np.ndarray:
@@ -164,10 +198,16 @@ def integrate(
     raises :class:`IntegrationBlowUp` carrying the trajectory up to the last
     good sample; a raised error is chained as its ``__cause__``.
 
+    The steps run on plain floats (see the module docstring): the state is
+    a tuple, the right-hand side of :func:`~bundleflow.bundle.make_rhs`
+    maps tuples to tuples, the stages are the two straight-line kernels of
+    the state's length, and each step is written into the preallocated
+    array of samples and checked with :func:`math.isfinite`.
+
     The trajectory's ``meta`` records the run: ``steps`` taken,
     ``rhs_calls`` (4 per RK4 step, 1 per Euler step), and the seconds spent
-    building the right-hand side (``rhs_build_s``), stepping (``step_s``) and
-    computing the monitors (``monitor_s``).
+    building the right-hand side and the stage kernels (``rhs_build_s``),
+    stepping (``step_s``) and computing the monitors (``monitor_s``).
     """
     if system.on_unit_bundle:
         init = normalized_unit_state(M, init)
@@ -188,18 +228,24 @@ def integrate(
     with np.errstate(over="ignore", invalid="ignore"):
         start = perf_counter()
         rhs = make_rhs(M, system)
+        if M._stages is None:
+            M._stages = _stage_kernels(4 * dim)
+        kernels = M._stages
         record = {"rhs_build_s": perf_counter() - start}
         start = perf_counter()
-        for k in range(times.size - 1):
-            h = times[k + 1] - times[k]
+        ts = times.tolist()
+        y = tuple(ys[0].tolist())
+        for k in range(len(ts) - 1):
+            t = ts[k]
             try:
-                ys[k + 1] = step(counted, times[k], ys[k], h)
+                y = step(counted, t, y, ts[k + 1] - t, kernels)
             except (SingularMetricError, EvalDomainError) as exc:
-                cause, reason = exc, f"{exc} in the step from t = {times[k]:g}"
+                cause, reason = exc, f"{exc} in the step from t = {t:g}"
             else:
-                if np.all(np.isfinite(ys[k + 1])):
+                ys[k + 1] = y
+                if all(map(isfinite, y)):
                     continue
-                cause, reason = None, f"non-finite state at t = {times[k + 1]:g}"
+                cause, reason = None, f"non-finite state at t = {ts[k + 1]:g}"
             record.update(steps=k, rhs_calls=calls, step_s=perf_counter() - start)
             partial = _partial_trajectory(M, system, times[: k + 1], ys[: k + 1], cfg, record)
             raise IntegrationBlowUp(reason, partial, float(partial.times[-1])) from cause

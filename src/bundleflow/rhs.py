@@ -1,7 +1,8 @@
 """The integrator's right-hand side as one straight-line function of (t, y).
 
 :func:`compile_rhs` writes, for one structure and one system, a Python
-function of plain floats with the emitter of
+function of plain floats, from the state as a tuple to its derivative as a
+tuple, with the emitter of
 :mod:`bundleflow.expressions` (one point): the varying fields of g, phi, F
 and the coefficients rho(t) inline, as values, with the 2-jet of g where
 Gamma comes from g and the 1-jet of analytic Gamma where that varies.
@@ -250,14 +251,17 @@ def _curvature(p: _Program, gamma, dgamma, X, Y, Z) -> list:
 
 def compile_rhs(M, reference, *, unit: bool, force, coefficients):
     """The right-hand side ``rhs(t, y)`` of the flattened state
-    (x, xdot, xi, xidot) on ``M``, as one generated function.
+    (x, xdot, xi, xidot) on ``M``, as one generated function: ``y`` is a
+    tuple of 4 dim floats and the result a tuple of as many.
 
     ``force`` is the system's F tensor (None for geodesics),
     ``coefficients`` its F-planar coefficients rho1(t), rho2(t) (None for
     (0, 1)), and ``unit`` adds the phi-unit bundle's fiber term.
-    ``reference(t, y)`` gives the same right-hand side from the stacked
-    formulas; the function returns it wherever it cannot vouch for its own
-    result (see the module docstring).
+    ``reference(t, y)`` gives the same right-hand side, also as a tuple,
+    from the stacked formulas; the function returns it wherever it cannot
+    vouch for its own result (see the module docstring).  Where g is
+    constant and fails its check, or its determinant folds to zero, the
+    reference itself is the right-hand side.
     """
     d = M.dim
     r = range(d)
@@ -265,7 +269,7 @@ def compile_rhs(M, reference, *, unit: bool, force, coefficients):
     xs = tuple(x)
     p = _Program(d)
     emit = p.src.lines.append
-    emit(f"{', '.join(x + v + s + w)}, = y.tolist()")
+    emit(f"{', '.join(x + v + s + w)}, = y")
 
     # g, symmetrized as MetricStructure._checked_metric does, and checked
     jet_of_g = M.christoffel is None and not M.g.is_constant
@@ -389,9 +393,9 @@ def compile_rhs(M, reference, *, unit: bool, force, coefficients):
               for l in r]
 
     out = [e if isinstance(e, str) else p.lit(e) for e in v + xddot + w + xiddot]
-    emit(f"return _array(({', '.join(out)},))")
+    emit(f"return ({', '.join(out)},)")
     body = ["try:", *("    " + line for line in p.src.lines),
             "except _errors:", "    pass", "return _reference(t, y)"]
-    p.src.names.update(_array=np.array, _abs=abs, _max=max, _isfinite=math.isfinite,
+    p.src.names.update(_abs=abs, _max=max, _isfinite=math.isfinite,
                        _errors=(ArithmeticError, ValueError), _reference=reference)
     return p.src.define("_rhs", "t, y", body)

@@ -424,6 +424,15 @@ def test_csv_round_trips_doubles_exactly(tmp_path, oblique_scenario):
     assert np.array_equal(data[:, 1:5], traj.x)  # 17 sig digits: bit-exact round trip
 
 
+def test_csv_rows_are_written_as_the_format_spec_writes_each_value(tmp_path):
+    values = [0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan, 1e16, 0.1]
+    rows = np.array([values, values[::-1]])
+    path = tmp_path / "t.csv"
+    cli._write_rows(path, [f"c{i}" for i in range(len(values))], rows)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[1:] == [",".join(f"{v:.17g}" for v in row) for row in (values, values[::-1])]
+
+
 def test_integrate_shipped_log_geodesic_scenario(tmp_path):
     rc = run("integrate", "--scenario", SCENARIOS / "exp2d_natural_lift.json", "--out", tmp_path)
     assert rc == 0

@@ -515,6 +515,15 @@ def test_a_long_sum_compiles_flat(row):
     _assert_compiled_matches_the_walkers(parse(text, _DIM), np.array(row))
 
 
+@pytest.mark.parametrize("rows", [False, True])
+def test_an_order_2_program_writes_each_product_once(rows):
+    # exp has f'' = f': the chain rule's d1 f' and d1 f'' are one product
+    source = expressions._Source(2, rows)
+    source.walk(parse("exp(x1*x2)", _DIM))
+    products = [line.split(" = ", 1)[1] for line in source.lines if " = " in line]
+    assert len(products) == len(set(products))
+
+
 @pytest.mark.parametrize(
     "source, row",
     [

@@ -1,3 +1,5 @@
+import math
+import sys
 import threading
 from pathlib import Path
 
@@ -21,7 +23,14 @@ from bundleflow.errors import EvalDomainError, SingularMetricError
 from bundleflow.rhs import compile_rhs
 from bundleflow.expressions import ScalarField
 from bundleflow.geometry import FieldTensor, MetricStructure
-from bundleflow.integrate import IntegratorConfig, _rk4_step, integrate
+from bundleflow.integrate import (
+    IntegratorConfig,
+    _euler_step,
+    _rk4_step,
+    _stage_kernels,
+    integrate,
+)
+import reference_step
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 EXP2D = catalog.entry("exp2d").structure
@@ -280,18 +289,83 @@ def test_rhs_falls_back_to_the_reference_with_its_error(monkeypatch, case):
     assert str(info.value) == message and calls == [1]
 
 
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared with the other side's
+        return exc
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(_RHS_CHARTS)),
+    st.sampled_from(SYSTEM_KINDS),
+    st.sampled_from(["phi", "lorentz"]),
+    st.sampled_from(["rk4", "euler"]),
+    st.floats(1e-4, 4.0),
+    st.floats(0.0, 0.9),
+    st.lists(_unit, min_size=6, max_size=6),
+    _vectors(6, 3),
+)
+def test_float_steps_are_the_array_steps(chart, kind, force, method, h, t, fractions, vecs):
+    # the stage kernels do numpy's arithmetic on the arrays in its order:
+    # equal results, NaN for NaN, and the same error where a stage fails
+    # (long steps leave the chart)
+    M = _RHS_STRUCTURES[chart]
+    d = M.dim
+    y = np.concatenate([_point(M, fractions[:d])] + [v[:d] for v in vecs])
+    rhs = make_rhs(M, _system(kind, force, M))
+    if method == "rk4":
+        float_step, array_step = _rk4_step, reference_step.rk4_step
+    else:
+        float_step, array_step = _euler_step, reference_step.euler_step
+    with np.errstate(over="ignore", invalid="ignore"):  # as integrate runs them
+        want = _outcome(array_step, reference_step.array_rhs(rhs), t, y, h)
+        got = _outcome(float_step, rhs, t, tuple(y.tolist()), h, _stage_kernels(4 * d))
+    if isinstance(want, Exception) or isinstance(got, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    assert type(got) is tuple and all(type(v) is float for v in got)
+    assert np.array_equal(np.array(got), want, equal_nan=True)
+
+
 @pytest.mark.parametrize("kind", SYSTEM_KINDS)
 @pytest.mark.parametrize("chart", sorted(_RHS_CHARTS))
 def test_rk4_step_makes_no_einsum_call(monkeypatch, chart, kind):
+    # nor any other numpy call at a regular point: the profiler reports each
+    # call of a numpy function, C or Python, and of an array's method.  (A
+    # ufunc applied to a float, as the jets' exp, is not reported; the
+    # program converts its result to a float.)
     M = _RHS_CHARTS[chart]()  # fresh: pieces built on first use are built here
     rhs = make_rhs(M, _system(kind))
+    kernels = _stage_kernels(4 * M.dim)
     y = np.concatenate([M.chart_box.mean(axis=1), np.linspace(0.1, 0.4, 3 * M.dim)])
+    y = tuple(y.tolist())
 
     def no_einsum(*args, **kwargs):
         raise AssertionError("np.einsum called during an RK4 step")
 
     monkeypatch.setattr(np, "einsum", no_einsum)
-    assert np.all(np.isfinite(_rk4_step(rhs, 0.0, y, 0.01)))
+    numpy_calls = []
+
+    def watch(frame, event, arg):
+        if event == "c_call":
+            owner = getattr(arg, "__module__", None) or type(arg.__self__).__module__
+        elif event == "call":
+            owner = frame.f_globals.get("__name__", "")
+        else:
+            return
+        if owner.partition(".")[0] == "numpy":
+            numpy_calls.append(arg if event == "c_call" else frame.f_code.co_name)
+
+    sys.setprofile(watch)
+    try:
+        out = _rk4_step(rhs, 0.0, y, 0.01, kernels)
+    finally:
+        sys.setprofile(None)
+    assert numpy_calls == []
+    assert type(out) is tuple and len(out) == 4 * M.dim
+    assert all(type(v) is float and math.isfinite(v) for v in out)
 
 
 def test_unit_fiber_acceleration_drives_the_unit_bundle_integrator():
@@ -307,7 +381,9 @@ def test_unit_fiber_acceleration_drives_the_unit_bundle_integrator():
         geo = M.at(x)
         term = bundle.unit_fiber_acceleration(geo.g, geo.phi, xi, geo.to_covariant(xi, xidot, xdot))
         assert float(np.max(np.abs(term))) > 1e-3
-        gap = make_rhs(M, scen.system)(0.0, y) - make_rhs(M, BundleSystem("geodesic_tm"))(0.0, y)
+        y = tuple(y.tolist())
+        gap = np.subtract(make_rhs(M, scen.system)(0.0, y),
+                          make_rhs(M, BundleSystem("geodesic_tm"))(0.0, y))
         np.testing.assert_allclose(gap, np.concatenate([np.zeros(3 * M.dim), term]), rtol=0, atol=1e-14)
 
 
