@@ -17,6 +17,7 @@ for bit.  Each step is stored in a preallocated array.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from math import isfinite
 from time import perf_counter
@@ -205,7 +206,8 @@ def integrate(
     array of samples and checked with :func:`math.isfinite`.
 
     The trajectory's ``meta`` records the run: ``steps`` taken,
-    ``rhs_calls`` (4 per RK4 step, 1 per Euler step), and the seconds spent
+    ``rhs_calls`` (4 per RK4 step, 1 per Euler step, and the calls a
+    failing step made, counted on a rerun of that step), and the seconds spent
     building the right-hand side and the stage kernels (``rhs_build_s``),
     stepping (``step_s``) and computing the monitors (``monitor_s``).
     """
@@ -216,12 +218,7 @@ def integrate(
     dim = M.dim
     ys = np.empty((times.size, 4 * dim))
     ys[0] = init.flat()
-    calls = 0
-
-    def counted(t, y):
-        nonlocal calls
-        calls += 1
-        return rhs(t, y)
+    stages = 4 if cfg.method == "rk4" else 1
 
     # blow-ups are detected on the state, so let arithmetic reach inf quietly
     # (a constant g that is not finite is met when the right-hand side is built)
@@ -238,18 +235,25 @@ def integrate(
         for k in range(len(ts) - 1):
             t = ts[k]
             try:
-                y = step(counted, t, y, ts[k + 1] - t, kernels)
+                y = step(rhs, t, y, ts[k + 1] - t, kernels)
             except (SingularMetricError, EvalDomainError) as exc:
                 cause, reason = exc, f"{exc} in the step from t = {t:g}"
+                calls = []  # the calls the failing step makes, counted on a rerun
+                with suppress(SingularMetricError, EvalDomainError):
+                    step(lambda t, y: calls.append(t) or rhs(t, y), t, y, ts[k + 1] - t, kernels)
+                reached = len(calls)
             else:
                 ys[k + 1] = y
                 if all(map(isfinite, y)):
                     continue
                 cause, reason = None, f"non-finite state at t = {ts[k + 1]:g}"
-            record.update(steps=k, rhs_calls=calls, step_s=perf_counter() - start)
+                reached = stages
+            record.update(steps=k, rhs_calls=stages * k + reached,
+                          step_s=perf_counter() - start)
             partial = _partial_trajectory(M, system, times[: k + 1], ys[: k + 1], cfg, record)
             raise IntegrationBlowUp(reason, partial, float(partial.times[-1])) from cause
-    record.update(steps=times.size - 1, rhs_calls=calls, step_s=perf_counter() - start)
+    steps = times.size - 1
+    record.update(steps=steps, rhs_calls=stages * steps, step_s=perf_counter() - start)
     return _build_trajectory(M, system, times, ys, cfg, record)
 
 

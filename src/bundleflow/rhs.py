@@ -13,13 +13,21 @@ structurally zero factor is never written.
 Without analytic Christoffel symbols, g is inverted block by block over the
 connected blocks of its structural pattern, by cofactors: a diagonal g
 entry by entry, and no elimination that would need a pivot (a neutral g
-may have a zero diagonal); Gamma and the nonzero entries of dGamma follow
-from the jet of g.  The curvature term R(xi', phi xi) xdot and the term
-dGamma(xdot; xi, xdot) are sums of monomials in the entries of Gamma and
-dGamma and the vectors' components, so the curvature tensor is not built
-where Gamma varies.  Every sum is written with its like terms merged,
-so terms that cancel as entries of R cancel when the program is written,
-as they do exactly in the reference.
+may have a zero diagonal).  Gamma and dGamma follow from the jet of g, each
+entry summed over the nonzero entries of g^-1, of dg, of the Hessian of g
+and of dg Gamma only, scattered from those entries rather than gathered
+over every index tuple.  The curvature term R(xi', phi xi) xdot and the
+term dGamma(xdot; xi, xdot) are sums of monomials in the entries of Gamma
+and dGamma and the vectors' components, so the curvature tensor is not
+built where Gamma varies.  Every sum is written with its like terms
+merged, so terms that cancel as entries of R cancel when the program is
+written, as they do exactly in the reference.  The one exception is a
+component k whose dGamma^k sums would take more than ``_STAGE_TERMS``
+terms (a dense varying g, where the monomials grow like dim^5): there
+dGamma is taken only along xdot, xi' and phi xi, from the Hessian of g
+contracted with the vectors, and R(X, Y)Z = (d_X Gamma)(Y, Z) -
+(d_Y Gamma)(X, Z) + Gamma(X, Gamma(Y, Z)) - Gamma(Y, Gamma(X, Z)); its
+terms of R then cancel only to rounding.
 
 The function checks nothing itself.  Where a point guard of the emitter
 fails, where the metric is singular or close to it, where a jet is not
@@ -30,6 +38,7 @@ the library's errors with their messages.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -46,6 +55,10 @@ __all__ = ["compile_rhs"]
 _SINGULAR_MARGIN = 2e-12
 # terms per emitted sum: longer sums are split, so that no expression nests deeply
 _CHUNK = 32
+# a component k of dGamma whose sums would take more terms than this is
+# contracted in stages instead of written as merged monomials: those grow like
+# dim^5 on a dense g, while below it merging keeps R's cancellation exact
+_STAGE_TERMS = 256
 
 
 def _value(name: str):
@@ -227,7 +240,48 @@ class _Program:
         return self.minors[key]
 
 
-def _curvature(p: _Program, gamma, dgamma, X, Y, Z) -> list:
+def _scatter(p: _Program, jets, places) -> list:
+    """Terms by q and index, from the nonzero entries e = ``jets[a][b][key]``:
+    the n-th (q, index, coefficient) of ``places(a, b, key)`` puts the term
+    (n, coefficient, e) at out[q][index], n being its rank in a dense sum."""
+    out = [{} for _ in range(p.dim)]
+    for a, b in itertools.product(range(p.dim), repeat=2):
+        for key, e in jets[a][b].items():
+            for rank, (q, index, c) in enumerate(places(a, b, key)):
+                out[q].setdefault(index, []).append((rank, c, e))
+    return out
+
+
+def _raise(p: _Program, ginv, rows, lowered, ks) -> dict:
+    """{k: {index: g^kq T_q[index]}} for the k in ``ks``, from the terms
+    ``lowered[q][index]`` of T_q: each sum over the q of ``rows[k]``
+    (g^kq != 0) and only at an index where a term is, in the order of the
+    dense sum over q and the terms' ranks; zero sums left out."""
+    out = {}
+    for k in ks:
+        sums = ((index, p.sum((c, ginv[k][q], *rest) for q in rows[k]
+                              for _, c, *rest in sorted(lowered[q].get(index, ()))))
+                for index in sorted({index for q in rows[k] for index in lowered[q]}))
+        out[k] = {index: e for index, e in sums if e != 0.0}
+    return out
+
+
+def _along(p: _Program, ginv, rows, grad, h, components, a, xdot, u, y) -> dict:
+    """(d_u Gamma)(y, xdot)^k = g^kq (1/2 d_u S_qij y^i xdot^j - d_u g_qc Gamma(y, xdot)^c)
+    for the ``components`` k, contracted in stages: the Hessian terms ``h``
+    of g along u, y and xdot, then dg along u with Gamma(y, xdot) = A y,
+    then g^-1."""
+    r = range(p.dim)
+    gy = p.matvec(a, y)
+    w = {}
+    for q in sorted({q for k in components for q in rows[k]}):
+        du = [p.sum((e, u[m]) for m, e in grad[q][c].items()) for c in r]  # d_u g_qc
+        w[q] = p.sum([(c, e, u[m], y[i], xdot[j]) for (i, j, m), terms in h[q].items()
+                      for _, c, e in terms] + [(-1.0, du[c], gy[c]) for c in r])
+    return {k: p.sum((ginv[k][q], w[q]) for q in rows[k]) for k in components}
+
+
+def _curvature(p: _Program, gamma, dgamma, X, Y, Z, components) -> list:
     """R(X, Y)Z from Gamma and dGamma, one sum of monomials per component,
 
         (R(X, Y)Z)^l = X^i Y^j Z^k (d_i Gamma^l_jk - d_j Gamma^l_ik
@@ -237,7 +291,7 @@ def _curvature(p: _Program, gamma, dgamma, X, Y, Z) -> list:
     r = range(p.dim)
     nonzero = [[(i, m, gamma[l][i][m]) for i in r for m in r if gamma[l][i][m] != 0.0] for l in r]
     out = []
-    for l in r:
+    for l in components:
         terms = []
         for a, b in itertools.product(r, r):
             terms += [(e, X[m], Y[a], Z[b]) for m, e in dgamma[l][a][b].items()]
@@ -302,8 +356,9 @@ def compile_rhs(M, reference, *, unit: bool, force, coefficients):
     if jet_of_g or (force is not None and force.form is not None):
         ginv = p.inverse(g, blocks)
 
-    # Gamma, and dGamma as {m: d_m Gamma^k_ij} where Gamma varies
-    dgamma = None
+    # Gamma, and dGamma as {m: d_m Gamma^k_ij} where Gamma varies, for the
+    # components k that are not staged
+    dgamma, merged, staged, along = None, list(r), [], None
     if M.christoffel is not None and M.christoffel.is_constant:
         gamma = M.christoffel.at(np.zeros(d)).tolist()
     elif M.christoffel is not None:
@@ -314,22 +369,33 @@ def compile_rhs(M, reference, *, unit: bool, force, coefficients):
         gamma = [[[0.0] * d for _ in r] for _ in r]
     else:
         grad, hess = p.matrix(g_grad), p.matrix(g_hess)
-        dg = [[[grad[a][b].get(l, 0.0) for b in r] for a in r] for l in r]  # d_l g_ab
-        # Gamma^k_ij = 1/2 g^kq S_qij with S_qij = d_i g_qj + d_j g_qi - d_q g_ij
-        gamma = [[[p.sum(t for q in r for t in (
-            (0.5, ginv[k][q], dg[i][q][j]), (0.5, ginv[k][q], dg[j][q][i]),
-            (-0.5, ginv[k][q], dg[q][i][j]))) for j in r] for i in r] for k in r]
-        # d_m Gamma^k_ij = g^kq (1/2 d_m S_qij - d_m g_qc Gamma^c_ij)
-        dgamma = [[[{} for _ in r] for _ in r] for _ in r]
         rows = [[q for q in r if ginv[k][q] != 0.0] for k in r]
-        for k, i, j, m in itertools.product(r, r, r, r):
-            e = p.sum(t for q in rows[k] for t in (
-                (0.5, ginv[k][q], hess[q][j].get((m, i), 0.0)),
-                (0.5, ginv[k][q], hess[q][i].get((m, j), 0.0)),
-                (-0.5, ginv[k][q], hess[i][j].get((m, q), 0.0)),
-                *((-1.0, ginv[k][q], dg[m][q][c], gamma[c][i][j]) for c in r
-                  if dg[m][q][c] != 0.0 and gamma[c][i][j] != 0.0)))
-            if e != 0.0:
+        # Gamma^k_ij = 1/2 g^kq S_qij with S_qij = d_i g_qj + d_j g_qi - d_q g_ij
+        lowered = _scatter(p, grad, lambda a, b, l: (
+            (a, (l, b), 0.5), (a, (b, l), 0.5), (l, (a, b), -0.5)))
+        sums = _raise(p, ginv, rows, lowered, r)
+        gamma = [[[sums[k].get((i, j), 0.0) for j in r] for i in r] for k in r]
+        # d_m Gamma^k_ij = g^kq (1/2 d_m S_qij - d_m g_qc Gamma^c_ij): merged
+        # monomials for a component k whose sums take at most _STAGE_TERMS
+        # terms, in stages along three vectors for the others
+        hessian = _scatter(p, hess, lambda a, b, ml: (
+            (a, (ml[1], b, ml[0]), 0.5), (a, (b, ml[1], ml[0]), 0.5), (ml[1], (a, b, ml[0]), -0.5)))
+        nonzero = [[(i, j, f) for i in r for j in r if (f := gamma[c][i][j]) != 0.0] for c in r]
+        size = [sum(map(len, hessian[q].values())) + sum(len(grad[q][c]) * len(nonzero[c])
+                                                          for c in r) for q in r]
+        staged = [k for k in r if sum(size[q] for q in rows[k]) > _STAGE_TERMS]
+        merged = [k for k in r if k not in staged]
+        lowered = [{index: list(terms) for index, terms in hessian[q].items()} for q in r]
+        for q in {q for k in merged for q in rows[k]}:
+            for c in r:
+                for (m, e), (i, j, f) in itertools.product(grad[q][c].items(), nonzero[c]):
+                    lowered[q].setdefault((i, j, m), []).append((3 + c, -1.0, e, f))
+        sums = _raise(p, ginv, rows, lowered, merged)
+        along = functools.partial(_along, p, ginv, rows, grad, hessian, staged)
+        dgamma = [None] * d
+        for k in merged:
+            dgamma[k] = [[{} for _ in r] for _ in r]
+            for (i, j, m), e in sums[k].items():
                 dgamma[k][i][j][m] = e
 
     # F and the coefficients
@@ -367,7 +433,18 @@ def compile_rhs(M, reference, *, unit: bool, force, coefficients):
     elif dgamma is None:
         accel = [0.0] * d
     else:
-        accel = _curvature(p, gamma, dgamma, xi_prime, p.matvec(phi, s), v)
+        eta = p.matvec(phi, s)
+        accel = _curvature(p, gamma, dgamma, xi_prime, eta, v, merged)
+        if staged:
+            # R(X, Y)Z = (d_X Gamma)(Y, Z) - (d_Y Gamma)(X, Z)
+            #            + Gamma(X, Gamma(Y, Z)) - Gamma(Y, Gamma(X, Z))
+            gy, gx = p.matvec(a, eta), p.matvec(a, xi_prime)  # Gamma(., xdot) = A .
+            dx, dy = along(a, v, xi_prime, eta), along(a, v, eta, xi_prime)
+            for l in staged:
+                accel.insert(l, p.sum(
+                    [(dx[l],), (-1.0, dy[l])]
+                    + [(gamma[l][i][j], xi_prime[i], gy[j]) for i in r for j in r]
+                    + [(-1.0, gamma[l][i][j], eta[i], gx[j]) for i in r for j in r]))
 
     # the system's covariant targets
     fiber = [0.0] * d
@@ -385,8 +462,13 @@ def compile_rhs(M, reference, *, unit: bool, force, coefficients):
     xddot = [p.sum([(accel[l],)] + [(-1.0, a[l][i], v[i]) for i in r]) for l in r]
     rate = [[(fiber[l],)] + [(-1.0, a[l][i], xi_prime[i]) for i in r] for l in r]
     if dgamma is not None:  # dGamma(xdot; xi, xdot)
-        rate = [terms + [(-1.0, e, v[m], s[i], v[j]) for i in r for j in r
-                         for m, e in dgamma[l][i][j].items()] for l, terms in enumerate(rate)]
+        for l in merged:
+            rate[l] += [(-1.0, e, v[m], s[i], v[j]) for i in r for j in r
+                        for m, e in dgamma[l][i][j].items()]
+        if staged:
+            turn = along(a, v, v, s)
+            for l in staged:
+                rate[l].append((-1.0, turn[l]))
     rate = [p.sum(terms) for terms in rate]
     turn = p.connection(gamma, s, xddot)
     xiddot = [p.sum([(rate[l],), (-1.0, turn[l])] + [(-1.0, a[l][i], w[i]) for i in r])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bundleflow import bundle, catalog, expressions, geometry, scenario
+from bundleflow import bundle, catalog, expressions, geometry, rhs as rhs_module, scenario
 from bundleflow.bundle import (
     SYSTEM_KINDS,
     BundleState,
@@ -181,6 +181,17 @@ def _dim6():
     )
 
 
+def _dense4():
+    # every entry of g varies: the emitter contracts dGamma and R in stages
+    d = 4
+    return MetricStructure(
+        d,
+        [[f"{2 + i} + 0.1*sin(x{i + 1}*x{i + 1})" if i == j else f"0.05*cos(x{i + 1} + x{j + 1})"
+          for j in range(d)] for i in range(d)],
+        [[1 if i == j else 0 for j in range(d)] for i in range(d)],
+    )
+
+
 _RHS_CHARTS = {
     "exp2d": lambda: catalog.entry("exp2d").structure,  # analytic, constant Gamma
     "poly2d": lambda: catalog.entry("poly2d").structure,  # analytic, varying Gamma
@@ -190,6 +201,7 @@ _RHS_CHARTS = {
     "h2xh2": _h2xh2,
     "neutral": _neutral,
     "dim6": _dim6,
+    "dense4": _dense4,
 }
 _RHS_STRUCTURES = {name: make() for name, make in _RHS_CHARTS.items()}
 
@@ -245,6 +257,32 @@ def test_rhs_needs_no_reference_inside_the_chart(monkeypatch, chart, kind, force
     for _ in range(5):
         x = _point(M, rng.uniform(0.1, 0.9, M.dim))
         assert np.all(np.isfinite(rhs(0.3, np.concatenate([x, rng.normal(size=3 * M.dim)]))))
+
+
+def test_rhs_emission_follows_the_nonzeros(monkeypatch):
+    # the emitter's work, counted rather than timed.  Bounds: fd_diag4's
+    # geodesic_unit program is written with at most 80 sums (395 when a sum
+    # was formed for every index tuple), and the dense dim-4 geodesic_tm
+    # program, contracted in stages, has at most a quarter of the 12,518
+    # products of its merged monomials
+    sums, programs = [], []
+    total, define = rhs_module._Program.sum, expressions._Source.define
+
+    def counted_sum(self, terms):
+        sums.append(1)
+        return total(self, terms)
+
+    def kept(self, name, params, body):
+        if name == "_rhs":
+            programs.append("\n".join(body))
+        return define(self, name, params, body)
+
+    monkeypatch.setattr(rhs_module._Program, "sum", counted_sum)
+    monkeypatch.setattr(expressions._Source, "define", kept)
+    make_rhs(_fresh(FD_DIAG4), BundleSystem("geodesic_unit"))
+    assert len(sums) <= 80
+    make_rhs(_dense4(), BundleSystem("geodesic_tm"))
+    assert programs[-1].count("*") <= 12518 // 4
 
 
 def _failing(case):
