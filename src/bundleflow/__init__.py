@@ -7,18 +7,15 @@ solution families.
 """
 
 from .bundle import (
-    BundlePoint,
     BundleState,
     BundleSystem,
     FPlanarCoefficients,
     FTensor,
-    covariant_deriv_along,
     geodesic_residual,
-    lift_tangential,
     lorentz_force,
     normalized_unit_state,
     phi_mirror,
-    sasaki_metric_eval,
+    sasaki_metric,
 )
 from .catalog import CatalogEntry, ClosedForm, entry, entry_names
 from .errors import (
@@ -28,7 +25,6 @@ from .errors import (
     ExprSyntaxError,
     IntegrationBlowUp,
     ParameterError,
-    PurityError,
     ScenarioError,
     SignatureError,
     SingularMetricError,

@@ -1,4 +1,4 @@
-"""Tangent-bundle layer: lifts, bundle metric, and geodesic-type ODE systems.
+"""Tangent-bundle layer: the phi-Sasaki metric and geodesic-type ODE systems.
 
 A curve on the bundle is a pair (gamma(t), xi(t)) of a base curve and a
 fiber vector along it.  The ODE state keeps the coordinate derivative
@@ -47,17 +47,12 @@ from .geometry import (
 from .rhs import compile_rhs
 
 __all__ = [
-    "BundlePoint",
     "BundleState",
     "FTensor",
     "FPlanarCoefficients",
     "BundleSystem",
     "SYSTEM_KINDS",
-    "phi_pairing",
-    "unit_defect",
-    "sasaki_metric_eval",
-    "lift_tangential",
-    "covariant_deriv_along",
+    "sasaki_metric",
     "unit_fiber_acceleration",
     "covariant_targets",
     "make_rhs",
@@ -80,14 +75,6 @@ _UNIT_KINDS = frozenset(k for k in SYSTEM_KINDS if k.endswith("_unit"))
 _F_KINDS = frozenset(k for k in SYSTEM_KINDS if k.startswith("f_"))
 _PLANAR_KINDS = frozenset(k for k in SYSTEM_KINDS if k.startswith("f_planar"))
 _UNIT_TOL = 1e-6  # how far a given state may sit off the phi-unit constraints
-
-
-@dataclass(frozen=True)
-class BundlePoint:
-    """A point (x, xi) of the tangent bundle over a single chart."""
-
-    x: np.ndarray
-    xi: np.ndarray
 
 
 @dataclass
@@ -114,11 +101,6 @@ class BundleState:
 
     def flat(self) -> np.ndarray:
         return np.concatenate([self.x, self.xdot, self.xi, self.xidot])
-
-    def copy(self) -> "BundleState":
-        return BundleState(
-            self.x.copy(), self.xdot.copy(), self.xi.copy(), self.xidot.copy()
-        )
 
 
 class FTensor:
@@ -213,61 +195,49 @@ class BundleSystem:
         return 0.0, 0.0
 
 
-# -- pointwise bundle algebra ------------------------------------------------
+# -- the phi-Sasaki metric ----------------------------------------------------
 
 
-def phi_pairing(M: MetricStructure, point, u, v) -> float:
-    """The twin pairing g(u, phi v) at a chart point."""
-    g = M.metric_at(point)
-    phi = M.phi_at(point)
-    return float(u @ g @ (phi @ v))
+def sasaki_metric(M: MetricStructure) -> FieldTensor:
+    """The phi-Sasaki metric of TM as the metric of a 2n-dim chart.
 
+    In induced coordinates (x, u) = (x1..xn, x(n+1)..x2n), with
+    A^k_i = Gamma^k_ij u^j and the twin metric G = g phi,
 
-def unit_defect(M: MetricStructure, bp: BundlePoint) -> float:
-    """g(xi, phi xi) - 1; zero exactly on the phi-unit bundle."""
-    return phi_pairing(M, bp.x, bp.xi, bp.xi) - 1.0
+        g^phiS = [[g + A^T G A, A^T G], [G A, G]]:
 
-
-def sasaki_metric_eval(M: MetricStructure, bp: BundlePoint, A, B) -> float:
-    """Bundle metric of two (horizontal, vertical) component pairs at bp.
-
-    Horizontal blocks pair with g, vertical blocks with the twin metric
-    G(U, V) = g(U, phi V); cross terms vanish by construction.
+    a horizontal lift (X, -A X) pairs with g, a vertical vector (0, V) with
+    G, and the two are orthogonal.  The entries are expressions in x and u
+    written from the sources of g, phi and Gamma, so ``M`` needs analytic
+    Christoffel symbols: the expression language has no derivative operator.
     """
-    a_h, a_v = (np.asarray(v, dtype=float) for v in A)
-    b_h, b_v = (np.asarray(v, dtype=float) for v in B)
-    g = M.metric_at(bp.x)
-    twin = M.twin_metric_at(bp.x)
-    return float(a_h @ g @ b_h + a_v @ twin @ b_v)
+    if M.christoffel is None:
+        raise ValueError("the phi-Sasaki metric needs analytic Christoffel symbols")
+    n = M.dim
+    r = range(n)
 
+    def entry(tensor, flat):  # None for a zero field
+        f = tensor.fields[flat]
+        return None if f.const_value == 0.0 else f"({f.source})"
 
-def lift_tangential(M: MetricStructure, bp: BundlePoint, Y):
-    """Vertical part of the tangential lift of Y at a phi-unit point.
+    def total(terms):  # a sum of sources, None for the empty sum
+        terms = [t for t in terms if t is not None]
+        return f"({' + '.join(terms)})" if terms else None
 
-    Removes the component along the unit normal: Y - g(Y, phi xi) xi.  The
-    output pairs to zero with phi xi.
-    """
-    defect = unit_defect(M, bp)
-    if abs(defect) > _UNIT_TOL:
-        raise ConstraintError(
-            f"point is not on the phi-unit bundle (defect {defect:g})"
-        )
-    Y = np.asarray(Y, dtype=float)
-    return Y - phi_pairing(M, bp.x, Y, bp.xi) * bp.xi
+    def product(*factors):
+        return None if None in factors else "*".join(factors)
 
-
-def covariant_deriv_along(M: MetricStructure, state: BundleState, xddot=None):
-    """Covariant data along the curve: (gamma'' if xddot given else None, xi').
-
-    gamma''^l = xddot^l + Gamma^l_{ij} xdot^i xdot^j
-    xi'^l     = xidot^l + Gamma^l_{ij} xdot^j xi^i
-    """
-    geo = M.at(state.x)
-    xi_prime = geo.to_covariant(state.xi, state.xidot, state.xdot)
-    gamma_dd = None
-    if xddot is not None:
-        gamma_dd = geo.to_covariant(state.xdot, np.asarray(xddot, dtype=float), state.xdot)
-    return gamma_dd, xi_prime
+    g = [[entry(M.g, i * n + j) for j in r] for i in r]
+    phi = [[entry(M.phi, i * n + j) for j in r] for i in r]
+    u = [f"x{n + j + 1}" for j in r]
+    a = [[total(product(entry(M.christoffel, (k * n + i) * n + j), u[j]) for j in r)
+          for i in r] for k in r]
+    twin = [[total(product(g[i][m], phi[m][j]) for m in r) for j in r] for i in r]
+    ga = [[total(product(twin[k][m], a[m][j]) for m in r) for j in r] for k in r]  # G A
+    top = [[total([g[i][j]] + [product(a[k][i], ga[k][j]) for k in r]) for j in r] for i in r]
+    # A^T G = (G A)^T, G being symmetric on a pure structure
+    rows = [top[i] + [ga[j][i] for j in r] for i in r] + [ga[i] + twin[i] for i in r]
+    return FieldTensor.from_spec([[e or "0" for e in row] for row in rows], 2 * n)
 
 
 def unit_fiber_acceleration(g_mat, phi_mat, xi, xi_prime) -> np.ndarray:

@@ -26,10 +26,6 @@ class SingularMetricError(BundleFlowError):
     """Raised when the metric matrix is (numerically) singular at a point."""
 
 
-class PurityError(BundleFlowError):
-    """Raised when g(phi X, Y) = g(X, phi Y) fails beyond tolerance at a point."""
-
-
 class ConstraintError(BundleFlowError):
     """Raised for states that violate the phi-unit bundle constraints."""
 

@@ -7,12 +7,6 @@ evaluated at one chart point or at every row of an ``(n, dim)`` stack of
 points at once; derivatives of the component fields are exact, from
 forward-mode jets of their expression trees, so Gamma and dGamma of a chart
 without analytic Christoffel symbols come from one 2-jet of g.
-What does not depend on the point is computed once per structure, on first
-use, and shared read-only as one array that broadcasts against stacks: the
-symmetrized g and its inverse when every component of g is constant, and
-dGamma (zero) and the curvature tensor when analytic Christoffel symbols are
-constant.  Only values that passed their checks are kept, so a singular
-constant g raises on every call.
 
 Conventions:
 
@@ -30,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PurityError, SingularMetricError
+from .errors import SingularMetricError
 from .expressions import ScalarField, compile_point, compile_rows
 
 __all__ = [
@@ -193,7 +187,8 @@ class MetricStructure:
     riemann:
         Optional constant curvature tensor ``R^l_{kij}`` of shape
         ``(dim,) * 4``, used in place of the metric-derived one; for
-        synthetic constant-curvature structures.
+        synthetic constant-curvature structures.  Kept as the read-only
+        array :attr:`riemann`, None when none was given.
     chart_box:
         Per-coordinate sampling box for the structure checks.
     """
@@ -234,7 +229,6 @@ class MetricStructure:
         if not (np.all(np.isfinite(self.chart_box)) and np.all(lo < hi)):
             raise ValueError(f"chart_box needs finite lo < hi in each pair, got {self.chart_box.tolist()}")
         self.name = name
-        self._shared: dict[str, np.ndarray] = {}
         # the integrator's compiled right-hand sides, by system (bundle.make_rhs),
         # and its two stage kernels (integrate._stage_kernels)
         self._rhs: dict = {}
@@ -244,23 +238,7 @@ class MetricStructure:
             if riemann.shape != (dim,) * 4:
                 raise ValueError(f"riemann must have shape {(dim,) * 4}, got {riemann.shape}")
             riemann.setflags(write=False)
-            self._shared["riemann"] = riemann
-
-    def _shared_piece(self, constant: bool, key: str, build) -> np.ndarray:
-        """The one shared copy ``key`` of a piece, or ``build()``.
-
-        A piece that does not depend on the point is built (and checked) on
-        first use, made read-only and shared; a curvature tensor given to the
-        constructor is shared from the start.  A build that raises stores
-        nothing, so the next call checks again.
-        """
-        value = self._shared.get(key)
-        if value is None:
-            value = build()
-            if constant:
-                value.setflags(write=False)
-                self._shared[key] = value
-        return value
+        self.riemann: np.ndarray | None = riemann
 
     @property
     def has_constant_christoffel(self) -> bool:
@@ -275,14 +253,13 @@ class MetricStructure:
     # -- evaluation at a point or a stack of points ---------------------------
 
     def metric_at(self, point) -> np.ndarray:
-        return self._shared_piece(
-            self.g.is_constant, "g", lambda: self._checked_metric(self.g.at(point), point)
-        )
+        return self._checked_metric(self.g.at(point), point)
 
     def _checked_metric(self, mat, point) -> np.ndarray:
         """Symmetrize g given at one point, or at each of n points (n, d, d).
 
-        Raises :class:`SingularMetricError` at the first singular one.
+        Raises :class:`SingularMetricError` at the first singular one; a
+        constant g, one matrix for a whole stack, is named at its first row.
         """
         mat = 0.5 * (mat + mat.swapaxes(-1, -2))
         det = np.linalg.det(mat)
@@ -290,7 +267,8 @@ class MetricStructure:
         singular = abs(det) <= 1e-12 * abs(mat).max(axis=(-2, -1)) ** self.dim
         if mat.ndim == 2:
             if singular:
-                raise SingularMetricError(f"metric singular at {point}: det = {det:g}")
+                where = point[0] if np.ndim(point) == 2 else point
+                raise SingularMetricError(f"metric singular at {where}: det = {det:g}")
         elif singular.any():
             i = int(np.argmax(singular))
             raise SingularMetricError(f"metric singular at {point[i]}: det = {det[i]:g}")
@@ -298,26 +276,6 @@ class MetricStructure:
 
     def phi_at(self, point) -> np.ndarray:
         return self.phi.at(point)
-
-    def twin_metric_at(self, point) -> np.ndarray:
-        """Twin metric G_ij = g_ik phi^k_j, symmetrized after a purity check.
-
-        The asymmetry is judged relative to max|G| at each point (it may
-        reach 1e-10 of it), so that g
-        and c*g are judged alike and one point's scale does not excuse
-        another's.
-        """
-        twin = self.metric_at(point) @ self.phi_at(point)
-        transposed = twin.swapaxes(-1, -2)
-        asym = np.max(np.abs(twin - transposed), axis=(-2, -1))
-        impure = asym > 1e-10 * np.max(np.abs(twin), axis=(-2, -1))
-        if np.any(impure):
-            i = int(np.argmax(impure))
-            worst, where = (asym, point) if impure.ndim == 0 else (asym[i], point[i])
-            raise PurityError(
-                f"twin metric asymmetry {worst:g} exceeds tolerance at {where}"
-            )
-        return 0.5 * (twin + transposed)
 
     def christoffel_at(self, point) -> np.ndarray:
         """Gamma^k_{ij}, indexed [..., k, i, j]."""
@@ -361,7 +319,7 @@ class MetricStructure:
 
     def at(self, point) -> "PointGeometry":
         """The geometry at one chart point or at each row of an ``(n, dim)``
-        stack, evaluated lazily and then shared."""
+        stack, each piece evaluated on first use."""
         return PointGeometry(self, point)
 
 
@@ -416,18 +374,17 @@ class PointGeometry:
     the first of the four pieces asked for fills all of them, once.  Where
     analytic Gamma varies, Gamma and dGamma come from a 1-jet of its fields,
     and g from ``metric_at``.  phi comes from ``phi_at``, and R is derived
-    from Gamma and dGamma.  Pieces that do not depend on the point are the
-    structure's shared read-only arrays, without a sample axis, computed once
-    per structure after passing their checks: g and g^-1 when g is constant,
-    phi and Gamma when constant, and dGamma (zero) and R when analytic Gamma
-    is constant or R was given to the structure.
+    from Gamma and dGamma, or is the structure's :attr:`MetricStructure.riemann`
+    where one was given.  A piece that does not depend on the point (a
+    constant g, phi or Gamma; the zero dGamma and the R of constant analytic
+    Gamma; a given R) has no sample axis and broadcasts against the stack.
 
     This is the one place where derivatives along a curve x(t) are converted
     between covariant and coordinate form: for v(t) along the curve,
     v' = vdot + Gamma(v, xdot) (xi' <-> xidot, and with v = xdot,
     gamma'' <-> xddot), and d(v')/dt = vddot + dGamma(xdot; v, xdot)
     + Gamma(v, xddot) + Gamma(vdot, xdot) is the second-order pair, whose
-    dGamma term is skipped where dGamma is the shared zero.  Every Gamma
+    dGamma term is skipped where analytic Gamma is constant.  Every Gamma
     contraction goes through :meth:`along`, A = Gamma xdot with
     Gamma(v, xdot) = A v.  The integrator's right-hand side
     (:func:`bundleflow.bundle.make_rhs`) applies these same formulas at its
@@ -453,11 +410,9 @@ class PointGeometry:
         g, ginv, self._gamma, self._dgamma = (
             p if p is None else p.reshape(lead + p.shape[1:]) for p in pieces
         )
-        if M._jet_of_g:  # a constant g is the structure's shared piece instead
+        if M._jet_of_g:  # otherwise g comes from metric_at
             self._g, self._ginv = g, ginv
 
-    # slots, not functools.cached_property: its first-access lock (Python
-    # < 3.12) costs a few percent of an analytic RHS call
     @property
     def g(self) -> np.ndarray:
         if self._g is None:
@@ -473,9 +428,7 @@ class PointGeometry:
             if self.M._jet_of_g:
                 self._fill()
             else:
-                self._ginv = self.M._shared_piece(
-                    self.M.g.is_constant, "ginv", lambda: np.linalg.inv(self.g)
-                )
+                self._ginv = np.linalg.inv(self.g)
         return self._ginv
 
     @property
@@ -497,9 +450,7 @@ class PointGeometry:
     def dgamma(self) -> np.ndarray:
         if self._dgamma is None:
             if self.M.has_constant_christoffel:
-                self._dgamma = self.M._shared_piece(
-                    True, "dgamma", lambda: np.zeros((self.M.dim,) * 4)
-                )
+                self._dgamma = np.zeros((self.M.dim,) * 4)
             else:
                 self._fill()
         return self._dgamma
@@ -509,9 +460,8 @@ class PointGeometry:
         """R^l_{kij}: the structure's constant tensor where one was given,
         otherwise derived from Gamma and dGamma."""
         if self._riemann is None:
-            self._riemann = self.M._shared_piece(
-                self.M.has_constant_christoffel, "riemann", self._curvature
-            )
+            given = self.M.riemann
+            self._riemann = self._curvature() if given is None else given
         return self._riemann
 
     def _curvature(self) -> np.ndarray:

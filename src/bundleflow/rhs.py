@@ -420,8 +420,8 @@ def compile_rhs(M, reference, *, unit: bool, force, coefficients):
     xi_prime = [p.sum([(w[l],)] + [(a[l][i], s[i]) for i in r]) for l in r]
 
     # R(xi', phi xi) xdot
-    riemann = M._shared.get("riemann")
-    if riemann is None and M.christoffel is not None and M.christoffel.is_constant:
+    riemann = M.riemann
+    if riemann is None and M.has_constant_christoffel:
         riemann = M.at(np.zeros(d)).riemann_tensor
     if riemann is not None and not np.any(riemann):
         accel = [0.0] * d

@@ -5,20 +5,16 @@ import pytest
 
 from bundleflow import catalog
 from bundleflow.bundle import (
-    BundlePoint,
     BundleState,
     BundleSystem,
     FPlanarCoefficients,
     FTensor,
-    covariant_deriv_along,
     geodesic_residual,
-    lift_tangential,
     lorentz_force,
     make_rhs,
     normalized_unit_state,
     phi_mirror,
-    sasaki_metric_eval,
-    unit_defect,
+    sasaki_metric,
 )
 from bundleflow.errors import ConstraintError
 from bundleflow.geometry import FieldTensor as FieldMatrix, MetricStructure
@@ -36,53 +32,34 @@ ZERO2 = np.zeros(2)
 # -- bundle metric -------------------------------------------------------------
 
 
+def _sasaki_pair(M, x, u, a, b):
+    """g^phiS at (x, u) on two vectors given as (horizontal, vertical) parts:
+    (X, V) stands for the horizontal lift of X plus the vertical V."""
+    lift = M.at(np.asarray(x, dtype=float)).along(np.asarray(u, dtype=float))  # A = Gamma u
+    a, b = (np.concatenate([h, v - lift @ h]) for h, v in (a, b))
+    return float(a @ sasaki_metric(M).at(np.concatenate([x, u])) @ b)
+
+
 def test_sasaki_metric_horizontal_block():
-    bp = BundlePoint(np.zeros(2), np.array([1.0, 0.5]))
-    assert sasaki_metric_eval(EXP2D.structure, bp, (E1, ZERO2), (E1, ZERO2)) == pytest.approx(1.0)
+    u = np.array([1.0, 0.5])
+    assert _sasaki_pair(EXP2D.structure, ZERO2, u, (E1, ZERO2), (E1, ZERO2)) == pytest.approx(1.0)
 
 
 def test_sasaki_metric_cross_block_vanishes():
-    bp = BundlePoint(np.array([0.3, -0.2]), np.array([1.0, 0.5]))
-    assert sasaki_metric_eval(EXP2D.structure, bp, (E1, ZERO2), (ZERO2, E1)) == 0.0
+    x, u = np.array([0.3, -0.2]), np.array([1.0, 0.5])
+    assert _sasaki_pair(EXP2D.structure, x, u, (E1, ZERO2), (ZERO2, E1)) == 0.0
 
 
 def test_sasaki_metric_vertical_block_is_twin():
-    bp = BundlePoint(np.zeros(2), np.array([math.sqrt(2.0), 1.0]))
-    assert sasaki_metric_eval(FLAT.structure, bp, (ZERO2, E1), (ZERO2, E1)) == pytest.approx(1.0)
-    assert sasaki_metric_eval(FLAT.structure, bp, (ZERO2, E2), (ZERO2, E2)) == pytest.approx(-1.0)
+    u = np.array([math.sqrt(2.0), 1.0])
+    assert _sasaki_pair(FLAT.structure, ZERO2, u, (ZERO2, E1), (ZERO2, E1)) == pytest.approx(1.0)
+    assert _sasaki_pair(FLAT.structure, ZERO2, u, (ZERO2, E2), (ZERO2, E2)) == pytest.approx(-1.0)
 
 
-# -- tangential lift -----------------------------------------------------------
-
-
-def test_lift_tangential_fixes_orthogonal_vectors():
-    # u^2 - v^2 = 1 puts the point on the phi-unit bundle of flat_diag
-    bp = BundlePoint(np.zeros(2), np.array([math.sqrt(2.0), 1.0]))
-    Y = np.array([1.0, math.sqrt(2.0)])  # g(Y, phi xi) = sqrt2 - sqrt2 = 0
-    np.testing.assert_allclose(lift_tangential(FLAT.structure, bp, Y), Y)
-
-
-def test_lift_tangential_kills_the_fiber_direction():
-    bp = BundlePoint(np.zeros(2), np.array([math.sqrt(2.0), 1.0]))
-    np.testing.assert_allclose(
-        lift_tangential(FLAT.structure, bp, bp.xi), np.zeros(2), atol=1e-15
-    )
-
-
-def test_lift_tangential_worked_value():
-    bp = BundlePoint(np.zeros(2), np.array([math.sqrt(2.0), 1.0]))
-    out = lift_tangential(FLAT.structure, bp, E1)
-    np.testing.assert_allclose(out, np.array([-1.0, -math.sqrt(2.0)]), atol=1e-15)
-    # result pairs to zero with phi xi
-    phi_xi = FLAT.structure.phi_at(bp.x) @ bp.xi
-    assert abs(out @ phi_xi) < 1e-15
-
-
-def test_lift_tangential_requires_unit_point():
-    bp = BundlePoint(np.zeros(2), np.array([2.0, 1.0]))
-    assert abs(unit_defect(FLAT.structure, bp)) > 1.0
-    with pytest.raises(ConstraintError):
-        lift_tangential(FLAT.structure, bp, E1)
+def test_sasaki_metric_needs_analytic_christoffel_symbols():
+    M = MetricStructure(2, [["exp(x1)", 0], [0, 1]], [[1, 0], [0, -1]])
+    with pytest.raises(ValueError, match="Christoffel"):
+        sasaki_metric(M)
 
 
 # -- covariant derivatives along curves ------------------------------------------
@@ -90,7 +67,9 @@ def test_lift_tangential_requires_unit_point():
 
 def test_covariant_deriv_flat_is_coordinate_derivative():
     state = BundleState(np.zeros(2), np.array([0.3, 0.4]), E1, np.array([0.7, -0.2]))
-    gamma_dd, xi_prime = covariant_deriv_along(FLAT.structure, state, xddot=np.array([1.0, 2.0]))
+    geo = FLAT.structure.at(state.x)
+    xi_prime = geo.to_covariant(state.xi, state.xidot, state.xdot)
+    gamma_dd = geo.to_covariant(state.xdot, np.array([1.0, 2.0]), state.xdot)
     np.testing.assert_allclose(xi_prime, state.xidot)
     np.testing.assert_allclose(gamma_dd, [1.0, 2.0])
 
@@ -100,7 +79,8 @@ def test_covariant_deriv_exp2d_horizontal_lift():
     fam = EXP2D.family("horizontal_lift", lam=lam, eta=eta, h1=1.0, h2=0.5)
     traj = fam.trajectory(EXP2D.structure, np.linspace(0.0, 1.0, 11))
     for i in range(traj.n):
-        _, xi_prime = covariant_deriv_along(EXP2D.structure, traj.state(i))
+        state = traj.state(i)
+        xi_prime = EXP2D.structure.at(state.x).to_covariant(state.xi, state.xidot, state.xdot)
         np.testing.assert_allclose(xi_prime, np.zeros(2), atol=1e-14)
 
 
@@ -111,7 +91,7 @@ def test_covariant_deriv_poly2d_reciprocal_fiber():
     xdot = np.array([0.4, -0.2])
     xi = np.array([k1 / x[0], 0.5])
     xidot = np.array([-k1 * xdot[0] / x[0] ** 2, 0.1])
-    _, xi_prime = covariant_deriv_along(POLY.structure, BundleState(x, xdot, xi, xidot))
+    xi_prime = POLY.structure.at(x).to_covariant(xi, xidot, xdot)
     assert abs(xi_prime[0]) < 1e-15
 
 

@@ -76,6 +76,16 @@ def test_check_of_a_constant_chart_at_one_point(tmp_path):
     assert report["checks"][1]["max_residual"] == 0.0  # constant phi, zero Γ
 
 
+def test_check_of_a_singular_constant_metric_names_one_point(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"manifold": {"dim": 2, "g": [["1", "1"], ["1", "1"]],
+                                             "phi": [["1", "0"], ["0", "-1"]]}}))
+    assert run("check", "--scenario", path, "--out", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: metric singular at [") and err.endswith("]: det = 0\n")
+
+
 def _strict_json(text: str):
     """json.loads that rejects NaN and Infinity, which strict JSON lacks."""
 

@@ -11,7 +11,7 @@ from bundleflow import catalog, geometry
 from bundleflow.bundle import (
     BundleState, BundleSystem, covariant_targets, geodesic_residual, phi_mirror
 )
-from bundleflow.errors import EvalDomainError, PurityError, SingularMetricError
+from bundleflow.errors import EvalDomainError, SingularMetricError
 from bundleflow.geometry import (
     CurvatureOperator,
     MetricStructure,
@@ -100,6 +100,8 @@ def test_fd_christoffel_ignores_metric_units(c, x1, x2):
 
 
 _RANDOM_PHI = json.loads((SCENARIOS / "inline_random_phi.json").read_text())["manifold"]
+_OWN_SCALE_G = [["exp(20*x2)", "0"], ["0", "exp(20*x2)"]]
+_OWN_SCALE_PHI = [["1", "0"], ["1e-6*exp(-20*x2)", "-1"]]
 
 
 @settings(max_examples=30, deadline=None)
@@ -109,6 +111,10 @@ _RANDOM_PHI = json.loads((SCENARIOS / "inline_random_phi.json").read_text())["ma
         [
             (_EXP2D_G, _EXP2D_PHI, True),
             (_RANDOM_PHI["g"], _RANDOM_PHI["phi"], False),  # negative control
+            # twin = exp(20 x2) [[1, 0], [1e-6 exp(-20 x2), -1]]: its asymmetry is
+            # 1e-6 everywhere, impure on the scale of each point where x2 < 0.23,
+            # though tiny on the scale of the largest twin in the sample
+            (_OWN_SCALE_G, _OWN_SCALE_PHI, False),
         ]
     ),
 )
@@ -118,39 +124,20 @@ def test_norden_check_ignores_metric_units(c, case):
     assert check_norden(_scaled(c, g_spec, phi_spec), n_points=20).passed is norden
 
 
-def test_twin_metric_values():
-    np.testing.assert_allclose(
-        EXP2D.twin_metric_at((0.0, 0.0)), np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-15
-    )
-    np.testing.assert_allclose(FLAT.twin_metric_at((0.1, 0.2)), np.diag([1.0, -1.0]))
-    # algebraic sanity only: phi = id gives the twin equal to g itself
-    sane = MetricStructure(2, [["2", "0"], ["0", "3"]], [["1", "0"], ["0", "1"]])
-    np.testing.assert_allclose(sane.twin_metric_at((0.0, 0.0)), np.diag([2.0, 3.0]))
+def test_singular_constant_metric_is_named_at_the_first_sampled_point():
+    M = MetricStructure(2, [[1, 1], [1, 1]], [[1, 0], [0, -1]])
+    first = sample_chart_points(M, 1, np.random.default_rng(12345))[0]  # check_norden's seed
+    with pytest.raises(SingularMetricError) as err:
+        check_norden(M)
+    assert str(err.value) == f"metric singular at {first}: det = 0"
 
 
 def test_twin_metric_purity_violation():
+    # g phi = [[0, 1], [2, 0]]: asymmetry 1 against max|g phi| = 2
     bad = MetricStructure(2, [["1", "0"], ["0", "1"]], [["0", "1"], ["2", "0"]])
-    with pytest.raises(PurityError):
-        bad.twin_metric_at((0.0, 0.0))
-
-
-@pytest.mark.parametrize("name", ["exp2d", "poly2d", "euclid_oblique"])
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
-def test_stacked_twin_metric_equals_the_twin_metric_at_each_point(name, n):
-    # n = dim once per chart: the stack's sample axis must not be transposed
-    M = catalog.entry(name).structure
-    pts = sample_chart_points(M, n, np.random.default_rng(n))
-    stacked = np.broadcast_to(M.twin_metric_at(pts), (n, M.dim, M.dim))
-    for p, twin in zip(pts, stacked):
-        np.testing.assert_array_equal(twin, M.twin_metric_at(p))
-
-
-def test_stacked_twin_metric_judges_each_point_on_its_own_scale():
-    # twin = exp(x2) [[0, 1 + x1], [1, 0]]: pure at x1 = 0 whatever its scale
-    M = MetricStructure(2, [["exp(x2)", "0"], ["0", "exp(x2)"]], [["0", "1 + x1"], ["1", "0"]])
-    M.twin_metric_at(np.array([[0.0, 30.0], [0.0, 0.0]]))
-    with pytest.raises(PurityError, match=r"asymmetry 1e-06 .* at \[1.e-06 0.e\+00\]"):
-        M.twin_metric_at(np.array([[0.0, 30.0], [1e-6, 0.0]]))
+    rep = check_norden(bad, n_points=5)
+    assert not rep.passed
+    assert rep.details["purity"] == 0.5
 
 
 # -- christoffel symbols -------------------------------------------------------
@@ -375,7 +362,7 @@ def test_derived_connection_and_curvature_equal_the_analytic_ones(name):
         second = np.max(np.abs(want.dgamma)) + gam**2
         scales = (gam, second, second)
         for piece, scale in zip(("gamma", "dgamma", "riemann_tensor"), scales):
-            # a point-independent piece is one unstacked shared array
+            # a point-independent piece is one unstacked array
             diff = np.subtract(*np.broadcast_arrays(getattr(got, piece), getattr(want, piece)))
             assert diff.shape[-3:] == (analytic.dim,) * 3
             assert np.max(np.abs(diff)) <= 1e-12 * scale, piece
@@ -557,7 +544,7 @@ def test_stacked_geometry_equals_the_geometry_at_each_point(name, n, seed):
     per_point = [_geometry_pieces(M.at(p), *vectors[:, i]) for i, p in enumerate(pts)]
     for k, got in enumerate(stacked):
         want = np.stack([pieces[k] for pieces in per_point])
-        # a piece that does not depend on the point is one shared unstacked array
+        # a piece that does not depend on the point is one unstacked array
         _assert_relative(np.broadcast_to(got, want.shape), want, 1e-13)
 
 

@@ -97,8 +97,7 @@ def _system(kind, force="phi", M=None):
 
 def _fresh(M):
     """A new structure with M's fields: nothing compiled for it yet."""
-    riemann = M._shared.get("riemann")
-    return MetricStructure(M.dim, M.g, M.phi, christoffel=M.christoffel, riemann=riemann,
+    return MetricStructure(M.dim, M.g, M.phi, christoffel=M.christoffel, riemann=M.riemann,
                            chart_box=M.chart_box)
 
 
@@ -512,7 +511,7 @@ def test_point_geometry_evaluates_each_piece_once(monkeypatch):
     assert len(calls) == 1
 
 
-# -- point-independent pieces, computed once per structure ---------------------------
+# -- point-independent pieces and a warm structure -------------------------------
 
 
 _MAKE = {name: lambda name=name: catalog.entry(name).structure for name in catalog.entry_names()}
@@ -545,13 +544,13 @@ def test_warm_structure_matches_a_fresh_one_bit_for_bit(name, fractions, vecs):
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("piece", ["g", "ginv", "dgamma", "riemann_tensor"])
-def test_point_independent_pieces_are_shared_and_read_only(piece):
-    M = catalog.entry("euclid_oblique").structure
-    shared = getattr(M.at(np.zeros(4)), piece)
-    assert getattr(M.at(np.full(4, 0.5)), piece) is shared
+def test_given_curvature_is_one_read_only_array_at_every_point():
+    M = catalog.entry("const_curv(1.5)").structure
+    assert M.riemann is not None and catalog.entry("exp2d").structure.riemann is None
     with pytest.raises(ValueError):
-        shared[(0,) * shared.ndim] = 1.0
+        M.riemann[0, 0, 0, 0] = 1.0
+    for x in (np.zeros(4), np.full(4, 0.5), np.full((3, 4), -0.25)):
+        assert M.at(x).riemann_tensor is M.riemann
 
 
 def test_singular_constant_metric_raises_on_every_call():

@@ -6,12 +6,12 @@ twin metric G = g phi, the phi-Sasaki metric is
     g^phiS = [[g + A^T G A, A^T G], [G A, G]].
 
 Where Gamma is given as expressions, its entries are expressions in x and u,
-so it is a 2n-dim chart of its own, whose Christoffel symbols numpy forms
-here from the exact 1-jet of its metric.  A curve (x(t), xi(t)) is a
-geodesic of g^phiS exactly when it solves ``geodesic_tm`` on the base: the
-compiled right-hand side's (xddot, xiddot) must satisfy the 2n-dim chart's
-geodesic equation.  Nothing here goes through the covariant formulas of the
-right-hand side.
+so it is a 2n-dim chart of its own (``bundle.sasaki_metric``), whose
+Christoffel symbols numpy forms here from the exact 1-jet of its metric.  A
+curve (x(t), xi(t)) is a geodesic of g^phiS exactly when it solves
+``geodesic_tm`` on the base: the compiled right-hand side's (xddot, xiddot)
+must satisfy the 2n-dim chart's geodesic equation.  Nothing here goes
+through the covariant formulas of the right-hand side.
 """
 
 import numpy as np
@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bundleflow import catalog
-from bundleflow.bundle import BundleSystem, make_rhs
+from bundleflow.bundle import BundleSystem, make_rhs, sasaki_metric
 from bundleflow.geometry import MetricStructure
 
 
@@ -39,47 +39,12 @@ def _h2xh2():
     )
 
 
-def _total(terms):
-    """The source of a sum of sources, None for the empty sum."""
-    terms = [t for t in terms if t is not None]
-    return f"({' + '.join(terms)})" if terms else None
-
-
-def _product(*factors):
-    return None if any(f is None for f in factors) else "*".join(factors)
-
-
-def sasaki_chart(M: MetricStructure) -> MetricStructure:
-    """g^phiS of the tangent bundle of ``M`` (analytic Gamma) as a chart in
-    (x1..xn, u1..un) = (x1..x2n)."""
-    n = M.dim
-    r = range(n)
-
-    def source(tensor, flat):
-        f = tensor.fields[flat]
-        return None if f.const_value == 0.0 else f"({f.source})"
-
-    g = [[source(M.g, i * n + j) for j in r] for i in r]
-    phi = [[source(M.phi, i * n + j) for j in r] for i in r]
-    u = [f"x{n + j + 1}" for j in r]
-    a = [[_total(_product(source(M.christoffel, (k * n + i) * n + j), u[j]) for j in r)
-          for i in r] for k in r]
-    twin = [[_total(_product(g[i][m], phi[m][j]) for m in r) for j in r] for i in r]
-    ga = [[_total(_product(twin[k][m], a[m][j]) for m in r) for j in r] for k in r]  # G A
-    top = [[_total([g[i][j]] + [_product(a[k][i], ga[k][j]) for k in r]) for j in r] for i in r]
-    rows = ([top[i] + [ga[j][i] for j in r] for i in r]  # A^T G = (G A)^T
-            + [ga[i] + twin[i] for i in r])
-    spec = [[e or "0" for e in row] for row in rows]
-    identity = [[1 if i == j else 0 for j in range(2 * n)] for i in range(2 * n)]
-    return MetricStructure(2 * n, spec, identity)
-
-
-def _christoffel(S: MetricStructure, z) -> np.ndarray:
+def _christoffel(lifted, z) -> np.ndarray:
     """Gamma~^a_bc = 1/2 g~^ad (d_b g~_dc + d_c g~_db - d_d g~_bc) at z, from
-    the exact 1-jet of g~ (its entries grow like |u|^2 while det g~ = det g
-    det(g phi) does not, so the structure's relative singular-metric test is
-    left out)."""
-    jet = S.g.jet(np.asarray(z, dtype=float)[None], 1)[0]
+    the exact 1-jet of g~ = ``lifted`` (its entries grow like |u|^2 while
+    det g~ = det g det(g phi) does not, so the structure's relative
+    singular-metric test is left out)."""
+    jet = lifted.jet(np.asarray(z, dtype=float)[None], 1)[0]
     g, dg = jet[0], jet[1:]  # dg[l] = d_l g~
     lowered = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg  # [d, b, c]
     return 0.5 * np.linalg.solve(g, lowered.reshape(len(g), -1)).reshape(lowered.shape)
@@ -90,7 +55,7 @@ _CHARTS = {
     "poly2d": catalog.entry("poly2d").structure,
     "h2xh2": _h2xh2(),
 }
-_LIFTED = {name: sasaki_chart(M) for name, M in _CHARTS.items()}
+_LIFTED = {name: sasaki_metric(M) for name, M in _CHARTS.items()}
 _unit = st.floats(0.05, 0.95)
 _component = st.floats(-2.0, 2.0)
 
@@ -119,3 +84,32 @@ def test_geodesic_tm_is_a_geodesic_of_the_sasaki_chart(name, fractions, componen
     # exact arithmetic may come out of the jets as a rounding error
     scale = max(float(np.max(np.abs(zddot))), float(np.max(np.abs(gamma))) * float(zdot @ zdot))
     assert float(np.max(np.abs(residual))) <= 1e-13 * scale
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(sorted(_CHARTS)),
+    st.lists(_unit, min_size=4, max_size=4),
+    st.lists(_component, min_size=20, max_size=20),
+)
+def test_sasaki_metric_pairs_lifts_with_g_and_verticals_with_the_twin(name, fractions, components):
+    # with A = Gamma u: g~((X, -AX), (Y, -AY)) = g(X, Y), g~((X, -AX), (0, W)) = 0
+    # and g~((0, V), (0, W)) = g(V, phi W), each to 1e-13 of the sum of the
+    # bilinear form's terms in absolute value
+    M, n = _CHARTS[name], _CHARTS[name].dim
+    lo, hi = M.chart_box.T
+    x = lo + (hi - lo) * np.array(fractions[:n])
+    u, X, Y, V, W = (np.array(components[k * n : (k + 1) * n]) for k in range(5))
+    lifted = _LIFTED[name].at(np.concatenate([x, u]))
+    geo = M.at(x)
+    a = geo.along(u)  # A^k_i = Gamma^k_ij u^j
+    zero = np.zeros(n)
+    cases = [
+        ((X, -a @ X), (Y, -a @ Y), X @ geo.g @ Y),
+        ((X, -a @ X), (zero, W), 0.0),
+        ((zero, V), (zero, W), V @ geo.g @ geo.phi @ W),
+    ]
+    for left, right, want in cases:
+        left, right = np.concatenate(left), np.concatenate(right)
+        scale = np.abs(left) @ np.abs(lifted) @ np.abs(right)
+        assert abs(left @ lifted @ right - want) <= 1e-13 * max(scale, 1e-300)
