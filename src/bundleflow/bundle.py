@@ -131,9 +131,6 @@ class FTensor:
             raise ValueError("F must be a matrix")
         return cls(matrix)
 
-    def at(self, M: MetricStructure, point) -> np.ndarray:
-        return self.on(M.at(point))
-
     def on(self, geo: PointGeometry) -> np.ndarray:
         """F at the point of an already built geometry."""
         if self.is_phi:

@@ -25,13 +25,22 @@ import numpy as np
 from . import verify as verify_mod
 from .errors import (
     BundleFlowError,
+    EvalDomainError,
     IntegrationBlowUp,
     ParameterError,
     ScenarioError,
+    SingularMetricError,
     UnknownEntryError,
 )
 from .frenet import arc_length_reparam, constancy_check, covariant_jets, frenet_curvatures
-from .geometry import check_curvature_purity, check_norden, check_parallel_phi, json_number
+from .geometry import (
+    CHECK_TOL,
+    CheckReport,
+    check_curvature_purity,
+    check_norden,
+    check_parallel_phi,
+    json_number,
+)
 from .integrate import integrate
 from .scenario import Scenario, load_scenario
 
@@ -94,18 +103,27 @@ def _load(args) -> Scenario:
 
 
 def cmd_check(args) -> int:
+    """Run the scenario's checks and write their report.  A check whose
+    sampled geometry raises (a singular metric, a domain error of a field)
+    fails with no residual, and the first such error is printed."""
     scenario = _load(args)
     M = scenario.structure
-    runners = {
-        "norden": lambda: check_norden(M, n_points=scenario.check_points, seed=scenario.seed),
-        "parallel_phi": lambda: check_parallel_phi(
-            M, n_points=scenario.check_points, seed=scenario.seed
-        ),
-        "curvature_purity": lambda: check_curvature_purity(
-            M, n_points=min(scenario.check_points, 20), seed=scenario.seed
-        ),
+    checks = {
+        "norden": (check_norden, scenario.check_points),
+        "parallel_phi": (check_parallel_phi, scenario.check_points),
+        "curvature_purity": (check_curvature_purity, min(scenario.check_points, 20)),
     }
-    reports = [runners[name]() for name in scenario.checks]
+    errors = []
+
+    def run(name) -> CheckReport:
+        check, n_points = checks[name]
+        try:
+            return check(M, n_points=n_points, seed=scenario.seed)
+        except (SingularMetricError, EvalDomainError) as exc:
+            errors.append(exc)
+            return CheckReport(name, False, np.nan, CHECK_TOL[name], n_points)
+
+    reports = [run(name) for name in scenario.checks]
     for rep in reports:
         mark = "PASS" if rep.passed else "FAIL"
         print(
@@ -126,6 +144,8 @@ def cmd_check(args) -> int:
         },
     )
     print(("all checks passed" if passed else "checks FAILED") + f" -> {report_path}")
+    if errors:
+        print(f"error: {errors[0]}", file=sys.stderr)
     return 0 if passed else 1
 
 

@@ -7,31 +7,30 @@ Fields on an n-dimensional chart are written in a small infix language:
 * binary ``+ - * /`` (left associative) and ``^`` with integer exponents,
 * unary negation, with precedence ``^`` > unary ``-`` > ``* /`` > ``+ -``.
 
-:func:`evaluate` walks a tree at one point in plain floats; it is the
-reference of every other evaluation, which raises its
-:class:`~bundleflow.errors.EvalDomainError` on the same inputs.  All else
-runs generated code.  One emitter turns a list of trees into one
-straight-line Python function, one temporary per node, for a point
-(:func:`compile_point`) or for the ``(n,)`` columns of an ``(n, dim)``
-stack (:func:`compile_rows`).  Up to order 2 it also writes exact
-derivatives by forward mode, each node's value, gradient and Hessian from
-its children's by the chain, product and quotient rules: a source
-transformation (Griewank & Walther, *Evaluating Derivatives*, ch. 13),
-done once per tree, and no derivative tree is ever built.  This is how the
-geometry differentiates g and analytic Christoffel symbols.
+:func:`evaluate` walks a tree at one point in plain floats; it is how a
+field is evaluated at one point, and the reference of every other
+evaluation, which raises its :class:`~bundleflow.errors.EvalDomainError` on
+the same inputs.  Stacks of points, a single row included, run generated
+code: :func:`compile_rows` turns a list of trees into one straight-line
+Python function of the ``(n,)`` columns of an ``(n, dim)`` stack, one
+temporary per node.  Up to order 2 it also writes exact derivatives by
+forward mode, each node's value, gradient and Hessian from its children's
+by the chain, product and quotient rules: a source transformation
+(Griewank & Walther, *Evaluating Derivatives*, ch. 13), done once per
+tree, and no derivative tree is ever built.  This is how the geometry
+differentiates g and analytic Christoffel symbols.  The stack program
+checks every row as :func:`evaluate` does and raises its error with the
+first bad row.
 
-The two targets do the same arithmetic.  The stack program checks every row
-as :func:`evaluate` does and raises its error with the first bad row.  The
-point function has no error text: at a domain condition, a float exception
-or a derivative that is not finite, it hands the point to :func:`evaluate`
-(values) or to the stack program (jets).  :func:`evaluate_many` and
-:func:`jet_many` compile a stack program and run it once; :class:`ScalarField`
-and ``FieldTensor`` compile on first use and keep their programs.
+The emitter has a second target, one point in plain floats, with no error
+text: at a domain condition it runs the statement its caller gives.  The
+integrator's compiled right-hand side (:mod:`bundleflow.rhs`) is the one
+program written for it.
 
 Parsed trees are immutable, and a compiled function is a pure function of
-its point, so a :class:`ScalarField` may be evaluated concurrently from
-several threads.  Two threads that use a field first at the same time may
-both compile it; each gets the same function.
+its points, so a :class:`ScalarField` may be evaluated concurrently from
+several threads.  Two threads that use a field's stack program first at the
+same time may both compile it; each gets the same function.
 """
 
 from __future__ import annotations
@@ -55,9 +54,6 @@ __all__ = [
     "ScalarField",
     "parse",
     "evaluate",
-    "evaluate_many",
-    "jet_many",
-    "compile_point",
     "compile_rows",
     "pretty",
     "FUNCTIONS",
@@ -341,52 +337,6 @@ def evaluate(node: Node, point) -> float:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def evaluate_many(node: Node, points) -> np.ndarray:
-    """Evaluate an expression tree at each row of an ``(n, dim)`` array.
-
-    Row by row this follows :func:`evaluate`: the call raises the
-    :class:`~bundleflow.errors.EvalDomainError` that :func:`evaluate` raises
-    at some row, with the same text followed by that row.  The
-    values agree with :func:`evaluate` up to the last-digit differences
-    between numpy's ufuncs and :mod:`math`.  This is :func:`jet_many` at 0.
-    """
-    return jet_many([node], points, 0)[:, 0, 0]
-
-
-def jet_many(nodes, points, order: int) -> np.ndarray:
-    """Values and exact derivatives of trees at each row of an ``(n, dim)`` array.
-
-    Returns one array ``[n, c, f]`` of Taylor coefficients, with the trees
-    along the last axis (an entry None stands for the zero function):
-    ``c = 0`` is the value, ``c = 1 + l`` the first derivative d_l
-    (order >= 1) and ``c = 1 + dim + m dim + l`` the second derivative
-    d_m d_l (order 2).  Every node carries its value, gradient
-    and Hessian and combines them by the chain and product rules
-    (forward-mode Taylor arithmetic; Griewank & Walther, *Evaluating
-    Derivatives*, ch. 13), so the derivatives are those of the evaluation
-    itself, with no step size.  The values are :func:`evaluate_many`'s bit
-    for bit, and the call raises its errors, with its messages, on the same
-    inputs.  Beyond those, an :class:`~bundleflow.errors.EvalDomainError`
-    names a row where a tree's value is finite but its derivatives are not
-    (``sqrt`` at 0 has none): the first such row of the first such tree.
-
-    It compiles the :func:`compile_rows` program of the trees and runs it
-    once; a caller that jets the same trees again keeps the program.  A
-    term of a variable that a subtree does not contain is never computed,
-    so beside a value that is not finite a derivative may be 0 where
-    forward mode on dense gradients has 0 * inf.
-
-    Near a removable singularity of an expression the derivatives lose
-    accuracy, and nothing raises: at x = 2.220446049250313e-16,
-    ``1/(1.5 + 1/x)`` gets d²f/dx² = -4 against the exact -3, because the
-    jet adds two terms of size 2/x ≈ 9e15.  The compiled jets of
-    :func:`compile_point` do the same arithmetic and inherit this.  Written
-    in its cancelled form, ``x/(1.5 x + 1)``, the field gets -3.
-    """
-    points = np.asarray(points, dtype=float)
-    return compile_rows(nodes, points.shape[1], order)(points)
-
-
 def _check_rows(bad, values, points, message) -> None:
     """Raise ``message`` (formatted with the operand) at the first bad row."""
     if bad.any():
@@ -451,15 +401,16 @@ class _Source:
     expressions, ``{l: d_l}`` and ``{(m, l): d_m d_l}``, None where the
     subtree has no variable or beyond the order; a term of a variable the
     subtree does not contain is left out.  At one point and order 0 a
-    node's "gradient" only marks that it has a variable.
+    node's "gradient" only marks that it has a variable.  ``fail`` is the
+    statement that a failed guard of the point target runs: a point program
+    with derivatives needs one.
     """
 
-    def __init__(self, order: int, rows: bool):
-        self.order, self.rows = order, rows
+    def __init__(self, order: int, rows: bool, fail: str | None = None):
+        self.order, self.rows, self.fail = order, rows, fail
         self.lines: list[str] = []
         self.names = {"_f": float, "_inf": math.inf, **_MATH, **_UFUNCS}
         self.loaded: dict[int, str] = {}
-        self.fail = "return None"  # what a failed point guard does
 
     def let(self, expr: str) -> str:
         """A name for ``expr``: a new temporary unless it is a name or 1.0."""
@@ -473,6 +424,8 @@ class _Source:
         return None if d is None else {k: self.let(e) for k, e in d.items()}
 
     def guard(self, condition: str) -> None:
+        if self.fail is None:
+            raise ValueError("a guard of the point target needs the statement it runs on failure")
         self.lines.append(f"if not {condition}: {self.fail}")
 
     def check(self, op: str, operand: str) -> None:
@@ -485,9 +438,8 @@ class _Source:
 
     def apply(self, func: str, arg: str, k: int = 0) -> str:
         """The name of ``func(arg)``, or ``arg^k`` for "pow", after the
-        target's handling of the domain: at one point a guard that returns
-        None (the caller then takes the stack program), on a stack the
-        checks of :func:`evaluate` on every row."""
+        target's handling of the domain: at one point a guard that runs
+        ``fail``, on a stack the checks of :func:`evaluate` on every row."""
         call = f"_pow({arg}, {k})" if func == "pow" else f"_{func}({arg})"
         if not self.rows:
             if func != "pow":
@@ -641,7 +593,7 @@ class _Source:
 
     def entries(self, nodes, dim: int) -> dict:
         """Walk ``nodes``: the name of each nonzero entry of their jet, by
-        its ``(c, f)`` position in the ``[c, f]`` layout of :func:`jet_many`."""
+        its ``(c, f)`` position in the ``[c, f]`` layout of :func:`compile_rows`."""
         entries = {}
         for f, node in enumerate(nodes):
             if node is None:
@@ -674,73 +626,30 @@ def _width(dim: int, order: int) -> int:
     return (1, 1 + dim, 1 + dim + dim * dim)[order]
 
 
-def compile_point(nodes, dim: int, order: int = 0):
-    """One straight-line Python function of a point for the trees ``nodes``
-    (an entry None stands for the zero function).
-
-    At order 0 the function returns the trees' values, :func:`evaluate`'s bit
-    for bit: the same :mod:`math` calls and float operations in the same
-    order.  At orders 1 and 2 it returns the ``[1, c, f]`` jet of the point,
-    the :func:`compile_rows` program's bit for bit: the same emitter, with
-    the same ufuncs called on floats.  The code checks nothing itself: at a
-    domain condition, a float exception or a value or derivative that is
-    not finite it hands the point to :func:`evaluate` or to the trees'
-    :func:`compile_rows` program (built at the first such point and kept),
-    which return the result or raise their own error.  Only parsed trees
-    are compiled; constants are bound as names, and every node is one
-    temporary, so deep trees do not nest.
-    """
-    source = _Source(order, rows=False)
-    entries = source.entries(nodes, dim)
-    size = len(nodes)
-    if not order:
-        source.lines.append(f"return [{', '.join(entries.get((0, f), '0.0') for f in range(size))}]")
-        point_fn = source.define("_point", "p", source.lines)
-
-        def values(point) -> list:
-            try:
-                return point_fn(point)
-            except (ArithmeticError, ValueError):
-                return [0.0 if n is None else evaluate(n, point) for n in nodes]
-
-        return values
-
-    index = np.array([c * size + f for c, f in entries], dtype=np.intp)
-    shape = (1, _width(dim, order), size)
-    source.names.update(_sum=sum, _isfinite=math.isfinite)
-    source.lines += [f"o = {_tuple(entries)}", "if not _isfinite(_sum(o)): return None", "return o"]
-    point_fn = source.define("_point", "p", source.lines)
-
-    rows_fn = None  # the stack program of the fallback, built on its first use
-
-    def jet(point) -> np.ndarray:
-        nonlocal rows_fn
-        try:
-            found = point_fn(point)
-        except ArithmeticError:
-            found = None
-        if found is None:
-            if rows_fn is None:
-                rows_fn = compile_rows(nodes, dim, order)
-            return rows_fn(np.asarray(point, dtype=float)[None])
-        out = np.zeros(shape)
-        out.reshape(-1)[index] = found
-        return out
-
-    return jet
-
-
 def compile_rows(nodes, dim: int, order: int = 0):
     """One straight-line Python function of an ``(n, dim)`` stack for the
-    trees ``nodes`` (an entry None stands for the zero function): the
-    ``[n, c, f]`` array of :func:`jet_many`, the values alone at order 0.
+    trees ``nodes`` (an entry None stands for the zero function): their
+    Taylor coefficients at each row, one array ``[n, c, f]`` with ``c = 0``
+    the value, ``c = 1 + l`` the derivative d_l (order >= 1) and
+    ``c = 1 + dim + m dim + l`` the derivative d_m d_l (order 2).  The
+    derivatives are those of the evaluation itself, with no step size.  A
+    term of a variable that a subtree does not contain is never computed,
+    so beside a value that is not finite a derivative may be 0 where
+    forward mode on dense gradients has 0 * inf.
 
-    The emitter of :func:`compile_point` writes it, on the stack's columns.
-    In place of the point guards it checks every row as :func:`evaluate`
-    does: the first operation that rejects a row raises evaluate's
+    The values follow :func:`evaluate` up to the last-digit differences
+    between numpy's ufuncs and :mod:`math`.  In place of the point target's
+    guards the program checks every row as :func:`evaluate` does: the first
+    operation that rejects a row raises evaluate's
     :class:`~bundleflow.errors.EvalDomainError`, its text followed by the
     first such row.  At orders 1 and 2 a last check names the first row
-    where a tree's value is finite but a derivative is not.
+    where a tree's value is finite but a derivative is not (``sqrt`` at 0).
+
+    Near a removable singularity of an expression the derivatives lose
+    accuracy, and nothing raises: at x = 2.220446049250313e-16,
+    ``1/(1.5 + 1/x)`` gets d²f/dx² = -4 against the exact -3, because the
+    jet adds two terms of size 2/x ≈ 9e15.  Written in its cancelled form,
+    ``x/(1.5 x + 1)``, the field gets -3.
     """
     source = _Source(order, rows=True)
     entries = source.entries(nodes, dim)
@@ -817,14 +726,14 @@ class ScalarField:
     catalog structures with constant components stays cheap.
     """
 
-    __slots__ = ("ast", "dim", "source", "_const", "_point", "_rows")
+    __slots__ = ("ast", "dim", "source", "_const", "_rows")
 
     def __init__(self, ast: Node, dim: int, source: str | None = None):
         self.ast = ast
         self.dim = dim
         self.source = source if source is not None else pretty(ast)
         self._const: float | None = None
-        self._point = self._rows = None  # compiled programs, built on first use
+        self._rows = None  # the stack program, compiled on first use
         try:  # a variable indexes the empty point; a domain error surfaces at use
             self._const = evaluate(ast, ())
         except (EvalDomainError, IndexError):
@@ -843,12 +752,10 @@ class ScalarField:
         return self._const
 
     def __call__(self, point):
-        """The value at one point, a sequence of ``dim`` coordinates.
-
-        The tree is compiled on first use (:func:`compile_point`), and the
-        value is :func:`evaluate`'s bit for bit.  Given an ``(n, dim)`` array
-        instead, the ``n`` values at its rows, :func:`evaluate_many`'s, from
-        the stack program (:func:`compile_rows`), compiled on first use too.
+        """The value at one point, a sequence of ``dim`` coordinates, by
+        :func:`evaluate`.  Given an ``(n, dim)`` array instead, the ``n``
+        values at its rows, from the stack program (:func:`compile_rows`),
+        compiled on first use.
         """
         if getattr(point, "ndim", 1) == 2:
             if self._const is not None:
@@ -858,9 +765,7 @@ class ScalarField:
             return self._rows(point)[:, 0, 0]
         if self._const is not None:
             return self._const
-        if self._point is None:
-            self._point = compile_point([self.ast], self.dim)
-        return self._point(point)[0]
+        return evaluate(self.ast, point)
 
     def __repr__(self) -> str:
         return f"ScalarField({self.source!r}, dim={self.dim})"

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularMetricError
-from .expressions import ScalarField, compile_point, compile_rows
+from .expressions import ScalarField, compile_rows, evaluate
 
 __all__ = [
     "FieldTensor",
@@ -33,6 +33,7 @@ __all__ = [
     "PointGeometry",
     "CurvatureOperator",
     "CheckReport",
+    "CHECK_TOL",
     "sample_chart_points",
     "check_norden",
     "check_parallel_phi",
@@ -90,7 +91,7 @@ class FieldTensor:
         )
         # the trees of the varying fields, None for the constant ones
         self._trees = [None if f.const_value is not None else f.ast for f in self.fields]
-        # compiled functions by order and target, built on first use
+        # the stack programs by order, compiled on first use
         self._programs: dict = {}
         self._const: np.ndarray | None = None
         if not self._variable.size:
@@ -123,49 +124,42 @@ class FieldTensor:
         """The components at one point, or stacked along a first axis at each
         row of an ``(n, dim)`` array of points.
 
-        Only the non-constant fields are evaluated, by a function compiled
-        from their trees on first use and kept, one per target: at one point
-        (:func:`~bundleflow.expressions.compile_point`) it gives what
-        :func:`~bundleflow.expressions.evaluate` gives, on a stack
-        (:func:`~bundleflow.expressions.compile_rows`) what
-        :func:`~bundleflow.expressions.evaluate_many` gives, bit for bit.  A
-        constant tensor returns its one shared read-only array for a point
+        Only the non-constant fields are evaluated: at one point each tree
+        is walked by :func:`~bundleflow.expressions.evaluate`, and a stack
+        runs their stack program (:func:`~bundleflow.expressions.compile_rows`).
+        A constant tensor returns its one shared read-only array for a point
         and a stack alike; it broadcasts against stacked values.
         """
         if self._const is not None:
             return self._const
         if getattr(point, "ndim", 1) == 2:
             out = self._template[None].repeat(len(point), axis=0)
-            out[:, self._variable] = self._program(0, rows=True)(point)[:, 0]
+            out[:, self._variable] = self._program(0)(point)[:, 0]
             return out.reshape((len(point),) + (self.dim,) * self.rank)
         out = self._template.copy()
-        out[self._variable] = self._program(0)(point)
+        out[self._variable] = [evaluate(t, point) for t in self._trees if t is not None]
         return out.reshape((self.dim,) * self.rank)
 
     def jet(self, points: np.ndarray, order: int) -> np.ndarray:
         """Taylor coefficients ``[n, c, ...]`` of order 1 or 2 of the
-        components at each row of an ``(n, dim)`` array, as
-        :func:`~bundleflow.expressions.jet_many` gives them: ``c = 0`` the
+        components at each row of an ``(n, dim)`` array, in the layout of
+        :func:`~bundleflow.expressions.compile_rows`: ``c = 0`` the
         components (:meth:`at` gives them alone), ``c = 1 + l`` their d_l
-        and, for order 2, ``c = 1 + dim + m dim + l`` their d_m d_l.  Like
-        :meth:`at`, a stack and a single row run the compiled functions of
-        their targets, which give the same bit for bit.
+        and, for order 2, ``c = 1 + dim + m dim + l`` their d_m d_l.  A
+        single row runs the tensor's one stack program of the order, as any
+        stack does.
         """
-        if len(points) == 1:
-            jet = self._program(order)(points[0])
-        else:
-            jet = self._program(order, rows=True)(points)
+        jet = self._program(order)(points)
         jet[:, 0] += self._template
         return jet.reshape(jet.shape[:2] + (self.dim,) * self.rank)
 
-    def _program(self, order: int, rows: bool = False):
-        """The compiled function, for one point or for stacks (``rows``), of
-        the varying fields' values (order 0) or of all fields' jet."""
-        run = self._programs.get((order, rows))
+    def _program(self, order: int):
+        """The stack program of the varying fields' values (order 0) or of
+        all fields' jet."""
+        run = self._programs.get(order)
         if run is None:
-            trees = [self.fields[k].ast for k in self._variable] if order == 0 else self._trees
-            compile_for = compile_rows if rows else compile_point
-            run = self._programs[order, rows] = compile_for(trees, self.dim, order)
+            trees = [t for t in self._trees if t is not None] if order == 0 else self._trees
+            run = self._programs[order] = compile_rows(trees, self.dim, order)
         return run
 
 
@@ -229,10 +223,8 @@ class MetricStructure:
         if not (np.all(np.isfinite(self.chart_box)) and np.all(lo < hi)):
             raise ValueError(f"chart_box needs finite lo < hi in each pair, got {self.chart_box.tolist()}")
         self.name = name
-        # the integrator's compiled right-hand sides, by system (bundle.make_rhs),
-        # and its two stage kernels (integrate._stage_kernels)
+        # the integrator's compiled right-hand sides, by system (bundle.make_rhs)
         self._rhs: dict = {}
-        self._stages: tuple | None = None
         if riemann is not None:
             riemann = np.array(riemann, dtype=float)
             if riemann.shape != (dim,) * 4:
@@ -313,9 +305,6 @@ class MetricStructure:
     def riemann_tensor_at(self, point) -> np.ndarray:
         """Full curvature R^l_{kij} such that (R(X,Y)Z)^l = R^l_{kij} X^i Y^j Z^k."""
         return self.at(point).riemann_tensor
-
-    def riemann_at(self, point, X, Y, Z) -> np.ndarray:
-        return self.at(point).riemann(X, Y, Z)
 
     def at(self, point) -> "PointGeometry":
         """The geometry at one chart point or at each row of an ``(n, dim)``
@@ -611,6 +600,10 @@ class CheckReport:
         }
 
 
+# each check is exact, so one tolerance per check serves every chart
+CHECK_TOL = {"norden": 1e-8, "parallel_phi": 1e-8, "curvature_purity": 1e-6}
+
+
 def sample_chart_points(M: MetricStructure, n: int, rng) -> np.ndarray:
     lo = M.chart_box[:, 0]
     hi = M.chart_box[:, 1]
@@ -624,7 +617,7 @@ def _check_points(M: MetricStructure, n_points: int, seed: int) -> np.ndarray:
 
 
 def check_norden(
-    M: MetricStructure, *, n_points: int = 100, seed: int = 12345, tol: float = 1e-8
+    M: MetricStructure, *, n_points: int = 100, seed: int = 12345, tol: float = CHECK_TOL["norden"]
 ) -> CheckReport:
     """Check phi^2 = id and purity g(phi X, Y) = g(X, phi Y) at sampled points.
 
@@ -653,7 +646,7 @@ def check_parallel_phi(
     *,
     n_points: int = 100,
     seed: int = 12345,
-    tol: float = 1e-8,
+    tol: float = CHECK_TOL["parallel_phi"],
 ) -> CheckReport:
     """Check nabla phi = 0 for the Levi-Civita connection at sampled points.
 
@@ -678,7 +671,7 @@ def check_curvature_purity(
     *,
     n_points: int = 20,
     seed: int = 12345,
-    tol: float = 1e-6,
+    tol: float = CHECK_TOL["curvature_purity"],
 ) -> CheckReport:
     """Check g(R(phi X, Y)Z, W) = g(R(X, phi Y)Z, W) on basis tuples."""
     pts = _check_points(M, n_points, seed)

@@ -8,17 +8,17 @@ stored states, never interpolated.
 A step runs on plain floats.  The state is a tuple of 4 dim floats, the
 right-hand side (:func:`bundleflow.bundle.make_rhs`) takes and returns
 tuples, and the stage arithmetic is two straight-line functions written
-for the state's length and kept on the structure: y + a k, for every RK4
-stage and the Euler step, and the RK4 sum
-y + (h/6) (((k1 + 2 k2) + 2 k3) + k4).  Each entry is the arithmetic numpy
-does on the arrays, in its order, so a run is the array formulas' run bit
-for bit.  Each step is stored in a preallocated array.
+once per state length: y + a k, for every RK4 stage and the Euler step,
+and the RK4 sum y + (h/6) (((k1 + 2 k2) + 2 k3) + k4).  Each entry is the
+arithmetic numpy does on the arrays, in its order, so a run is the array
+formulas' run bit for bit.  Each step is stored in a preallocated array.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass, field
+from functools import cache
 from math import isfinite
 from time import perf_counter
 
@@ -114,10 +114,12 @@ class Trajectory:
         )
 
 
+@cache
 def _stage_kernels(n: int) -> tuple:
     """The stage arithmetic on states of ``n`` floats, as two generated
     straight-line functions of tuples: ``shift(y, a, k)``, y + a k, and
-    ``rk4_sum(y, c, k1, k2, k3, k4)``, y + c (((k1 + 2 k2) + 2 k3) + k4)."""
+    ``rk4_sum(y, c, k1, k2, k3, k4)``, y + c (((k1 + 2 k2) + 2 k3) + k4);
+    written once per ``n`` and kept."""
     r = range(n)
     src = _Source(0, rows=False)
 
@@ -225,9 +227,7 @@ def integrate(
     with np.errstate(over="ignore", invalid="ignore"):
         start = perf_counter()
         rhs = make_rhs(M, system)
-        if M._stages is None:
-            M._stages = _stage_kernels(4 * dim)
-        kernels = M._stages
+        kernels = _stage_kernels(4 * dim)
         record = {"rhs_build_s": perf_counter() - start}
         start = perf_counter()
         ts = times.tolist()

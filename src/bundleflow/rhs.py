@@ -72,8 +72,7 @@ class _Program:
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.src = _Source(2, rows=False)
-        self.src.fail = "return _reference(t, y)"
+        self.src = _Source(2, rows=False, fail="return _reference(t, y)")
         self.walked: dict = {}
         self.sums: dict = {}  # each sum is written once
         self.minors: dict = {}

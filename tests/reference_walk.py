@@ -34,7 +34,7 @@ def walk_values(node: Node, points) -> np.ndarray:
 
 def walk_jet(nodes, points, order: int) -> np.ndarray:
     """The ``[n, c, f]`` jet of trees at each row, in the layout of
-    :func:`bundleflow.expressions.jet_many`, raising its errors."""
+    :func:`bundleflow.expressions.compile_rows`, raising its errors."""
     points = np.asarray(points, dtype=float)
     n, dim = points.shape
     size = len(nodes)

@@ -199,7 +199,7 @@ def test_lorentz_force_flat_example():
     omega = FieldMatrix.from_spec([[0.0, 1.0], [-1.0, 0.0]], 2)
     force = lorentz_force(M, omega, strength=1.0)
     np.testing.assert_allclose(
-        force.at(M, np.array([0.2, 0.4])), np.array([[0.0, 1.0], [-1.0, 0.0]])
+        force.on(M.at(np.array([0.2, 0.4]))), np.array([[0.0, 1.0], [-1.0, 0.0]])
     )
 
 
@@ -212,7 +212,7 @@ def test_lorentz_force_is_g_antisymmetric():
 
     for p in sample_chart_points(M, 10, rng):
         g = M.metric_at(p)
-        f = force.at(M, p)
+        f = force.on(M.at(p))
         X, Y = rng.normal(size=(2, 2))
         assert abs((f @ X) @ g @ Y + X @ g @ (f @ Y)) < 1e-12
         assert abs((f @ X) @ g @ X) < 1e-12

@@ -22,7 +22,7 @@ def test_const_curv_parameter_parsing():
     g = np.eye(4)
     e = np.eye(4)
     np.testing.assert_allclose(
-        ent.structure.riemann_at(np.zeros(4), e[0], e[1], e[1]), 2.5 * e[0]
+        ent.structure.at(np.zeros(4)).riemann(e[0], e[1], e[1]), 2.5 * e[0]
     )
 
 
@@ -44,7 +44,7 @@ def test_flat_diag_curvature_vanishes():
     M = catalog.entry("flat_diag").structure
     rng = np.random.default_rng(0)
     X, Y, Z = rng.normal(size=(3, 2))
-    np.testing.assert_allclose(M.riemann_at((0.1, 0.2), X, Y, Z), 0.0, atol=1e-15)
+    np.testing.assert_allclose(M.at((0.1, 0.2)).riemann(X, Y, Z), 0.0, atol=1e-15)
 
 
 def test_poly2d_closed_form_initial_value():

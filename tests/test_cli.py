@@ -84,6 +84,29 @@ def test_check_of_a_singular_constant_metric_names_one_point(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: metric singular at [") and err.endswith("]: det = 0\n")
+    _assert_failed_without_residuals(tmp_path / "check_report.json")
+
+
+def test_check_of_a_chart_outside_a_field_domain_writes_a_failed_report(tmp_path, capsys):
+    # ln(x1) on the default box [-1, 1]^2: the sampled points with x1 <= 0
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"manifold": {"dim": 2, "g": [["ln(x1)", "0"], ["0", "1"]],
+                                             "phi": [["1", "0"], ["0", "-1"]]}}))
+    assert run("check", "--scenario", path, "--out", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ln of non-positive value ")
+    _assert_failed_without_residuals(tmp_path / "check_report.json")
+
+
+def _assert_failed_without_residuals(path):
+    """Every check of the report failed with a null residual, at its own
+    tolerance and sample size."""
+    report = _strict_json(path.read_text())
+    assert report["passed"] is False
+    assert [(c["name"], c["passed"], c["max_residual"], c["tol"], c["n_points"])
+            for c in report["checks"]] == [("norden", False, None, 1e-8, 100),
+                                           ("parallel_phi", False, None, 1e-8, 100),
+                                           ("curvature_purity", False, None, 1e-6, 20)]
 
 
 def _strict_json(text: str):

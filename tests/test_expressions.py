@@ -16,11 +16,8 @@ from bundleflow.expressions import (
     Pow,
     ScalarField,
     Var,
-    compile_point,
     compile_rows,
     evaluate,
-    evaluate_many,
-    jet_many,
     parse,
     pretty,
 )
@@ -275,10 +272,10 @@ def test_batched_evaluation_matches_scalar_rows(ast, rows):
             raised = True
     if raised:
         with pytest.raises(EvalDomainError):
-            evaluate_many(ast, points)
+            compile_rows([ast], _DIM)(points)
         return
     eps = np.finfo(float).eps
-    for got, (want, scale) in zip(evaluate_many(ast, points), scalar):
+    for got, (want, scale) in zip(compile_rows([ast], _DIM)(points)[:, 0, 0], scalar):
         assert got == want or (math.isnan(got) and math.isnan(want)) or (
             abs(got - want) <= _ULPS * eps * scale
         )
@@ -302,9 +299,9 @@ def _walk(fn):
 )
 def test_jet_values_and_errors_are_evaluate_many_s(ast, rows):
     points = np.array(rows)
-    values, error = _walk(lambda: evaluate_many(ast, points))
+    values, error = _walk(lambda: compile_rows([ast], _DIM)(points)[:, 0, 0])
     for order in (0, 1, 2):
-        jet, jet_error = _walk(lambda: jet_many([ast], points, order))
+        jet, jet_error = _walk(lambda: compile_rows([ast], _DIM, order)(points))
         if error is not None:
             assert jet_error == error
         elif jet_error is not None:
@@ -346,15 +343,15 @@ _MODERATE = st.lists(st.floats(-2.0, 2.0), min_size=_DIM, max_size=_DIM)
 @example(Call("sin", Pow(Var(0), -1)), [0.04466309843493077, 0.0, 0.0])
 def test_jet_derivatives_agree_with_central_differences(ast, point):
     x = np.array(point)
-    jet, error = _walk(lambda: jet_many([ast], x[None], 2)[0, :, 0])
+    jet, error = _walk(lambda: compile_rows([ast], _DIM, 2)(x[None])[0, :, 0])
     if error is not None:
         return
     value, grad, hess = jet[0], jet[1 : 1 + _DIM], jet[1 + _DIM :].reshape(_DIM, _DIM)
 
-    stencil = []  # every value that the differences take
+    stencil, values = [], compile_rows([ast], _DIM)  # every value that the differences take
 
     def f(p):
-        stencil.append(float(evaluate_many(ast, p[None])[0]))
+        stencil.append(float(values(p[None])[0, 0, 0]))
         return stencil[-1]
 
     # central differences at h and 2h: their gap, three times the O(h^2)
@@ -430,23 +427,56 @@ def test_a_derivative_that_does_not_exist_raises(source):
     # (a central difference would step to -h and raise as well)
     points = np.array([[1.0, 1.0], [0.0, 0.0]])
     tree = parse(source, 2)
-    jet_many([tree], points, 0)
+    compile_rows([tree], 2)(points)
     for order in (1, 2):
         with pytest.raises(EvalDomainError, match=r"no finite derivative where the value is \S+ at \[0\. 0\.\]"):
-            jet_many([tree], points, order)
+            compile_rows([tree], 2, order)(points)
 
 
 def test_jet_of_a_product_and_a_quotient():
     # f = x1^2 x2 / (1 + x2): every rule of the walk at once
     x1, x2 = 0.7, -0.3
-    jet = jet_many([parse("x1^2*x2/(1 + x2)", 2)], np.array([[x1, x2]]), 2)[0, :, 0]
+    jet = compile_rows([parse("x1^2*x2/(1 + x2)", 2)], 2, 2)(np.array([[x1, x2]]))[0, :, 0]
     q = x2 / (1 + x2)
     dq, ddq = 1 / (1 + x2) ** 2, -2 / (1 + x2) ** 3
     want = [x1**2 * q, 2 * x1 * q, x1**2 * dq, 2 * q, 2 * x1 * dq, 2 * x1 * dq, x1**2 * ddq]
     np.testing.assert_allclose(jet, want, rtol=1e-14)
 
 
-# -- the compiled one-point functions against the walkers ----------------------
+# -- the emitter's one-point target, on which the compiled RHS is built ----------
+
+
+def _point_function(trees, order: int = 0):
+    """The emitter's one-point program of ``trees``, wrapped as
+    ``rhs.compile_rhs`` wraps the right-hand side: where a guard runs its
+    fail line, the arithmetic raises ArithmeticError or ValueError, or a jet
+    is not finite, the point goes to the reference, evaluate (order 0) or
+    the stack program (orders 1 and 2).  ``run(point)`` returns the values
+    (order 0) or the ``[1, c, f]`` jet, and whether the program vouched for
+    them itself."""
+    source = expressions._Source(order, rows=False, fail="return None")
+    entries = source.entries(trees, _DIM)
+    if order:
+        source.names["_isfinite"] = math.isfinite
+        source.guard(f"_isfinite({' + '.join(entries.values()) or '0.0'})")
+    source.lines.append(f"return {expressions._tuple(entries)}")
+    program = source.define("_point", "p", source.lines)
+
+    def run(point):
+        try:
+            found = program(point)
+        except (ArithmeticError, ValueError):
+            found = None
+        if found is None:
+            if not order:
+                return [0.0 if t is None else evaluate(t, point) for t in trees], False
+            return compile_rows(trees, _DIM, order)(np.asarray(point)[None]), False
+        out = np.zeros((1, (1, 1 + _DIM, 1 + _DIM + _DIM**2)[order], len(trees)))
+        for (c, f), value in zip(entries, found):
+            out[0, c, f] = value
+        return (list(out[0, 0]) if not order else out), True
+
+    return run
 
 
 def _outcome(fn):
@@ -458,23 +488,24 @@ def _outcome(fn):
 
 
 def _assert_compiled_matches_the_walkers(ast, row):
-    """Compiled values are evaluate's and compiled jets those of the stack
-    program (jet_many), bit for bit (a zero may differ in sign), or both
-    raise the same error.  Any NaN
+    """The point program's values are evaluate's and its jets those of the
+    stack program, bit for bit (a zero may differ in sign), or both raise
+    the same error: where the program returns, it returns the reference's
+    result, and elsewhere it hands the point over.  Any NaN
     equals any NaN: the sign of nan * nan depends on which of CPython's
     float multiplications runs, which its bytecode specialisation picks."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         want, want_error = _outcome(lambda: evaluate(ast, row))
-        got, got_error = _outcome(lambda: compile_point([ast], _DIM)(row)[0])
+        got, got_error = _outcome(lambda: _point_function([ast])(row)[0][0])
         assert got_error == want_error
         if want_error is None:
             assert np.float64(got).tobytes() == np.float64(want).tobytes() or (
                 math.isnan(got) and math.isnan(want)
             )
         for order in (1, 2):
-            want, want_error = _outcome(lambda: jet_many([ast, None], row[None], order))
-            got, got_error = _outcome(lambda: compile_point([ast, None], _DIM, order)(row))
+            want, want_error = _outcome(lambda: compile_rows([ast, None], _DIM, order)(row[None]))
+            got, got_error = _outcome(lambda: _point_function([ast, None], order)(row)[0])
             assert got_error == want_error
             if want_error is None:
                 assert got.shape == want.shape
@@ -498,14 +529,20 @@ def test_compiled_point_functions_are_the_walkers_bit_for_bit(ast, row):
     ],
 )
 def test_compiled_jets_are_the_walk_on_many_points(source):
-    # a regrouped sum or product moves the last bit at some of these points
+    # a regrouped sum or product moves the last bit at some of these points;
+    # the point program vouches for every one of them itself
     ast = parse(source, _DIM)
     points = np.random.default_rng(7).uniform(-1.5, 1.5, size=(300, _DIM))
-    for order in (1, 2):
-        want = jet_many([ast], points, order)
+    for order in (0, 1, 2):
+        run = _point_function([ast], order)
+        results = [run(p) for p in points]
+        assert all(vouched for _, vouched in results)
+        if not order:
+            assert [got[0] for got, _ in results] == [evaluate(ast, p) for p in points]
+            continue
+        want = compile_rows([ast], _DIM, order)(points)
         assert np.array_equal(want, walk_jet([ast], points, order))
-        run = compile_point([ast], _DIM, order)
-        assert all(np.array_equal(run(p)[0], w) for p, w in zip(points, want))
+        assert all(np.array_equal(got[0], w) for (got, _), w in zip(results, want))
 
 
 @pytest.mark.parametrize("row", [[0.3, -1.2, 2.0], [0.0, -0.0, 1.0], [800.0, 2.0, -3.0]])
@@ -518,10 +555,15 @@ def test_a_long_sum_compiles_flat(row):
 @pytest.mark.parametrize("rows", [False, True])
 def test_an_order_2_program_writes_each_product_once(rows):
     # exp has f'' = f': the chain rule's d1 f' and d1 f'' are one product
-    source = expressions._Source(2, rows)
+    source = expressions._Source(2, rows, fail="return None")
     source.walk(parse("exp(x1*x2)", _DIM))
     products = [line.split(" = ", 1)[1] for line in source.lines if " = " in line]
     assert len(products) == len(set(products))
+
+
+def test_a_point_guard_needs_a_fail_line():
+    with pytest.raises(ValueError, match="fail"):
+        expressions._Source(1, rows=False).walk(parse("ln(x1)", _DIM))
 
 
 @pytest.mark.parametrize(
@@ -542,30 +584,17 @@ def test_compiled_functions_fall_back_to_the_walkers(source, row):
     _assert_compiled_matches_the_walkers(parse(source, _DIM), np.array(row))
 
 
-def test_a_point_jet_builds_its_fallback_program_once(monkeypatch):
-    built, original = [], expressions.compile_rows
-    monkeypatch.setattr(expressions, "compile_rows", lambda *a: built.append(a) or original(*a))
-    tree = parse("sqrt(x1)", _DIM)
-    jet = compile_point([tree], _DIM, 1)
-    jet(np.array([4.0, 0.0, 0.0]))  # the guard holds: no stack program
-    assert built == []
-    for _ in range(2):  # sqrt(-1): the stack program raises evaluate's error
-        with pytest.raises(EvalDomainError, match=r"sqrt of negative value -1.0 at \[-1\."):
-            jet(np.array([-1.0, 0.0, 0.0]))
-    assert built == [([tree], _DIM, 1)]
-
-
 # -- the generated stack programs against the reference walker ---------------------
 
 
 def _assert_stack_program_matches_the_walker(trees, points):
-    """jet_many, which runs the generated stack program, raises the error
+    """The generated stack program raises the error
     text of the reference walker, or gives its jet: its values everywhere,
     and every derivative in each row where a tree's value is finite (a zero
     may differ in sign)."""
     for order in (0, 1, 2):
         want, want_error = _walk(lambda: walk_jet(trees, points, order))
-        got, got_error = _walk(lambda: jet_many(trees, points, order))
+        got, got_error = _walk(lambda: compile_rows(trees, _DIM, order)(points))
         assert got_error == want_error
         if want_error is None:
             assert got.shape == want.shape
@@ -599,7 +628,7 @@ def test_beside_an_infinite_value_a_structural_zero_stays_zero():
     # computes that term and gets x2 x3.  The value is not finite: no error.
     tree, points = parse("x1*x2*x3", _DIM), np.array([[1e300, 1e300, 1e-300]])
     _assert_stack_program_matches_the_walker([tree], points)
-    want, got = walk_jet([tree], points, 1)[0, :, 0], jet_many([tree], points, 1)[0, :, 0]
+    want, got = walk_jet([tree], points, 1)[0, :, 0], compile_rows([tree], _DIM, 1)(points)[0, :, 0]
     assert np.isnan(want[1:3]).all() and want[3] == got[3] == got[0] == math.inf
     assert got[1] == got[2] == 1e300 * 1e-300
 
@@ -613,4 +642,4 @@ def test_the_stack_program_checks_every_row_as_evaluate_does():
     with pytest.raises(EvalDomainError) as stack:
         compile_rows([tree], _DIM, 2)(points)
     assert str(stack.value) == f"{scalar.value} at {points[1]}"
-    assert walk_values(tree, points[[0]]).tobytes() == evaluate_many(tree, points[[0]]).tobytes()
+    assert walk_values(tree, points[[0]]).tobytes() == compile_rows([tree], _DIM)(points[[0]])[:, 0, 0].tobytes()

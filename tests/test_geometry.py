@@ -400,11 +400,11 @@ def test_riemann_flat_is_zero():
     rng = np.random.default_rng(5)
     for p in sample_chart_points(FLAT, 5, rng):
         X, Y, Z = rng.normal(size=(3, 2))
-        np.testing.assert_allclose(FLAT.riemann_at(p, X, Y, Z), 0.0, atol=1e-14)
+        np.testing.assert_allclose(FLAT.at(p).riemann(X, Y, Z), 0.0, atol=1e-14)
     # exp2d is flat as well: a product of one-dimensional metrics
     for p in sample_chart_points(EXP2D, 5, rng):
         X, Y, Z = rng.normal(size=(3, 2))
-        np.testing.assert_allclose(EXP2D.riemann_at(p, X, Y, Z), 0.0, atol=1e-12)
+        np.testing.assert_allclose(EXP2D.at(p).riemann(X, Y, Z), 0.0, atol=1e-12)
 
 
 def test_constant_curvature_operator_example():
@@ -417,13 +417,13 @@ def test_riemann_antisymmetry_and_bianchi_on_curved_metric():
     rng = np.random.default_rng(17)
     for p in sample_chart_points(CURVED, 4, rng):
         X, Y, Z = rng.normal(size=(3, 2))
-        r_xy = CURVED.riemann_at(p, X, Y, Z)
-        r_yx = CURVED.riemann_at(p, Y, X, Z)
+        r_xy = CURVED.at(p).riemann(X, Y, Z)
+        r_yx = CURVED.at(p).riemann(Y, X, Z)
         np.testing.assert_allclose(r_xy, -r_yx, atol=1e-8)
         bianchi = (
-            CURVED.riemann_at(p, X, Y, Z)
-            + CURVED.riemann_at(p, Y, Z, X)
-            + CURVED.riemann_at(p, Z, X, Y)
+            CURVED.at(p).riemann(X, Y, Z)
+            + CURVED.at(p).riemann(Y, Z, X)
+            + CURVED.at(p).riemann(Z, X, Y)
         )
         np.testing.assert_allclose(bianchi, 0.0, atol=1e-6)
     # sanity: the metric is actually curved
@@ -497,7 +497,7 @@ def test_curvature_tensor_contracts_to_the_curvature_operator(name):
     rng = np.random.default_rng(11)
     for p in sample_chart_points(M, 4, rng):
         X, Y, Z = rng.normal(size=(3, M.dim))
-        got = M.riemann_at(p, X, Y, Z)
+        got = M.at(p).riemann(X, Y, Z)
         contracted = np.einsum("lkij,i,j,k->l", M.riemann_tensor_at(p), X, Y, Z)
         scale = np.einsum("lkij,i,j,k->l", np.abs(M.riemann_tensor_at(p)), *np.abs([X, Y, Z]))
         assert np.all(np.abs(got - contracted) <= 1e-13 * np.max(scale, initial=1e-300))

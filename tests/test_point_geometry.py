@@ -479,7 +479,7 @@ def test_point_curvature_matches_textbook_formula(M, fractions, vecs):
     got = geo.riemann(*vecs)
     X, Y, Z = (np.abs(v) for v in vecs)
     _assert_close(got, expected, np.einsum("lkij,i,j,k->l", np.abs(geo.riemann_tensor), X, Y, Z))
-    np.testing.assert_array_equal(M.riemann_at(p, *vecs), got)
+    np.testing.assert_array_equal(M.at(p).riemann(*vecs), got)
 
 
 @settings(max_examples=40, deadline=None)
@@ -492,7 +492,7 @@ def test_point_curvature_uses_override(c, fractions, vecs):
     expected = c * ((Y @ g @ Z) * X - (X @ g @ Z) * Y)
     got = M.at(p).riemann(X, Y, Z)
     _assert_close(got, expected, c * abs(Y @ g @ Z) * X, c * abs(X @ g @ Z) * Y)
-    np.testing.assert_array_equal(M.riemann_at(p, X, Y, Z), got)
+    np.testing.assert_array_equal(M.at(p).riemann(X, Y, Z), got)
 
 
 def test_point_geometry_evaluates_each_piece_once(monkeypatch):
@@ -605,37 +605,54 @@ def test_field_tensor_rank_follows_nesting():
 
 def test_field_tensor_evaluates_only_its_varying_fields(monkeypatch):
     compiled, calls = [], []
-    original_call = ScalarField.__call__
+    original_compile, original_call = geometry.compile_rows, ScalarField.__call__
 
-    def counting(target, original):
-        def counted_compile(trees, dim, order=0):
-            compiled.append((target, list(trees), order))
-            return original(trees, dim, order)
-
-        return counted_compile
+    def counted_compile(trees, dim, order=0):
+        compiled.append((list(trees), order))
+        return original_compile(trees, dim, order)
 
     def counted_call(self, point):
         calls.append(self.const_value)
         return original_call(self, point)
 
-    for name in ("compile_point", "compile_rows"):
-        monkeypatch.setattr(geometry, name, counting(name, getattr(geometry, name)))
+    monkeypatch.setattr(geometry, "compile_rows", counted_compile)
     monkeypatch.setattr(ScalarField, "__call__", counted_call)
     g = FieldTensor(EXP2D.g.fields, 2, 2)  # fresh: nothing compiled yet
-    for _ in range(2):  # compiled once, on first use
+    for _ in range(2):  # one point walks evaluate: nothing is compiled
         np.testing.assert_array_equal(g.at((0.1, 0.2)), np.diag(np.exp([0.2, 0.4])))
-    varying = [f.ast for f in EXP2D.g.fields if f.const_value is None]
-    assert len(varying) == 2 and compiled == [("compile_point", varying, 0)]
-    # a stack: one program per order, values of the varying fields, jets of all
+    assert compiled == []
+    # a stack: one program per order, values of the varying fields, jets of all;
+    # a single row runs the same program
     stack = np.array([[0.1, 0.2], [0.3, -0.4], [0.5, 0.0]])
     for _ in range(2):
         np.testing.assert_array_equal(g.at(stack), [np.diag(np.exp(2 * p)) for p in stack])
         for order in (1, 2):
             np.testing.assert_array_equal(g.jet(stack, order)[:, 0], g.at(stack))
+            np.testing.assert_array_equal(g.jet(stack[:1], order), g.jet(stack, order)[:1])
+    varying = [f.ast for f in EXP2D.g.fields if f.const_value is None]
     trees = [None if f.const_value is not None else f.ast for f in EXP2D.g.fields]
-    assert compiled[1:] == [("compile_rows", varying, 0), ("compile_rows", trees, 1),
-                            ("compile_rows", trees, 2)]
+    assert len(varying) == 2
+    assert compiled == [(varying, 0), (trees, 1), (trees, 2)]
     assert calls == []
+
+
+def test_a_unit_run_compiles_the_jet_of_g_once(monkeypatch):
+    # Gamma from jets of g: the unit-bundle start at one point and the
+    # monitors on the whole trajectory run one order-2 program of g
+    built, original = [], expressions._Source.entries
+
+    def counted(self, nodes, dim):
+        built.append((self.order, list(nodes)))
+        return original(self, nodes, dim)
+
+    monkeypatch.setattr(expressions._Source, "entries", counted)
+    g = FieldTensor(EXP2D.g.fields, 2, 2)  # fresh: nothing compiled yet
+    M = MetricStructure(2, g, EXP2D.phi, chart_box=EXP2D.chart_box)
+    lift = scenario.load_scenario(SCENARIOS / "exp2d_natural_lift.json")  # a unit run on exp2d
+    traj = integrate(M, lift.system, lift.initial, IntegratorConfig(0.01, (0.0, 0.05)))
+    assert lift.system.kind == "geodesic_unit" and traj.n == 6
+    jet_of_g = (2, [None if f.const_value is not None else f.ast for f in g.fields])
+    assert built.count(jet_of_g) == 1
 
 
 def test_concurrent_first_use_gives_the_single_thread_results():
