@@ -7,6 +7,10 @@ Fields on an n-dimensional chart are written in a small infix language:
 * binary ``+ - * /`` (left associative) and ``^`` with integer exponents,
 * unary negation, with precedence ``^`` > unary ``-`` > ``* /`` > ``+ -``.
 
+A field's tree is at most 600 levels deep (a sum of 600 terms is about
+that deep); a deeper one, or nesting the parser cannot follow, is an
+:class:`~bundleflow.errors.ExprSyntaxError`.
+
 :func:`evaluate` walks a tree at one point in plain floats; it is how a
 field is evaluated at one point, and the reference of every other
 evaluation, which raises its :class:`~bundleflow.errors.EvalDomainError` on
@@ -63,6 +67,10 @@ FUNCTIONS = ("cos", "exp", "ln", "sin", "sqrt")
 
 # Accepted short names per chart dimension, mapped to 0-based indices.
 _ALIASES = {1: {"t": 0}, 2: {"x": 0, "y": 1}}
+
+# The deepest tree a field may have: every walker recurses once per level,
+# and a Python stack holds about 1000 frames.
+_MAX_DEPTH = 600
 
 
 @dataclass(frozen=True)
@@ -189,7 +197,10 @@ class _Parser:
         self.advance()
 
     def parse(self) -> Node:
-        node = self.expression()
+        try:
+            node = self.expression()
+        except RecursionError:  # parentheses, calls or signs nested past the stack
+            raise ExprSyntaxError("expression nests too deeply", self.peek().pos) from None
         tok = self.peek()
         if tok.kind != "end":
             raise ExprSyntaxError(f"unexpected trailing input {tok.text!r}", tok.pos)
@@ -277,6 +288,15 @@ def parse(source: str, dim: int) -> Node:
     if dim < 1:
         raise ValueError(f"chart dimension must be >= 1, got {dim}")
     return _Parser(_tokenize(source), dim).parse()
+
+
+def _depth(node: Node) -> int:
+    """The number of levels of a tree, counted level by level, without recursion."""
+    levels, level = 0, [node]
+    while level:
+        levels += 1
+        level = [c for n in level for c in vars(n).values() if not isinstance(c, (int, float, str))]
+    return levels
 
 
 def evaluate(node: Node, point) -> float:
@@ -729,6 +749,12 @@ class ScalarField:
     __slots__ = ("ast", "dim", "source", "_const", "_rows")
 
     def __init__(self, ast: Node, dim: int, source: str | None = None):
+        # each level of a parsed tree takes at least one character of its source
+        if source is None or len(source) > _MAX_DEPTH:
+            levels = _depth(ast)
+            if levels > _MAX_DEPTH:
+                raise ExprSyntaxError(
+                    f"expression nests {levels} levels deep, more than the {_MAX_DEPTH} supported", 0)
         self.ast = ast
         self.dim = dim
         self.source = source if source is not None else pretty(ast)

@@ -256,15 +256,17 @@ class MetricStructure:
         mat = 0.5 * (mat + mat.swapaxes(-1, -2))
         det = np.linalg.det(mat)
         # relative to the entries, so that g and c*g are judged alike
-        singular = abs(det) <= 1e-12 * abs(mat).max(axis=(-2, -1)) ** self.dim
+        bound = 1e-12 * abs(mat).max(axis=(-2, -1)) ** self.dim
+        singular = abs(det) <= bound
+        if not singular.any():
+            return mat
         if mat.ndim == 2:
-            if singular:
-                where = point[0] if np.ndim(point) == 2 else point
-                raise SingularMetricError(f"metric singular at {where}: det = {det:g}")
-        elif singular.any():
+            where = point[0] if np.ndim(point) == 2 else point
+        else:
             i = int(np.argmax(singular))
-            raise SingularMetricError(f"metric singular at {point[i]}: det = {det[i]:g}")
-        return mat
+            where, det, bound = point[i], det[i], bound[i]
+        raise SingularMetricError(f"metric singular at {where}: |det g| = {abs(det):g}"
+                                  f" <= 1e-12 max|g_ij|^{self.dim} = {bound:g}")
 
     def phi_at(self, point) -> np.ndarray:
         return self.phi.at(point)

@@ -7,11 +7,13 @@ stored states, never interpolated.
 
 A step runs on plain floats.  The state is a tuple of 4 dim floats, the
 right-hand side (:func:`bundleflow.bundle.make_rhs`) takes and returns
-tuples, and the stage arithmetic is two straight-line functions written
-once per state length: y + a k, for every RK4 stage and the Euler step,
-and the RK4 sum y + (h/6) (((k1 + 2 k2) + 2 k3) + k4).  Each entry is the
-arithmetic numpy does on the arrays, in its order, so a run is the array
-formulas' run bit for bit.  Each step is stored in a preallocated array.
+tuples, and each method's step is one straight-line function written once
+per state length: it calls the right-hand side (4 times for RK4, once for
+Euler) and does the stage arithmetic between the calls, y + (h/2) k or
+y + h k, and the RK4 sum y + (h/6) (((k1 + 2 k2) + 2 k3) + k4).  Each entry
+is the arithmetic numpy does on the arrays, in its order, so a run is the
+array formulas' run bit for bit.  The stepped states are kept as tuples and
+copied into a preallocated array 256 at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import chain
 from math import isfinite
 from time import perf_counter
 
@@ -38,6 +41,9 @@ __all__ = [
 ]
 
 MONITOR_NAMES = ("unit_norm", "fiber_ortho", "rho_sq", "speed_sq")
+
+# stepped states are kept as tuples and copied into the array of samples this many at a time
+_BUFFER_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -115,40 +121,50 @@ class Trajectory:
 
 
 @cache
-def _stage_kernels(n: int) -> tuple:
-    """The stage arithmetic on states of ``n`` floats, as two generated
-    straight-line functions of tuples: ``shift(y, a, k)``, y + a k, and
-    ``rk4_sum(y, c, k1, k2, k3, k4)``, y + c (((k1 + 2 k2) + 2 k3) + k4);
-    written once per ``n`` and kept."""
+def _step_kernels(n: int) -> tuple:
+    """The RK4 and the Euler step on states of ``n`` floats, as two generated
+    straight-line functions ``step(rhs, t, y, h)`` of tuples, written once
+    per ``n`` and kept.  The RK4 step takes its stages at y + (h/2) k1,
+    y + (h/2) k2 and y + h k3, and returns y + (h/6) (((k1 + 2 k2) + 2 k3) + k4);
+    the Euler step returns y + h k1."""
     r = range(n)
+
+    def names(k):
+        return "".join(f"{k}{i}, " for i in r)
+
+    def entries(entry):
+        return "(" + "".join(f"{entry(i)}, " for i in r) + ")"
+
+    def stage(k, at, prev, a):
+        return f"{names(k)}= rhs({at}, {entries(lambda i: f'y{i} + {a} * {prev}{i}')})"
+
     src = _Source(0, rows=False)
-
-    def kernel(name, scalar, tuples, entry):
-        """``name(y, scalar, *tuples)``, the tuple of ``entry(i)``, where
-        entry i of each tuple argument ``a`` is the local ``a_i``."""
-        body = [f"{', '.join(f'{a}_{i}' for i in r)}, = {a}" for a in ("y", *tuples)]
-        body.append(f"return ({', '.join(entry(i) for i in r)},)")
-        return src.define(name, ", ".join(("y", scalar, *tuples)), body)
-
-    return (
-        kernel("_shift", "a", ("k",), lambda i: f"y_{i} + a * k_{i}"),
-        kernel("_rk4_sum", "c", ("k1", "k2", "k3", "k4"),
-               lambda i: f"y_{i} + c * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"),
-    )
+    rk4 = [f"{names('y')}= y", "half = 0.5 * h", f"{names('k1_')}= rhs(t, y)",
+           stage("k2_", "t + half", "k1_", "half"), stage("k3_", "t + half", "k2_", "half"),
+           stage("k4_", "t + h", "k3_", "h"), "c = h / 6.0",
+           "return " + entries(lambda i: f"y{i} + c * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})")]
+    euler = [f"{names('y')}= y", f"{names('k')}= rhs(t, y)",
+             f"return {entries(lambda i: f'y{i} + h * k{i}')}"]
+    return src.define("_rk4", "rhs, t, y, h", rk4), src.define("_euler", "rhs, t, y, h", euler)
 
 
+# one call per step, looked up by integrate at each run: the benchmark tracer
+# (benchmarks/spans.py) counts steps by wrapping these two names
 def _rk4_step(rhs, t, y, h, kernels):
-    shift, rk4_sum = kernels
-    half = 0.5 * h
-    k1 = rhs(t, y)
-    k2 = rhs(t + half, shift(y, half, k1))
-    k3 = rhs(t + half, shift(y, half, k2))
-    k4 = rhs(t + h, shift(y, h, k3))
-    return rk4_sum(y, h / 6.0, k1, k2, k3, k4)
+    return kernels[0](rhs, t, y, h)
 
 
 def _euler_step(rhs, t, y, h, kernels):
-    return kernels[0](y, h, rhs(t, y))
+    return kernels[1](rhs, t, y, h)
+
+
+def _flush(ys, rows, end) -> None:
+    """Copy the buffered states ``rows`` into ``ys[end - len(rows) : end]``
+    and empty the buffer."""
+    if rows:
+        n = len(rows)
+        ys[end - n : end] = np.fromiter(chain.from_iterable(rows), float, n * ys.shape[1]).reshape(n, -1)
+        rows.clear()
 
 
 def _time_grid(t0: float, t1: float, h: float) -> np.ndarray:
@@ -203,14 +219,15 @@ def integrate(
 
     The steps run on plain floats (see the module docstring): the state is
     a tuple, the right-hand side of :func:`~bundleflow.bundle.make_rhs`
-    maps tuples to tuples, the stages are the two straight-line kernels of
-    the state's length, and each step is written into the preallocated
-    array of samples and checked with :func:`math.isfinite`.
+    maps tuples to tuples, and a step is the generated straight-line step
+    of the method and the state's length.  A state is finite when the sum
+    of its entries is, or else when each entry is; the stepped states are
+    buffered and copied into the preallocated array of samples.
 
     The trajectory's ``meta`` records the run: ``steps`` taken,
     ``rhs_calls`` (4 per RK4 step, 1 per Euler step, and the calls a
     failing step made, counted on a rerun of that step), and the seconds spent
-    building the right-hand side and the stage kernels (``rhs_build_s``),
+    building the right-hand side and the step functions (``rhs_build_s``),
     stepping (``step_s``) and computing the monitors (``monitor_s``).
     """
     if system.on_unit_bundle:
@@ -227,11 +244,12 @@ def integrate(
     with np.errstate(over="ignore", invalid="ignore"):
         start = perf_counter()
         rhs = make_rhs(M, system)
-        kernels = _stage_kernels(4 * dim)
+        kernels = _step_kernels(4 * dim)
         record = {"rhs_build_s": perf_counter() - start}
         start = perf_counter()
         ts = times.tolist()
         y = tuple(ys[0].tolist())
+        rows = []  # the stepped states not yet copied into ys
         for k in range(len(ts) - 1):
             t = ts[k]
             try:
@@ -243,15 +261,20 @@ def integrate(
                     step(lambda t, y: calls.append(t) or rhs(t, y), t, y, ts[k + 1] - t, kernels)
                 reached = len(calls)
             else:
-                ys[k + 1] = y
-                if all(map(isfinite, y)):
+                # a finite sum has finite terms; an overflowing one is looked at term by term
+                if isfinite(sum(y)) or all(map(isfinite, y)):
+                    rows.append(y)
+                    if len(rows) == _BUFFER_ROWS:
+                        _flush(ys, rows, k + 2)
                     continue
                 cause, reason = None, f"non-finite state at t = {ts[k + 1]:g}"
                 reached = stages
+            _flush(ys, rows, k + 1)
             record.update(steps=k, rhs_calls=stages * k + reached,
                           step_s=perf_counter() - start)
             partial = _partial_trajectory(M, system, times[: k + 1], ys[: k + 1], cfg, record)
             raise IntegrationBlowUp(reason, partial, float(partial.times[-1])) from cause
+        _flush(ys, rows, times.size)
     steps = times.size - 1
     record.update(steps=steps, rhs_calls=stages * steps, step_s=perf_counter() - start)
     return _build_trajectory(M, system, times, ys, cfg, record)

@@ -2,9 +2,11 @@
 float steps of :mod:`bundleflow.integrate`.
 
 These are the steps on the state as an array, with the right-hand side
-returning an array.  The integrator's generated stage kernels do the same
+returning an array.  The integrator's generated step functions, one per
+method and state length, call the right-hand side as often and do the same
 float operations in the same order on tuples, so the tests require equal
-results, NaN for NaN, and the same error with the same text.
+results, NaN for NaN, and the same error with the same text, for one step
+and for whole runs.
 """
 
 import numpy as np

@@ -83,7 +83,7 @@ def test_check_of_a_singular_constant_metric_names_one_point(tmp_path, capsys):
     assert run("check", "--scenario", path, "--out", tmp_path) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert err.startswith("error: metric singular at [") and err.endswith("]: det = 0\n")
+    assert err.startswith("error: metric singular at [") and err.endswith("]: |det g| = 0 <= 1e-12 max|g_ij|^2 = 1e-12\n")
     _assert_failed_without_residuals(tmp_path / "check_report.json")
 
 
@@ -173,6 +173,19 @@ def test_config_errors_exit_2(tmp_path):
         json.dumps({"manifold": {"dim": 2, "g": [["1", "0"], ["0", "oops("]], "phi": [["1", "0"], ["0", "-1"]]}})
     )
     assert run("check", "--scenario", badexpr, "--out", tmp_path) == 2
+
+
+def test_check_of_a_field_that_nests_too_deeply_exits_2(tmp_path, capsys):
+    # a g11 of 1200 terms: one configuration-error line, not a RecursionError traceback
+    g11 = " + ".join(f"x1*{k}" for k in range(1200))
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"manifold": {"dim": 2, "g": [[g11, "0"], ["0", "1"]],
+                                             "phi": [["1", "0"], ["0", "-1"]]}}))
+    assert run("check", "--scenario", path, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err == ("configuration error: bad inline manifold: expression nests 1201 levels"
+                   " deep, more than the 600 supported (at byte 0)\n")
+    assert not (tmp_path / "out").exists()
 
 
 # -- integrate -------------------------------------------------------------------

@@ -74,6 +74,30 @@ def test_syntax_error_offsets():
         parse("   ", 2)
 
 
+def test_a_field_that_nests_too_deeply_is_a_syntax_error():
+    # a sum of 1200 terms is 1201 levels deep; the walkers recurse once a level
+    with pytest.raises(ExprSyntaxError, match="nests 1201 levels deep") as err:
+        ScalarField.parse(" + ".join(f"x1*{k}" for k in range(1200)), 2)
+    assert err.value.offset == 0
+    # nesting the parser cannot follow: the offset is where it stopped
+    for source in ("(" * 400 + "x1" + ")" * 400, "-" * 3000 + "x1", "exp(" * 400 + "x1" + ")" * 400):
+        with pytest.raises(ExprSyntaxError, match="nests too deeply") as err:
+            parse(source, 2)
+        assert 0 < err.value.offset < len(source)
+
+
+def test_a_field_at_the_depth_limit_builds_evaluates_and_compiles():
+    levels = expressions._MAX_DEPTH
+    field = ScalarField.parse(" + ".join(f"x{k % 2 + 1}*{k}" for k in range(levels - 1)), 2)
+    assert expressions._depth(field.ast) == levels
+    point = (0.5, -2.0)
+    want = sum((point[k % 2] * k for k in range(levels - 1)), 0.0)
+    assert field(point) == pytest.approx(want, rel=1e-12)
+    jet = compile_rows([field.ast], 2, 2)(np.array([point]))
+    assert jet[0, 0, 0] == field(point) and jet[0, 3:, 0].tolist() == [0.0] * 4
+    assert ScalarField.parse(pretty(field.ast), 2)(point) == field(point)
+
+
 def test_unknown_identifiers():
     with pytest.raises(ExprSyntaxError):
         parse("z1", 2)

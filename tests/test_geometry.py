@@ -129,7 +129,18 @@ def test_singular_constant_metric_is_named_at_the_first_sampled_point():
     first = sample_chart_points(M, 1, np.random.default_rng(12345))[0]  # check_norden's seed
     with pytest.raises(SingularMetricError) as err:
         check_norden(M)
-    assert str(err.value) == f"metric singular at {first}: det = 0"
+    assert str(err.value) == f"metric singular at {first}: |det g| = 0 <= 1e-12 max|g_ij|^2 = 1e-12"
+
+
+def test_singular_metric_message_states_the_relative_test():
+    # det g = 0.1 is small only next to the entries: 1e-12 * (1e6)^2 = 1
+    M = MetricStructure(2, [[1e6, 0], [0, 1e-7]], [[1, 0], [0, -1]])
+    with pytest.raises(SingularMetricError) as err:
+        M.metric_at(np.array([0.5, 0.25]))
+    assert str(err.value) == "metric singular at [0.5  0.25]: |det g| = 0.1 <= 1e-12 max|g_ij|^2 = 1"
+    with pytest.raises(SingularMetricError) as err:
+        M.at(np.array([[0.5, 0.25], [0.0, 1.0]])).g
+    assert str(err.value) == "metric singular at [0.5  0.25]: |det g| = 0.1 <= 1e-12 max|g_ij|^2 = 1"
 
 
 def test_twin_metric_purity_violation():

@@ -1,20 +1,24 @@
+import importlib
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+import reference_step
 
 from bundleflow import catalog
-from bundleflow.bundle import BundleState, BundleSystem, FTensor
+from bundleflow.bundle import BundleState, BundleSystem, FTensor, make_rhs, normalized_unit_state
 from bundleflow.errors import EvalDomainError, IntegrationBlowUp, SingularMetricError
 from bundleflow.geometry import MetricStructure
-from bundleflow.integrate import IntegratorConfig, convergence_order, integrate
+from bundleflow.integrate import IntegratorConfig, _time_grid, convergence_order, integrate
 from bundleflow.scenario import load_scenario
 from bundleflow.verify import euclid_oblique_family
 
 FLAT = catalog.entry("flat_diag")
 EUCLID = catalog.entry("euclid_oblique")
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+# the module: the package exports its function integrate under the same name
+integrate_mod = importlib.import_module("bundleflow.integrate")
 
 
 def test_config_validation():
@@ -144,17 +148,17 @@ def test_blow_up_aborts_with_partial_trajectory():
     # the state overflows long before t1
     force = FTensor.from_spec([[50.0, 0.0], [0.0, 50.0]], 2)
     init = BundleState(np.zeros(2), np.array([1.0, 0.0]), np.array([1.0, 0.0]), np.zeros(2))
+    system = BundleSystem("f_geodesic_tm", f_tensor=force)
+    cfg = IntegratorConfig(step=0.01, t_span=(0.0, 50.0))
     with pytest.raises(IntegrationBlowUp) as err:
-        integrate(
-            FLAT.structure,
-            BundleSystem("f_geodesic_tm", f_tensor=force),
-            init,
-            IntegratorConfig(step=0.01, t_span=(0.0, 50.0)),
-        )
+        integrate(FLAT.structure, system, init, cfg)
     partial = err.value.trajectory
     assert partial.n >= 2
     assert np.all(np.isfinite(partial.x))
     assert err.value.time < 50.0
+    # after several flushes of the row buffer, the rows are the array steps' rows
+    assert partial.n > 1024
+    _assert_run_is_the_array_run(partial, FLAT.structure, system, init, cfg)
 
 
 def test_monitor_drift_shrinks_by_sixteen_when_halving():
@@ -236,3 +240,90 @@ def test_run_record_of_a_blow_up_counts_the_steps_taken():
     meta = err.value.trajectory.meta
     assert meta["steps"] == err.value.trajectory.n - 1
     assert meta["rhs_calls"] == 4 * meta["steps"] + 4
+
+
+def _array_run(M, system, init, cfg):
+    """The run by the numpy array steps of ``tests/reference_step.py``: its
+    times and states, up to the last sample before the first failing step."""
+    if system.on_unit_bundle:
+        init = normalized_unit_state(M, init)
+    rhs = reference_step.array_rhs(make_rhs(M, system))
+    step = reference_step.rk4_step if cfg.method == "rk4" else reference_step.euler_step
+    times = _time_grid(cfg.t_span[0], cfg.t_span[1], cfg.step).tolist()
+    ys = [init.flat()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, t_next in zip(times[:-1], times[1:]):
+            try:
+                y = step(rhs, t, ys[-1], t_next - t)
+            except (SingularMetricError, EvalDomainError):
+                break
+            if not np.all(np.isfinite(y)):
+                break
+            ys.append(y)
+    return np.array(times[: len(ys)]), np.array(ys)
+
+
+def _assert_run_is_the_array_run(traj, M, system, init, cfg):
+    times, ys = _array_run(M, system, init, cfg)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(np.hstack([traj.x, traj.xdot, traj.xi, traj.xidot]), ys)
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("steps", [512, 257])
+def test_buffered_states_are_the_array_steps_states(method, steps):
+    # the stepped states are copied into the samples 256 at a time: a run
+    # that fills the buffer exactly, and one that leaves one state in it
+    ent, fam = euclid_oblique_family(0.5)
+    cfg = IntegratorConfig(step=1 / 256, t_span=(0.0, steps / 256), method=method)
+    traj = integrate(ent.structure, fam.system, fam.initial_state(), cfg)
+    assert traj.n == steps + 1
+    _assert_run_is_the_array_run(traj, ent.structure, fam.system, fam.initial_state(), cfg)
+
+
+def test_blow_up_after_several_buffer_flushes_keeps_every_good_row():
+    # rho2 = 1/(t - 1): the step from t = 0.999 fails, after 999 good steps
+    scenario = load_scenario(SCENARIOS / "flat_diag_hphi_planar.json", t_span=(0.0, 1.2))
+    args = scenario.structure, scenario.system, scenario.initial, scenario.integrator
+    with pytest.raises(IntegrationBlowUp) as err:
+        integrate(*args)
+    partial = err.value.trajectory
+    assert partial.n == 1000 and partial.times[-1] == 0.999
+    _assert_run_is_the_array_run(partial, *args)
+
+
+def test_a_state_whose_sum_overflows_is_finite():
+    # each fiber entry is finite, their sum is not: the run goes on
+    init = BundleState(np.zeros(2), np.array([1.0, 0.5]), np.array([1.5e308, 1.5e308]), np.zeros(2))
+    system = BundleSystem("geodesic_tm")
+    cfg = IntegratorConfig(step=1 / 256, t_span=(0.0, 300 / 256))
+    traj = integrate(FLAT.structure, system, init, cfg)
+    states = np.hstack([traj.x, traj.xdot, traj.xi, traj.xidot])
+    assert traj.n == 301 and np.all(np.isfinite(states))
+    with np.errstate(over="ignore"):
+        assert np.all(np.isinf(states.sum(axis=1)))
+    _assert_run_is_the_array_run(traj, FLAT.structure, system, init, cfg)
+
+
+@pytest.mark.parametrize("method, stages", [("rk4", 4), ("euler", 1)])
+def test_each_step_is_one_step_call_and_its_stages_rhs_calls(monkeypatch, method, stages):
+    # the benchmark tracer counts steps and RHS calls by wrapping these names
+    # where integrate looks them up
+    calls = {"step": 0, "rhs": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    original = integrate_mod.make_rhs
+    monkeypatch.setattr(integrate_mod, "make_rhs", lambda *a, **k: counted("rhs", original(*a, **k)))
+    for name in ("_rk4_step", "_euler_step"):
+        monkeypatch.setattr(integrate_mod, name, counted("step", getattr(integrate_mod, name)))
+    ent, fam = euclid_oblique_family(0.5)
+    cfg = IntegratorConfig(step=0.1, t_span=(0.0, 1.0), method=method)
+    traj = integrate(ent.structure, fam.system, fam.initial_state(), cfg)
+    assert calls == {"step": 10, "rhs": stages * 10}
+    assert traj.meta["steps"] == 10 and traj.meta["rhs_calls"] == stages * 10

@@ -27,7 +27,7 @@ from bundleflow.integrate import (
     IntegratorConfig,
     _euler_step,
     _rk4_step,
-    _stage_kernels,
+    _step_kernels,
     integrate,
 )
 import reference_step
@@ -306,7 +306,7 @@ def _failing(case):
     system = BundleSystem("f_geodesic_unit", f_tensor=entry.f_tensor)
     y = np.array([0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     return entry.structure, system, 0.0, y, SingularMetricError, \
-        "metric singular at [0. 1.]: det = 0"
+        "metric singular at [0. 1.]: |det g| = 0 <= 1e-12 max|g_ij|^2 = 1e-12"
 
 
 @pytest.mark.parametrize("case", ["guard_jet", "guard_value", "rho2", "poly2d_pole"])
@@ -345,7 +345,7 @@ def _outcome(fn, *args):
     _vectors(6, 3),
 )
 def test_float_steps_are_the_array_steps(chart, kind, force, method, h, t, fractions, vecs):
-    # the stage kernels do numpy's arithmetic on the arrays in its order:
+    # the generated steps do numpy's arithmetic on the arrays in its order:
     # equal results, NaN for NaN, and the same error where a stage fails
     # (long steps leave the chart)
     M = _RHS_STRUCTURES[chart]
@@ -358,7 +358,7 @@ def test_float_steps_are_the_array_steps(chart, kind, force, method, h, t, fract
         float_step, array_step = _euler_step, reference_step.euler_step
     with np.errstate(over="ignore", invalid="ignore"):  # as integrate runs them
         want = _outcome(array_step, reference_step.array_rhs(rhs), t, y, h)
-        got = _outcome(float_step, rhs, t, tuple(y.tolist()), h, _stage_kernels(4 * d))
+        got = _outcome(float_step, rhs, t, tuple(y.tolist()), h, _step_kernels(4 * d))
     if isinstance(want, Exception) or isinstance(got, Exception):
         assert (type(got), str(got)) == (type(want), str(want))
         return
@@ -375,7 +375,7 @@ def test_rk4_step_makes_no_einsum_call(monkeypatch, chart, kind):
     # program converts its result to a float.)
     M = _RHS_CHARTS[chart]()  # fresh: pieces built on first use are built here
     rhs = make_rhs(M, _system(kind))
-    kernels = _stage_kernels(4 * M.dim)
+    kernels = _step_kernels(4 * M.dim)
     y = np.concatenate([M.chart_box.mean(axis=1), np.linspace(0.1, 0.4, 3 * M.dim)])
     y = tuple(y.tolist())
 
