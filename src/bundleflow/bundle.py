@@ -240,10 +240,7 @@ def sasaki_metric(M: MetricStructure) -> FieldTensor:
 def unit_fiber_acceleration(g_mat, phi_mat, xi, xi_prime) -> np.ndarray:
     """Fiber acceleration -g(xi', phi xi') xi forced by the unit constraint,
     at one sample or at each of a stack of samples."""
-    gphi = g_mat @ phi_mat
-    if xi.ndim == 1:
-        return -(xi_prime @ gphi @ xi_prime) * xi
-    return -bilinear(xi_prime, gphi, xi_prime)[:, None] * xi
+    return -bilinear(xi_prime, g_mat @ phi_mat, xi_prime)[..., None] * xi
 
 
 def covariant_targets(geo: PointGeometry, system: BundleSystem, t, xdot, xi, xi_prime):

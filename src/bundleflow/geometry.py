@@ -46,14 +46,38 @@ __all__ = [
 ]
 
 
+def _contract(t, v, rank: int) -> np.ndarray:
+    """t[..., j] v^j for a tensor t of rank ``rank`` past any sample axis,
+    shared by all samples or one per sample, and a vector or an (n, d) stack.
+
+    A matrix-vector contraction is this one ``np.einsum`` on 2-D or 3-D
+    views.  The loop it picks from their strides is the same for a stack and
+    for any one of its rows, so each row gets the bits it gets alone: a
+    sample's result does not depend on the stack it is in.  Never pass
+    ``optimize=True``, which hands ``einsum`` to BLAS.  Matrix-matrix stacks
+    stay on ``@``.
+    """
+    d, kept = v.shape[-1], t.shape[t.ndim - rank : -1]
+    rows = v.reshape(-1, d)
+    if t.ndim == rank:  # one tensor for every sample
+        out = np.einsum("aj,nj->na", t.reshape(-1, d), rows)
+    else:
+        out = np.einsum("naj,nj->na", t.reshape(len(rows), -1, d), rows)
+    return out.reshape(v.shape[:-1] + kept)
+
+
 def matvec(a, v) -> np.ndarray:
-    """a v for a matrix or an (n, d, d) stack, and a vector or an (n, d) stack."""
-    return (a @ v[..., None])[..., 0]
+    """a v for a matrix or an (n, d, d) stack, and a vector or an (n, d)
+    stack: the rank-2 :func:`_contract`, whose rows do not depend on the stack."""
+    return _contract(a, v, 2)
 
 
 def bilinear(u, a, v):
-    """u^T a v for vectors and a matrix, or (n, ...) stacks of any of them."""
-    return (u[..., None, :] @ a @ v[..., None])[..., 0, 0]
+    """u^T a v for vectors or (n, d) stacks, and a matrix or an (n, d, d) stack:
+    u a, then a row-wise dot with v, one ``einsum`` each as in :func:`_contract`,
+    so a sample's value does not depend on the stack it is in."""
+    ua = np.einsum("nj,ja->na" if a.ndim == 2 else "nj,nja->na", u.reshape(-1, u.shape[-1]), a)
+    return np.einsum("na,na->n", ua, v.reshape(ua.shape)).reshape(u.shape[:-1])
 
 
 def _as_field(entry, dim: int) -> ScalarField:
@@ -342,18 +366,6 @@ def _in_blocks(evaluate, points: np.ndarray) -> tuple:
     return out
 
 
-def _contract(t, v, rank: int) -> np.ndarray:
-    """t[..., j] v^j for a tensor t of rank ``rank`` (d x ... x d).
-
-    At one point, v is a vector and this is ``t @ v``.  For an (n, d) stack
-    of vectors, t is stacked along a leading sample axis too, or is one
-    tensor shared by all samples; the result has the sample axis.
-    """
-    if v.ndim == 1:
-        return t @ v
-    return (t @ v.reshape((len(v),) + (1,) * (rank - 2) + (v.shape[1], 1)))[..., 0]
-
-
 class PointGeometry:
     """The geometry at one chart point, or at each row of an ``(n, dim)``
     stack (every piece, vector and conversion then has a leading sample
@@ -377,7 +389,10 @@ class PointGeometry:
     + Gamma(v, xddot) + Gamma(vdot, xdot) is the second-order pair, whose
     dGamma term is skipped where analytic Gamma is constant.  Every Gamma
     contraction goes through :meth:`along`, A = Gamma xdot with
-    Gamma(v, xdot) = A v.  The integrator's right-hand side
+    Gamma(v, xdot) = A v.  A piece meets vectors in :func:`_contract`, one
+    ``einsum`` per stack (never ``optimize=True``, which hands it to BLAS),
+    so a sample's result does not depend on the stack it is in;
+    matrix-matrix stacks stay on ``@``.  The integrator's right-hand side
     (:func:`bundleflow.bundle.make_rhs`) applies these same formulas at its
     single point in compiled straight-line code, with A formed once per call
     and the pieces that do not depend on the point folded in as constants;

@@ -3,15 +3,17 @@
 This is the modified Gram-Schmidt of :func:`bundleflow.frenet.frenet_curvatures`
 written as a plain loop over samples, with one reorthogonalization pass and
 the frame truncated at the first remainder norm below the tolerance.  The
-arithmetic of each sample is the same as in the array code, so the tests
-require equal results, NaN for NaN, and the same error with the same text.
+arithmetic of each sample is the same as in the array code: each pairing is
+the library's one-sample ``bilinear``, which gives a sample the bits of its
+row in a stack.  So the tests require equal results, NaN for NaN, and the
+same error with the same text.
 """
 
 import numpy as np
 
 from bundleflow.errors import SignatureError, VerticalCurveError
 from bundleflow.frenet import TRUNCATION_TOL, CovariantJets, FrenetResult
-from bundleflow.geometry import MetricStructure
+from bundleflow.geometry import MetricStructure, bilinear
 
 
 def frenet_curvatures(M: MetricStructure, jets: CovariantJets) -> FrenetResult:
@@ -36,8 +38,8 @@ def frenet_curvatures(M: MetricStructure, jets: CovariantJets) -> FrenetResult:
             w = v.astype(float).copy()
             for _ in range(2):  # reorthogonalization pass
                 for e in basis:
-                    w = w - float(w @ g @ e) * e
-            sq = float(w @ g @ w)
+                    w = w - float(bilinear(w, g, e)) * e
+            sq = float(bilinear(w, g, w))
             if sq < -(tol**2):
                 raise SignatureError(
                     "metric is not positive definite on the jet span "

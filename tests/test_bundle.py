@@ -297,6 +297,16 @@ def test_integrated_const_curv_geodesic_residual():
     assert res.max_residual < 1e-6
 
 
+def test_a_samples_residual_does_not_depend_on_the_run_length():
+    fam = EXP2D.family("natural_lift")
+    times = np.linspace(0.0, 1.0, 201)
+    whole, first = (
+        geodesic_residual(EXP2D.structure, fam.system, fam.trajectory(EXP2D.structure, ts))
+        for ts in (times, times[:101])
+    )
+    assert np.array_equal(whole.residuals[:101], first.residuals)
+
+
 def test_residual_needs_enough_samples():
     M = FLAT.structure
     times = np.linspace(0.0, 1.0, 3)

@@ -518,6 +518,64 @@ def test_curvature_tensor_contracts_to_the_curvature_operator(name):
             assert np.max(np.abs(got)) > 0.1
 
 
+# -- matrix-vector contractions: a row's bits do not depend on its stack --------------
+
+_CONTRACTIONS = {
+    "matvec": lambda t, u, v, rank: geometry.matvec(t, v),
+    "contract": lambda t, u, v, rank: geometry._contract(t, v, rank),
+    "bilinear": lambda t, u, v, rank: geometry.bilinear(u, t, v),
+}
+
+
+def _per_sample_matmul(form, t, u, v):
+    """The contraction of one sample by ``@``."""
+    return u @ t @ v if form == "bilinear" else t @ v
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    form=st.sampled_from(sorted(_CONTRACTIONS)),
+    d=st.sampled_from([2, 4, 6, 8]),
+    n=st.integers(1, 300),
+    rank=st.integers(2, 4),
+    shared=st.booleans(),
+    transposed=st.booleans(),
+    plants=st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_contractions_give_each_row_its_bits_alone(
+    form, d, n, rank, shared, transposed, plants, seed
+):
+    rng = np.random.default_rng(seed)
+    rank = rank if form == "contract" else 2
+    shape = (d,) * rank if shared else (n,) + (d,) * rank
+    if transposed:  # a non-contiguous view with the last two axes swapped
+        t = rng.normal(size=shape[:-2] + shape[:-3:-1]).swapaxes(-1, -2)
+    else:
+        t = rng.normal(size=shape)
+    u, v = rng.normal(size=(2, n, d))
+    for value in plants:  # NaN and inf entries in any operand
+        target = (t, u, v)[rng.integers(3)]
+        target[tuple(rng.integers(s) for s in target.shape)] = value
+    call = _CONTRACTIONS[form]
+    stacked = call(t, u, v, rank)
+    assert stacked.shape == (n,) + (d,) * (rank - 1 if form != "bilinear" else 0)
+    eps = np.finfo(float).eps
+    for i in range(n):
+        t_i = t if shared else t[i]
+        # one row alone gives that row's bits in the stack
+        assert np.array_equal(call(t_i, u[i], v[i], rank), stacked[i], equal_nan=True), i
+        # and the per-sample @ result to rounding, NaN in the same places
+        with np.errstate(invalid="ignore"):
+            want = _per_sample_matmul(form, t_i, u[i], v[i])
+            scale = _per_sample_matmul(form, abs(t_i), abs(u[i]), abs(v[i]))  # sum of |terms|
+            got = stacked[i]
+            assert np.array_equal(np.isnan(got), np.isnan(want)), i
+            finite = np.isfinite(want)
+            assert np.array_equal(got[~finite], want[~finite], equal_nan=True), i
+            assert np.all(abs(got - want)[finite] <= 8 * eps * scale[finite]), i
+
+
 # -- one geometry for a point or a stack of points ----------------------------------
 
 _STACK_CHARTS = {

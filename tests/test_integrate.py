@@ -129,6 +129,22 @@ def test_convergence_order_skipped_for_exact_solutions():
     assert order is None
 
 
+def test_a_samples_state_and_monitors_do_not_depend_on_the_run_length():
+    runs = []
+    for t1 in (1.0, 0.5):
+        scenario = load_scenario(SCENARIOS / "h2xh2_geodesic.json", t_span=(0.0, t1))
+        runs.append(
+            integrate(scenario.structure, scenario.system, scenario.initial, scenario.integrator)
+        )
+    long, short = runs
+    shared = short.n - 1  # a run's last step may be cut short to land on t1
+    assert shared == 500 and long.n == 1001
+    for block in ("times", "x", "xdot", "xi", "xidot"):
+        assert np.array_equal(getattr(long, block)[:shared], getattr(short, block)[:shared]), block
+    for name, series in short.monitors.items():
+        assert np.array_equal(long.monitors[name][:shared], series[:shared]), name
+
+
 def test_time_reversal_returns_to_start():
     lam = eta = math.sqrt(0.5)
     fam = catalog.entry("exp2d").family("natural_lift", lam=lam, eta=eta)
