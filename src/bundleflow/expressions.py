@@ -421,13 +421,13 @@ class _Source:
     expressions, ``{l: d_l}`` and ``{(m, l): d_m d_l}``, None where the
     subtree has no variable or beyond the order; a term of a variable the
     subtree does not contain is left out.  At one point and order 0 a
-    node's "gradient" only marks that it has a variable.  ``fail`` is the
-    statement that a failed guard of the point target runs: a point program
-    with derivatives needs one.
+    node's "gradient" only marks that it has a variable.  A failed guard of
+    the point target raises ArithmeticError, for the caller of the program
+    to catch.
     """
 
-    def __init__(self, order: int, rows: bool, fail: str | None = None):
-        self.order, self.rows, self.fail = order, rows, fail
+    def __init__(self, order: int, rows: bool):
+        self.order, self.rows = order, rows
         self.lines: list[str] = []
         self.names = {"_f": float, "_inf": math.inf, **_MATH, **_UFUNCS}
         self.loaded: dict[int, str] = {}
@@ -444,9 +444,7 @@ class _Source:
         return None if d is None else {k: self.let(e) for k, e in d.items()}
 
     def guard(self, condition: str) -> None:
-        if self.fail is None:
-            raise ValueError("a guard of the point target needs the statement it runs on failure")
-        self.lines.append(f"if not {condition}: {self.fail}")
+        self.lines.append(f"if not {condition}: raise ArithmeticError")
 
     def check(self, op: str, operand: str) -> None:
         rejects, message = _CHECKS[op]
@@ -458,8 +456,8 @@ class _Source:
 
     def apply(self, func: str, arg: str, k: int = 0) -> str:
         """The name of ``func(arg)``, or ``arg^k`` for "pow", after the
-        target's handling of the domain: at one point a guard that runs
-        ``fail``, on a stack the checks of :func:`evaluate` on every row."""
+        target's handling of the domain: at one point a guard, on a stack
+        the checks of :func:`evaluate` on every row."""
         call = f"_pow({arg}, {k})" if func == "pow" else f"_{func}({arg})"
         if not self.rows:
             if func != "pow":
@@ -630,7 +628,7 @@ class _Source:
     def define(self, name: str, params: str, body) -> object:
         """The generated function ``name(params)`` with the lines ``body``."""
         text = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in body)
-        names = {"__builtins__": {}, **self.names}
+        names = {"__builtins__": {"ArithmeticError": ArithmeticError}, **self.names}
         exec(compile(text, f"<bundleflow {name} program>", "exec"), names)  # noqa: S102 - generated
         return names[name]
 

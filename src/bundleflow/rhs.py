@@ -2,10 +2,12 @@
 
 :func:`compile_rhs` writes, for one structure and one system, a Python
 function of plain floats, from the state as a tuple to its derivative as a
-tuple, with the emitter of
-:mod:`bundleflow.expressions` (one point): the varying fields of g, phi, F
-and the coefficients rho(t) inline, as values, with the 2-jet of g where
-Gamma comes from g and the 1-jet of analytic Gamma where that varies.
+tuple, with the emitter of :mod:`bundleflow.expressions` (one point).  It
+reads the system as it stands: its F tensor, its coefficients rho(t) and
+whether it lives on the phi-unit bundle.  The varying fields of g, phi, F
+and rho(t) are inline, as values, with the 2-jet of g where Gamma comes
+from g and the 1-jet of analytic Gamma (a constant field's 1-jet is its
+value alone).
 Everything that does not depend on the point (g, phi, Gamma, R, F) is
 folded in as constants when the function is written, and a product with a
 structurally zero factor is never written.
@@ -30,10 +32,11 @@ contracted with the vectors, and R(X, Y)Z = (d_X Gamma)(Y, Z) -
 terms of R then cancel only to rounding.
 
 The function checks nothing itself.  Where a point guard of the emitter
-fails, where the metric is singular or close to it, where a jet is not
-finite, or where the arithmetic raises, it returns what its reference gives
-at that point; the reference is the stacked-sample formulas, which raise
-the library's errors with their messages.
+fails, where the metric is singular or close to it, or where a jet is not
+finite, a guard raises; that and any error the arithmetic raises end in the
+function's one ``except``, which returns what its reference gives at that
+point.  The reference is the stacked-sample formulas, which raise the
+library's errors with their messages.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ class _Program:
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.src = _Source(2, rows=False, fail="return _reference(t, y)")
+        self.src = _Source(2, rows=False)
         self.walked: dict = {}
         self.sums: dict = {}  # each sum is written once
         self.minors: dict = {}
@@ -133,23 +136,24 @@ class _Program:
         return " ".join(out)
 
     def finite(self, names) -> None:
-        """Hand the point to the reference unless every name is finite."""
+        """Guard that every name is finite."""
         total = self.sum((n,) for n in names)
         if isinstance(total, str):
             self.src.guard(f"_isfinite({total})")
 
     # -- fields -----------------------------------------------------------------
 
-    def walk(self, node, order: int, variables) -> tuple:
-        """(value, gradient, Hessian) of a tree, each tree written once."""
-        key = (node, order, variables)
+    def walk(self, field, order: int, variables) -> tuple:
+        """(value, gradient, Hessian) of a field, each written once: keyed by
+        its source text, since hashing a tree recurses through every level."""
+        key = (field.source, order, variables)
         if key not in self.walked:
-            self.walked[key] = self.src.walk_in(node, order, variables)
+            self.walked[key] = self.src.walk_in(field.ast, order, variables)
         return self.walked[key]
 
     def values(self, fields, variables) -> list:
         return [f.const_value if f.const_value is not None
-                else _value(self.walk(f.ast, 0, variables)[0]) for f in fields]
+                else _value(self.walk(f, 0, variables)[0]) for f in fields]
 
     def jets(self, fields, order: int, variables) -> tuple:
         """Values, gradients {l: value} and Hessians {(m, l): value} of the
@@ -161,7 +165,7 @@ class _Program:
                 grads.append({})
                 hessians.append({})
                 continue
-            value, grad, hess = self.walk(f.ast, order, variables)
+            value, grad, hess = self.walk(f, order, variables)
             grad, hess = grad or {}, hess or {}
             names += [value, *grad.values(), *hess.values()]
             vals.append(_value(value))
@@ -302,14 +306,14 @@ def _curvature(p: _Program, gamma, dgamma, X, Y, Z, components) -> list:
     return out
 
 
-def compile_rhs(M, reference, *, unit: bool, force, coefficients):
-    """The right-hand side ``rhs(t, y)`` of the flattened state
+def compile_rhs(M, system, reference):
+    """The right-hand side ``rhs(t, y)`` of ``system`` (a
+    :class:`~bundleflow.bundle.BundleSystem`) for the flattened state
     (x, xdot, xi, xidot) on ``M``, as one generated function: ``y`` is a
     tuple of 4 dim floats and the result a tuple of as many.
 
-    ``force`` is the system's F tensor (None for geodesics),
-    ``coefficients`` its F-planar coefficients rho1(t), rho2(t) (None for
-    (0, 1)), and ``unit`` adds the phi-unit bundle's fiber term.
+    The system's F tensor, its coefficients rho1(t), rho2(t) (none for
+    (0, 1)) and whether it lives on the phi-unit bundle are read off it.
     ``reference(t, y)`` gives the same right-hand side, also as a tuple,
     from the stacked formulas; the function returns it wherever it cannot
     vouch for its own result (see the module docstring).  Where g is
@@ -351,16 +355,15 @@ def compile_rhs(M, reference, *, unit: bool, force, coefficients):
         p.src.guard(f"{size} > {p.lit(_SINGULAR_MARGIN)} * {largest} ** {d}")
 
     phi = p.matrix(p.values(M.phi.fields, xs))
+    force = system.f_tensor
     ginv = None
     if jet_of_g or (force is not None and force.form is not None):
         ginv = p.inverse(g, blocks)
 
-    # Gamma, and dGamma as {m: d_m Gamma^k_ij} where Gamma varies, for the
-    # components k that are not staged
+    # Gamma, and dGamma as {m: d_m Gamma^k_ij} (empty where Gamma is
+    # constant), for the components k that are not staged
     dgamma, merged, staged, along = None, list(r), [], None
-    if M.christoffel is not None and M.christoffel.is_constant:
-        gamma = M.christoffel.at(np.zeros(d)).tolist()
-    elif M.christoffel is not None:
+    if M.christoffel is not None:
         vals, grads, _ = p.jets(M.christoffel.fields, 1, xs)
         gamma = [p.matrix(vals[k * d * d : (k + 1) * d * d]) for k in r]
         dgamma = [p.matrix(grads[k * d * d : (k + 1) * d * d]) for k in r]
@@ -408,8 +411,8 @@ def compile_rhs(M, reference, *, unit: bool, force, coefficients):
                      for i in r]
         else:
             f_mat = p.matrix(p.values(force.matrix.fields, xs))
-    if coefficients is not None:
-        rho = (coefficients.rho1, coefficients.rho2)
+    if system.coefficients is not None:
+        rho = (system.coefficients.rho1, system.coefficients.rho2)
         if any(f.const_value is None for f in rho):
             emit("t = _f(t)")
         rho_vals = tuple(p.values(rho, ("t",)))
@@ -452,7 +455,7 @@ def compile_rhs(M, reference, *, unit: bool, force, coefficients):
         fv, fx = p.matvec(f_mat, v), p.matvec(f_mat, xi_prime)
         accel = [p.sum([(accel[l],), (rho1, v[l]), (rho2, fv[l])]) for l in r]
         fiber = [p.sum([(rho1, xi_prime[l]), (rho2, fx[l])]) for l in r]
-    if unit:
+    if system.on_unit_bundle:
         gphi = p.matmul(g, phi)
         q = p.sum((xi_prime[i], gphi[i][j], xi_prime[j]) for i in r for j in r)
         fiber = [p.sum([(fiber[l],), (-1.0, q, s[l])]) for l in r]

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog
-from .bundle import SYSTEM_KINDS, BundleState, BundleSystem, FPlanarCoefficients, FTensor
+from .bundle import BundleState, BundleSystem, FPlanarCoefficients, FTensor
 from .errors import (
     BundleFlowError,
     ExprSyntaxError,
@@ -108,33 +108,30 @@ def _build_structure(spec) -> tuple[MetricStructure, FTensor | None]:
 
 
 def _build_system(doc, structure, default_f) -> BundleSystem | None:
+    """The document's system: its F and rho1, rho2 as given, the catalog
+    entry's or the inline manifold's F standing in for a missing F of an
+    F-system.  BundleSystem rejects a kind that lacks what it needs or is
+    given what it does not take."""
     kind = doc.get("system")
     if kind is None:
         return None
-    if kind not in SYSTEM_KINDS:
-        raise ScenarioError(f"unknown system kind {kind!r}")
-    f_tensor = default_f
+    f_tensor = coeffs = None
     if "F" in doc:
         try:
             f_tensor = FTensor.from_spec(doc["F"], structure.dim)
         except (ExprSyntaxError, ValueError) as exc:
             raise ScenarioError(f"bad F tensor: {exc}") from None
-    coeffs = None
-    if kind.startswith("f_planar"):
+    elif str(kind).startswith("f_"):
+        f_tensor = default_f
+    if "rho1" in doc or "rho2" in doc:
         if "rho1" not in doc or "rho2" not in doc:
-            raise ScenarioError("f_planar systems need rho1 and rho2 expressions in t")
+            raise ScenarioError("F-planar systems need both rho1 and rho2 expressions in t")
         try:
             coeffs = FPlanarCoefficients.parse(str(doc["rho1"]), str(doc["rho2"]))
         except ExprSyntaxError as exc:
             raise ScenarioError(f"bad coefficient expression: {exc}") from None
-    if kind.startswith("f_") and f_tensor is None:
-        raise ScenarioError(f"system {kind!r} needs an F tensor (inline or catalog default)")
     try:
-        return BundleSystem(
-            kind,
-            f_tensor=f_tensor if kind.startswith("f_") else None,
-            coefficients=coeffs,
-        )
+        return BundleSystem(kind, f_tensor=f_tensor, coefficients=coeffs)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
 

@@ -164,6 +164,19 @@ def test_system_validation():
         BundleSystem("spiral")
 
 
+@pytest.mark.parametrize("kind", ["geodesic_tm", "geodesic_unit"])
+def test_a_system_takes_no_f_tensor_its_kind_does_not_use(kind):
+    with pytest.raises(ValueError, match=f"system '{kind}' takes no F tensor"):
+        BundleSystem(kind, f_tensor=FTensor(is_phi=True))
+
+
+@pytest.mark.parametrize("kind", ["geodesic_tm", "f_geodesic_tm", "f_geodesic_unit"])
+def test_a_system_takes_no_coefficients_its_kind_does_not_use(kind):
+    f_tensor = FTensor(is_phi=True) if kind.startswith("f_") else None
+    with pytest.raises(ValueError, match=f"system '{kind}' takes no coefficient functions"):
+        BundleSystem(kind, f_tensor=f_tensor, coefficients=FPlanarCoefficients.constant(0.0, 1.0))
+
+
 # -- unit-state normalization -----------------------------------------------------
 
 

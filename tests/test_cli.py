@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from bundleflow import cli
+from bundleflow.errors import ScenarioError
 from bundleflow.scenario import scenario_from_dict
 from bundleflow.verify import euclid_oblique_family
+from charts import deep_g11
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -175,6 +177,21 @@ def test_config_errors_exit_2(tmp_path):
     assert run("check", "--scenario", badexpr, "--out", tmp_path) == 2
 
 
+@pytest.mark.parametrize("system, message", [
+    ({"system": "spiral"}, "unknown system kind 'spiral'"),
+    ({"system": "f_geodesic_tm"}, "system 'f_geodesic_tm' needs an F tensor"),
+    ({"system": "geodesic_tm", "F": [[0, 1], [1, 0]]}, "system 'geodesic_tm' takes no F tensor"),
+    ({"system": "f_planar_tm", "F": [[0, 1], [1, 0]]}, "'f_planar_tm' needs coefficient functions"),
+    ({"system": "f_planar_tm", "rho1": "t"}, "need both rho1 and rho2"),
+    ({"system": "geodesic_unit", "rho1": "0", "rho2": "1"}, "takes no coefficient functions"),
+])
+def test_a_system_without_what_its_kind_needs_or_with_more_is_refused(system, message):
+    # an inline manifold has no default F
+    doc = {"manifold": {"dim": 2, "g": [["1", "0"], ["0", "1"]], "phi": [["1", "0"], ["0", "-1"]]}}
+    with pytest.raises(ScenarioError, match=message):
+        scenario_from_dict({**doc, **system})
+
+
 def test_check_of_a_field_that_nests_too_deeply_exits_2(tmp_path, capsys):
     # a g11 of 1200 terms: one configuration-error line, not a RecursionError traceback
     g11 = " + ".join(f"x1*{k}" for k in range(1200))
@@ -189,6 +206,19 @@ def test_check_of_a_field_that_nests_too_deeply_exits_2(tmp_path, capsys):
 
 
 # -- integrate -------------------------------------------------------------------
+
+
+def test_integrate_of_a_field_near_the_depth_limit_exits_0(tmp_path):
+    # a g11 of 590 terms compiles into the right-hand side and runs
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({
+        "manifold": {"dim": 2, "g": [[deep_g11(590), "0"], ["0", "1"]], "phi": [["1", "0"], ["0", "-1"]]},
+        "system": "geodesic_tm",
+        "initial": {"x": [0, 0], "xdot": [1, 0], "xi": [1, 0], "xidot": [0, 0]},
+        "integrator": {"step": 0.01, "t_span": [0, 1]},
+    }))
+    assert run("integrate", "--scenario", path, "--out", tmp_path / "out") == 0
+    assert len((tmp_path / "out" / "trajectory.csv").read_text().splitlines()) == 102
 
 
 def test_integrate_matches_closed_form(tmp_path, oblique_scenario):

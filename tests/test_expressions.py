@@ -472,13 +472,13 @@ def test_jet_of_a_product_and_a_quotient():
 
 def _point_function(trees, order: int = 0):
     """The emitter's one-point program of ``trees``, wrapped as
-    ``rhs.compile_rhs`` wraps the right-hand side: where a guard runs its
-    fail line, the arithmetic raises ArithmeticError or ValueError, or a jet
-    is not finite, the point goes to the reference, evaluate (order 0) or
-    the stack program (orders 1 and 2).  ``run(point)`` returns the values
+    ``rhs.compile_rhs`` wraps the right-hand side: where a guard fails, the
+    arithmetic raises ArithmeticError or ValueError, or a jet is not
+    finite, the point goes to the reference, evaluate (order 0) or the
+    stack program (orders 1 and 2).  ``run(point)`` returns the values
     (order 0) or the ``[1, c, f]`` jet, and whether the program vouched for
     them itself."""
-    source = expressions._Source(order, rows=False, fail="return None")
+    source = expressions._Source(order, rows=False)
     entries = source.entries(trees, _DIM)
     if order:
         source.names["_isfinite"] = math.isfinite
@@ -490,8 +490,6 @@ def _point_function(trees, order: int = 0):
         try:
             found = program(point)
         except (ArithmeticError, ValueError):
-            found = None
-        if found is None:
             if not order:
                 return [0.0 if t is None else evaluate(t, point) for t in trees], False
             return compile_rows(trees, _DIM, order)(np.asarray(point)[None]), False
@@ -579,15 +577,10 @@ def test_a_long_sum_compiles_flat(row):
 @pytest.mark.parametrize("rows", [False, True])
 def test_an_order_2_program_writes_each_product_once(rows):
     # exp has f'' = f': the chain rule's d1 f' and d1 f'' are one product
-    source = expressions._Source(2, rows, fail="return None")
+    source = expressions._Source(2, rows)
     source.walk(parse("exp(x1*x2)", _DIM))
     products = [line.split(" = ", 1)[1] for line in source.lines if " = " in line]
     assert len(products) == len(set(products))
-
-
-def test_a_point_guard_needs_a_fail_line():
-    with pytest.raises(ValueError, match="fail"):
-        expressions._Source(1, rows=False).walk(parse("ln(x1)", _DIM))
 
 
 @pytest.mark.parametrize(

@@ -23,17 +23,12 @@ from bundleflow.geometry import (
     sample_chart_points,
 )
 from bundleflow.integrate import IntegratorConfig, compute_monitors, integrate
+from charts import curved, derived_twin, h2xh2
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 EXP2D = catalog.entry("exp2d").structure
 FLAT = catalog.entry("flat_diag").structure
 POLY = catalog.entry("poly2d").structure
-
-
-def derived_twin(M: MetricStructure) -> MetricStructure:
-    """M without its analytic Christoffel symbols: Gamma and dGamma then
-    come from jets of g."""
-    return MetricStructure(M.dim, M.g, M.phi, chart_box=M.chart_box)
 
 
 # -- metric and twin metric ----------------------------------------------------
@@ -326,26 +321,7 @@ def test_singular_stencil_centre_raises():
 
 # -- exact Gamma, dGamma and R on charts with an analytic twin ----------------------
 
-_H2_G = [["1", 0, 0, 0], [0, "exp(2*x1)", 0, 0], [0, 0, "1", 0], [0, 0, 0, "exp(2*x3)"]]
-_H2_PHI = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
-
-
-def _h2xh2_christoffel():
-    # Gamma^1_22 = -e^{2 x1}, Gamma^2_12 = Gamma^2_21 = 1, the same on (x3, x4)
-    gamma = [[["0"] * 4 for _ in range(4)] for _ in range(4)]
-    for a, b in ((0, 1), (2, 3)):
-        gamma[a][b][b] = f"-exp(2*x{a + 1})"
-        gamma[b][a][b] = gamma[b][b][a] = "1"
-    return gamma
-
-
-# H^2 x H^2 in horocyclic coordinates: a Riemannian product, so phi is
-# parallel, and curved, with K = -1 on each factor.  Unlike the catalog's
-# charts, g_22 depends on x1, not on x2, so the -d_l g_ij term of Gamma is
-# not zero: a transposed index there shows.
-H2XH2_ANALYTIC = MetricStructure(
-    4, _H2_G, _H2_PHI, christoffel=_h2xh2_christoffel(), chart_box=[(-1.0, 1.0)] * 4
-)
+H2XH2_ANALYTIC = h2xh2()
 H2XH2 = derived_twin(H2XH2_ANALYTIC)
 _TWINS = {"h2xh2": H2XH2_ANALYTIC, "exp2d": EXP2D, "poly2d": POLY}
 
@@ -398,13 +374,7 @@ def test_h2xh2_passes_the_structure_checks_at_their_one_tolerance():
 
 # -- curvature ------------------------------------------------------------------
 
-# non-flat conformal metric for curvature identities (phi plays no role here)
-CURVED = MetricStructure(
-    2,
-    [["exp(2*x1^2)", "0"], ["0", "exp(2*x1^2)"]],
-    [["1", "0"], ["0", "-1"]],
-    chart_box=[(-0.8, 0.8), (-0.8, 0.8)],
-)
+CURVED = curved()
 
 
 def test_riemann_flat_is_zero():

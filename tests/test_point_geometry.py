@@ -15,7 +15,6 @@ from bundleflow.bundle import (
     BundleSystem,
     FPlanarCoefficients,
     FTensor,
-    covariant_targets,
     lorentz_force,
     make_rhs,
 )
@@ -31,27 +30,17 @@ from bundleflow.integrate import (
     integrate,
 )
 import reference_step
+from charts import curved, deep_g11, derived_twin, h2xh2
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 EXP2D = catalog.entry("exp2d").structure
 POLY = catalog.entry("poly2d").structure
-FD_EXP2D = MetricStructure(2, EXP2D.g, EXP2D.phi, chart_box=EXP2D.chart_box)
+FD_EXP2D = derived_twin(EXP2D)
 FD_DIAG4 = MetricStructure(
     4,
     [["exp(x1)", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
 )
-
-
-def _curved():
-    # the curved conformal chart CURVED of test_geometry.py: the catalog's
-    # non-constant-Gamma charts are flat with R = 0 exactly
-    return MetricStructure(
-        2,
-        [["exp(2*x1^2)", "0"], ["0", "exp(2*x1^2)"]],
-        [["1", "0"], ["0", "-1"]],
-        chart_box=[(-0.8, 0.8), (-0.8, 0.8)],
-    )
 
 
 _unit = st.floats(0.0, 1.0)
@@ -154,16 +143,6 @@ def test_rhs_evaluates_christoffel_once_per_stencil_point(monkeypatch, M, expect
 # -- the integrator's right-hand side ---------------------------------------------
 
 
-def _h2xh2():
-    # H^2 x H^2: Gamma and R vary, from jets of g
-    return MetricStructure(
-        4,
-        [["1", "0", "0", "0"], ["0", "exp(2*x1)", "0", "0"],
-         ["0", "0", "1", "0"], ["0", "0", "0", "exp(2*x3)"]],
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
-    )
-
-
 def _neutral():
     # a neutral metric with a zero diagonal: no pivot-free elimination inverts it
     return MetricStructure(2, [["0", "exp(x1)"], ["exp(x1)", "0"]], [[0, 1], [1, 0]])
@@ -194,28 +173,15 @@ def _dense4():
 _RHS_CHARTS = {
     "exp2d": lambda: catalog.entry("exp2d").structure,  # analytic, constant Gamma
     "poly2d": lambda: catalog.entry("poly2d").structure,  # analytic, varying Gamma
-    "fd_exp2d": lambda: MetricStructure(2, EXP2D.g, EXP2D.phi, chart_box=EXP2D.chart_box),
+    "fd_exp2d": lambda: derived_twin(EXP2D),
     "const_curv": lambda: catalog.entry("const_curv(1.5)").structure,  # given R
-    "curved": _curved,  # Gamma from jets of g, R varies
-    "h2xh2": _h2xh2,
+    "curved": curved,  # Gamma from jets of g, R varies
+    "h2xh2": lambda: derived_twin(h2xh2()),  # Gamma and R vary, from jets of g
     "neutral": _neutral,
     "dim6": _dim6,
     "dense4": _dense4,
 }
 _RHS_STRUCTURES = {name: make() for name, make in _RHS_CHARTS.items()}
-
-
-def _reference_rhs(M, system, t, y):
-    """The right-hand side from the stacked-sample formulas: covariant_targets
-    and the PointGeometry conversions."""
-    x, xdot, xi, xidot = np.split(y, 4)
-    geo = M.at(x)
-    xi_prime = geo.to_covariant(xi, xidot, xdot)
-    accel, fiber = covariant_targets(geo, system, t, xdot, xi, xi_prime)
-    xddot = geo.to_coordinate(xdot, accel, xdot)
-    dxi_prime = geo.to_coordinate(xi_prime, fiber, xdot)
-    xiddot = geo.coordinate_rate(xi, xidot, dxi_prime, xdot, xddot)
-    return np.concatenate([xdot, xddot, xidot, xiddot])
 
 
 @settings(max_examples=250, deadline=None)
@@ -233,7 +199,7 @@ def test_rhs_equals_the_stacked_reference(chart, kind, force, t, fractions, vecs
     y = np.concatenate([_point(M, fractions[:d])] + [v[:d] for v in vecs])
     system = _system(kind, force, M)
     got = make_rhs(M, system)(t, y)
-    expected = _reference_rhs(M, system, t, y)
+    expected = bundle._reference_rhs(M, system, t, y)
     # relative to the largest term: the reference sums the same products
     # in another order
     scale = max(float(np.max(np.abs(expected))), float(np.max(np.abs(y))))
@@ -324,6 +290,21 @@ def test_rhs_falls_back_to_the_reference_with_its_error(monkeypatch, case):
     with pytest.raises(error) as info:
         make_rhs(M, system)(t, y)
     assert str(info.value) == message and calls == [1]
+
+
+@pytest.mark.parametrize("analytic", [False, True], ids=["jet_of_g", "analytic_gamma"])
+@pytest.mark.parametrize("terms", [500, 597])
+def test_a_field_near_the_depth_limit_compiles_into_the_rhs(terms, analytic):
+    # each field is written once, keyed by its source text: hashing the tree
+    # would recurse about 3 frames a level, past Python's limit
+    gamma = {"christoffel": [[[0, 0], [0, 0]]] * 2} if analytic else {}
+    M = MetricStructure(2, [[deep_g11(terms), 0], [0, 1]], [[1, 0], [0, -1]], **gamma)
+    assert expressions._depth(M.g.fields[0].ast) >= terms
+    system = BundleSystem("geodesic_tm")
+    y = np.array([0.3, -0.2, 0.5, 0.4, -0.1, 0.7, 0.2, 0.6])
+    got = np.array(make_rhs(M, system)(0.0, tuple(y.tolist())))
+    expected = bundle._reference_rhs(M, system, 0.0, y)
+    assert float(np.max(np.abs(got - expected))) <= 1e-13 * float(np.max(np.abs(expected)))
 
 
 def _outcome(fn, *args):
@@ -515,8 +496,8 @@ def test_point_geometry_evaluates_each_piece_once(monkeypatch):
 
 
 _MAKE = {name: lambda name=name: catalog.entry(name).structure for name in catalog.entry_names()}
-_MAKE["fd_exp2d"] = lambda: MetricStructure(2, EXP2D.g, EXP2D.phi, chart_box=EXP2D.chart_box)
-_MAKE["fd_curved"] = _curved
+_MAKE["fd_exp2d"] = lambda: derived_twin(EXP2D)
+_MAKE["fd_curved"] = curved
 
 
 def _pieces(geo, X, Y, Z):

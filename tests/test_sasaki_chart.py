@@ -20,23 +20,7 @@ from hypothesis import strategies as st
 
 from bundleflow import catalog
 from bundleflow.bundle import BundleSystem, make_rhs, sasaki_metric
-from bundleflow.geometry import MetricStructure
-
-
-def _h2xh2():
-    # H^2 x H^2 with its analytic Gamma: Gamma^1_22 = -e^{2 x1},
-    # Gamma^2_12 = Gamma^2_21 = 1, the same on (x3, x4); curved, K = -1 on each factor
-    gamma = [[["0"] * 4 for _ in range(4)] for _ in range(4)]
-    for a, b in ((0, 1), (2, 3)):
-        gamma[a][b][b] = f"-exp(2*x{a + 1})"
-        gamma[b][a][b] = gamma[b][b][a] = "1"
-    return MetricStructure(
-        4,
-        [["1", 0, 0, 0], [0, "exp(2*x1)", 0, 0], [0, 0, "1", 0], [0, 0, 0, "exp(2*x3)"]],
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
-        christoffel=gamma,
-        chart_box=[(-1.0, 1.0)] * 4,
-    )
+from charts import h2xh2
 
 
 def _christoffel(lifted, z) -> np.ndarray:
@@ -53,7 +37,7 @@ def _christoffel(lifted, z) -> np.ndarray:
 _CHARTS = {
     "exp2d": catalog.entry("exp2d").structure,
     "poly2d": catalog.entry("poly2d").structure,
-    "h2xh2": _h2xh2(),
+    "h2xh2": h2xh2(),
 }
 _LIFTED = {name: sasaki_metric(M) for name, M in _CHARTS.items()}
 _unit = st.floats(0.05, 0.95)
