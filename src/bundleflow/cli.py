@@ -16,6 +16,7 @@ that trajectory's CSVs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -267,7 +268,11 @@ def cmd_verify(args) -> int:
     return 0 if all(c.passed for c in claims) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of :func:`main`, built once per process: each
+    subcommand's function (``cmd_check`` and the others) is bound at the
+    first build."""
     parser = argparse.ArgumentParser(
         prog="bundleflow",
         description="Geodesic and F-geodesic flows on tangent bundles "

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bundleflow import cli
+from bundleflow import cli, expressions
 from bundleflow.errors import ScenarioError
 from bundleflow.scenario import scenario_from_dict
 from bundleflow.verify import euclid_oblique_family
@@ -635,3 +635,30 @@ def test_frenet_on_an_indefinite_jet_span_keeps_the_trajectory(tmp_path, capsys)
         written = (tmp_path / "frenet" / name).read_text()
         assert written == (tmp_path / "integrate" / name).read_text() and written.count("\n") == 52
     assert not (tmp_path / "frenet" / "frenet.csv").exists()
+
+
+# -- the per-process memos --------------------------------------------------------
+
+
+def test_a_cold_and_a_warm_memo_write_the_same_bytes(tmp_path, monkeypatch, capsys):
+    # the second pass parses and compiles nothing new: every tree and
+    # program comes from the memos, and must give the same outputs
+    systems = [p for p in sorted(SCENARIOS.glob("*.json")) if "system" in json.loads(p.read_text())]
+    commands = [(c, "--scenario", p, "--out", f"{c}-{p.stem}")
+                for p in systems for c in ("integrate", "frenet")]
+    commands.append(("verify", "all", "--out", "verify"))
+    expressions.parse.cache_clear()
+    expressions._code.cache_clear()
+    passes = {}
+    for side in ("A", "B"):
+        (tmp_path / side).mkdir()
+        monkeypatch.chdir(tmp_path / side)
+        codes = [run(*argv) for argv in commands]
+        passes[side] = codes, capsys.readouterr()
+    assert len(systems) == 4 and passes["A"] == passes["B"]
+    assert passes["A"][0] == [0] * len(commands)
+    files = sorted(p.relative_to(tmp_path / "A") for p in (tmp_path / "A").rglob("*") if p.is_file())
+    assert len(files) == 4 * 2 + 4 * 2 + 1  # two CSVs per integrate, CSV and report per frenet
+    assert files == sorted(p.relative_to(tmp_path / "B") for p in (tmp_path / "B").rglob("*") if p.is_file())
+    for name in files:
+        assert (tmp_path / "A" / name).read_bytes() == (tmp_path / "B" / name).read_bytes(), name

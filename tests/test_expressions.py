@@ -660,3 +660,64 @@ def test_the_stack_program_checks_every_row_as_evaluate_does():
         compile_rows([tree], _DIM, 2)(points)
     assert str(stack.value) == f"{scalar.value} at {points[1]}"
     assert walk_values(tree, points[[0]]).tobytes() == compile_rows([tree], _DIM)(points[[0]])[:, 0, 0].tobytes()
+
+
+# -- the per-process memos of parsed trees and compiled program text ---------------
+
+
+def test_one_program_text_compiles_once_into_distinct_functions(monkeypatch):
+    compiled, original = [], compile
+
+    def counted(*args):
+        compiled.append(args[0])
+        return original(*args)
+
+    expressions._code.cache_clear()
+    monkeypatch.setattr(expressions, "compile", counted, raising=False)
+    source = expressions._Source(0, rows=False)
+    first, second = (source.define("_probe", "p", ["return _f(p[0]) * 2.5"]) for _ in range(2))
+    assert len(compiled) == 1
+    assert first is not second and first.__globals__ is not second.__globals__
+    assert first.__code__ is second.__code__
+    assert first((1.5,)) == second((1.5,)) == 3.75
+
+
+def test_the_tree_memo_is_keyed_by_text_and_dimension_and_keeps_no_error():
+    parse.cache_clear()
+    one, two = parse("x1", 1), parse("x1", 2)
+    assert parse.cache_info().currsize == 2 and parse.cache_info().misses == 2
+    assert parse("x1", 1) is one and parse("x1", 2) is two
+    for _ in range(2):  # a text that does not parse raises on every call
+        with pytest.raises(ExprSyntaxError, match="out of range for dimension 1"):
+            parse("x2", 1)
+        with pytest.raises(ExprSyntaxError) as err:
+            parse("x1 + @", 2)
+        assert err.value.offset == 5
+    assert parse.cache_info().currsize == 2
+
+
+def test_a_field_at_the_depth_limit_comes_from_the_memos_unhashed(monkeypatch):
+    def unhashable(node):
+        raise AssertionError(f"a {type(node).__name__} was hashed")
+
+    for cls in (Const, Var, Neg, BinOp, Pow, Call):
+        monkeypatch.setattr(cls, "__hash__", unhashable)
+    text = " + ".join(f"x{k % 2 + 1}*{k}" for k in range(expressions._MAX_DEPTH - 1))
+    parse.cache_clear()
+    expressions._code.cache_clear()
+    point = np.array([[0.5, -2.0]])
+    fields = [ScalarField.parse(text, 2) for _ in range(2)]
+    jets = [compile_rows([field.ast], 2, 2)(point) for field in fields]
+    assert fields[1].ast is fields[0].ast and parse.cache_info().hits == 1
+    assert expressions._code.cache_info().hits == 1
+    assert jets[0].tobytes() == jets[1].tobytes()
+
+
+def test_the_memos_hold_at_most_their_bounds():
+    source = expressions._Source(0, rows=False)
+    for k in range(expressions._MEMO_PROGRAMS + 10):
+        source.define("_probe", "p", [f"return {k}"])
+    assert expressions._code.cache_info().currsize == expressions._MEMO_PROGRAMS
+    for k in range(expressions._MEMO_TREES + 10):
+        parse(f"x1 + {k}", 1)
+    assert parse.cache_info().currsize == expressions._MEMO_TREES
