@@ -35,12 +35,10 @@ the constraints hold exactly at t0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConstraintError
-from .expressions import ScalarField
+from .expressions import ScalarField, _Frozen, _set
 from .geometry import (
     FieldTensor, MetricStructure, PointGeometry, bilinear, matvec, sample_chart_points,
 )
@@ -77,20 +75,16 @@ _PLANAR_KINDS = frozenset(k for k in SYSTEM_KINDS if k.startswith("f_planar"))
 _UNIT_TOL = 1e-6  # how far a given state may sit off the phi-unit constraints
 
 
-@dataclass
 class BundleState:
     """ODE state (x, xdot, xi, xidot); xidot is the coordinate derivative."""
 
-    x: np.ndarray
-    xdot: np.ndarray
-    xi: np.ndarray
-    xidot: np.ndarray
+    __slots__ = ("x", "xdot", "xi", "xidot")
 
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.xdot = np.asarray(self.xdot, dtype=float)
-        self.xi = np.asarray(self.xi, dtype=float)
-        self.xidot = np.asarray(self.xidot, dtype=float)
+    def __init__(self, x, xdot, xi, xidot):
+        self.x = np.asarray(x, dtype=float)
+        self.xdot = np.asarray(xdot, dtype=float)
+        self.xi = np.asarray(xi, dtype=float)
+        self.xidot = np.asarray(xidot, dtype=float)
         sizes = {a.shape for a in (self.x, self.xdot, self.xi, self.xidot)}
         if len(sizes) != 1:
             raise ValueError("state blocks must share one shape")
@@ -140,12 +134,30 @@ class FTensor:
         return self.matrix.at(geo.x)
 
 
-@dataclass(frozen=True)
-class FPlanarCoefficients:
+class _Value(_Frozen):
+    """An immutable record that compares and hashes by its fields, so that
+    it can key a structure's compiled right-hand sides."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+
+class FPlanarCoefficients(_Value):
     """Coefficient functions rho1(t), rho2(t) of an F-planar system."""
 
-    rho1: ScalarField
-    rho2: ScalarField
+    __slots__ = ("rho1", "rho2")
+
+    def __init__(self, rho1: ScalarField, rho2: ScalarField):
+        _set(self, "rho1", rho1)
+        _set(self, "rho2", rho2)
 
     @classmethod
     def parse(cls, rho1: str, rho2: str) -> "FPlanarCoefficients":
@@ -164,25 +176,30 @@ class FPlanarCoefficients:
         return self.rho1(points)[:, None], self.rho2(points)[:, None]
 
 
-@dataclass(frozen=True)
-class BundleSystem:
+class BundleSystem(_Value):
     """One of the supported covariant second-order systems on TM or T1^phi M:
     an F tensor exactly for the ``f_*`` kinds, coefficient functions exactly
     for the ``f_planar_*`` kinds."""
 
-    kind: str
-    f_tensor: FTensor | None = None
-    coefficients: FPlanarCoefficients | None = None
+    __slots__ = ("kind", "f_tensor", "coefficients")
 
-    def __post_init__(self):
-        if self.kind not in SYSTEM_KINDS:
-            raise ValueError(f"unknown system kind {self.kind!r}")
-        if (self.f_tensor is None) == (self.kind in _F_KINDS):
-            needs = "needs an" if self.f_tensor is None else "takes no"
-            raise ValueError(f"system {self.kind!r} {needs} F tensor")
-        if (self.coefficients is None) == (self.kind in _PLANAR_KINDS):
-            needs = "needs" if self.coefficients is None else "takes no"
-            raise ValueError(f"system {self.kind!r} {needs} coefficient functions rho1, rho2")
+    def __init__(
+        self,
+        kind: str,
+        f_tensor: FTensor | None = None,
+        coefficients: FPlanarCoefficients | None = None,
+    ):
+        if kind not in SYSTEM_KINDS:
+            raise ValueError(f"unknown system kind {kind!r}")
+        if (f_tensor is None) == (kind in _F_KINDS):
+            needs = "needs an" if f_tensor is None else "takes no"
+            raise ValueError(f"system {kind!r} {needs} F tensor")
+        if (coefficients is None) == (kind in _PLANAR_KINDS):
+            needs = "needs" if coefficients is None else "takes no"
+            raise ValueError(f"system {kind!r} {needs} coefficient functions rho1, rho2")
+        _set(self, "kind", kind)
+        _set(self, "f_tensor", f_tensor)
+        _set(self, "coefficients", coefficients)
 
     @property
     def on_unit_bundle(self) -> bool:
@@ -347,13 +364,13 @@ def lorentz_force(M: MetricStructure, omega: FieldTensor, strength: float = 1.0)
 # -- residuals and the phi-mirror --------------------------------------------
 
 
-@dataclass(frozen=True)
 class ResidualReport:
     """Max norm of the defining covariant equations over trajectory samples."""
 
-    max_residual: float
-    times: np.ndarray
-    residuals: np.ndarray
+    __slots__ = ("max_residual", "times", "residuals")
+
+    def __init__(self, max_residual: float, times: np.ndarray, residuals: np.ndarray):
+        self.max_residual, self.times, self.residuals = max_residual, times, residuals
 
 
 def geodesic_residual(M: MetricStructure, system: BundleSystem, traj) -> ResidualReport:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import Callable
 
@@ -55,7 +54,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class ClosedForm:
     """A parameterized exact solution of one of the bundle systems.
 
@@ -66,18 +64,22 @@ class ClosedForm:
     first and second derivatives at a stack of times.
     """
 
-    name: str
-    manifold: str
-    system: BundleSystem
-    base: tuple[str, ...]  # x^i(t)
-    fiber: tuple[str, ...]  # xi^i(t)
-    validity: Callable  # (t0, t1) -> None, raises ParameterError
-    unit_geodesic: bool = False
-    _jet: Callable = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "manifold", "system", "base", "fiber", "validity", "unit_geodesic", "_jet")
 
-    def __post_init__(self):
-        trees = [parse(text, 1) for text in self.base + self.fiber]
-        object.__setattr__(self, "_jet", compile_rows(trees, 1, 2))
+    def __init__(
+        self,
+        name: str,
+        manifold: str,
+        system: BundleSystem,
+        base: tuple[str, ...],  # x^i(t)
+        fiber: tuple[str, ...],  # xi^i(t)
+        validity: Callable,  # (t0, t1) -> None, raises ParameterError
+        unit_geodesic: bool = False,
+    ):
+        self.name, self.manifold, self.system = name, manifold, system
+        self.base, self.fiber, self.validity = base, fiber, validity
+        self.unit_geodesic = unit_geodesic
+        self._jet = compile_rows([parse(text, 1) for text in base + fiber], 1, 2)
 
     def _blocks(self, times: np.ndarray) -> np.ndarray:
         """``[[x, xdot, xddot], [xi, xidot, xiddot]]`` at ``times``, each (n, dim)."""
@@ -114,13 +116,20 @@ class ClosedForm:
         return BundleState(x[0], xdot[0], xi[0], xidot[0])
 
 
-@dataclass
 class CatalogEntry:
-    name: str
-    structure: MetricStructure
-    f_tensor: FTensor | None = None
-    curvature_op: CurvatureOperator | None = None
-    families: dict = field(default_factory=dict)
+    __slots__ = ("name", "structure", "f_tensor", "curvature_op", "families")
+
+    def __init__(
+        self,
+        name: str,
+        structure: MetricStructure,
+        f_tensor: FTensor | None = None,
+        curvature_op: CurvatureOperator | None = None,
+        families: dict | None = None,
+    ):
+        self.name, self.structure = name, structure
+        self.f_tensor, self.curvature_op = f_tensor, curvature_op
+        self.families = {} if families is None else families
 
     def family(self, name: str, **params) -> ClosedForm:
         if name not in self.families:
@@ -508,9 +517,11 @@ def perturbed_base(solution: ClosedForm, *, amplitude: float = 0.01, freq: float
     """Negative control: add a smooth non-solution wiggle to the base curve."""
     p = _literals(amplitude=amplitude, freq=freq)
     wiggle = f"({solution.base[0]}) + {p.amplitude}*sin({p.freq}*t)"
-    return replace(
-        solution,
-        name=solution.name + "_perturbed",
-        base=(wiggle,) + solution.base[1:],
-        unit_geodesic=False,
+    return ClosedForm(
+        solution.name + "_perturbed",
+        solution.manifold,
+        solution.system,
+        (wiggle,) + solution.base[1:],
+        solution.fiber,
+        solution.validity,
     )

@@ -33,7 +33,9 @@ from .errors import (
     SingularMetricError,
     UnknownEntryError,
 )
-from .frenet import arc_length_reparam, constancy_check, covariant_jets, frenet_curvatures
+from .frenet import (
+    MIN_SAMPLES, arc_length_reparam, constancy_check, covariant_jets, frenet_curvatures,
+)
 from .geometry import (
     CHECK_TOL,
     CheckReport,
@@ -42,7 +44,7 @@ from .geometry import (
     check_parallel_phi,
     json_number,
 )
-from .integrate import integrate
+from .integrate import _time_grid, integrate
 from .scenario import Scenario, load_scenario
 
 _CONFIG_ERRORS = (ScenarioError, UnknownEntryError, ParameterError)
@@ -204,6 +206,10 @@ def cmd_frenet(args) -> int:
     scenario = _load(args)
     if scenario.zero_span:
         raise ScenarioError("frenet analysis needs a non-degenerate t_span")
+    cfg = scenario.integrator
+    samples = MIN_SAMPLES if cfg is None else _time_grid(*cfg.t_span, cfg.step).size
+    if samples < MIN_SAMPLES:
+        raise ScenarioError(f"frenet analysis needs {MIN_SAMPLES} samples, t_span and step give {samples}")
     M = scenario.structure
     out_dir = Path(args.out)
     traj = _run(scenario, out_dir)

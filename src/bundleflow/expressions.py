@@ -38,10 +38,12 @@ memoized by their text, in bounded least-recently-used memos.  A text that
 does not parse raises on every call.  Each generated function is still
 made afresh, with its own globals, from the shared code object.
 
-Parsed trees are immutable, and a compiled function is a pure function of
-its points, so a :class:`ScalarField` may be evaluated concurrently from
-several threads.  Two threads that use a field's stack program first at the
-same time may both compile it; each gets the same function.
+Parsed trees are immutable: a node's constructor sets its fields, and
+assigning to one raises ``AttributeError``.  Nodes compare and hash by
+identity, so a tree of any depth can be a key.  A compiled function is a
+pure function of its points, so a :class:`ScalarField` may be evaluated
+concurrently from several threads.  Two threads that use a field's stack
+program first at the same time may both compile it; each gets the same function.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -86,48 +87,79 @@ _MEMO_TREES = 1024
 _MEMO_PROGRAMS = 256
 
 
-@dataclass(frozen=True)
-class Const:
-    value: float
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int  # 0-based coordinate index
+class _Frozen:
+    """A record whose ``__init__`` sets each field once, with ``_set``:
+    assigning to a field, or deleting one, raises ``AttributeError``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Neg:
-    child: "Node"
+class Const(_Frozen):
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * /
-    left: "Node"
-    right: "Node"
+class Var(_Frozen):
+    __slots__ = ("index",)  # 0-based coordinate index
+
+    def __init__(self, index: int):
+        _set(self, "index", index)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: int
+class Neg(_Frozen):
+    __slots__ = ("child",)
+
+    def __init__(self, child: Node):
+        _set(self, "child", child)
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: "Node"
+class BinOp(_Frozen):
+    __slots__ = ("op", "left", "right")  # op: one of + - * /
+
+    def __init__(self, op: str, left: Node, right: Node):
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+
+class Pow(_Frozen):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: Node, exponent: int):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
+
+
+class Call(_Frozen):
+    __slots__ = ("func", "arg")
+
+    def __init__(self, func: str, arg: Node):
+        _set(self, "func", func)
+        _set(self, "arg", arg)
 
 
 Node = Union[Const, Var, Neg, BinOp, Pow, Call]
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # num | ident | op | end
-    text: str
-    pos: int
+    __slots__ = ("kind", "text", "pos")  # kind: num | ident | op | end
+
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind, self.text, self.pos = kind, text, pos
 
 
 def _tokenize(source: str) -> list[_Token]:
@@ -310,7 +342,7 @@ def _depth(node: Node) -> int:
     levels, level = 0, [node]
     while level:
         levels += 1
-        level = [c for n in level for c in vars(n).values() if not isinstance(c, (int, float, str))]
+        level = [c for n in level for k in n.__slots__ if isinstance(c := getattr(n, k), _Frozen)]
     return levels
 
 

@@ -18,7 +18,6 @@ parametrization.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,15 +38,16 @@ __all__ = [
 
 TRUNCATION_TOL = 1e-7  # a frame stops at its first remainder norm below this
 MIN_SPEED = 1e-6  # a projected curve slower than this somewhere is vertical
+MIN_SAMPLES = 5  # the fewest samples covariant_jets accepts
 
 
-@dataclass(frozen=True)
 class ArcLength:
     """Arc length s(t) along the projected curve, by trapezoidal quadrature."""
 
-    times: np.ndarray
-    s: np.ndarray
-    speed: np.ndarray
+    __slots__ = ("times", "s", "speed")
+
+    def __init__(self, times: np.ndarray, s: np.ndarray, speed: np.ndarray):
+        self.times, self.s, self.speed = times, s, speed
 
     @property
     def speed_variation(self) -> float:
@@ -69,14 +69,15 @@ def arc_length_reparam(M: MetricStructure, traj: Trajectory) -> ArcLength:
     return ArcLength(traj.times.copy(), s, speed)
 
 
-@dataclass(frozen=True)
 class CovariantJets:
     """Covariant derivatives gamma', gamma'', ..., gamma^(p) at samples."""
 
-    times: np.ndarray
-    x: np.ndarray
-    jets: list  # jets[k] holds order k+1, shape (n, dim)
-    source: str  # "analytic+fd" | "fd" | "recursion"
+    __slots__ = ("times", "x", "jets", "source")
+
+    def __init__(self, times: np.ndarray, x: np.ndarray, jets: list, source: str):
+        self.times, self.x = times, x
+        self.jets = jets  # jets[k] holds order k+1, shape (n, dim)
+        self.source = source  # "analytic+fd" | "fd" | "recursion"
 
     @property
     def order(self) -> int:
@@ -106,7 +107,7 @@ def covariant_jets(
     if method not in ("auto", "fd", "recursion"):
         raise ValueError(f"unknown jet method {method!r}")
     n = traj.n
-    if n < 5:
+    if n < MIN_SAMPLES:
         raise ValueError("too few samples for jet computation")
     is_unit_geo = bool(traj.meta.get("unit_geodesic"))
     if method == "recursion" and not is_unit_geo:
@@ -145,7 +146,6 @@ def covariant_jets(
     )
 
 
-@dataclass(frozen=True)
 class FrenetResult:
     """Per-sample Frenet curvatures of a projected curve.
 
@@ -153,12 +153,20 @@ class FrenetResult:
     that fell below the truncation tolerance (the frame stops there).
     """
 
-    times: np.ndarray
-    curvatures: np.ndarray  # (n, r)
-    frame_rank: int
-    frames: np.ndarray  # (n, m, dim), orthonormal in g; m = r or r + 1
-    speed: np.ndarray
-    details: dict = field(default_factory=dict)
+    __slots__ = ("times", "curvatures", "frame_rank", "frames", "speed", "details")
+
+    def __init__(
+        self,
+        times: np.ndarray,
+        curvatures: np.ndarray,  # (n, r)
+        frame_rank: int,
+        frames: np.ndarray,  # (n, m, dim), orthonormal in g; m = r or r + 1
+        speed: np.ndarray,
+        details: dict | None = None,
+    ):
+        self.times, self.curvatures, self.frame_rank = times, curvatures, frame_rank
+        self.frames, self.speed = frames, speed
+        self.details = {} if details is None else details
 
     @property
     def means(self) -> np.ndarray:
@@ -225,12 +233,12 @@ def frenet_curvatures(M: MetricStructure, jets: CovariantJets) -> FrenetResult:
     )
 
 
-@dataclass(frozen=True)
 class ConstancyReport:
-    index: np.ndarray  # 1-based curvature indices
-    max_deviation: np.ndarray
-    tol: float
-    passed: bool
+    __slots__ = ("index", "max_deviation", "tol", "passed")
+
+    def __init__(self, index: np.ndarray, max_deviation: np.ndarray, tol: float, passed: bool):
+        self.index = index  # 1-based curvature indices
+        self.max_deviation, self.tol, self.passed = max_deviation, tol, passed
 
     def as_dict(self) -> dict:
         return {

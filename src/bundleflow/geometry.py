@@ -20,7 +20,6 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -533,7 +532,6 @@ class PointGeometry:
         return rate - self.connection(v, xddot) - self.connection(vdot, xdot)
 
 
-@dataclass(frozen=True)
 class CurvatureOperator:
     """The synthetic constant-curvature rule R(X, Y)Z = c (g(Y, Z) X - g(X, Z) Y).
 
@@ -542,7 +540,10 @@ class CurvatureOperator:
     structures their curvature.
     """
 
-    c: float = 0.0
+    __slots__ = ("c",)
+
+    def __init__(self, c: float = 0.0):
+        self.c = c
 
     def apply(self, X, Y, Z, *, g_mat) -> np.ndarray:
         gY = g_mat @ np.asarray(Y, dtype=float)
@@ -597,14 +598,21 @@ def json_number(value) -> float | None:
     return value if np.isfinite(value) else None
 
 
-@dataclass(frozen=True)
 class CheckReport:
-    name: str
-    passed: bool
-    max_residual: float
-    tol: float
-    n_points: int
-    details: dict = field(default_factory=dict)
+    __slots__ = ("name", "passed", "max_residual", "tol", "n_points", "details")
+
+    def __init__(
+        self,
+        name: str,
+        passed: bool,
+        max_residual: float,
+        tol: float,
+        n_points: int,
+        details: dict | None = None,
+    ):
+        self.name, self.passed, self.max_residual = name, passed, max_residual
+        self.tol, self.n_points = tol, n_points
+        self.details = {} if details is None else details
 
     def as_dict(self) -> dict:
         return {

@@ -19,7 +19,6 @@ copied into a preallocated array 256 at a time.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain
 from math import isfinite
@@ -46,28 +45,27 @@ MONITOR_NAMES = ("unit_norm", "fiber_ortho", "rho_sq", "speed_sq")
 _BUFFER_ROWS = 256
 
 
-@dataclass(frozen=True)
 class IntegratorConfig:
-    step: float
-    t_span: tuple[float, float]
-    method: str = "rk4"
-    monitor_every: int = 1
+    __slots__ = ("step", "t_span", "method", "monitor_every")
 
-    def __post_init__(self):
-        t0, t1 = self.t_span
-        if not np.all(np.isfinite([t0, t1, self.step])):
-            raise ValueError(f"step {self.step} and span {self.t_span} must be finite")
+    def __init__(
+        self, step: float, t_span: tuple[float, float], method: str = "rk4", monitor_every: int = 1
+    ):
+        t0, t1 = t_span
+        if not np.all(np.isfinite([t0, t1, step])):
+            raise ValueError(f"step {step} and span {t_span} must be finite")
         if not t1 > t0:
-            raise ValueError(f"need t1 > t0, got span {self.t_span}")
-        if not 0.0 < self.step <= (t1 - t0) + 1e-15:
-            raise ValueError(f"step {self.step} incompatible with span {self.t_span}")
-        if self.method not in ("rk4", "euler"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.monitor_every < 1:
+            raise ValueError(f"need t1 > t0, got span {t_span}")
+        if not 0.0 < step <= (t1 - t0) + 1e-15:
+            raise ValueError(f"step {step} incompatible with span {t_span}")
+        if method not in ("rk4", "euler"):
+            raise ValueError(f"unknown method {method!r}")
+        if monitor_every < 1:
             raise ValueError("monitor_every must be >= 1")
+        self.step, self.t_span = step, t_span
+        self.method, self.monitor_every = method, monitor_every
 
 
-@dataclass
 class Trajectory:
     """Time-stamped bundle states plus monitored invariant series.
 
@@ -75,22 +73,30 @@ class Trajectory:
     where they hold exact coordinate second derivatives.
     """
 
-    times: np.ndarray
-    x: np.ndarray
-    xdot: np.ndarray
-    xi: np.ndarray
-    xidot: np.ndarray
-    xddot: np.ndarray | None = None
-    xiddot: np.ndarray | None = None
-    monitor_times: np.ndarray | None = None
-    monitors: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
+    __slots__ = ("times", "x", "xdot", "xi", "xidot", "xddot", "xiddot", "monitor_times",
+                 "monitors", "meta")
 
-    def __post_init__(self):
-        if self.times.size != self.x.shape[0]:
+    def __init__(
+        self,
+        times: np.ndarray,
+        x: np.ndarray,
+        xdot: np.ndarray,
+        xi: np.ndarray,
+        xidot: np.ndarray,
+        xddot: np.ndarray | None = None,
+        xiddot: np.ndarray | None = None,
+        monitor_times: np.ndarray | None = None,
+        monitors: dict | None = None,
+        meta: dict | None = None,
+    ):
+        if times.size != x.shape[0]:
             raise ValueError("times and states must have equal length")
-        if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
+        if times.size > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
+        self.times, self.x, self.xdot, self.xi, self.xidot = times, x, xdot, xi, xidot
+        self.xddot, self.xiddot, self.monitor_times = xddot, xiddot, monitor_times
+        self.monitors = {} if monitors is None else monitors
+        self.meta = {} if meta is None else meta
 
     @property
     def n(self) -> int:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,20 +25,31 @@ __all__ = ["Scenario", "load_scenario"]
 _CHECK_NAMES = ("norden", "parallel_phi", "curvature_purity")
 
 
-@dataclass
 class Scenario:
-    name: str
-    structure: MetricStructure
-    system: BundleSystem | None
-    initial: BundleState | None
-    integrator: IntegratorConfig | None
-    checks: tuple[str, ...]
-    seed: int
-    check_points: int
-    frenet_order: int
-    constancy_tol: float
-    outputs: dict = field(default_factory=dict)
-    zero_span: bool = False  # t0 == t1: outputs are headers only
+    __slots__ = ("name", "structure", "system", "initial", "integrator", "checks", "seed",
+                 "check_points", "frenet_order", "constancy_tol", "outputs", "zero_span")
+
+    def __init__(
+        self,
+        name: str,
+        structure: MetricStructure,
+        system: BundleSystem | None,
+        initial: BundleState | None,
+        integrator: IntegratorConfig | None,
+        checks: tuple[str, ...],
+        seed: int,
+        check_points: int,
+        frenet_order: int,
+        constancy_tol: float,
+        outputs: dict | None = None,
+        zero_span: bool = False,  # t0 == t1: outputs are headers only
+    ):
+        self.name, self.structure, self.system = name, structure, system
+        self.initial, self.integrator, self.checks = initial, integrator, checks
+        self.seed, self.check_points = seed, check_points
+        self.frenet_order, self.constancy_tol = frenet_order, constancy_tol
+        self.outputs = {} if outputs is None else outputs
+        self.zero_span = zero_span
 
 
 def _integer(raw, what: str) -> int:

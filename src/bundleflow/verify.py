@@ -9,7 +9,6 @@ acceptance test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,13 +37,12 @@ DEFAULT_SEED = 12345
 ORDER_STEP = 0.02
 
 
-@dataclass(frozen=True)
 class Claim:
-    name: str
-    passed: bool
-    measured: float
-    tol: float
-    detail: str = ""
+    __slots__ = ("name", "passed", "measured", "tol", "detail")
+
+    def __init__(self, name: str, passed: bool, measured: float, tol: float, detail: str = ""):
+        self.name, self.passed, self.measured = name, passed, measured
+        self.tol, self.detail = tol, detail
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"

@@ -164,6 +164,21 @@ def test_system_validation():
         BundleSystem("spiral")
 
 
+def test_equal_systems_share_one_compiled_rhs_and_cannot_be_changed():
+    # a system keys the structure's compiled right-hand sides by its fields;
+    # F tensors and coefficient fields compare by identity
+    force, rho = FTensor(is_phi=True), FPlanarCoefficients.constant(0.0, 1.0)
+    a = BundleSystem("f_planar_tm", f_tensor=force, coefficients=rho)
+    b = BundleSystem("f_planar_tm", f_tensor=force, coefficients=FPlanarCoefficients(rho.rho1, rho.rho2))
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != BundleSystem("f_planar_tm", f_tensor=FTensor(is_phi=True), coefficients=rho)
+    assert make_rhs(FLAT.structure, a) is make_rhs(FLAT.structure, b)
+    with pytest.raises(AttributeError):
+        a.kind = "geodesic_tm"
+    with pytest.raises(AttributeError):
+        rho.rho1 = rho.rho2
+
+
 @pytest.mark.parametrize("kind", ["geodesic_tm", "geodesic_unit"])
 def test_a_system_takes_no_f_tensor_its_kind_does_not_use(kind):
     with pytest.raises(ValueError, match=f"system '{kind}' takes no F tensor"):

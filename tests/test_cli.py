@@ -1,10 +1,14 @@
+import dataclasses
+import importlib
 import json
 import math
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bundleflow
 from bundleflow import cli, expressions
 from bundleflow.errors import ScenarioError
 from bundleflow.scenario import scenario_from_dict
@@ -41,6 +45,17 @@ def oblique_scenario(tmp_path):
     path = tmp_path / "oblique.json"
     path.write_text(json.dumps(oblique_scenario_doc()))
     return path
+
+
+def test_no_bundleflow_class_is_a_dataclass():
+    # every command imports the whole package first, and generating the code
+    # of a dataclass costs about 100 times as much as a class with __slots__
+    names = [m.name for m in pkgutil.iter_modules(bundleflow.__path__)]
+    modules = [bundleflow] + [importlib.import_module(f"bundleflow.{name}") for name in names]
+    assert cli in modules and expressions in modules
+    found = [f"{m.__name__}.{name}" for m in modules for name, obj in vars(m).items()
+             if dataclasses.is_dataclass(obj) and obj.__module__.startswith("bundleflow")]
+    assert found == []
 
 
 # -- check ----------------------------------------------------------------------
@@ -548,6 +563,19 @@ def test_frenet_writes_curvature_table(tmp_path):
     assert report["frame_rank"] == 1
     # uniform-speed projection: ds/dt = sqrt(1 - rho^2)
     assert report["speed"]["max"] == pytest.approx(math.sqrt(0.75), abs=1e-9)
+
+
+def test_frenet_on_a_span_of_too_few_samples_exits_2(tmp_path, capsys):
+    # step 1e-3: [0, 0.002] gives 3 samples, too few for the jets; [0, 0.004] gives 5
+    scenario = SCENARIOS / "euclid_oblique.json"
+    assert run("frenet", "--scenario", scenario, "--tspan", "0,0.002", "--out", tmp_path / "short") == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "configuration error: frenet analysis needs 5 samples, t_span and step give 3\n"
+    assert not (tmp_path / "short").exists()
+    assert run("frenet", "--scenario", scenario, "--tspan", "0,0.004", "--out", tmp_path / "five") == 0
+    lines = (tmp_path / "five" / "frenet.csv").read_text().splitlines()
+    assert lines[0] == "s,k1" and len(lines) == 4  # differencing keeps the 3 interior samples
 
 
 def test_frenet_vertical_geodesic_exits_1(tmp_path, capsys):

@@ -98,6 +98,24 @@ def test_a_field_at_the_depth_limit_builds_evaluates_and_compiles():
     assert ScalarField.parse(pretty(field.ast), 2)(point) == field(point)
 
 
+def test_a_tree_at_the_depth_limit_hashes_and_compares_by_identity():
+    text = " + ".join(f"x{k % 2 + 1}*{k}" for k in range(expressions._MAX_DEPTH - 1))
+    tree = parse(text, 2)
+    twin = parse(text + " ", 2)  # the same tree, parsed apart
+    assert expressions._depth(tree) == expressions._MAX_DEPTH
+    assert len({tree, twin, tree}) == 2 and hash(tree) == hash(tree)
+    assert tree == tree and tree != twin and pretty(tree) == pretty(twin)
+
+
+def test_a_node_cannot_be_changed_and_reads_back_as_its_constructor():
+    tree = parse("x1 + 2", 1)
+    with pytest.raises(AttributeError, match="cannot assign to field 'left'"):
+        tree.left = Const(1.0)
+    with pytest.raises(AttributeError):
+        del tree.op
+    assert repr(tree) == "BinOp(op='+', left=Var(index=0), right=Const(value=2.0))"
+
+
 def test_unknown_identifiers():
     with pytest.raises(ExprSyntaxError):
         parse("z1", 2)
