@@ -36,7 +36,6 @@ from .frenet import (
     ArcLength,
     FrenetResult,
     arc_length_reparam,
-    constancy_check,
     covariant_jets,
     frenet_curvatures,
 )

@@ -64,7 +64,7 @@ class ClosedForm:
     first and second derivatives at a stack of times.
     """
 
-    __slots__ = ("name", "manifold", "system", "base", "fiber", "validity", "unit_geodesic", "_jet")
+    __slots__ = ("name", "manifold", "system", "base", "fiber", "validity", "_jet")
 
     def __init__(
         self,
@@ -74,11 +74,9 @@ class ClosedForm:
         base: tuple[str, ...],  # x^i(t)
         fiber: tuple[str, ...],  # xi^i(t)
         validity: Callable,  # (t0, t1) -> None, raises ParameterError
-        unit_geodesic: bool = False,
     ):
         self.name, self.manifold, self.system = name, manifold, system
         self.base, self.fiber, self.validity = base, fiber, validity
-        self.unit_geodesic = unit_geodesic
         self._jet = compile_rows([parse(text, 1) for text in base + fiber], 1, 2)
 
     def _blocks(self, times: np.ndarray) -> np.ndarray:
@@ -103,7 +101,6 @@ class ClosedForm:
                 "system": self.system.kind,
                 "closed_form": self.name,
                 "manifold": self.manifold,
-                "unit_geodesic": self.unit_geodesic,
             },
         )
         compute_monitors(M, traj)
@@ -144,15 +141,15 @@ def entry_names() -> tuple[str, ...]:
     return tuple(_BUILDERS)
 
 
-def entry(name: str, **kwargs) -> CatalogEntry:
+def entry(name: str) -> CatalogEntry:
     """Look up a catalog entry; ``const_curv(c)`` encodes its parameter."""
     match = re.fullmatch(r"const_curv\(([-+0-9.eE]+)\)", name.strip())
     if match:
-        return _const_curv(c=float(match.group(1)), **kwargs)
+        return _const_curv(c=float(match.group(1)))
     key = name.strip()
     if key not in _BUILDERS:
         raise UnknownEntryError(f"unknown catalog entry {name!r}; known: {entry_names()}")
-    return _BUILDERS[key](**kwargs)
+    return _BUILDERS[key]()
 
 
 def _require(condition: bool, message: str) -> None:
@@ -209,10 +206,7 @@ def _exp2d() -> CatalogEntry:
                 _require(1.0 + eta * t > 0.0, f"need 1 + {eta:g} t > 0 at t = {t:g}")
 
         base = (f"{p.a} + ln(1 + {p.lam}*t)", f"{p.b} + ln(1 + {p.eta}*t)")
-        return ClosedForm(
-            name, "exp2d", BundleSystem("geodesic_unit"), base, fiber, validity,
-            unit_geodesic=True,
-        )
+        return ClosedForm(name, "exp2d", BundleSystem("geodesic_unit"), base, fiber, validity)
 
     def natural_lift(a=0.0, b=0.0, lam=math.sqrt(0.5), eta=math.sqrt(0.5)) -> ClosedForm:
         p = _literals(a=a, b=b, lam=lam, eta=eta)
@@ -306,7 +300,8 @@ def _flat_diag() -> CatalogEntry:
 # -- poly2d -------------------------------------------------------------------
 
 
-def _poly2d(a: float = 1.0, b: float = -0.5) -> CatalogEntry:
+def _poly2d() -> CatalogEntry:
+    a, b = 1.0, -0.5  # F = diag(a, b)
     structure = MetricStructure(
         2,
         [["x1^2", "0"], ["0", "x2^2"]],
@@ -427,7 +422,6 @@ def _euclid_oblique() -> CatalogEntry:
             tuple(f"{o} + {v}*t" for o, v in zip(p.c2, p.c1)),
             tuple(f"{u}*cos({p.rho}*t) + {w}*sin({p.rho}*t)" for u, w in zip(p.c3, p.c4)),
             _everywhere,
-            unit_geodesic=True,
         )
 
     def vertical_oscillation(c3, c4, x0=(0.0, 0.0, 0.0, 0.0)) -> ClosedForm:
@@ -440,7 +434,6 @@ def _euclid_oblique() -> CatalogEntry:
             tuple(p.x0),
             tuple(f"{u}*cos(t) + {w}*sin(t)" for u, w in zip(p.c3, p.c4)),
             _everywhere,
-            unit_geodesic=True,
         )
 
     return CatalogEntry(

@@ -33,9 +33,7 @@ from .errors import (
     SingularMetricError,
     UnknownEntryError,
 )
-from .frenet import (
-    MIN_SAMPLES, arc_length_reparam, constancy_check, covariant_jets, frenet_curvatures,
-)
+from .frenet import arc_length_reparam, covariant_jets, frenet_curvatures, samples_needed
 from .geometry import (
     CHECK_TOL,
     CheckReport,
@@ -200,16 +198,20 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_frenet(args) -> int:
-    """Frenet analysis of the projected curve.  Where the run fails, or the
-    analysis does, the trajectory and monitor CSVs are written (the partial
-    ones after a failure inside the run) and no curvature table."""
+    """Frenet analysis of the projected curve.  A span of fewer samples than
+    the jets need (:func:`~bundleflow.frenet.samples_needed`) is a
+    configuration error.  Where the run fails, or the analysis does, the
+    trajectory and monitor CSVs are written (the partial ones after a failure
+    inside the run) and no curvature table."""
     scenario = _load(args)
     if scenario.zero_span:
         raise ScenarioError("frenet analysis needs a non-degenerate t_span")
     cfg = scenario.integrator
-    samples = MIN_SAMPLES if cfg is None else _time_grid(*cfg.t_span, cfg.step).size
-    if samples < MIN_SAMPLES:
-        raise ScenarioError(f"frenet analysis needs {MIN_SAMPLES} samples, t_span and step give {samples}")
+    if cfg is not None:
+        needed = samples_needed(scenario.frenet_order, getattr(scenario.system, "kind", None))
+        samples = _time_grid(*cfg.t_span, cfg.step).size
+        if samples < needed:
+            raise ScenarioError(f"frenet analysis needs {needed} samples, t_span and step give {samples}")
     M = scenario.structure
     out_dir = Path(args.out)
     traj = _run(scenario, out_dir)
@@ -222,18 +224,15 @@ def cmd_frenet(args) -> int:
     except BundleFlowError:
         _write_run(scenario, out_dir, traj)
         raise
-    report = constancy_check(result, scenario.constancy_tol)
     csv_path = _out_path(scenario, out_dir, "frenet", "frenet.csv")
     # map arc length onto the jets' (possibly trimmed) sample window
     idx = np.searchsorted(traj.times, jets.times)
     header = ["s"] + [f"k{i}" for i in range(1, result.frame_rank + 1)]
     _write_rows(csv_path, header, np.hstack([arc.s[idx][:, None], result.curvatures]))
-    for i, dev in zip(report.index, report.max_deviation):
-        mark = "PASS" if dev < report.tol else "FAIL"
-        print(
-            f"{mark}  k{i}: mean={result.means[i - 1]:.8g}"
-            f"  max_deviation={dev:.3e}  tol={report.tol:.1e}"
-        )
+    tol, deviations = scenario.constancy_tol, result.constancy
+    for i, (mean, dev) in enumerate(zip(result.means, deviations), 1):
+        mark = "PASS" if dev < tol else "FAIL"
+        print(f"{mark}  k{i}: mean={mean:.8g}  max_deviation={dev:.3e}  tol={tol:.1e}")
     report_path = _out_path(scenario, out_dir, "report", "frenet_report.json")
     _write_json(
         report_path,
@@ -242,7 +241,14 @@ def cmd_frenet(args) -> int:
             "frame_rank": result.frame_rank,
             "curvature_means": [json_number(v) for v in result.means],
             "speed": {"min": json_number(np.min(arc.speed)), "max": json_number(np.max(arc.speed))},
-            "constancy": report.as_dict(),
+            "constancy": {
+                "tol": float(tol),
+                "passed": bool(np.all(deviations < tol)),
+                "curvatures": [
+                    {"index": i, "max_deviation": json_number(dev)}
+                    for i, dev in enumerate(deviations, 1)
+                ],
+            },
         },
     )
     print(f"wrote curvature table -> {csv_path}")

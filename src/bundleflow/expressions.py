@@ -737,7 +737,7 @@ def compile_rows(nodes, dim: int, order: int = 0):
         with np.errstate(all="ignore"):
             found = program(points)
         out = np.zeros((len(points),) + shape)
-        flat = out.reshape(len(points), -1)
+        flat = out.reshape(len(points), shape[0] * shape[1])
         for k, column in zip(index, found):
             flat[:, k] = column
         if order and not np.isfinite(out[:, 1:]).all():

@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from .errors import SignatureError, VerticalCurveError
-from .geometry import MetricStructure, bilinear, json_number, matvec
+from .geometry import MetricStructure, bilinear, matvec
 from .integrate import Trajectory
 
 __all__ = [
@@ -30,28 +30,23 @@ __all__ = [
     "arc_length_reparam",
     "CovariantJets",
     "covariant_jets",
+    "samples_needed",
     "FrenetResult",
     "frenet_curvatures",
-    "ConstancyReport",
-    "constancy_check",
 ]
 
 TRUNCATION_TOL = 1e-7  # a frame stops at its first remainder norm below this
 MIN_SPEED = 1e-6  # a projected curve slower than this somewhere is vertical
-MIN_SAMPLES = 5  # the fewest samples covariant_jets accepts
+MIN_SAMPLES = 5  # the fewest samples covariant_jets accepts on any path
 
 
 class ArcLength:
     """Arc length s(t) along the projected curve, by trapezoidal quadrature."""
 
-    __slots__ = ("times", "s", "speed")
+    __slots__ = ("s", "speed")
 
-    def __init__(self, times: np.ndarray, s: np.ndarray, speed: np.ndarray):
-        self.times, self.s, self.speed = times, s, speed
-
-    @property
-    def speed_variation(self) -> float:
-        return float(np.max(self.speed) - np.min(self.speed))
+    def __init__(self, s: np.ndarray, speed: np.ndarray):
+        self.s, self.speed = s, speed
 
 
 def arc_length_reparam(M: MetricStructure, traj: Trajectory) -> ArcLength:
@@ -66,39 +61,65 @@ def arc_length_reparam(M: MetricStructure, traj: Trajectory) -> ArcLength:
         )
     dt = np.diff(traj.times)
     s = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * dt)])
-    return ArcLength(traj.times.copy(), s, speed)
+    return ArcLength(s, speed)
 
 
 class CovariantJets:
     """Covariant derivatives gamma', gamma'', ..., gamma^(p) at samples."""
 
-    __slots__ = ("times", "x", "jets", "source")
+    __slots__ = ("times", "x", "jets")
 
-    def __init__(self, times: np.ndarray, x: np.ndarray, jets: list, source: str):
+    def __init__(self, times: np.ndarray, x: np.ndarray, jets: list):
         self.times, self.x = times, x
         self.jets = jets  # jets[k] holds order k+1, shape (n, dim)
-        self.source = source  # "analytic+fd" | "fd" | "recursion"
 
     @property
     def order(self) -> int:
         return len(self.jets)
 
 
+def _jet_path(order: int, system: str | None, exact_second: bool, method: str) -> tuple[int, int]:
+    """The first jet order taken by the curvature recursion (``order + 1``
+    where none is) and the number of orders taken by centered differences."""
+    if method == "recursion":
+        first = 3
+    elif method == "auto" and system == "geodesic_unit":
+        first = 4
+    else:
+        first = order + 1
+    return first, len(range(3 if exact_second else 2, min(order, first - 1) + 1))
+
+
+def samples_needed(
+    order: int, system: str | None, exact_second: bool = False, method: str = "auto"
+) -> int:
+    """The fewest samples :func:`covariant_jets` accepts for jets to ``order``
+    of a curve of the system kind ``system`` (None for a plain base curve).
+
+    Each order taken by centered differences trims one sample at each end of
+    the window, which must keep one.  A unit-bundle geodesic
+    (``"geodesic_unit"``) takes the orders from 4 on by the curvature
+    recursion, which trims none, and an exact coordinate second derivative
+    (``exact_second``) gives order 2 without differencing.  No path accepts
+    fewer than ``MIN_SAMPLES``.
+    """
+    return max(MIN_SAMPLES, 2 * _jet_path(order, system, exact_second, method)[1] + 1)
+
+
 def covariant_jets(
-    M: MetricStructure,
-    traj: Trajectory,
-    order: int,
-    *,
-    method: str = "auto",
+    M: MetricStructure, traj: Trajectory, order: int, *, method: str = "auto"
 ) -> CovariantJets:
     """Covariant jets of the projected curve up to the given order.
 
     Orders one and two come from stored data (exact coordinate second
     derivatives when present, centered differences otherwise).  Higher
-    orders difference the previous jet; for unit-bundle geodesics the
-    curvature recursion gamma^(p+1) = R(xi', phi xi) gamma^(p) replaces
-    differencing beyond order three, where finite-difference noise grows
-    quickly.  ``method`` may force ``"fd"`` or ``"recursion"``.
+    orders difference the previous jet; for unit-bundle geodesics (a
+    ``meta["system"]`` of ``"geodesic_unit"``) the curvature recursion
+    gamma^(p+1) = R(xi', phi xi) gamma^(p) replaces differencing beyond order
+    three, where finite-difference noise grows quickly.  ``method`` may force
+    ``"fd"`` or ``"recursion"``.  The jets cover the samples that no
+    difference reached from an end; a run shorter than
+    :func:`samples_needed` raises ``ValueError``.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -106,25 +127,25 @@ def covariant_jets(
         raise ValueError(f"jet order {order} exceeds dimension {M.dim}")
     if method not in ("auto", "fd", "recursion"):
         raise ValueError(f"unknown jet method {method!r}")
-    n = traj.n
-    if n < MIN_SAMPLES:
-        raise ValueError("too few samples for jet computation")
-    is_unit_geo = bool(traj.meta.get("unit_geodesic"))
-    if method == "recursion" and not is_unit_geo:
+    system = traj.meta.get("system")
+    if method == "recursion" and system != "geodesic_unit":
         raise ValueError("the curvature recursion only applies to unit-bundle geodesics")
-    recursion_from = {"recursion": 3, "auto": 4 if is_unit_geo else None}.get(method)
+    exact_second = traj.xddot is not None
+    n, needed = traj.n, samples_needed(order, system, exact_second, method)
+    if n < needed:
+        raise ValueError(f"jets to order {order} need {needed} samples, got {n}")
+    recursion_from, trim = _jet_path(order, system, exact_second, method)
 
     geo = M.at(traj.x)
     jets: list[np.ndarray] = [traj.xdot.copy()]
-    trim = 0
-    if recursion_from is not None and order >= recursion_from:
+    if order >= recursion_from:
         xi_prime = geo.to_covariant(traj.xi, traj.xidot, traj.xdot)
         phi_xi = matvec(geo.phi, traj.xi)
     for p in range(2, order + 1):
-        if recursion_from is not None and p >= recursion_from:
+        if p >= recursion_from:
             jets.append(geo.riemann(xi_prime, phi_xi, jets[-1]))
             continue
-        if p == 2 and traj.xddot is not None:
+        if p == 2 and exact_second:
             rate = traj.xddot
         else:  # the coordinate rate of the previous jet by centered differencing
             if p > 4:
@@ -133,17 +154,10 @@ def covariant_jets(
                     stacklevel=2,
                 )
             rate = np.gradient(jets[-1], traj.times, axis=0)
-            trim += 1
         jets.append(geo.to_covariant(jets[-1], rate, traj.xdot))
 
-    window = slice(trim, n - trim) if trim else slice(None)
-    source = "recursion" if recursion_from else ("analytic+fd" if traj.xddot is not None else "fd")
-    return CovariantJets(
-        times=traj.times[window].copy(),
-        x=traj.x[window].copy(),
-        jets=[j[window] for j in jets],
-        source=source,
-    )
+    window = slice(trim, n - trim)
+    return CovariantJets(traj.times[window].copy(), traj.x[window].copy(), [j[window] for j in jets])
 
 
 class FrenetResult:
@@ -153,7 +167,7 @@ class FrenetResult:
     that fell below the truncation tolerance (the frame stops there).
     """
 
-    __slots__ = ("times", "curvatures", "frame_rank", "frames", "speed", "details")
+    __slots__ = ("times", "curvatures", "frame_rank", "frames", "speed")
 
     def __init__(
         self,
@@ -162,11 +176,9 @@ class FrenetResult:
         frame_rank: int,
         frames: np.ndarray,  # (n, m, dim), orthonormal in g; m = r or r + 1
         speed: np.ndarray,
-        details: dict | None = None,
     ):
         self.times, self.curvatures, self.frame_rank = times, curvatures, frame_rank
         self.frames, self.speed = frames, speed
-        self.details = {} if details is None else details
 
     @property
     def means(self) -> np.ndarray:
@@ -229,34 +241,4 @@ def frenet_curvatures(M: MetricStructure, jets: CovariantJets) -> FrenetResult:
         frame_rank=rank,
         frames=basis[: int(np.min(n_basis))].swapaxes(0, 1),
         speed=speed,
-        details={"jet_source": jets.source},
-    )
-
-
-class ConstancyReport:
-    __slots__ = ("index", "max_deviation", "tol", "passed")
-
-    def __init__(self, index: np.ndarray, max_deviation: np.ndarray, tol: float, passed: bool):
-        self.index = index  # 1-based curvature indices
-        self.max_deviation, self.tol, self.passed = max_deviation, tol, passed
-
-    def as_dict(self) -> dict:
-        return {
-            "tol": float(self.tol),
-            "passed": bool(self.passed),
-            "curvatures": [
-                {"index": int(i), "max_deviation": json_number(d)}
-                for i, d in zip(self.index, self.max_deviation)
-            ],
-        }
-
-
-def constancy_check(result: FrenetResult, tol: float) -> ConstancyReport:
-    """Pass iff every retained curvature deviates from its mean by < tol."""
-    dev = result.constancy
-    return ConstancyReport(
-        index=np.arange(1, dev.size + 1),
-        max_deviation=dev,
-        tol=tol,
-        passed=bool(np.all(dev < tol)),
     )

@@ -641,9 +641,7 @@ def _check_points(M: MetricStructure, n_points: int, seed: int) -> np.ndarray:
     return sample_chart_points(M, n_points, np.random.default_rng(seed))
 
 
-def check_norden(
-    M: MetricStructure, *, n_points: int = 100, seed: int = 12345, tol: float = CHECK_TOL["norden"]
-) -> CheckReport:
+def check_norden(M: MetricStructure, *, n_points: int = 100, seed: int = 12345) -> CheckReport:
     """Check phi^2 = id and purity g(phi X, Y) = g(X, phi Y) at sampled points.
 
     The purity residual is max|g phi - (g phi)^T| relative to max|g phi|, so
@@ -656,6 +654,7 @@ def check_norden(
     purity = float(np.max(asym / np.max(np.abs(twin), axis=(-2, -1))))
     phi_sq = float(np.max(np.abs(phi @ phi - np.eye(M.dim))))
     residual = max(purity, phi_sq)
+    tol = CHECK_TOL["norden"]
     return CheckReport(
         "norden",
         residual < tol,
@@ -666,13 +665,7 @@ def check_norden(
     )
 
 
-def check_parallel_phi(
-    M: MetricStructure,
-    *,
-    n_points: int = 100,
-    seed: int = 12345,
-    tol: float = CHECK_TOL["parallel_phi"],
-) -> CheckReport:
+def check_parallel_phi(M: MetricStructure, *, n_points: int = 100, seed: int = 12345) -> CheckReport:
     """Check nabla phi = 0 for the Levi-Civita connection at sampled points.
 
     d phi and Gamma are exact: d phi from one 1-jet of phi's fields.
@@ -688,16 +681,11 @@ def check_parallel_phi(
         - np.einsum("...lij,...kl->...ikj", gam, phi)
     )
     worst = float(np.max(np.abs(nabla)))
+    tol = CHECK_TOL["parallel_phi"]
     return CheckReport("parallel_phi", worst < tol, worst, tol, n_points)
 
 
-def check_curvature_purity(
-    M: MetricStructure,
-    *,
-    n_points: int = 20,
-    seed: int = 12345,
-    tol: float = CHECK_TOL["curvature_purity"],
-) -> CheckReport:
+def check_curvature_purity(M: MetricStructure, *, n_points: int = 20, seed: int = 12345) -> CheckReport:
     """Check g(R(phi X, Y)Z, W) = g(R(X, phi Y)Z, W) on basis tuples."""
     pts = _check_points(M, n_points, seed)
     phi = M.phi_at(pts)
@@ -706,4 +694,5 @@ def check_curvature_purity(
     right = np.einsum("...lkim,...mj->...lkij", tensor, phi)
     lowered = np.einsum("...hl,...lkij->...hkij", M.metric_at(pts), left - right)
     worst = float(np.max(np.abs(lowered)))
+    tol = CHECK_TOL["curvature_purity"]
     return CheckReport("curvature_purity", worst < tol, worst, tol, n_points)

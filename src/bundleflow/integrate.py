@@ -311,7 +311,6 @@ def _build_trajectory(M, system, times, ys, cfg, record) -> Trajectory:
         xidot=ys[:, 3 * dim :].copy(),
         meta={
             "system": system.kind,
-            "unit_geodesic": system.kind == "geodesic_unit",
             "method": cfg.method,
             "step": cfg.step,
             "manifold": M.name,

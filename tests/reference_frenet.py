@@ -66,5 +66,4 @@ def frenet_curvatures(M: MetricStructure, jets: CovariantJets) -> FrenetResult:
         frame_rank=r,
         frames=frames[:, : int(np.min(basis_lens)), :],
         speed=speed,
-        details={"jet_source": jets.source},
     )

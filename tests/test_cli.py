@@ -578,6 +578,22 @@ def test_frenet_on_a_span_of_too_few_samples_exits_2(tmp_path, capsys):
     assert lines[0] == "s,k1" and len(lines) == 4  # differencing keeps the 3 interior samples
 
 
+def test_frenet_window_follows_the_jet_path(tmp_path, capsys):
+    # order 4 on geodesic_tm differences orders 2, 3 and 4, trimming 3 samples
+    # at each end: [0, 0.004] gives 5 samples, [0, 0.006] gives 7
+    doc = json.loads((SCENARIOS / "h2xh2_geodesic.json").read_text())
+    doc["frenet"] = {"order": 4}
+    scenario = tmp_path / "h2xh2_order4.json"
+    scenario.write_text(json.dumps(doc))
+    assert run("frenet", "--scenario", scenario, "--tspan", "0,0.004", "--out", tmp_path / "short") == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "configuration error: frenet analysis needs 7 samples, t_span and step give 5\n"
+    assert not (tmp_path / "short").exists()
+    assert run("frenet", "--scenario", scenario, "--tspan", "0,0.006", "--out", tmp_path / "seven") == 0
+    assert len((tmp_path / "seven" / "frenet.csv").read_text().splitlines()) == 2  # one sample left
+
+
 def test_frenet_vertical_geodesic_exits_1(tmp_path, capsys):
     doc = {
         "manifold": "euclid_oblique",

@@ -617,6 +617,17 @@ def test_field_tensor_evaluates_only_its_varying_fields(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("M", [POLY, h2xh2(), derived_twin(h2xh2())], ids=["poly2d", "h2xh2", "h2xh2_fd"])
+def test_an_empty_stack_gives_arrays_of_no_rows(M):
+    empty = np.empty((0, M.dim))
+    d = M.dim
+    assert M.g.at(empty).shape == (0, d, d)
+    assert M.g.jet(empty, 1).shape == (0, 1 + d, d, d)
+    assert M.g.jet(empty, 2).shape == (0, 1 + d + d * d, d, d)
+    assert M.metric_at(empty).shape == (0, d, d)
+    assert M.at(empty).gamma.shape == (0, d, d, d)
+
+
 def test_a_unit_run_compiles_the_jet_of_g_once(monkeypatch):
     # Gamma from jets of g: the unit-bundle start at one point and the
     # monitors on the whole trajectory run one order-2 program of g
