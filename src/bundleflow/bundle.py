@@ -367,10 +367,10 @@ def lorentz_force(M: MetricStructure, omega: FieldTensor, strength: float = 1.0)
 class ResidualReport:
     """Max norm of the defining covariant equations over trajectory samples."""
 
-    __slots__ = ("max_residual", "times", "residuals")
+    __slots__ = ("max_residual", "residuals")
 
-    def __init__(self, max_residual: float, times: np.ndarray, residuals: np.ndarray):
-        self.max_residual, self.times, self.residuals = max_residual, times, residuals
+    def __init__(self, max_residual: float, residuals: np.ndarray):
+        self.max_residual, self.residuals = max_residual, residuals
 
 
 def geodesic_residual(M: MetricStructure, system: BundleSystem, traj) -> ResidualReport:
@@ -400,10 +400,10 @@ def geodesic_residual(M: MetricStructure, system: BundleSystem, traj) -> Residua
     accel, fiber = covariant_targets(geo, system, traj.times, xdot, xi, xi_prime)
     res = np.sqrt(np.sum((gamma_dd - accel) ** 2, axis=1) + np.sum((xi_dd - fiber) ** 2, axis=1))
     window = slice(1, -1) if used_fd and n > 2 else slice(None)
-    return ResidualReport(float(np.max(res[window])), traj.times, res)
+    return ResidualReport(float(np.max(res[window])), res)
 
 
-def phi_mirror(M: MetricStructure, traj, *, check_parallel: bool = True):
+def phi_mirror(M: MetricStructure, traj):
     """Map a phi-unit trajectory (gamma, xi) to its mirror (gamma, phi xi).
 
     Uses the parallelism of phi: the mirrored covariant fiber velocity is
@@ -414,13 +414,12 @@ def phi_mirror(M: MetricStructure, traj, *, check_parallel: bool = True):
     from .geometry import check_parallel_phi
     from .integrate import Trajectory, compute_monitors
 
-    if check_parallel:
-        report = check_parallel_phi(M, n_points=4, seed=7)
-        if not report.passed:
-            raise ConstraintError(
-                f"phi is not parallel (residual {report.max_residual:g}); "
-                "the mirror map needs nabla phi = 0"
-            )
+    report = check_parallel_phi(M, n_points=4, seed=7)
+    if not report.passed:
+        raise ConstraintError(
+            f"phi is not parallel (residual {report.max_residual:g}); "
+            "the mirror map needs nabla phi = 0"
+        )
     geo = M.at(traj.x)
     phi, xdot, xddot = geo.phi, traj.xdot, traj.xddot
     mu = matvec(phi, traj.xi)

@@ -506,10 +506,11 @@ def random_f_planar_solution(rng, *, on_unit: bool = False) -> ClosedForm:
     )
 
 
-def perturbed_base(solution: ClosedForm, *, amplitude: float = 0.01, freq: float = 5.0) -> ClosedForm:
-    """Negative control: add a smooth non-solution wiggle to the base curve."""
-    p = _literals(amplitude=amplitude, freq=freq)
-    wiggle = f"({solution.base[0]}) + {p.amplitude}*sin({p.freq}*t)"
+def perturbed_base(solution: ClosedForm, *, amplitude: float = 0.01) -> ClosedForm:
+    """Negative control: add a smooth non-solution wiggle, of angular
+    frequency 5, to the base curve."""
+    p = _literals(amplitude=amplitude)
+    wiggle = f"({solution.base[0]}) + {p.amplitude}*sin(5.0*t)"
     return ClosedForm(
         solution.name + "_perturbed",
         solution.manifold,

@@ -3,7 +3,8 @@
 Subcommands: ``check`` (structure axioms), ``integrate`` (trajectory + monitor
 CSV), ``frenet`` (curvature CSV + constancy report), ``verify`` (closed-form
 verification battery).  JSON in, CSV/JSON out; numbers are written with 17
-significant digits so doubles round-trip exactly.
+significant digits so doubles round-trip exactly.  Each command writes fixed
+file names into ``--out`` and creates it at its first write.
 
 Exit codes: 0 success; 1 failed checks, failed claims or any other error
 during a run; 2 configuration errors.  Any failure inside an integration (a
@@ -19,6 +20,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +44,7 @@ from .geometry import (
     check_parallel_phi,
     json_number,
 )
-from .integrate import _time_grid, integrate
+from .integrate import MONITOR_NAMES, _time_grid, integrate
 from .scenario import Scenario, load_scenario
 
 _CONFIG_ERRORS = (ScenarioError, UnknownEntryError, ParameterError)
@@ -51,51 +53,18 @@ _CONFIG_ERRORS = (ScenarioError, UnknownEntryError, ParameterError)
 def _write_json(path: Path, doc: dict) -> None:
     """Write a report as strict JSON: a NaN or an infinity raises, so every
     figure that may not be finite is written as None (null)."""
-    path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
-
-
-def _out_path(scenario: Scenario, out_dir: Path, key: str, default: str) -> Path:
-    name = scenario.outputs.get(key, default)
-    path = Path(name)
-    if not path.is_absolute():
-        path = out_dir / path
     path.parent.mkdir(parents=True, exist_ok=True)
-    return path
+    path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def _write_rows(path: Path, header: list[str], rows) -> None:
     """A CSV table: the header, then each value as %.17g (round-trip exact)."""
     line = ",".join(["%.17g"] * len(header)) + "\n"
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(line % tuple(row))
-
-
-def _write_trajectory_csv(path: Path, dim: int, traj=None) -> None:
-    header = (
-        ["t"]
-        + [f"x{i}" for i in range(1, dim + 1)]
-        + [f"xdot{i}" for i in range(1, dim + 1)]
-        + [f"xi{i}" for i in range(1, dim + 1)]
-        + [f"xidot{i}" for i in range(1, dim + 1)]
-    )
-    rows = []
-    if traj is not None:
-        blocks = np.hstack([traj.times[:, None], traj.x, traj.xdot, traj.xi, traj.xidot])
-        rows = blocks.tolist()
-    _write_rows(path, header, rows)
-
-
-def _write_monitors_csv(path: Path, traj=None) -> None:
-    # fiber_ortho comes last so that the older columns keep their positions
-    names = ["unit_norm", "rho_sq", "speed_sq", "fiber_ortho"]
-    rows = []
-    if traj is not None:
-        rows = np.stack(
-            [traj.monitor_times] + [traj.monitors[name] for name in names], axis=1
-        ).tolist()
-    _write_rows(path, ["t"] + names, rows)
 
 
 def _load(args) -> Scenario:
@@ -132,8 +101,7 @@ def cmd_check(args) -> int:
             f"  tol={rep.tol:.1e}  points={rep.n_points}"
         )
     passed = all(r.passed for r in reports)
-    out_dir = Path(args.out)
-    report_path = _out_path(scenario, out_dir, "report", "check_report.json")
+    report_path = Path(args.out) / "check_report.json"
     _write_json(
         report_path,
         {
@@ -163,11 +131,17 @@ def _integrate_scenario(scenario: Scenario):
 
 
 def _write_run(scenario: Scenario, out_dir: Path, traj) -> tuple[Path, Path]:
-    """Write the trajectory and monitor CSVs (headers alone for None)."""
-    traj_path = _out_path(scenario, out_dir, "trajectory", "trajectory.csv")
-    mon_path = _out_path(scenario, out_dir, "monitors", "monitors.csv")
-    _write_trajectory_csv(traj_path, scenario.structure.dim, traj)
-    _write_monitors_csv(mon_path, traj)
+    """Write the trajectory and monitor CSVs, one row per sample each
+    (headers alone for None)."""
+    blocks = ("x", "xdot", "xi", "xidot")
+    header = ["t"] + [f"{b}{i}" for b in blocks for i in range(1, scenario.structure.dim + 1)]
+    states = monitors = []
+    if traj is not None:
+        states = np.hstack([traj.times[:, None]] + [getattr(traj, b) for b in blocks]).tolist()
+        monitors = np.stack([traj.times] + [traj.monitors[m] for m in MONITOR_NAMES], axis=1).tolist()
+    traj_path, mon_path = out_dir / "trajectory.csv", out_dir / "monitors.csv"
+    _write_rows(traj_path, header, states)
+    _write_rows(mon_path, ["t", *MONITOR_NAMES], monitors)
     return traj_path, mon_path
 
 
@@ -202,7 +176,8 @@ def cmd_frenet(args) -> int:
     the jets need (:func:`~bundleflow.frenet.samples_needed`) is a
     configuration error.  Where the run fails, or the analysis does, the
     trajectory and monitor CSVs are written (the partial ones after a failure
-    inside the run) and no curvature table."""
+    inside the run) and no curvature table.  A warning of the jets is printed
+    as one ``warning:`` line."""
     scenario = _load(args)
     if scenario.zero_span:
         raise ScenarioError("frenet analysis needs a non-degenerate t_span")
@@ -219,12 +194,16 @@ def cmd_frenet(args) -> int:
         return 1
     try:
         arc = arc_length_reparam(M, traj)
-        jets = covariant_jets(M, traj, scenario.frenet_order)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            jets = covariant_jets(M, traj, scenario.frenet_order)
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
         result = frenet_curvatures(M, jets)
     except BundleFlowError:
         _write_run(scenario, out_dir, traj)
         raise
-    csv_path = _out_path(scenario, out_dir, "frenet", "frenet.csv")
+    csv_path = out_dir / "frenet.csv"
     # map arc length onto the jets' (possibly trimmed) sample window
     idx = np.searchsorted(traj.times, jets.times)
     header = ["s"] + [f"k{i}" for i in range(1, result.frame_rank + 1)]
@@ -233,7 +212,7 @@ def cmd_frenet(args) -> int:
     for i, (mean, dev) in enumerate(zip(result.means, deviations), 1):
         mark = "PASS" if dev < tol else "FAIL"
         print(f"{mark}  k{i}: mean={mean:.8g}  max_deviation={dev:.3e}  tol={tol:.1e}")
-    report_path = _out_path(scenario, out_dir, "report", "frenet_report.json")
+    report_path = out_dir / "frenet_report.json"
     _write_json(
         report_path,
         {
@@ -266,10 +245,8 @@ def cmd_verify(args) -> int:
         claims = verify_mod.run_group(target, seed)
     print(verify_mod.format_claims(claims))
     if args.out is not None:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         _write_json(
-            out_dir / "verify_report.json",
+            Path(args.out) / "verify_report.json",
             {
                 "target": target,
                 "seed": seed,
@@ -292,9 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario_required=True):
-        if scenario_required:
-            p.add_argument("--scenario", required=True, help="scenario JSON path")
+    def common(p):
+        p.add_argument("--scenario", required=True, help="scenario JSON path")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--step", type=float, default=None, help="step override")

@@ -47,14 +47,13 @@ class IntegrationBlowUp(BundleFlowError):
 
     The failure is a non-finite state, or a :class:`SingularMetricError` or
     :class:`EvalDomainError` raised by a step, which is then chained as
-    ``__cause__``.  Carries the partial trajectory up to the last good sample
-    and the time of that sample.
+    ``__cause__``.  Carries the partial trajectory up to the last good sample,
+    whose time is ``trajectory.times[-1]``.
     """
 
-    def __init__(self, message: str, trajectory, time: float):
+    def __init__(self, message: str, trajectory):
         super().__init__(message)
         self.trajectory = trajectory
-        self.time = time
 
 
 class UnknownEntryError(BundleFlowError):

@@ -97,13 +97,14 @@ def samples_needed(
     of a curve of the system kind ``system`` (None for a plain base curve).
 
     Each order taken by centered differences trims one sample at each end of
-    the window, which must keep one.  A unit-bundle geodesic
+    the window, which must keep two, so that constancy along the curve is
+    judged on more than one sample.  A unit-bundle geodesic
     (``"geodesic_unit"``) takes the orders from 4 on by the curvature
     recursion, which trims none, and an exact coordinate second derivative
     (``exact_second``) gives order 2 without differencing.  No path accepts
     fewer than ``MIN_SAMPLES``.
     """
-    return max(MIN_SAMPLES, 2 * _jet_path(order, system, exact_second, method)[1] + 1)
+    return max(MIN_SAMPLES, 2 * _jet_path(order, system, exact_second, method)[1] + 2)
 
 
 def covariant_jets(

@@ -39,18 +39,17 @@ __all__ = [
     "convergence_order",
 ]
 
-MONITOR_NAMES = ("unit_norm", "fiber_ortho", "rho_sq", "speed_sq")
+# the monitored series, in the column order of monitors.csv
+MONITOR_NAMES = ("unit_norm", "rho_sq", "speed_sq", "fiber_ortho")
 
 # stepped states are kept as tuples and copied into the array of samples this many at a time
 _BUFFER_ROWS = 256
 
 
 class IntegratorConfig:
-    __slots__ = ("step", "t_span", "method", "monitor_every")
+    __slots__ = ("step", "t_span", "method")
 
-    def __init__(
-        self, step: float, t_span: tuple[float, float], method: str = "rk4", monitor_every: int = 1
-    ):
+    def __init__(self, step: float, t_span: tuple[float, float], method: str = "rk4"):
         t0, t1 = t_span
         if not np.all(np.isfinite([t0, t1, step])):
             raise ValueError(f"step {step} and span {t_span} must be finite")
@@ -60,21 +59,18 @@ class IntegratorConfig:
             raise ValueError(f"step {step} incompatible with span {t_span}")
         if method not in ("rk4", "euler"):
             raise ValueError(f"unknown method {method!r}")
-        if monitor_every < 1:
-            raise ValueError("monitor_every must be >= 1")
-        self.step, self.t_span = step, t_span
-        self.method, self.monitor_every = method, monitor_every
+        self.step, self.t_span, self.method = step, t_span, method
 
 
 class Trajectory:
     """Time-stamped bundle states plus monitored invariant series.
 
     ``xddot``/``xiddot`` are only populated for analytically sampled curves,
-    where they hold exact coordinate second derivatives.
+    where they hold exact coordinate second derivatives.  Each series of
+    ``monitors`` holds one value per sample of ``times``.
     """
 
-    __slots__ = ("times", "x", "xdot", "xi", "xidot", "xddot", "xiddot", "monitor_times",
-                 "monitors", "meta")
+    __slots__ = ("times", "x", "xdot", "xi", "xidot", "xddot", "xiddot", "monitors", "meta")
 
     def __init__(
         self,
@@ -85,7 +81,6 @@ class Trajectory:
         xidot: np.ndarray,
         xddot: np.ndarray | None = None,
         xiddot: np.ndarray | None = None,
-        monitor_times: np.ndarray | None = None,
         monitors: dict | None = None,
         meta: dict | None = None,
     ):
@@ -94,7 +89,7 @@ class Trajectory:
         if times.size > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
         self.times, self.x, self.xdot, self.xi, self.xidot = times, x, xdot, xi, xidot
-        self.xddot, self.xiddot, self.monitor_times = xddot, xiddot, monitor_times
+        self.xddot, self.xiddot = xddot, xiddot
         self.monitors = {} if monitors is None else monitors
         self.meta = {} if meta is None else meta
 
@@ -184,27 +179,24 @@ def _time_grid(t0: float, t1: float, h: float) -> np.ndarray:
     return times
 
 
-def compute_monitors(M: MetricStructure, traj: Trajectory, stride: int = 1) -> None:
-    """Populate the invariant series from stored states (in place).
+def compute_monitors(M: MetricStructure, traj: Trajectory) -> None:
+    """Populate the invariant series from the stored states, one value at
+    every sample (in place).
 
-    Monitored quantities: g(xi, phi xi), g(xi', phi xi), g(xi', phi xi')
-    and g(gamma', gamma').
+    Monitored quantities, by ``MONITOR_NAMES``: g(xi, phi xi),
+    g(xi', phi xi'), g(gamma', gamma') and g(xi', phi xi).
     """
-    idx = np.arange(0, traj.n, stride)
-    if idx.size and idx[-1] != traj.n - 1:
-        idx = np.append(idx, traj.n - 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        geo = M.at(traj.x[idx])
-        xi, xdot = traj.xi[idx], traj.xdot[idx]
-        xi_prime = geo.to_covariant(xi, traj.xidot[idx], xdot)
+        geo = M.at(traj.x)
+        xi, xdot = traj.xi, traj.xdot
+        xi_prime = geo.to_covariant(xi, traj.xidot, xdot)
         gphi = geo.g @ geo.phi
         values = (
             bilinear(xi, gphi, xi),
-            bilinear(xi_prime, gphi, xi),
             bilinear(xi_prime, gphi, xi_prime),
             bilinear(xdot, geo.g, xdot),
+            bilinear(xi_prime, gphi, xi),
         )
-    traj.monitor_times = traj.times[idx]
     traj.monitors = dict(zip(MONITOR_NAMES, values))
 
 
@@ -279,7 +271,7 @@ def integrate(
             record.update(steps=k, rhs_calls=stages * k + reached,
                           step_s=perf_counter() - start)
             partial = _partial_trajectory(M, system, times[: k + 1], ys[: k + 1], cfg, record)
-            raise IntegrationBlowUp(reason, partial, float(partial.times[-1])) from cause
+            raise IntegrationBlowUp(reason, partial) from cause
         _flush(ys, rows, times.size)
     steps = times.size - 1
     record.update(steps=steps, rhs_calls=stages * steps, step_s=perf_counter() - start)
@@ -318,7 +310,7 @@ def _build_trajectory(M, system, times, ys, cfg, record) -> Trajectory:
         },
     )
     start = perf_counter()
-    compute_monitors(M, traj, cfg.monitor_every)
+    compute_monitors(M, traj)
     traj.meta["monitor_s"] = perf_counter() - start
     return traj
 
@@ -337,12 +329,7 @@ def convergence_order(
     """
     finals = []
     for divisor in (1, 2, 4):
-        sub = IntegratorConfig(
-            step=cfg.step / divisor,
-            t_span=cfg.t_span,
-            method=cfg.method,
-            monitor_every=cfg.monitor_every,
-        )
+        sub = IntegratorConfig(step=cfg.step / divisor, t_span=cfg.t_span, method=cfg.method)
         finals.append(integrate(M, system, init, sub).state(-1).flat())
     scale = max(1.0, float(np.max(np.abs(finals[0]))))
     e1 = float(np.max(np.abs(finals[0] - finals[1])))

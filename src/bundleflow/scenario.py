@@ -1,5 +1,6 @@
 """Scenario configuration: JSON documents describing a manifold, a system,
-an initial state, integrator settings and requested outputs."""
+an initial state, integrator settings, the structure checks and the Frenet
+analysis.  A key the parser does not read is a configuration error."""
 
 from __future__ import annotations
 
@@ -24,10 +25,20 @@ __all__ = ["Scenario", "load_scenario"]
 
 _CHECK_NAMES = ("norden", "parallel_phi", "curvature_purity")
 
+# the keys each level of a scenario document may have
+_KEYS = {
+    "scenario": ("name", "manifold", "system", "F", "rho1", "rho2", "initial", "integrator",
+                 "checks", "seed", "check_points", "frenet"),
+    "inline manifold": ("dim", "g", "phi", "christoffel", "F", "chart_box", "name"),
+    "initial": ("x", "xdot", "xi", "xidot", "xi_prime"),
+    "integrator": ("step", "t_span", "method"),
+    "frenet": ("order", "constancy_tol"),
+}
+
 
 class Scenario:
     __slots__ = ("name", "structure", "system", "initial", "integrator", "checks", "seed",
-                 "check_points", "frenet_order", "constancy_tol", "outputs", "zero_span")
+                 "check_points", "frenet_order", "constancy_tol", "zero_span")
 
     def __init__(
         self,
@@ -41,15 +52,20 @@ class Scenario:
         check_points: int,
         frenet_order: int,
         constancy_tol: float,
-        outputs: dict | None = None,
         zero_span: bool = False,  # t0 == t1: outputs are headers only
     ):
         self.name, self.structure, self.system = name, structure, system
         self.initial, self.integrator, self.checks = initial, integrator, checks
         self.seed, self.check_points = seed, check_points
         self.frenet_order, self.constancy_tol = frenet_order, constancy_tol
-        self.outputs = {} if outputs is None else outputs
         self.zero_span = zero_span
+
+
+def _known_keys(raw: dict, level: str) -> None:
+    """Reject a key of ``raw`` that the parser does not read at ``level``."""
+    for key in raw:
+        if key not in _KEYS[level]:
+            raise ScenarioError(f"unknown {level} key {key!r}")
 
 
 def _integer(raw, what: str) -> int:
@@ -89,6 +105,7 @@ def _build_structure(spec) -> tuple[MetricStructure, FTensor | None]:
         return ent.structure, ent.f_tensor
     if not isinstance(spec, dict):
         raise ScenarioError("manifold must be a catalog name or an inline object")
+    _known_keys(spec, "inline manifold")
     if "dim" not in spec:
         raise ScenarioError("inline manifold needs an integer 'dim'")
     dim = _integer(spec["dim"], "inline manifold 'dim'")
@@ -152,6 +169,7 @@ def _build_initial(doc, structure) -> BundleState | None:
         return None
     if not isinstance(raw, dict):
         raise ScenarioError("'initial' must be an object")
+    _known_keys(raw, "initial")
     dim = structure.dim
     x = _vector(raw.get("x"), dim, "initial.x")
     xdot = _vector(raw.get("xdot"), dim, "initial.xdot")
@@ -177,16 +195,11 @@ def _build_integrator(doc) -> tuple[IntegratorConfig | None, bool]:
         step = float(raw["step"])
     except (KeyError, TypeError, ValueError):
         raise ScenarioError("integrator needs numeric 'step' and 't_span': [t0, t1]") from None
+    _known_keys(raw, "integrator")  # raw["t_span"] was read, so raw is an object
     if t1 == t0 and np.isfinite(t0):
         return None, True  # degenerate span: emit headers only
-    monitor_every = _integer(raw.get("monitor_every", 1), "integrator.monitor_every")
     try:
-        cfg = IntegratorConfig(
-            step=step,
-            t_span=(t0, t1),
-            method=str(raw.get("method", "rk4")),
-            monitor_every=monitor_every,
-        )
+        cfg = IntegratorConfig(step=step, t_span=(t0, t1), method=str(raw.get("method", "rk4")))
     except ValueError as exc:
         raise ScenarioError(f"bad integrator config: {exc}") from None
     return cfg, False
@@ -195,6 +208,7 @@ def _build_integrator(doc) -> tuple[IntegratorConfig | None, bool]:
 def scenario_from_dict(doc: dict, *, name: str = "scenario") -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
+    _known_keys(doc, "scenario")
     if "manifold" not in doc:
         raise ScenarioError("scenario needs a 'manifold'")
     structure, default_f = _build_structure(doc["manifold"])
@@ -209,12 +223,6 @@ def scenario_from_dict(doc: dict, *, name: str = "scenario") -> Scenario:
     checks = doc.get("checks", list(_CHECK_NAMES))
     if not isinstance(checks, list) or any(c not in _CHECK_NAMES for c in checks):
         raise ScenarioError(f"'checks' must be a subset of {_CHECK_NAMES}")
-    outputs = doc.get("output", {})
-    if not isinstance(outputs, dict):
-        raise ScenarioError("'output' must be an object")
-    for key, value in outputs.items():
-        if not isinstance(value, str) or Path(value).name in ("", ".."):
-            raise ScenarioError(f"output {key!r} must name a file, got {value!r}")
     seed = _integer(doc.get("seed", 12345), "seed")
     check_points = _integer(doc.get("check_points", 100), "check_points")
     frenet_opts = doc.get("frenet")
@@ -222,6 +230,7 @@ def scenario_from_dict(doc: dict, *, name: str = "scenario") -> Scenario:
         frenet_opts = {}
     if not isinstance(frenet_opts, dict):
         raise ScenarioError(f"'frenet' must be an object, got {frenet_opts!r}")
+    _known_keys(frenet_opts, "frenet")
     # default jet order adapts to the chart dimension
     frenet_order = _integer(frenet_opts.get("order", min(3, structure.dim)), "frenet.order")
     constancy_tol = _number(frenet_opts.get("constancy_tol", 1e-4), "frenet.constancy_tol")
@@ -242,7 +251,6 @@ def scenario_from_dict(doc: dict, *, name: str = "scenario") -> Scenario:
         check_points=check_points,
         frenet_order=frenet_order,
         constancy_tol=constancy_tol,
-        outputs=dict(outputs),
         zero_span=zero_span,
     )
 

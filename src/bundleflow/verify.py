@@ -125,7 +125,7 @@ def euclid_oblique_family(rho: float = 0.5):
     return ent, fam
 
 
-def const_curv_run(c: float = 1.0, *, step: float = 1e-3, t_span=(0.0, 1.0)):
+def const_curv_run(c: float = 1.0, *, t_span=(0.0, 1.0)):
     # Fiber data sits in the +1 eigenbundle of phi, so R(xi, phi xi) and
     # R(xi', phi xi') vanish along the whole run; the synthetic operator is
     # not pure, and only then does the jet recursion behind the constancy
@@ -141,7 +141,7 @@ def const_curv_run(c: float = 1.0, *, step: float = 1e-3, t_span=(0.0, 1.0)):
         ent.structure,
         BundleSystem("geodesic_unit"),
         init,
-        IntegratorConfig(step=step, t_span=t_span),
+        IntegratorConfig(step=1e-3, t_span=t_span),
     )
     return ent, init, traj
 

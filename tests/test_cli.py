@@ -362,9 +362,9 @@ def test_failure_at_the_first_step_exits_1_with_the_error(tmp_path, capsys):
     assert "error: division by zero" in capsys.readouterr().err
 
 
-def test_step_override_keeps_span_method_and_monitor_every(tmp_path):
+def test_step_override_keeps_span_and_method(tmp_path):
     doc = oblique_scenario_doc()
-    doc["integrator"] = {"step": 0.1, "t_span": [0.0, 0.5], "method": "euler", "monitor_every": 4}
+    doc["integrator"] = {"step": 0.1, "t_span": [0.0, 0.5], "method": "euler"}
     path = tmp_path / "s.json"
     path.write_text(json.dumps(doc))
     assert run("integrate", "--scenario", path, "--out", tmp_path, "--step", "0.05") == 0
@@ -373,11 +373,11 @@ def test_step_override_keeps_span_method_and_monitor_every(tmp_path):
     from bundleflow.integrate import IntegratorConfig, integrate
 
     ent, fam = euclid_oblique_family(0.5)
-    cfg = IntegratorConfig(step=0.05, t_span=(0.0, 0.5), method="euler", monitor_every=4)
+    cfg = IntegratorConfig(step=0.05, t_span=(0.0, 0.5), method="euler")
     ref = integrate(ent.structure, fam.system, fam.initial_state(), cfg)
     assert np.array_equal(data[:, 0], ref.times)
     assert np.array_equal(data[:, 1:5], ref.x)
-    assert np.array_equal(mon[:, 0], ref.monitor_times)  # samples 0, 4, 8 and 10
+    assert np.array_equal(mon[:, 0], ref.times)
 
 
 @pytest.mark.parametrize("tspan", ["0", "0,1,2", "a,b", "0;1"])
@@ -439,8 +439,10 @@ def test_bad_inline_manifold_values_exit_2(tmp_path, capsys, change):
         ("frenet", {"frenet": {"constancy_tol": math.inf}}, []),
         ("frenet", {"frenet": {"constancy_tol": 0.0}}, []),
         ("frenet", {"frenet": {"constancy_tol": -1e-4}}, []),
-        ("integrate", {"output": "out.csv"}, []),
-        ("integrate", {"output": [["trajectory", "t.csv"]]}, []),
+        # a key the parser does not read, at each level of the document: the
+        # row gives the change and the error line
+        ("integrate", ({"output": {"trajectory": "t.csv"}}, "unknown scenario key 'output'"), []),
+        ("integrate", ({"monitor_every": 1}, "unknown scenario key 'monitor_every'"), []),
         # integer fields take integral numbers only: no bools, fractions or strings
         ("check", {"check_points": 2.9}, []),
         ("check", {"check_points": "100"}, []),
@@ -448,15 +450,18 @@ def test_bad_inline_manifold_values_exit_2(tmp_path, capsys, change):
         ("check", {"seed": 7.5}, []),
         ("frenet", {"frenet": {"order": 2.5}}, []),
         ("frenet", {"frenet": {"order": False}}, []),
-        ("integrate", {"integrator": {"step": 1e-3, "t_span": [0.0, 1.0], "monitor_every": 1.5}}, []),
-        ("integrate", {"integrator": {"step": 1e-3, "t_span": [0.0, 1.0], "monitor_every": True}}, []),
+        ("integrate", ({"integrator": {"step": 1e-3, "t_span": [0.0, 1.0], "monitor_every": 10}},
+                       "unknown integrator key 'monitor_every'"), []),
+        ("integrate", ({"integrator": {"step": 1e-3, "t_span": [0.0, 0.0], "h": 1e-3}},  # a zero span too
+                       "unknown integrator key 'h'"), []),
         ("check", {"manifold": {"dim": 2.5, "g": [[1, 0], [0, 1]], "phi": [[1, 0], [0, -1]]}}, []),
         ("check", {"manifold": {"dim": True, "g": [[1, 0], [0, 1]], "phi": [[1, 0], [0, -1]]}}, []),
-        # an output value names a file: a non-empty string, not a directory
-        ("integrate", {"output": {"trajectory": 5}}, []),
-        ("integrate", {"output": {"trajectory": ""}}, []),
-        ("integrate", {"output": {"trajectory": "."}}, []),
-        ("integrate", {"output": {"trajectory": "sub/.."}}, []),
+        ("integrate", ({"manifold": {**_INLINE, "christofel": [[["0"]]]}},
+                       "unknown inline manifold key 'christofel'"), []),
+        ("integrate", ({"initial": {**oblique_scenario_doc()["initial"], "xi_dot": [0, 0, 0, 0]}},
+                       "unknown initial key 'xi_dot'"), []),
+        ("integrate", ({"frenet": {"ordr": 4}}, "unknown frenet key 'ordr'"), []),
+        ("integrate", ({"frenet": {"order": 2, "tol": 1e-6}}, "unknown frenet key 'tol'"), []),
         # frenet is an object or null, and its tolerance a number
         ("frenet", {"frenet": []}, []),
         ("frenet", {"frenet": 0}, []),
@@ -466,6 +471,9 @@ def test_bad_inline_manifold_values_exit_2(tmp_path, capsys, change):
     ],
 )
 def test_bad_sample_counts_and_scenario_values_exit_2(tmp_path, capsys, command, change, extra):
+    message = None
+    if isinstance(change, tuple):
+        change, message = change
     if change is None:
         rc = run(command, "curvature_power", "--out", tmp_path, *extra)
     else:
@@ -473,16 +481,18 @@ def test_bad_sample_counts_and_scenario_values_exit_2(tmp_path, capsys, command,
         path.write_text(json.dumps({**oblique_scenario_doc(), **change}))  # NaN/Infinity literals
         rc = run(command, "--scenario", path, "--out", tmp_path, *extra)
     assert rc == 2
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    if message is not None:
+        assert err == f"configuration error: {message}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == (["s.json"] if change is not None else [])
 
 
 def test_integral_numbers_read_as_integers():
     doc = {**oblique_scenario_doc(), "check_points": 20.0, "seed": np.int64(7), "frenet": {"order": 2.0}}
-    doc["integrator"] = {**doc["integrator"], "monitor_every": 5.0}
     scen = scenario_from_dict(doc)
-    values = (scen.check_points, scen.seed, scen.frenet_order, scen.integrator.monitor_every)
-    assert values == (20, 7, 2, 5) and all(type(v) is int for v in values)
+    values = (scen.check_points, scen.seed, scen.frenet_order)
+    assert values == (20, 7, 2) and all(type(v) is int for v in values)
 
 
 def test_null_frenet_options_mean_the_defaults():
@@ -580,18 +590,43 @@ def test_frenet_on_a_span_of_too_few_samples_exits_2(tmp_path, capsys):
 
 def test_frenet_window_follows_the_jet_path(tmp_path, capsys):
     # order 4 on geodesic_tm differences orders 2, 3 and 4, trimming 3 samples
-    # at each end: [0, 0.004] gives 5 samples, [0, 0.006] gives 7
+    # at each end, and constancy is judged on two samples or more: [0, 0.006]
+    # gives 7 samples, [0, 0.007] gives 8
     doc = json.loads((SCENARIOS / "h2xh2_geodesic.json").read_text())
     doc["frenet"] = {"order": 4}
     scenario = tmp_path / "h2xh2_order4.json"
     scenario.write_text(json.dumps(doc))
-    assert run("frenet", "--scenario", scenario, "--tspan", "0,0.004", "--out", tmp_path / "short") == 2
+    assert run("frenet", "--scenario", scenario, "--tspan", "0,0.006", "--out", tmp_path / "short") == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == "configuration error: frenet analysis needs 7 samples, t_span and step give 5\n"
+    assert out.err == "configuration error: frenet analysis needs 8 samples, t_span and step give 7\n"
     assert not (tmp_path / "short").exists()
-    assert run("frenet", "--scenario", scenario, "--tspan", "0,0.006", "--out", tmp_path / "seven") == 0
-    assert len((tmp_path / "seven" / "frenet.csv").read_text().splitlines()) == 2  # one sample left
+    assert run("frenet", "--scenario", scenario, "--tspan", "0,0.007", "--out", tmp_path / "eight") == 0
+    assert len((tmp_path / "eight" / "frenet.csv").read_text().splitlines()) == 3  # two samples left
+
+
+def test_frenet_prints_a_jet_warning_as_one_line(tmp_path, capsys):
+    # order 5 on geodesic_tm differences orders 2 to 5: 11 samples leave 3
+    dim = 6
+    g = [["1" if i == j else "0" for j in range(dim)] for i in range(dim)]
+    g[1][1], g[4][4] = "exp(2*x1)", "exp(2*x4)"
+    phi = [["0"] * dim for _ in range(dim)]
+    for i in range(dim):
+        phi[i][i] = "1" if i < 3 else "-1"
+    doc = {
+        "manifold": {"dim": dim, "g": g, "phi": phi},
+        "system": "geodesic_tm",
+        "initial": {"x": [0.1, 0.2, 0.3, 0.4, 0.1, 0.2], "xdot": [0.3, -0.2, 0.25, 0.1, 0.2, 0.1],
+                    "xi": [0.5, -0.3, 0.2, 0.4, 0.1, 0.1], "xidot": [0.1, 0.2, -0.1, 0.3, 0.1, 0.1]},
+        "integrator": {"step": 0.01, "t_span": [0, 0.1]},
+        "frenet": {"order": 5},
+    }
+    path = tmp_path / "dim6.json"
+    path.write_text(json.dumps(doc))
+    assert run("frenet", "--scenario", path, "--out", tmp_path / "out") == 0
+    out = capsys.readouterr()
+    assert out.err == "warning: jet order 5 by finite differences is past the noise floor\n"
+    assert len((tmp_path / "out" / "frenet.csv").read_text().splitlines()) == 4
 
 
 def test_frenet_vertical_geodesic_exits_1(tmp_path, capsys):

@@ -11,7 +11,7 @@ from bundleflow import catalog, geometry
 from bundleflow.bundle import (
     BundleState, BundleSystem, covariant_targets, geodesic_residual, phi_mirror
 )
-from bundleflow.errors import EvalDomainError, SingularMetricError
+from bundleflow.errors import ConstraintError, EvalDomainError, SingularMetricError
 from bundleflow.geometry import (
     CurvatureOperator,
     MetricStructure,
@@ -675,7 +675,11 @@ def test_trajectory_post_processing_equals_a_per_sample_reference(case):
     scale = max(float(np.max(np.abs(a))) for a in (traj.xdot, traj.xi, traj.xidot))
     assert float(np.max(np.abs(got - _per_sample_residual(M, system, traj)))) <= 1e-12 * scale**2
 
-    mirrored = phi_mirror(M, traj, check_parallel=False)
+    if case == "curved_integrated":  # its phi is not parallel, so it has no mirror
+        with pytest.raises(ConstraintError):
+            phi_mirror(M, traj)
+        return
+    mirrored = phi_mirror(M, traj)
     mirror_blocks = (mirrored.xi, mirrored.xidot, mirrored.xiddot)
     for got, want in zip(mirror_blocks, _per_sample_mirror(M, traj)):
         if want:
