@@ -412,7 +412,7 @@ def phi_mirror(M: MetricStructure, traj):
     trajectory up to floating point.
     """
     from .geometry import check_parallel_phi
-    from .integrate import Trajectory, compute_monitors
+    from .integrate import Trajectory
 
     report = check_parallel_phi(M, n_points=4, seed=7)
     if not report.passed:
@@ -432,7 +432,7 @@ def phi_mirror(M: MetricStructure, traj):
         mu_dd = matvec(phi, geo.to_covariant(xi_prime, rate, xdot))
         dmu_prime = geo.to_coordinate(mu_prime, mu_dd, xdot)
         xiddot = geo.coordinate_rate(mu, xidot, dmu_prime, xdot, xddot)
-    mirrored = Trajectory(
+    return Trajectory(
         times=traj.times.copy(),
         x=traj.x.copy(),
         xdot=traj.xdot.copy(),
@@ -440,7 +440,6 @@ def phi_mirror(M: MetricStructure, traj):
         xidot=xidot,
         xddot=None if traj.xddot is None else traj.xddot.copy(),
         xiddot=xiddot,
+        structure=M,
         meta=dict(traj.meta, mirrored=not traj.meta.get("mirrored", False)),
     )
-    compute_monitors(M, mirrored)
-    return mirrored

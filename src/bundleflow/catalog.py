@@ -42,7 +42,7 @@ from .bundle import BundleState, BundleSystem, FPlanarCoefficients, FTensor
 from .errors import ParameterError, UnknownEntryError
 from .expressions import compile_rows, parse
 from .geometry import CurvatureOperator, FieldTensor, MetricStructure
-from .integrate import Trajectory, compute_monitors
+from .integrate import Trajectory
 
 __all__ = [
     "CatalogEntry",
@@ -89,7 +89,7 @@ class ClosedForm:
         times = np.asarray(times, dtype=float)
         self.validity(float(times[0]), float(times[-1]))
         (x, xdot, xddot), (xi, xidot, xiddot) = self._blocks(times)
-        traj = Trajectory(
+        return Trajectory(
             times=times.copy(),
             x=x,
             xdot=xdot,
@@ -97,14 +97,13 @@ class ClosedForm:
             xidot=xidot,
             xddot=xddot,
             xiddot=xiddot,
+            structure=M,
             meta={
                 "system": self.system.kind,
                 "closed_form": self.name,
                 "manifold": self.manifold,
             },
         )
-        compute_monitors(M, traj)
-        return traj
 
     def initial_state(self, t0: float = 0.0) -> BundleState:
         t0 = float(t0)

@@ -46,9 +46,10 @@ class IntegrationBlowUp(BundleFlowError):
     """Raised for any failure inside an integration run.
 
     The failure is a non-finite state, or a :class:`SingularMetricError` or
-    :class:`EvalDomainError` raised by a step, which is then chained as
-    ``__cause__``.  Carries the partial trajectory up to the last good sample,
-    whose time is ``trajectory.times[-1]``.
+    :class:`EvalDomainError` raised by a step or by the geometry at the final
+    sample, which is then chained as ``__cause__``.  Carries the partial
+    trajectory up to the last good sample, whose time is
+    ``trajectory.times[-1]``.
     """
 
     def __init__(self, message: str, trajectory):

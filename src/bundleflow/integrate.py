@@ -3,7 +3,10 @@
 Classic RK4 is the default; forward Euler is kept as a diagnostic for the
 convergence-order checks.  The step grid lands exactly on the final time by
 shortening the last step.  Conserved-quantity monitors are evaluated from
-stored states, never interpolated.
+stored states, never interpolated, on the first read of a trajectory's
+``monitors``.  Each step checks the geometry at the sample it starts from;
+the final sample, which no step starts from, has g, phi and Gamma checked
+once the steps are done.
 
 A step runs on plain floats.  The state is a tuple of 4 dim floats, the
 right-hand side (:func:`bundleflow.bundle.make_rhs`) takes and returns
@@ -67,10 +70,14 @@ class Trajectory:
 
     ``xddot``/``xiddot`` are only populated for analytically sampled curves,
     where they hold exact coordinate second derivatives.  Each series of
-    ``monitors`` holds one value per sample of ``times``.
+    ``monitors`` holds one value per sample of ``times``.  A trajectory
+    given its ``structure`` computes the monitors on their first read, with
+    one call of :func:`compute_monitors`, and keeps them; without one they
+    are empty until :func:`compute_monitors` fills them.
     """
 
-    __slots__ = ("times", "x", "xdot", "xi", "xidot", "xddot", "xiddot", "monitors", "meta")
+    __slots__ = ("times", "x", "xdot", "xi", "xidot", "xddot", "xiddot", "structure", "_monitors",
+                 "meta")
 
     def __init__(
         self,
@@ -81,7 +88,7 @@ class Trajectory:
         xidot: np.ndarray,
         xddot: np.ndarray | None = None,
         xiddot: np.ndarray | None = None,
-        monitors: dict | None = None,
+        structure: MetricStructure | None = None,
         meta: dict | None = None,
     ):
         if times.size != x.shape[0]:
@@ -90,8 +97,17 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
         self.times, self.x, self.xdot, self.xi, self.xidot = times, x, xdot, xi, xidot
         self.xddot, self.xiddot = xddot, xiddot
-        self.monitors = {} if monitors is None else monitors
+        self.structure, self._monitors = structure, None
         self.meta = {} if meta is None else meta
+
+    @property
+    def monitors(self) -> dict:
+        if self._monitors is None:
+            if self.structure is None:
+                self._monitors = {}
+            else:
+                compute_monitors(self.structure, self)
+        return self._monitors
 
     @property
     def n(self) -> int:
@@ -181,7 +197,8 @@ def _time_grid(t0: float, t1: float, h: float) -> np.ndarray:
 
 def compute_monitors(M: MetricStructure, traj: Trajectory) -> None:
     """Populate the invariant series from the stored states, one value at
-    every sample (in place).
+    every sample (in place).  A trajectory given its structure calls this
+    on the first read of its ``monitors``.
 
     Monitored quantities, by ``MONITOR_NAMES``: g(xi, phi xi),
     g(xi', phi xi'), g(gamma', gamma') and g(xi', phi xi).
@@ -197,7 +214,7 @@ def compute_monitors(M: MetricStructure, traj: Trajectory) -> None:
             bilinear(xdot, geo.g, xdot),
             bilinear(xi_prime, gphi, xi),
         )
-    traj.monitors = dict(zip(MONITOR_NAMES, values))
+    traj._monitors = dict(zip(MONITOR_NAMES, values))
 
 
 def integrate(
@@ -210,10 +227,14 @@ def integrate(
 
     Unit-bundle systems normalize the initial state so the constraints hold
     exactly at t0; constraint drift along the run is left visible in the
-    monitors.  Every failure inside the run (a non-finite state, or a
-    :class:`SingularMetricError` or :class:`EvalDomainError` raised by a step)
-    raises :class:`IntegrationBlowUp` carrying the trajectory up to the last
-    good sample; a raised error is chained as its ``__cause__``.
+    monitors, which the returned trajectory computes on their first read.
+    Every failure inside the run (a non-finite state, or a
+    :class:`SingularMetricError` or :class:`EvalDomainError` raised by a step
+    or by g, phi or Gamma at the final sample, which no step starts from and
+    which is checked once the steps are done, without a right-hand-side
+    call) raises :class:`IntegrationBlowUp` carrying the trajectory up to the
+    last good sample, with its monitors computed; a raised error is chained
+    as its ``__cause__``.
 
     The steps run on plain floats (see the module docstring): the state is
     a tuple, the right-hand side of :func:`~bundleflow.bundle.make_rhs`
@@ -225,8 +246,8 @@ def integrate(
     The trajectory's ``meta`` records the run: ``steps`` taken,
     ``rhs_calls`` (4 per RK4 step, 1 per Euler step, and the calls a
     failing step made, counted on a rerun of that step), and the seconds spent
-    building the right-hand side and the step functions (``rhs_build_s``),
-    stepping (``step_s``) and computing the monitors (``monitor_s``).
+    building the right-hand side and the step functions (``rhs_build_s``)
+    and stepping (``step_s``).
     """
     if system.on_unit_bundle:
         init = normalized_unit_state(M, init)
@@ -275,32 +296,50 @@ def integrate(
         _flush(ys, rows, times.size)
     steps = times.size - 1
     record.update(steps=steps, rhs_calls=stages * steps, step_s=perf_counter() - start)
+    try:
+        _check_geometry(M, ys[-1:, :dim])
+    except (SingularMetricError, EvalDomainError) as exc:
+        partial = _partial_trajectory(M, system, times[:-1], ys[:-1], cfg, record)
+        raise IntegrationBlowUp(f"{exc} at the final sample, t = {ts[-1]:g}", partial) from exc
     return _build_trajectory(M, system, times, ys, cfg, record)
+
+
+def _check_geometry(M: MetricStructure, x: np.ndarray) -> None:
+    """Evaluate Gamma, g and phi, the pieces the monitors read, at the
+    points ``x``; raises where :func:`compute_monitors` would."""
+    geo = M.at(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for piece in ("gamma", "g", "phi"):
+            getattr(geo, piece)
 
 
 def _partial_trajectory(M, system, times, ys, cfg, record) -> Trajectory:
     """The run up to its last sample, or to the one before when the geometry
-    fails at the last (a step that failed at its own start point).  A failure
-    at the initial sample is raised as it is."""
+    fails at the last (a step that failed at its own start point), with its
+    monitors computed.  A failure at the initial sample is raised as it is."""
+    traj = _build_trajectory(M, system, times, ys, cfg, record)
     try:
-        return _build_trajectory(M, system, times, ys, cfg, record)
+        compute_monitors(M, traj)
     except (SingularMetricError, EvalDomainError):
         if times.size == 1:
             raise
-        return _build_trajectory(M, system, times[:-1], ys[:-1], cfg, record)
+        traj = _build_trajectory(M, system, times[:-1], ys[:-1], cfg, record)
+        compute_monitors(M, traj)
+    return traj
 
 
 def _build_trajectory(M, system, times, ys, cfg, record) -> Trajectory:
-    """The trajectory of the samples, its monitors, and in its meta the run
-    record: steps taken, RHS calls, and the seconds spent building the
-    right-hand side, stepping and computing the monitors."""
+    """The trajectory of the samples, whose monitors are computed on first
+    read, and in its meta the run record: steps taken, RHS calls, and the
+    seconds spent building the right-hand side and stepping."""
     dim = M.dim
-    traj = Trajectory(
+    return Trajectory(
         times=np.asarray(times, dtype=float),
         x=ys[:, :dim].copy(),
         xdot=ys[:, dim : 2 * dim].copy(),
         xi=ys[:, 2 * dim : 3 * dim].copy(),
         xidot=ys[:, 3 * dim :].copy(),
+        structure=M,
         meta={
             "system": system.kind,
             "method": cfg.method,
@@ -309,10 +348,6 @@ def _build_trajectory(M, system, times, ys, cfg, record) -> Trajectory:
             **record,
         },
     )
-    start = perf_counter()
-    compute_monitors(M, traj)
-    traj.meta["monitor_s"] = perf_counter() - start
-    return traj
 
 
 def convergence_order(

@@ -467,7 +467,10 @@ def verify_frenet(seed: int = DEFAULT_SEED) -> list[Claim]:
     b_sq = float(xi_prime0 @ g0 @ xi_prime0) * float(phixi0 @ g0 @ phixi0) - float(
         xi_prime0 @ g0 @ phixi0
     ) ** 2
-    rho_sq = float(traj.monitors["rho_sq"][0])
+    # rho^2 at the initial sample, from the monitors of that sample alone
+    first = Trajectory(traj.times[:1], traj.x[:1], traj.xdot[:1], traj.xi[:1], traj.xidot[:1],
+                       structure=M)
+    rho_sq = float(first.monitors["rho_sq"][0])
     relation = abs(b_sq * 1.0 - (1.0 - rho_sq) * (k1**2 + k2**2))
     claims.append(
         _claim(

@@ -353,6 +353,35 @@ def test_failure_inside_a_run_writes_partial_and_exits_1(tmp_path, capsys, case,
     assert data[-1, 0] < t_limit
 
 
+@pytest.mark.parametrize(
+    "t1, reason",
+    [("0.75", "at the final sample, t = 0.75"), ("1", "in the step from t = 0.75")],
+)
+def test_geometry_failing_at_the_last_sample_writes_partial_and_exits_1(tmp_path, capsys, t1, reason):
+    # Euler reaches x1 = 0, where Gamma^1_11 = 0 ln(x1) fails, at t = 0.75:
+    # as the final sample or as the start of one more step, the run ends the same way
+    doc = {
+        "manifold": {"dim": 2, "g": [["1", "0"], ["0", "1"]], "phi": [["1", "0"], ["0", "-1"]],
+                     "christoffel": [[["0*ln(x1)", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]},
+        "system": "geodesic_tm",
+        "initial": {"x": [0.75, 0], "xdot": [-1, 0], "xi": [0, 0], "xidot": [0, 0]},
+        "integrator": {"step": 0.25, "t_span": [0, float(t1)], "method": "euler"},
+    }
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run("integrate", "--scenario", path, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"integration blew up: ln of non-positive value 0.0 at [0. 0.] {reason}; "
+        "partial output written\n"
+    )
+    for name in ("trajectory.csv", "monitors.csv"):
+        rows = np.loadtxt(out / name, delimiter=",", skiprows=1, ndmin=2)
+        assert rows[:, 0].tolist() == [0.0, 0.25, 0.5], name
+    traj = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert traj[:, 1].tolist() == [0.75, 0.5, 0.25]
+
+
 def test_failure_at_the_first_step_exits_1_with_the_error(tmp_path, capsys):
     doc = pole_scenario_doc()
     doc["initial"]["x"] = [0.0, 1.0]  # g and Gamma cannot be evaluated at the start

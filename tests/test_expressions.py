@@ -339,7 +339,7 @@ def _walk(fn):
     _ast_strategy(),
     st.lists(st.lists(_COORD, min_size=_DIM, max_size=_DIM), min_size=1, max_size=6),
 )
-def test_jet_values_and_errors_are_evaluate_many_s(ast, rows):
+def test_jet_values_and_errors_are_the_order_0_programs(ast, rows):
     points = np.array(rows)
     values, error = _walk(lambda: compile_rows([ast], _DIM)(points)[:, 0, 0])
     for order in (0, 1, 2):

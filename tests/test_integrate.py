@@ -6,13 +6,31 @@ import numpy as np
 import pytest
 import reference_step
 
-from bundleflow import catalog
-from bundleflow.bundle import BundleState, BundleSystem, FTensor, make_rhs, normalized_unit_state
+from bundleflow import catalog, cli
+from bundleflow.bundle import (
+    SYSTEM_KINDS,
+    BundleState,
+    BundleSystem,
+    FPlanarCoefficients,
+    FTensor,
+    make_rhs,
+    normalized_unit_state,
+    phi_mirror,
+)
 from bundleflow.errors import EvalDomainError, IntegrationBlowUp, SingularMetricError
 from bundleflow.geometry import MetricStructure
-from bundleflow.integrate import IntegratorConfig, _time_grid, convergence_order, integrate
+from bundleflow.integrate import (
+    MONITOR_NAMES,
+    IntegratorConfig,
+    Trajectory,
+    _time_grid,
+    compute_monitors,
+    convergence_order,
+    integrate,
+)
 from bundleflow.scenario import load_scenario
 from bundleflow.verify import euclid_oblique_family
+from charts import derived_twin
 
 FLAT = catalog.entry("flat_diag")
 EUCLID = catalog.entry("euclid_oblique")
@@ -202,23 +220,52 @@ def test_domain_error_in_a_step_ends_as_blow_up():
     assert all(series.shape == partial.times.shape for series in partial.monitors.values())
 
 
-def test_step_failing_at_its_start_point_ends_one_sample_earlier():
-    # Euler evaluates nothing between samples, so x1 = 0, where ln(x1) fails,
-    # is first evaluated by the step that starts there
-    M = MetricStructure(
+def _ln_chart() -> MetricStructure:
+    """A flat chart whose Gamma^1_11 = 0 ln(x1) cannot be evaluated at x1 = 0."""
+    return MetricStructure(
         2,
         [["1", "0"], ["0", "1"]],
         [["1", "0"], ["0", "-1"]],
         christoffel=[[["0*ln(x1)", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]],
     )
-    init = BundleState(np.array([0.75, 0.0]), np.array([-1.0, 0.0]), np.zeros(2), np.zeros(2))
+
+
+# Euler from x1 = 0.75 with step 0.25 reaches x1 = 0 at t = 0.75
+_TO_THE_LN_POLE = BundleState(np.array([0.75, 0.0]), np.array([-1.0, 0.0]), np.zeros(2), np.zeros(2))
+
+
+def test_step_failing_at_its_start_point_ends_one_sample_earlier():
+    # Euler evaluates nothing between samples, so x1 = 0, where ln(x1) fails,
+    # is first evaluated by the step that starts there
     cfg = IntegratorConfig(step=0.25, t_span=(0.0, 2.0), method="euler")
     with pytest.raises(IntegrationBlowUp) as err:
-        integrate(M, BundleSystem("geodesic_tm"), init, cfg)
+        integrate(_ln_chart(), BundleSystem("geodesic_tm"), _TO_THE_LN_POLE, cfg)
     assert isinstance(err.value.__cause__, EvalDomainError)
     partial = err.value.trajectory
     np.testing.assert_array_equal(partial.x[:, 0], [0.75, 0.5, 0.25])
     assert partial.times[-1] == 0.5
+
+
+def test_geometry_failing_at_the_final_sample_ends_as_blow_up(monkeypatch):
+    # no step starts from the final sample x1 = 0: it is checked without a
+    # right-hand-side call, and ends like the step from it in a longer span
+    rhs_calls = []
+    original = integrate_mod.make_rhs
+
+    def counted_make_rhs(*args, **kwargs):
+        rhs = original(*args, **kwargs)
+        return lambda t, y: rhs_calls.append(t) or rhs(t, y)
+
+    monkeypatch.setattr(integrate_mod, "make_rhs", counted_make_rhs)
+    cfg = IntegratorConfig(step=0.25, t_span=(0.0, 0.75), method="euler")
+    with pytest.raises(IntegrationBlowUp, match=r"^ln of non-positive value 0\.0 at \[0\. 0\.\] "
+                       r"at the final sample, t = 0\.75$") as err:
+        integrate(_ln_chart(), BundleSystem("geodesic_tm"), _TO_THE_LN_POLE, cfg)
+    assert isinstance(err.value.__cause__, EvalDomainError)
+    partial = err.value.trajectory
+    np.testing.assert_array_equal(partial.x[:, 0], [0.75, 0.5, 0.25])
+    assert partial.meta["steps"] == partial.meta["rhs_calls"] == len(rhs_calls) == 3
+    assert all(series.shape == partial.times.shape for series in partial.monitors.values())
 
 
 @pytest.mark.parametrize("method, stages", [("rk4", 4), ("euler", 1)])
@@ -229,7 +276,7 @@ def test_run_record_counts_steps_and_rhs_calls(method, stages):
     meta = traj.meta
     assert meta["steps"] == traj.n - 1 == 34  # the last step is shortened
     assert meta["rhs_calls"] == stages * meta["steps"]
-    for phase in ("rhs_build_s", "step_s", "monitor_s"):
+    for phase in ("rhs_build_s", "step_s"):
         assert 0.0 <= meta[phase] < 60.0
 
 
@@ -328,3 +375,96 @@ def test_each_step_is_one_step_call_and_its_stages_rhs_calls(monkeypatch, method
     traj = integrate(ent.structure, fam.system, fam.initial_state(), cfg)
     assert calls == {"step": 10, "rhs": stages * 10}
     assert traj.meta["steps"] == 10 and traj.meta["rhs_calls"] == stages * 10
+
+
+# -- monitors on first read ------------------------------------------------------
+
+
+def _assert_monitors_are_the_eager_ones(M, traj):
+    """traj's monitors equal, bit for bit, those compute_monitors fills in
+    on a trajectory of the same samples."""
+    eager = Trajectory(traj.times, traj.x, traj.xdot, traj.xi, traj.xidot)
+    compute_monitors(M, eager)
+    assert tuple(traj.monitors) == tuple(eager.monitors) == MONITOR_NAMES
+    for name in MONITOR_NAMES:
+        assert traj.monitors[name].tobytes() == eager.monitors[name].tobytes(), name
+
+
+def _phi_unit_starts():
+    """A structure and a state on its phi-unit bundle, for each chart path:
+    varying analytic Gamma, Gamma from jets of g, constant Gamma in dim 4."""
+    exp2d = catalog.entry("exp2d").structure
+    lift = catalog.entry("exp2d").family("natural_lift", lam=math.sqrt(0.5), eta=math.sqrt(0.5))
+    ent, oblique = euclid_oblique_family(0.5)
+    return {
+        "exp2d": (exp2d, lift.initial_state()),
+        "fd_exp2d": (derived_twin(exp2d), lift.initial_state()),
+        "euclid_oblique": (ent.structure, oblique.initial_state()),
+    }
+
+
+@pytest.mark.parametrize("chart", ["exp2d", "fd_exp2d", "euclid_oblique"])
+@pytest.mark.parametrize("kind", SYSTEM_KINDS)
+def test_monitors_of_an_integrated_run_are_the_eager_ones(chart, kind):
+    M, init = _phi_unit_starts()[chart]
+    system = BundleSystem(
+        kind,
+        f_tensor=FTensor(is_phi=True) if kind.startswith("f_") else None,
+        coefficients=FPlanarCoefficients.parse("0.5 + t", "1 - t^2")
+        if kind.startswith("f_planar") else None,
+    )
+    traj = integrate(M, system, init, IntegratorConfig(step=0.05, t_span=(0.0, 0.5)))
+    _assert_monitors_are_the_eager_ones(M, traj)
+
+
+@pytest.mark.parametrize(
+    "entry_name, family, params",
+    [
+        ("exp2d", "natural_lift", dict(lam=math.sqrt(0.5), eta=math.sqrt(0.5))),
+        ("exp2d", "horizontal_lift", dict(lam=math.sqrt(0.5), eta=math.sqrt(0.5), h1=1.0, h2=0.5)),
+        ("flat_diag", "hphi_geodesic", {}),
+        ("flat_diag", "hphi_planar", {}),
+        ("poly2d", "f_geodesic_lift", {}),
+        ("poly2d", "f_planar_lift", {}),
+    ],
+)
+def test_monitors_of_a_closed_form_and_its_mirror_are_the_eager_ones(entry_name, family, params):
+    ent = catalog.entry(entry_name)
+    M = ent.structure
+    traj = ent.family(family, **params).trajectory(M, np.linspace(0.0, 0.9, 31))
+    _assert_monitors_are_the_eager_ones(M, traj)
+    if entry_name == "exp2d":  # the chart here whose phi is parallel
+        mirrored = phi_mirror(M, traj)
+        _assert_monitors_are_the_eager_ones(M, mirrored)
+        _assert_monitors_are_the_eager_ones(M, phi_mirror(M, mirrored))
+
+
+def test_monitors_are_computed_once_and_only_when_read(monkeypatch, tmp_path):
+    calls = []
+    original = integrate_mod.compute_monitors
+    monkeypatch.setattr(
+        integrate_mod, "compute_monitors", lambda M, traj: calls.append(traj) or original(M, traj)
+    )
+    # the Frenet analysis reads no monitor
+    assert cli.main(["frenet", "--scenario", str(SCENARIOS / "euclid_oblique.json"),
+                     "--out", str(tmp_path)]) == 0
+    assert calls == []
+    ent, fam = euclid_oblique_family(0.5)
+    M = ent.structure
+    closed = fam.trajectory(M, np.linspace(0.0, 1.0, 11))
+    mirrored = phi_mirror(M, closed)
+    run = integrate(M, fam.system, fam.initial_state(), IntegratorConfig(step=0.1, t_span=(0.0, 1.0)))
+    assert calls == []
+    for traj in (closed, mirrored, run):
+        first = traj.monitors
+        assert traj.monitors is first
+    assert calls == [closed, mirrored, run]
+    # the partial trajectory of a blow-up carries its monitors
+    calls.clear()
+    cfg = IntegratorConfig(step=0.25, t_span=(0.0, 0.75), method="euler")
+    with pytest.raises(IntegrationBlowUp) as err:
+        integrate(_ln_chart(), BundleSystem("geodesic_tm"), _TO_THE_LN_POLE, cfg)
+    partial = err.value.trajectory
+    assert calls == [partial]
+    assert all(series.shape == partial.times.shape for series in partial.monitors.values())
+    assert calls == [partial]
