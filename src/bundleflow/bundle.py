@@ -35,6 +35,8 @@ the constraints hold exactly at t0.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ConstraintError
@@ -73,6 +75,10 @@ _UNIT_KINDS = frozenset(k for k in SYSTEM_KINDS if k.endswith("_unit"))
 _F_KINDS = frozenset(k for k in SYSTEM_KINDS if k.startswith("f_"))
 _PLANAR_KINDS = frozenset(k for k in SYSTEM_KINDS if k.startswith("f_planar"))
 _UNIT_TOL = 1e-6  # how far a given state may sit off the phi-unit constraints
+# How many coefficient pairs a process keeps by their text, the least
+# recently used dropped first, and compiled right-hand sides a structure keeps.
+_MEMO_COEFFICIENTS = 64
+_MEMO_RHS = 32
 
 
 class BundleState:
@@ -160,7 +166,12 @@ class FPlanarCoefficients(_Value):
         _set(self, "rho2", rho2)
 
     @classmethod
+    @functools.lru_cache(maxsize=_MEMO_COEFFICIENTS)
     def parse(cls, rho1: str, rho2: str) -> "FPlanarCoefficients":
+        """The pair of ``rho1``, ``rho2``, parsed once per process: a pair of
+        the same texts is the same shared object, so that systems built from
+        it compare equal; it must not be mutated.  A text that does not
+        parse raises on every call."""
         return cls(ScalarField.parse(rho1, 1), ScalarField.parse(rho2, 1))
 
     @classmethod
@@ -287,7 +298,9 @@ def make_rhs(M: MetricStructure, system: BundleSystem):
     derivative as a tuple of as many floats.
 
     The function is compiled on first use for the structure and the system
-    (:func:`bundleflow.rhs.compile_rhs`) and kept on the structure.  Where it
+    (:func:`bundleflow.rhs.compile_rhs`) and kept on the structure, for up
+    to 32 systems: a structure that holds 32 drops them all before it
+    compiles the next.  Where it
     cannot vouch for its result at a point it returns :func:`_reference_rhs`
     there, as a tuple, which raises the library's errors where the point is
     bad.
@@ -297,6 +310,8 @@ def make_rhs(M: MetricStructure, system: BundleSystem):
         def reference(t, y):
             return tuple(_reference_rhs(M, system, t, y).tolist())
 
+        if len(M._rhs) >= _MEMO_RHS:
+            M._rhs.clear()
         rhs = M._rhs[system] = compile_rhs(M, system, reference)
     return rhs
 

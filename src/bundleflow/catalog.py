@@ -10,6 +10,11 @@ expressions, from the engine that differentiates the manifold's fields, so a
 sampled family can be pushed through the residual evaluators without
 differentiation noise.
 
+A process builds each entry once, by its name, and compiles each family's
+jet program once, by the family's text: the entries, their structures and
+F tensors, and the programs are shared by every caller, in bounded
+least-recently-used memos, and must not be mutated.
+
 Entries:
 
 * ``exp2d``         plane with g = e^{2x} dx^2 + e^{2y} dy^2 and an
@@ -31,6 +36,7 @@ Entries:
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from types import SimpleNamespace
@@ -53,6 +59,11 @@ __all__ = [
     "perturbed_base",
 ]
 
+# How many entries and family jet programs a process keeps, the least
+# recently used dropped first.
+_MEMO_ENTRIES = 64
+_MEMO_FAMILIES = 256
+
 
 class ClosedForm:
     """A parameterized exact solution of one of the bundle systems.
@@ -60,8 +71,9 @@ class ClosedForm:
     ``base`` and ``fiber`` hold the components of x(t) and xi(t) as
     expressions in ``t``, each parameter written as the ``repr`` of its
     float so that the text parses back to the same double.  They are
-    compiled once, into one program that returns their values and their
-    first and second derivatives at a stack of times.
+    compiled into one program that returns their values and their first and
+    second derivatives at a stack of times, once per process for their text:
+    families of the same text share it.
     """
 
     __slots__ = ("name", "manifold", "system", "base", "fiber", "validity", "_jet")
@@ -77,7 +89,7 @@ class ClosedForm:
     ):
         self.name, self.manifold, self.system = name, manifold, system
         self.base, self.fiber, self.validity = base, fiber, validity
-        self._jet = compile_rows([parse(text, 1) for text in base + fiber], 1, 2)
+        self._jet = _family_jet(tuple(base) + tuple(fiber))
 
     def _blocks(self, times: np.ndarray) -> np.ndarray:
         """``[[x, xdot, xddot], [xi, xidot, xiddot]]`` at ``times``, each (n, dim)."""
@@ -112,6 +124,12 @@ class ClosedForm:
         return BundleState(x[0], xdot[0], xi[0], xidot[0])
 
 
+@functools.lru_cache(maxsize=_MEMO_FAMILIES)
+def _family_jet(texts: tuple[str, ...]):
+    """The jet program of a family's components, keyed by their texts."""
+    return compile_rows([parse(text, 1) for text in texts], 1, 2)
+
+
 class CatalogEntry:
     __slots__ = ("name", "structure", "f_tensor", "curvature_op", "families")
 
@@ -140,8 +158,13 @@ def entry_names() -> tuple[str, ...]:
     return tuple(_BUILDERS)
 
 
+@functools.lru_cache(maxsize=_MEMO_ENTRIES)
 def entry(name: str) -> CatalogEntry:
-    """Look up a catalog entry; ``const_curv(c)`` encodes its parameter."""
+    """Look up a catalog entry; ``const_curv(c)`` encodes its parameter.
+
+    Each name is built once per process: the entry, with its structure and
+    F tensor, is shared by every caller and must not be mutated.  An unknown
+    name raises on every call."""
     match = re.fullmatch(r"const_curv\(([-+0-9.eE]+)\)", name.strip())
     if match:
         return _const_curv(c=float(match.group(1)))

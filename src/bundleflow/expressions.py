@@ -8,8 +8,9 @@ Fields on an n-dimensional chart are written in a small infix language:
 * unary negation, with precedence ``^`` > unary ``-`` > ``* /`` > ``+ -``.
 
 A field's tree is at most 600 levels deep (a sum of 600 terms is about
-that deep); a deeper one, or nesting the parser cannot follow, is an
-:class:`~bundleflow.errors.ExprSyntaxError`.
+that deep), and its text nests parentheses, calls, unary signs and exponent
+parentheses at most 50 levels deep, whoever calls the parser; a deeper one is
+an :class:`~bundleflow.errors.ExprSyntaxError`.
 
 :func:`evaluate` walks a tree at one point in plain floats; it is how a
 field is evaluated at one point, and the reference of every other
@@ -80,6 +81,11 @@ _ALIASES = {1: {"t": 0}, 2: {"x": 0, "y": 1}}
 # The deepest tree a field may have: every walker recurses once per level,
 # and a Python stack holds about 1000 frames.
 _MAX_DEPTH = 600
+
+# The deepest nesting the parser follows, counted in open parentheses, calls,
+# unary signs and exponent parentheses: about 5 frames a level, so a text
+# parses or not whatever the depth of the caller's stack.
+_MAX_NESTING = 50
 
 # How many parsed trees and compiled program texts a process keeps, the
 # least recently used dropped first.
@@ -226,6 +232,7 @@ class _Parser:
         self.tokens = tokens
         self.dim = dim
         self.i = 0
+        self.nesting = 0  # levels open at the current token
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -241,11 +248,19 @@ class _Parser:
             raise ExprSyntaxError(f"expected {text!r}", tok.pos)
         self.advance()
 
+    def nested(self, parse, pos: int):
+        """``parse()`` one level deeper, a level opened at byte ``pos``."""
+        if self.nesting == _MAX_NESTING:
+            raise ExprSyntaxError(
+                f"expression nests too deeply: more than {_MAX_NESTING} levels of"
+                " parentheses, calls or signs", pos)
+        self.nesting += 1
+        node = parse()
+        self.nesting -= 1
+        return node
+
     def parse(self) -> Node:
-        try:
-            node = self.expression()
-        except RecursionError:  # parentheses, calls or signs nested past the stack
-            raise ExprSyntaxError("expression nests too deeply", self.peek().pos) from None
+        node = self.expression()
         tok = self.peek()
         if tok.kind != "end":
             raise ExprSyntaxError(f"unexpected trailing input {tok.text!r}", tok.pos)
@@ -267,8 +282,7 @@ class _Parser:
 
     def unary(self) -> Node:
         if self.peek().kind == "op" and self.peek().text == "-":
-            self.advance()
-            return Neg(self.unary())
+            return Neg(self.nested(self.unary, self.advance().pos))
         return self.power()
 
     def power(self) -> Node:
@@ -283,7 +297,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "(":
             self.advance()
-            value = self.integer_exponent()
+            value = self.nested(self.integer_exponent, tok.pos)
             self.expect_op(")")
             return value
         sign = 1
@@ -311,13 +325,13 @@ class _Parser:
                 if tok.text not in FUNCTIONS:
                     raise ExprSyntaxError(f"unknown function {tok.text!r}", tok.pos)
                 self.advance()
-                arg = self.expression()
+                arg = self.nested(self.expression, tok.pos)
                 self.expect_op(")")
                 return Call(tok.text, arg)
             return Var(_variable_index(tok.text, self.dim, tok.pos))
         if tok.kind == "op" and tok.text == "(":
             self.advance()
-            node = self.expression()
+            node = self.nested(self.expression, tok.pos)
             self.expect_op(")")
             return node
         raise ExprSyntaxError(

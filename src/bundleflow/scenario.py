@@ -1,9 +1,16 @@
 """Scenario configuration: JSON documents describing a manifold, a system,
 an initial state, integrator settings, the structure checks and the Frenet
-analysis.  A key the parser does not read is a configuration error."""
+analysis.  A key the parser does not read is a configuration error.
+
+A process builds each manifold once: a catalog entry by its name, an inline
+manifold and a system's F by their canonical JSON text, in bounded
+least-recently-used memos.  Scenarios of the same manifold share its
+structure, F tensor and coefficient functions, with everything compiled for
+them; none of these may be mutated."""
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 from pathlib import Path
@@ -24,6 +31,10 @@ from .integrate import IntegratorConfig
 __all__ = ["Scenario", "load_scenario"]
 
 _CHECK_NAMES = ("norden", "parallel_phi", "curvature_purity")
+
+# How many inline manifolds and F tensors a process keeps by their text, the
+# least recently used dropped first.
+_MEMO_MANIFOLDS = 64
 
 # the keys each level of a scenario document may have
 _KEYS = {
@@ -96,6 +107,21 @@ def _vector(raw, dim: int, what: str) -> np.ndarray:
     return vec
 
 
+def _text(raw, what: str) -> str:
+    """``raw`` as canonical JSON text, the key of what is built from it: keys
+    sorted, a numpy array or number written as its list or number."""
+
+    def plain(value):
+        if isinstance(value, (np.ndarray, np.generic)):
+            return value.tolist()
+        raise TypeError(f"{type(value).__name__} is not a JSON value")
+
+    try:
+        return json.dumps(raw, sort_keys=True, default=plain)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"bad {what}: {exc}") from None
+
+
 def _build_structure(spec) -> tuple[MetricStructure, FTensor | None]:
     if isinstance(spec, str):
         try:
@@ -106,6 +132,13 @@ def _build_structure(spec) -> tuple[MetricStructure, FTensor | None]:
     if not isinstance(spec, dict):
         raise ScenarioError("manifold must be a catalog name or an inline object")
     _known_keys(spec, "inline manifold")
+    return _inline_structure(_text(spec, "inline manifold"))
+
+
+@functools.lru_cache(maxsize=_MEMO_MANIFOLDS)
+def _inline_structure(text: str) -> tuple[MetricStructure, FTensor | None]:
+    """The structure and F of an inline manifold, built from its text."""
+    spec = json.loads(text)
     if "dim" not in spec:
         raise ScenarioError("inline manifold needs an integer 'dim'")
     dim = _integer(spec["dim"], "inline manifold 'dim'")
@@ -144,10 +177,7 @@ def _build_system(doc, structure, default_f) -> BundleSystem | None:
         return None
     f_tensor = coeffs = None
     if "F" in doc:
-        try:
-            f_tensor = FTensor.from_spec(doc["F"], structure.dim)
-        except (ExprSyntaxError, ValueError) as exc:
-            raise ScenarioError(f"bad F tensor: {exc}") from None
+        f_tensor = _f_tensor(_text(doc["F"], "F tensor"), structure.dim)
     elif str(kind).startswith("f_"):
         f_tensor = default_f
     if "rho1" in doc or "rho2" in doc:
@@ -161,6 +191,15 @@ def _build_system(doc, structure, default_f) -> BundleSystem | None:
         return BundleSystem(kind, f_tensor=f_tensor, coefficients=coeffs)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
+
+
+@functools.lru_cache(maxsize=_MEMO_MANIFOLDS)
+def _f_tensor(text: str, dim: int) -> FTensor:
+    """A system's F, built from its text."""
+    try:
+        return FTensor.from_spec(json.loads(text), dim)
+    except (ExprSyntaxError, ValueError) as exc:
+        raise ScenarioError(f"bad F tensor: {exc}") from None
 
 
 def _build_initial(doc, structure) -> BundleState | None:
@@ -206,6 +245,10 @@ def _build_integrator(doc) -> tuple[IntegratorConfig | None, bool]:
 
 
 def scenario_from_dict(doc: dict, *, name: str = "scenario") -> Scenario:
+    """The scenario of a parsed document.  Its structure, F tensor and
+    coefficient functions are built once per process for their text and
+    shared with every scenario of the same text: callers must not mutate
+    them."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
     _known_keys(doc, "scenario")
@@ -257,7 +300,9 @@ def scenario_from_dict(doc: dict, *, name: str = "scenario") -> Scenario:
 
 def load_scenario(path, *, seed=None, step=None, t_span=None) -> Scenario:
     """Load a scenario file; a given ``seed``, ``step`` or ``t_span`` replaces
-    the file's value before the document is parsed."""
+    the file's value before the document is parsed.  Loading a file twice
+    gives two scenarios of one shared structure (:func:`scenario_from_dict`),
+    which callers must not mutate."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())

@@ -154,10 +154,10 @@ def verify_structure(seed: int = DEFAULT_SEED) -> list[Claim]:
     for name in ("exp2d", "flat_diag", "poly2d"):
         ent = catalog.entry(name)
         M = ent.structure
-        # "fd" labels the twin without analytic Christoffel symbols; its
+        # "jet" labels the twin without analytic Christoffel symbols; its
         # Gamma comes from exact jets of g
         derived = MetricStructure(M.dim, M.g, M.phi, chart_box=M.chart_box, name=M.name)
-        for label, structure in (("analytic", M), ("fd", derived)):
+        for label, structure in (("analytic", M), ("jet", derived)):
             nor = check_norden(structure, n_points=100, seed=seed)
             par = check_parallel_phi(structure, n_points=100, seed=seed)
             claims.append(

@@ -39,8 +39,8 @@ def _report(criterion: str, items) -> None:
 def test_criterion_01_structure_axioms(claims):
     group = claims("structure")
     _report("1 structure axioms", group.values())
-    fd_names = [n for n in group if n.endswith("_fd")]
-    assert fd_names, "the path without analytic Christoffel symbols must be exercised"
+    jet_names = [n for n in group if n.endswith("_jet")]
+    assert jet_names, "the path without analytic Christoffel symbols must be exercised"
     assert group["structure/negative_control_random_phi"].passed
 
 

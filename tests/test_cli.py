@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import bundleflow
-from bundleflow import cli, expressions
+from bundleflow import bundle, catalog, cli, expressions, scenario
+from bundleflow.bundle import BundleSystem, FPlanarCoefficients, FTensor, make_rhs
 from bundleflow.errors import ScenarioError
-from bundleflow.scenario import scenario_from_dict
+from bundleflow.scenario import load_scenario, scenario_from_dict
 from bundleflow.verify import euclid_oblique_family
 from charts import deep_g11
 
@@ -748,6 +749,90 @@ def test_frenet_on_an_indefinite_jet_span_keeps_the_trajectory(tmp_path, capsys)
 # -- the per-process memos --------------------------------------------------------
 
 
+def _clear_memos():
+    """Empty every per-process memo, so that the next command starts cold."""
+    for memo in (expressions.parse, expressions._code, catalog.entry, catalog._family_jet,
+                 scenario._inline_structure, scenario._f_tensor, FPlanarCoefficients.parse):
+        memo.cache_clear()
+
+
+def _inline(**changes) -> dict:
+    manifold = {"dim": 2, "g": [["exp(2*x1)", "0"], ["0", "1"]], "phi": [["1", "0"], ["0", "-1"]],
+                "F": [["0", "1"], ["1", "0"]], "chart_box": [[-1, 1], [-1, 1]], "name": "chart"}
+    return {"manifold": {**manifold, **changes}}
+
+
+def test_loading_a_scenario_twice_shares_its_structure():
+    for path in sorted(SCENARIOS.glob("*.json")):
+        first, second = load_scenario(path), load_scenario(path, seed=3)
+        assert first is not second and first.structure is second.structure, path.stem
+        assert first.system == second.system, path.stem
+    planar = load_scenario(SCENARIOS / "flat_diag_hphi_planar.json").system
+    assert planar.coefficients is FPlanarCoefficients.parse("1/(t + 1)", "1/(t - 1)")
+    assert planar.f_tensor is catalog.entry("flat_diag").f_tensor
+    # a system's own F, by its text
+    doc = {**oblique_scenario_doc(), "system": "f_geodesic_unit", "F": np.diag([1.0, 1, -1, -1])}
+    systems = [scenario_from_dict(doc).system for _ in range(2)]
+    assert systems[0] == systems[1] and systems[0].f_tensor is systems[1].f_tensor
+
+
+def test_inline_manifolds_of_different_text_get_distinct_structures():
+    base = scenario_from_dict(_inline()).structure
+    # the same text, keys in another order and arrays for lists
+    again = {"manifold": dict(reversed(_inline()["manifold"].items()))}
+    again["manifold"]["chart_box"] = np.array([[-1, 1], [-1, 1]])
+    assert scenario_from_dict(again).structure is base
+    variants = [
+        _inline(chart_box=[[-1, 1], [-1, 2]]),
+        _inline(name="other"),
+        _inline(g=[["exp(2*x1)", "0"], ["0", "2"]]),
+        _inline(F=[["0", "1"], ["1", "1"]]),
+    ]
+    structures = [scenario_from_dict(doc).structure for doc in variants]
+    assert len({id(M) for M in [base] + structures}) == 5
+    assert structures[1].name == "other" and structures[0].chart_box[1, 1] == 2.0
+    one, two = (scenario_from_dict({"manifold": f"const_curv({c})"}).structure for c in (1, 2))
+    assert one is not two and (one.name, two.name) == ("const_curv(1)", "const_curv(2)")
+    assert catalog.entry("const_curv(1)") is catalog.entry("const_curv(1)")
+
+
+def test_a_repeated_command_compiles_nothing(tmp_path, monkeypatch):
+    # integrate and frenet share one structure and one system, so one
+    # right-hand side; a repeat of both finds every program built
+    built, defined = [], []
+    compile_rhs, define = bundle.compile_rhs, expressions._Source.define
+
+    def counted_compile(*args):
+        built.append(1)
+        return compile_rhs(*args)
+
+    def counted_define(*args):
+        defined.append(1)
+        return define(*args)
+
+    _clear_memos()
+    monkeypatch.setattr(bundle, "compile_rhs", counted_compile)
+    monkeypatch.setattr(expressions._Source, "define", counted_define)
+    path = SCENARIOS / "flat_diag_hphi_planar.json"
+    for repeat in range(2):
+        for command in ("integrate", "frenet"):
+            assert run(command, "--scenario", path, "--out", tmp_path / f"{command}{repeat}") == 0
+        if repeat == 0:
+            assert len(built) == 1
+            defined.clear()
+    assert len(built) == 1 and defined == []
+
+
+def test_a_structure_keeps_at_most_its_bound_of_right_hand_sides():
+    M = catalog.entry.__wrapped__("flat_diag").structure
+    systems = [BundleSystem("f_geodesic_tm", f_tensor=FTensor(is_phi=True))
+               for _ in range(bundle._MEMO_RHS + 1)]
+    rhs = [make_rhs(M, system) for system in systems]
+    assert list(M._rhs) == systems[-1:]
+    assert make_rhs(M, systems[-1]) is rhs[-1]
+
+
+
 def test_a_cold_and_a_warm_memo_write_the_same_bytes(tmp_path, monkeypatch, capsys):
     # the second pass parses and compiles nothing new: every tree and
     # program comes from the memos, and must give the same outputs
@@ -755,8 +840,7 @@ def test_a_cold_and_a_warm_memo_write_the_same_bytes(tmp_path, monkeypatch, caps
     commands = [(c, "--scenario", p, "--out", f"{c}-{p.stem}")
                 for p in systems for c in ("integrate", "frenet")]
     commands.append(("verify", "all", "--out", "verify"))
-    expressions.parse.cache_clear()
-    expressions._code.cache_clear()
+    _clear_memos()
     passes = {}
     for side in ("A", "B"):
         (tmp_path / side).mkdir()

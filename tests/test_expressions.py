@@ -86,6 +86,34 @@ def test_a_field_that_nests_too_deeply_is_a_syntax_error():
         assert 0 < err.value.offset < len(source)
 
 
+def _at_depth(frames: int, call):
+    """``call()`` made ``frames`` frames deeper than the caller."""
+    return call() if frames == 0 else _at_depth(frames - 1, call)
+
+
+@pytest.mark.parametrize("frames", [0, 600], ids=["shallow", "600_frames_deeper"])
+def test_the_nesting_limit_does_not_depend_on_the_callers_stack(frames):
+    # each kind of level at the limit parses, and one level more fails at
+    # the byte that opens it, whoever calls the parser; unmemoized, so that
+    # every call parses
+    limit = expressions._MAX_NESTING
+
+    def texts(k):  # (text nesting k levels, byte that opens level k)
+        return {
+            "parentheses": ("(" * k + "x1" + ")" * k, k - 1),
+            "calls": ("exp(" * k + "x1" + ")" * k, 4 * (k - 1)),
+            "unary signs": ("-" * k + "x1", k - 1),
+            "exponent parentheses": ("x1^" + "(" * k + "2" + ")" * k, 3 + k - 1),
+        }
+
+    for text, _ in texts(limit).values():
+        _at_depth(frames, lambda: parse.__wrapped__(text, 2))
+    for kind, (text, byte) in texts(limit + 1).items():
+        with pytest.raises(ExprSyntaxError, match="nests too deeply") as err:
+            _at_depth(frames, lambda: parse.__wrapped__(text, 2))
+        assert err.value.offset == byte, kind
+
+
 def test_a_field_at_the_depth_limit_builds_evaluates_and_compiles():
     levels = expressions._MAX_DEPTH
     field = ScalarField.parse(" + ".join(f"x{k % 2 + 1}*{k}" for k in range(levels - 1)), 2)

@@ -171,10 +171,11 @@ def _dense4():
 
 
 _RHS_CHARTS = {
-    "exp2d": lambda: catalog.entry("exp2d").structure,  # analytic, constant Gamma
-    "poly2d": lambda: catalog.entry("poly2d").structure,  # analytic, varying Gamma
+    # each built outside the entry memo: a new structure per call
+    "exp2d": lambda: catalog.entry.__wrapped__("exp2d").structure,  # analytic, constant Gamma
+    "poly2d": lambda: catalog.entry.__wrapped__("poly2d").structure,  # analytic, varying Gamma
     "fd_exp2d": lambda: derived_twin(EXP2D),
-    "const_curv": lambda: catalog.entry("const_curv(1.5)").structure,  # given R
+    "const_curv": lambda: catalog.entry.__wrapped__("const_curv(1.5)").structure,  # given R
     "curved": curved,  # Gamma from jets of g, R varies
     "h2xh2": lambda: derived_twin(h2xh2()),  # Gamma and R vary, from jets of g
     "neutral": _neutral,
@@ -495,7 +496,9 @@ def test_point_geometry_evaluates_each_piece_once(monkeypatch):
 # -- point-independent pieces and a warm structure -------------------------------
 
 
-_MAKE = {name: lambda name=name: catalog.entry(name).structure for name in catalog.entry_names()}
+# built outside the entry memo, so that each call makes a new structure
+_MAKE = {name: lambda name=name: catalog.entry.__wrapped__(name).structure
+         for name in catalog.entry_names()}
 _MAKE["fd_exp2d"] = lambda: derived_twin(EXP2D)
 _MAKE["fd_curved"] = curved
 
