@@ -83,8 +83,11 @@ _ALIASES = {1: {"t": 0}, 2: {"x": 0, "y": 1}}
 _MAX_DEPTH = 600
 
 # The deepest nesting the parser follows, counted in open parentheses, calls,
-# unary signs and exponent parentheses: about 5 frames a level, so a text
-# parses or not whatever the depth of the caller's stack.
+# unary signs and exponent parentheses.  A parenthesis or call level costs 6
+# frames (expression, term, unary, power, atom, nested), a sign or exponent
+# parenthesis 2, so 50 levels take at most about 310 frames: with up to 600
+# frames of callers the parser stays under Python's default limit of 1000,
+# and a text parses or not whatever the caller's stack.
 _MAX_NESTING = 50
 
 # How many parsed trees and compiled program texts a process keeps, the

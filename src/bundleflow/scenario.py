@@ -3,10 +3,11 @@ an initial state, integrator settings, the structure checks and the Frenet
 analysis.  A key the parser does not read is a configuration error.
 
 A process builds each manifold once: a catalog entry by its name, an inline
-manifold and a system's F by their canonical JSON text, in bounded
-least-recently-used memos.  Scenarios of the same manifold share its
-structure, F tensor and coefficient functions, with everything compiled for
-them; none of these may be mutated."""
+manifold by its canonical JSON text, in bounded least-recently-used memos.
+Scenarios of the same manifold share its structure and default F, and
+scenarios of the same rho1, rho2 texts their coefficient functions, with
+everything compiled for them; none of these may be mutated.  A system's own
+F is built for each scenario."""
 
 from __future__ import annotations
 
@@ -32,8 +33,8 @@ __all__ = ["Scenario", "load_scenario"]
 
 _CHECK_NAMES = ("norden", "parallel_phi", "curvature_purity")
 
-# How many inline manifolds and F tensors a process keeps by their text, the
-# least recently used dropped first.
+# How many inline manifolds a process keeps by their text, the least recently
+# used dropped first.
 _MEMO_MANIFOLDS = 64
 
 # the keys each level of a scenario document may have
@@ -177,7 +178,10 @@ def _build_system(doc, structure, default_f) -> BundleSystem | None:
         return None
     f_tensor = coeffs = None
     if "F" in doc:
-        f_tensor = _f_tensor(_text(doc["F"], "F tensor"), structure.dim)
+        try:
+            f_tensor = FTensor.from_spec(doc["F"], structure.dim)
+        except (ExprSyntaxError, ValueError) as exc:
+            raise ScenarioError(f"bad F tensor: {exc}") from None
     elif str(kind).startswith("f_"):
         f_tensor = default_f
     if "rho1" in doc or "rho2" in doc:
@@ -191,15 +195,6 @@ def _build_system(doc, structure, default_f) -> BundleSystem | None:
         return BundleSystem(kind, f_tensor=f_tensor, coefficients=coeffs)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
-
-
-@functools.lru_cache(maxsize=_MEMO_MANIFOLDS)
-def _f_tensor(text: str, dim: int) -> FTensor:
-    """A system's F, built from its text."""
-    try:
-        return FTensor.from_spec(json.loads(text), dim)
-    except (ExprSyntaxError, ValueError) as exc:
-        raise ScenarioError(f"bad F tensor: {exc}") from None
 
 
 def _build_initial(doc, structure) -> BundleState | None:
@@ -245,7 +240,7 @@ def _build_integrator(doc) -> tuple[IntegratorConfig | None, bool]:
 
 
 def scenario_from_dict(doc: dict, *, name: str = "scenario") -> Scenario:
-    """The scenario of a parsed document.  Its structure, F tensor and
+    """The scenario of a parsed document.  Its structure, default F and
     coefficient functions are built once per process for their text and
     shared with every scenario of the same text: callers must not mutate
     them."""

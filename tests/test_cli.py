@@ -752,7 +752,7 @@ def test_frenet_on_an_indefinite_jet_span_keeps_the_trajectory(tmp_path, capsys)
 def _clear_memos():
     """Empty every per-process memo, so that the next command starts cold."""
     for memo in (expressions.parse, expressions._code, catalog.entry, catalog._family_jet,
-                 scenario._inline_structure, scenario._f_tensor, FPlanarCoefficients.parse):
+                 scenario._inline_structure, FPlanarCoefficients.parse):
         memo.cache_clear()
 
 
@@ -770,10 +770,6 @@ def test_loading_a_scenario_twice_shares_its_structure():
     planar = load_scenario(SCENARIOS / "flat_diag_hphi_planar.json").system
     assert planar.coefficients is FPlanarCoefficients.parse("1/(t + 1)", "1/(t - 1)")
     assert planar.f_tensor is catalog.entry("flat_diag").f_tensor
-    # a system's own F, by its text
-    doc = {**oblique_scenario_doc(), "system": "f_geodesic_unit", "F": np.diag([1.0, 1, -1, -1])}
-    systems = [scenario_from_dict(doc).system for _ in range(2)]
-    assert systems[0] == systems[1] and systems[0].f_tensor is systems[1].f_tensor
 
 
 def test_inline_manifolds_of_different_text_get_distinct_structures():
