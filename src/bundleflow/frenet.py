@@ -78,21 +78,15 @@ class CovariantJets:
         return len(self.jets)
 
 
-def _jet_path(order: int, system: str | None, exact_second: bool, method: str) -> tuple[int, int]:
-    """The first jet order taken by the curvature recursion (``order + 1``
-    where none is) and the number of orders taken by centered differences."""
-    if method == "recursion":
-        first = 3
-    elif method == "auto" and system == "geodesic_unit":
-        first = 4
-    else:
-        first = order + 1
+def _jet_path(order: int, system: str | None, exact_second: bool) -> tuple[int, int]:
+    """The first jet order taken by the curvature recursion (4 for a
+    unit-bundle geodesic, ``order + 1`` where none is) and the number of
+    orders taken by centered differences."""
+    first = 4 if system == "geodesic_unit" else order + 1
     return first, len(range(3 if exact_second else 2, min(order, first - 1) + 1))
 
 
-def samples_needed(
-    order: int, system: str | None, exact_second: bool = False, method: str = "auto"
-) -> int:
+def samples_needed(order: int, system: str | None, exact_second: bool = False) -> int:
     """The fewest samples :func:`covariant_jets` accepts for jets to ``order``
     of a curve of the system kind ``system`` (None for a plain base curve).
 
@@ -104,12 +98,10 @@ def samples_needed(
     (``exact_second``) gives order 2 without differencing.  No path accepts
     fewer than ``MIN_SAMPLES``.
     """
-    return max(MIN_SAMPLES, 2 * _jet_path(order, system, exact_second, method)[1] + 2)
+    return max(MIN_SAMPLES, 2 * _jet_path(order, system, exact_second)[1] + 2)
 
 
-def covariant_jets(
-    M: MetricStructure, traj: Trajectory, order: int, *, method: str = "auto"
-) -> CovariantJets:
+def covariant_jets(M: MetricStructure, traj: Trajectory, order: int) -> CovariantJets:
     """Covariant jets of the projected curve up to the given order.
 
     Orders one and two come from stored data (exact coordinate second
@@ -117,25 +109,20 @@ def covariant_jets(
     orders difference the previous jet; for unit-bundle geodesics (a
     ``meta["system"]`` of ``"geodesic_unit"``) the curvature recursion
     gamma^(p+1) = R(xi', phi xi) gamma^(p) replaces differencing beyond order
-    three, where finite-difference noise grows quickly.  ``method`` may force
-    ``"fd"`` or ``"recursion"``.  The jets cover the samples that no
-    difference reached from an end; a run shorter than
+    three, where finite-difference noise grows quickly.  The jets cover the
+    samples that no difference reached from an end; a run shorter than
     :func:`samples_needed` raises ``ValueError``.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     if order > M.dim:
         raise ValueError(f"jet order {order} exceeds dimension {M.dim}")
-    if method not in ("auto", "fd", "recursion"):
-        raise ValueError(f"unknown jet method {method!r}")
     system = traj.meta.get("system")
-    if method == "recursion" and system != "geodesic_unit":
-        raise ValueError("the curvature recursion only applies to unit-bundle geodesics")
     exact_second = traj.xddot is not None
-    n, needed = traj.n, samples_needed(order, system, exact_second, method)
+    n, needed = traj.n, samples_needed(order, system, exact_second)
     if n < needed:
         raise ValueError(f"jets to order {order} need {needed} samples, got {n}")
-    recursion_from, trim = _jet_path(order, system, exact_second, method)
+    recursion_from, trim = _jet_path(order, system, exact_second)
 
     geo = M.at(traj.x)
     jets: list[np.ndarray] = [traj.xdot.copy()]

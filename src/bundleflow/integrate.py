@@ -1,22 +1,20 @@
-"""Fixed-step explicit Runge-Kutta integration with invariant monitoring.
+"""Fixed-step classic RK4 integration with invariant monitoring.
 
-Classic RK4 is the default; forward Euler is kept as a diagnostic for the
-convergence-order checks.  The step grid lands exactly on the final time by
-shortening the last step.  Conserved-quantity monitors are evaluated from
-stored states, never interpolated, on the first read of a trajectory's
-``monitors``.  Each step checks the geometry at the sample it starts from;
-the final sample, which no step starts from, has g, phi and Gamma checked
-once the steps are done.
+The step grid lands exactly on the final time by shortening the last step.
+Conserved-quantity monitors are evaluated from stored states, never
+interpolated, on the first read of a trajectory's ``monitors``.  Each step
+checks the geometry at the sample it starts from; the final sample, which
+no step starts from, has g, phi and Gamma checked once the steps are done.
 
 A step runs on plain floats.  The state is a tuple of 4 dim floats, the
 right-hand side (:func:`bundleflow.bundle.make_rhs`) takes and returns
-tuples, and each method's step is one straight-line function written once
-per state length: it calls the right-hand side (4 times for RK4, once for
-Euler) and does the stage arithmetic between the calls, y + (h/2) k or
-y + h k, and the RK4 sum y + (h/6) (((k1 + 2 k2) + 2 k3) + k4).  Each entry
-is the arithmetic numpy does on the arrays, in its order, so a run is the
-array formulas' run bit for bit.  The stepped states are kept as tuples and
-copied into a preallocated array 256 at a time.
+tuples, and the step is one straight-line function written once per state
+length: it calls the right-hand side 4 times and does the stage arithmetic
+between the calls, y + (h/2) k or y + h k, and the sum
+y + (h/6) (((k1 + 2 k2) + 2 k3) + k4).  Each entry is the arithmetic numpy
+does on the arrays, in its order, so a run is the array formulas' run bit
+for bit.  The stepped states are kept as tuples and copied into a
+preallocated array 256 at a time.
 """
 
 from __future__ import annotations
@@ -50,9 +48,9 @@ _BUFFER_ROWS = 256
 
 
 class IntegratorConfig:
-    __slots__ = ("step", "t_span", "method")
+    __slots__ = ("step", "t_span")
 
-    def __init__(self, step: float, t_span: tuple[float, float], method: str = "rk4"):
+    def __init__(self, step: float, t_span: tuple[float, float]):
         t0, t1 = t_span
         if not np.all(np.isfinite([t0, t1, step])):
             raise ValueError(f"step {step} and span {t_span} must be finite")
@@ -60,9 +58,7 @@ class IntegratorConfig:
             raise ValueError(f"need t1 > t0, got span {t_span}")
         if not 0.0 < step <= (t1 - t0) + 1e-15:
             raise ValueError(f"step {step} incompatible with span {t_span}")
-        if method not in ("rk4", "euler"):
-            raise ValueError(f"unknown method {method!r}")
-        self.step, self.t_span, self.method = step, t_span, method
+        self.step, self.t_span = step, t_span
 
 
 class Trajectory:
@@ -138,12 +134,11 @@ class Trajectory:
 
 
 @cache
-def _step_kernels(n: int) -> tuple:
-    """The RK4 and the Euler step on states of ``n`` floats, as two generated
-    straight-line functions ``step(rhs, t, y, h)`` of tuples, written once
-    per ``n`` and kept.  The RK4 step takes its stages at y + (h/2) k1,
-    y + (h/2) k2 and y + h k3, and returns y + (h/6) (((k1 + 2 k2) + 2 k3) + k4);
-    the Euler step returns y + h k1."""
+def _step_kernel(n: int):
+    """The RK4 step on states of ``n`` floats, as a generated straight-line
+    function ``step(rhs, t, y, h)`` of tuples, written once per ``n`` and
+    kept.  It takes its stages at y + (h/2) k1, y + (h/2) k2 and y + h k3,
+    and returns y + (h/6) (((k1 + 2 k2) + 2 k3) + k4)."""
     r = range(n)
 
     def names(k):
@@ -155,24 +150,17 @@ def _step_kernels(n: int) -> tuple:
     def stage(k, at, prev, a):
         return f"{names(k)}= rhs({at}, {entries(lambda i: f'y{i} + {a} * {prev}{i}')})"
 
-    src = _Source(0, rows=False)
     rk4 = [f"{names('y')}= y", "half = 0.5 * h", f"{names('k1_')}= rhs(t, y)",
            stage("k2_", "t + half", "k1_", "half"), stage("k3_", "t + half", "k2_", "half"),
            stage("k4_", "t + h", "k3_", "h"), "c = h / 6.0",
            "return " + entries(lambda i: f"y{i} + c * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})")]
-    euler = [f"{names('y')}= y", f"{names('k')}= rhs(t, y)",
-             f"return {entries(lambda i: f'y{i} + h * k{i}')}"]
-    return src.define("_rk4", "rhs, t, y, h", rk4), src.define("_euler", "rhs, t, y, h", euler)
+    return _Source(0, rows=False).define("_rk4", "rhs, t, y, h", rk4)
 
 
 # one call per step, looked up by integrate at each run: the benchmark tracer
-# (benchmarks/spans.py) counts steps by wrapping these two names
-def _rk4_step(rhs, t, y, h, kernels):
-    return kernels[0](rhs, t, y, h)
-
-
-def _euler_step(rhs, t, y, h, kernels):
-    return kernels[1](rhs, t, y, h)
+# (benchmarks/spans.py) counts steps by wrapping this name
+def _rk4_step(rhs, t, y, h, kernel):
+    return kernel(rhs, t, y, h)
 
 
 def _flush(ys, rows, end) -> None:
@@ -238,32 +226,31 @@ def integrate(
 
     The steps run on plain floats (see the module docstring): the state is
     a tuple, the right-hand side of :func:`~bundleflow.bundle.make_rhs`
-    maps tuples to tuples, and a step is the generated straight-line step
-    of the method and the state's length.  A state is finite when the sum
-    of its entries is, or else when each entry is; the stepped states are
-    buffered and copied into the preallocated array of samples.
+    maps tuples to tuples, and a step is the generated straight-line RK4
+    step of the state's length.  A state is finite when the sum of its
+    entries is, or else when each entry is; the stepped states are buffered
+    and copied into the preallocated array of samples.
 
     The trajectory's ``meta`` records the run: ``steps`` taken,
-    ``rhs_calls`` (4 per RK4 step, 1 per Euler step, and the calls a
-    failing step made, counted on a rerun of that step), and the seconds spent
-    building the right-hand side and the step functions (``rhs_build_s``)
-    and stepping (``step_s``).
+    ``rhs_calls`` (4 per step, and the calls a failing step made, counted
+    on a rerun of that step), and the seconds spent building the
+    right-hand side and the step function (``rhs_build_s``) and stepping
+    (``step_s``).
     """
     if system.on_unit_bundle:
         init = normalized_unit_state(M, init)
-    step = _rk4_step if cfg.method == "rk4" else _euler_step
+    step = _rk4_step
     times = _time_grid(cfg.t_span[0], cfg.t_span[1], cfg.step)
     dim = M.dim
     ys = np.empty((times.size, 4 * dim))
     ys[0] = init.flat()
-    stages = 4 if cfg.method == "rk4" else 1
 
     # blow-ups are detected on the state, so let arithmetic reach inf quietly
     # (a constant g that is not finite is met when the right-hand side is built)
     with np.errstate(over="ignore", invalid="ignore"):
         start = perf_counter()
         rhs = make_rhs(M, system)
-        kernels = _step_kernels(4 * dim)
+        kernel = _step_kernel(4 * dim)
         record = {"rhs_build_s": perf_counter() - start}
         start = perf_counter()
         ts = times.tolist()
@@ -272,12 +259,12 @@ def integrate(
         for k in range(len(ts) - 1):
             t = ts[k]
             try:
-                y = step(rhs, t, y, ts[k + 1] - t, kernels)
+                y = step(rhs, t, y, ts[k + 1] - t, kernel)
             except (SingularMetricError, EvalDomainError) as exc:
                 cause, reason = exc, f"{exc} in the step from t = {t:g}"
                 calls = []  # the calls the failing step makes, counted on a rerun
                 with suppress(SingularMetricError, EvalDomainError):
-                    step(lambda t, y: calls.append(t) or rhs(t, y), t, y, ts[k + 1] - t, kernels)
+                    step(lambda t, y: calls.append(t) or rhs(t, y), t, y, ts[k + 1] - t, kernel)
                 reached = len(calls)
             else:
                 # a finite sum has finite terms; an overflowing one is looked at term by term
@@ -287,15 +274,15 @@ def integrate(
                         _flush(ys, rows, k + 2)
                     continue
                 cause, reason = None, f"non-finite state at t = {ts[k + 1]:g}"
-                reached = stages
+                reached = 4
             _flush(ys, rows, k + 1)
-            record.update(steps=k, rhs_calls=stages * k + reached,
+            record.update(steps=k, rhs_calls=4 * k + reached,
                           step_s=perf_counter() - start)
             partial = _partial_trajectory(M, system, times[: k + 1], ys[: k + 1], cfg, record)
             raise IntegrationBlowUp(reason, partial) from cause
         _flush(ys, rows, times.size)
     steps = times.size - 1
-    record.update(steps=steps, rhs_calls=stages * steps, step_s=perf_counter() - start)
+    record.update(steps=steps, rhs_calls=4 * steps, step_s=perf_counter() - start)
     try:
         _check_geometry(M, ys[-1:, :dim])
     except (SingularMetricError, EvalDomainError) as exc:
@@ -342,7 +329,6 @@ def _build_trajectory(M, system, times, ys, cfg, record) -> Trajectory:
         structure=M,
         meta={
             "system": system.kind,
-            "method": cfg.method,
             "step": cfg.step,
             "manifold": M.name,
             **record,
@@ -359,12 +345,12 @@ def convergence_order(
     """Richardson order estimate from runs at h, h/2 and h/4.
 
     Returns None when successive differences sit at the roundoff floor
-    (e.g. for systems the method resolves exactly), in which case an order
+    (e.g. for systems RK4 resolves exactly), in which case an order
     measurement is meaningless.
     """
     finals = []
     for divisor in (1, 2, 4):
-        sub = IntegratorConfig(step=cfg.step / divisor, t_span=cfg.t_span, method=cfg.method)
+        sub = IntegratorConfig(step=cfg.step / divisor, t_span=cfg.t_span)
         finals.append(integrate(M, system, init, sub).state(-1).flat())
     scale = max(1.0, float(np.max(np.abs(finals[0]))))
     e1 = float(np.max(np.abs(finals[0] - finals[1])))

@@ -43,7 +43,7 @@ _KEYS = {
                  "checks", "seed", "check_points", "frenet"),
     "inline manifold": ("dim", "g", "phi", "christoffel", "F", "chart_box", "name"),
     "initial": ("x", "xdot", "xi", "xidot", "xi_prime"),
-    "integrator": ("step", "t_span", "method"),
+    "integrator": ("step", "t_span"),
     "frenet": ("order", "constancy_tol"),
 }
 
@@ -233,7 +233,7 @@ def _build_integrator(doc) -> tuple[IntegratorConfig | None, bool]:
     if t1 == t0 and np.isfinite(t0):
         return None, True  # degenerate span: emit headers only
     try:
-        cfg = IntegratorConfig(step=step, t_span=(t0, t1), method=str(raw.get("method", "rk4")))
+        cfg = IntegratorConfig(step=step, t_span=(t0, t1))
     except ValueError as exc:
         raise ScenarioError(f"bad integrator config: {exc}") from None
     return cfg, False

@@ -1,12 +1,16 @@
-"""RK4 and Euler steps as numpy array arithmetic: the reference for the
-float steps of :mod:`bundleflow.integrate`.
+"""The RK4 step as numpy array arithmetic: the reference for the float step
+of :mod:`bundleflow.integrate`.
 
-These are the steps on the state as an array, with the right-hand side
-returning an array.  The integrator's generated step functions, one per
-method and state length, call the right-hand side as often and do the same
-float operations in the same order on tuples, so the tests require equal
-results, NaN for NaN, and the same error with the same text, for one step
-and for whole runs.
+This is the step on the state as an array, with the right-hand side
+returning an array.  The integrator's generated step function, one per
+state length, calls the right-hand side as often and does the same float
+operations in the same order on tuples, so the tests require equal results,
+NaN for NaN, and the same error with the same text, for one step and for
+whole runs.
+
+Forward Euler is kept here only as the order-1 negative control of
+:func:`bundleflow.integrate.convergence_order`; the library has no Euler
+step.
 """
 
 import numpy as np

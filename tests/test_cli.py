@@ -359,28 +359,34 @@ def test_failure_inside_a_run_writes_partial_and_exits_1(tmp_path, capsys, case,
     [("0.75", "at the final sample, t = 0.75"), ("1", "in the step from t = 0.75")],
 )
 def test_geometry_failing_at_the_last_sample_writes_partial_and_exits_1(tmp_path, capsys, t1, reason):
-    # Euler reaches x1 = 0, where Gamma^1_11 = 0 ln(x1) fails, at t = 0.75:
-    # as the final sample or as the start of one more step, the run ends the same way
+    # RK4 first lands on x1 <= 0, where Gamma^1_11 = 0 ln(x1) fails, at t = 0.75
+    # (Gamma^1_22 = -x2 bends the curve towards it), and no stage before it
+    # evaluates x1 <= 0: as the final sample or as the start of one more
+    # step, the run ends the same way
     doc = {
         "manifold": {"dim": 2, "g": [["1", "0"], ["0", "1"]], "phi": [["1", "0"], ["0", "-1"]],
-                     "christoffel": [[["0*ln(x1)", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]},
+                     "christoffel": [[["0*ln(x1)", "0"], ["0", "-x2"]], [["0", "0"], ["0", "0"]]]},
         "system": "geodesic_tm",
-        "initial": {"x": [0.75, 0], "xdot": [-1, 0], "xi": [0, 0], "xidot": [0, 0]},
-        "integrator": {"step": 0.25, "t_span": [0, float(t1)], "method": "euler"},
+        "initial": {"x": [0.4912109375, 0], "xdot": [-0.75, 1], "xi": [0, 0], "xidot": [0, 0]},
+        "integrator": {"step": 0.25, "t_span": [0, float(t1)]},
     }
     path = tmp_path / "s.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
     assert run("integrate", "--scenario", path, "--out", out) == 1
     assert capsys.readouterr().err == (
-        f"integration blew up: ln of non-positive value 0.0 at [0. 0.] {reason}; "
-        "partial output written\n"
+        "integration blew up: ln of non-positive value -0.0009765624999999445 at "
+        f"[-0.00097656  0.75      ] {reason}; partial output written\n"
     )
-    for name in ("trajectory.csv", "monitors.csv"):
-        rows = np.loadtxt(out / name, delimiter=",", skiprows=1, ndmin=2)
-        assert rows[:, 0].tolist() == [0.0, 0.25, 0.5], name
     traj = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1, ndmin=2)
-    assert traj[:, 1].tolist() == [0.75, 0.5, 0.25]
+    assert traj[:, :2].tolist() == [[0.0, 0.4912109375], [0.25, 0.3063151041666667],
+                                    [0.5, 0.13704427083333337]]
+    assert (out / "monitors.csv").read_text() == (
+        "t,unit_norm,rho_sq,speed_sq,fiber_ortho\n"
+        "0,0,0,1.5625,0\n"
+        "0.25,0,0,1.5166015625,0\n"
+        "0.5,0,0,1.390625,0\n"
+    )
 
 
 def test_failure_at_the_first_step_exits_1_with_the_error(tmp_path, capsys):
@@ -393,8 +399,9 @@ def test_failure_at_the_first_step_exits_1_with_the_error(tmp_path, capsys):
 
 
 def test_step_override_keeps_span_and_method(tmp_path):
+    # the override changes the step alone: the run is the span's RK4 run at step 0.05
     doc = oblique_scenario_doc()
-    doc["integrator"] = {"step": 0.1, "t_span": [0.0, 0.5], "method": "euler"}
+    doc["integrator"] = {"step": 0.1, "t_span": [0.0, 0.5]}
     path = tmp_path / "s.json"
     path.write_text(json.dumps(doc))
     assert run("integrate", "--scenario", path, "--out", tmp_path, "--step", "0.05") == 0
@@ -403,7 +410,7 @@ def test_step_override_keeps_span_and_method(tmp_path):
     from bundleflow.integrate import IntegratorConfig, integrate
 
     ent, fam = euclid_oblique_family(0.5)
-    cfg = IntegratorConfig(step=0.05, t_span=(0.0, 0.5), method="euler")
+    cfg = IntegratorConfig(step=0.05, t_span=(0.0, 0.5))
     ref = integrate(ent.structure, fam.system, fam.initial_state(), cfg)
     assert np.array_equal(data[:, 0], ref.times)
     assert np.array_equal(data[:, 1:5], ref.x)
@@ -498,6 +505,9 @@ def test_bad_inline_manifold_values_exit_2(tmp_path, capsys, change):
         ("frenet", {"frenet": False}, []),
         ("frenet", {"frenet": {"constancy_tol": True}}, []),
         ("frenet", {"frenet": {"constancy_tol": "1e-4"}}, []),
+        # RK4 is the one method: there is none to choose
+        ("integrate", ({"integrator": {"step": 1e-3, "t_span": [0.0, 1.0], "method": "rk4"}},
+                       "unknown integrator key 'method'"), []),
     ],
 )
 def test_bad_sample_counts_and_scenario_values_exit_2(tmp_path, capsys, command, change, extra):

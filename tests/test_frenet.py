@@ -16,7 +16,7 @@ from bundleflow.frenet import (
     frenet_curvatures,
     samples_needed,
 )
-from bundleflow.geometry import MetricStructure
+from bundleflow.geometry import MetricStructure, matvec
 from bundleflow.integrate import IntegratorConfig, Trajectory, integrate
 from bundleflow.scenario import load_scenario
 from bundleflow.verify import const_curv_run, euclid_oblique_family
@@ -116,17 +116,27 @@ def test_jets_of_base_geodesic_vanish_at_order_two():
 
 
 def test_jet_recursion_matches_finite_differences():
+    # the third jet of the unit geodesic by the curvature recursion,
+    # R(xi', phi xi) gamma'', against the third jet by differences of the
+    # same run taken as a plain curve
     ent, init, traj = const_curv_run(1.0)
-    by_fd = covariant_jets(ent.structure, traj, 3, method="fd")
-    by_rec = covariant_jets(ent.structure, traj, 3, method="recursion")
-    idx = np.searchsorted(by_rec.times, by_fd.times)
-    np.testing.assert_allclose(by_fd.jets[2], by_rec.jets[2][idx], atol=1e-5)
+    M = ent.structure
+    second = covariant_jets(M, traj, 2)
+    inner = slice(1, traj.n - 1)  # the samples of the second jet's window
+    geo = M.at(second.x)
+    xi_prime = geo.to_covariant(traj.xi[inner], traj.xidot[inner], traj.xdot[inner])
+    by_rec = geo.riemann(xi_prime, matvec(geo.phi, traj.xi[inner]), second.jets[1])
+    traj.meta["system"] = None
+    by_fd = covariant_jets(M, traj, 3)
+    idx = np.searchsorted(second.times, by_fd.times)
+    np.testing.assert_allclose(by_fd.jets[2], by_rec[idx], atol=1e-5)
 
 
 def test_jet_recursion_reproduces_curvature_power_identity():
     # for the synthetic operator, jets satisfy gamma'''' = -b^2 c^2 gamma''
+    # (order 4 by the recursion from the differenced third jet)
     ent, init, traj = const_curv_run(1.0)
-    jets = covariant_jets(ent.structure, traj, 4, method="recursion")
+    jets = covariant_jets(ent.structure, traj, 4)
     g = np.eye(4)
     xi_p = init.xidot
     phixi = ent.structure.phi_at(init.x) @ init.xi
@@ -143,8 +153,6 @@ def test_jet_order_validation():
         covariant_jets(FLAT2, traj, 3)  # order > dim
     with pytest.raises(ValueError):
         covariant_jets(FLAT2, traj, 0)
-    with pytest.raises(ValueError):
-        covariant_jets(FLAT2, traj, 2, method="recursion")  # not a unit geodesic
     short = Trajectory.from_base_curve(
         t[:4], np.stack([t[:4], t[:4]], axis=1), np.ones((4, 2))
     )
@@ -204,7 +212,7 @@ def test_high_order_fd_jets_warn():
         np.stack([-sin, cos, np.full_like(t, 0.5), -2 * np.sin(2 * t), 2 * np.cos(2 * t), zeros], axis=1),
     )
     with pytest.warns(UserWarning, match="noise floor"):
-        covariant_jets(flat6, curve, 5, method="fd")
+        covariant_jets(flat6, curve, 5)
 
 
 # -- curvatures -------------------------------------------------------------------

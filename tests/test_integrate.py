@@ -44,8 +44,8 @@ def test_config_validation():
         IntegratorConfig(step=0.1, t_span=(1.0, 0.0))
     with pytest.raises(ValueError):
         IntegratorConfig(step=2.0, t_span=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        IntegratorConfig(step=0.1, t_span=(0.0, 1.0), method="leapfrog")
+    with pytest.raises(TypeError):  # RK4 is the one method: there is none to choose
+        IntegratorConfig(step=0.1, t_span=(0.0, 1.0), method="rk4")
 
 
 @pytest.mark.parametrize(
@@ -113,13 +113,16 @@ def test_convergence_order_rk4():
     assert order == pytest.approx(4.0, abs=0.3)
 
 
-def test_convergence_order_euler():
+def test_convergence_order_euler(monkeypatch):
+    # the negative control: forward Euler (the array step of
+    # tests/reference_step.py) in place of the RK4 step measures order 1
+    def euler_step(rhs, t, y, h, kernel):
+        return tuple(reference_step.euler_step(reference_step.array_rhs(rhs), t, np.array(y), h).tolist())
+
+    monkeypatch.setattr(integrate_mod, "_rk4_step", euler_step)
     ent, fam = euclid_oblique_family(0.5)
     order = convergence_order(
-        ent.structure,
-        fam.system,
-        fam.initial_state(),
-        IntegratorConfig(step=0.05, t_span=(0.0, 1.0), method="euler"),
+        ent.structure, fam.system, fam.initial_state(), IntegratorConfig(step=0.05, t_span=(0.0, 1.0))
     )
     assert order == pytest.approx(1.0, abs=0.3)
 
@@ -221,29 +224,42 @@ def test_domain_error_in_a_step_ends_as_blow_up():
 
 
 def _ln_chart() -> MetricStructure:
-    """A flat chart whose Gamma^1_11 = 0 ln(x1) cannot be evaluated at x1 = 0."""
+    """A chart whose Gamma^1_11 = 0 ln(x1) cannot be evaluated at x1 <= 0,
+    and whose Gamma^1_22 = -x2 bends a curve towards x1 = 0 ever faster."""
     return MetricStructure(
         2,
         [["1", "0"], ["0", "1"]],
         [["1", "0"], ["0", "-1"]],
-        christoffel=[[["0*ln(x1)", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]],
+        christoffel=[[["0*ln(x1)", "0"], ["0", "-x2"]], [["0", "0"], ["0", "0"]]],
     )
 
 
-# Euler from x1 = 0.75 with step 0.25 reaches x1 = 0 at t = 0.75
-_TO_THE_LN_POLE = BundleState(np.array([0.75, 0.0]), np.array([-1.0, 0.0]), np.zeros(2), np.zeros(2))
+# RK4 with step 0.25 from here first lands on x1 <= 0 at the sample t = 0.75;
+# no stage before it evaluates x1 <= 0
+_TO_THE_LN_POLE = BundleState(np.array([0.4912109375, 0.0]), np.array([-0.75, 1.0]), np.zeros(2),
+                              np.zeros(2))
+# the x1 of the samples before it, and their monitors
+_LN_ROWS = [0.4912109375, 0.3063151041666667, 0.13704427083333337]
+_LN_MONITORS = {"unit_norm": [0.0] * 3, "rho_sq": [0.0] * 3,
+                "speed_sq": [1.5625, 1.5166015625, 1.390625], "fiber_ortho": [0.0] * 3}
+_LN_ERROR = r"^ln of non-positive value -0\.0009765624999999445 at \[-0\.00097656  0\.75      \] "
+
+
+def _assert_the_ln_partial(partial, rhs_calls):
+    assert partial.times.tolist() == [0.0, 0.25, 0.5]
+    assert partial.x[:, 0].tolist() == _LN_ROWS
+    assert partial.meta["steps"] == 3 and partial.meta["rhs_calls"] == rhs_calls
+    assert {name: series.tolist() for name, series in partial.monitors.items()} == _LN_MONITORS
 
 
 def test_step_failing_at_its_start_point_ends_one_sample_earlier():
-    # Euler evaluates nothing between samples, so x1 = 0, where ln(x1) fails,
-    # is first evaluated by the step that starts there
-    cfg = IntegratorConfig(step=0.25, t_span=(0.0, 2.0), method="euler")
-    with pytest.raises(IntegrationBlowUp) as err:
+    # x1 <= 0, where ln(x1) fails, is first evaluated by the step that starts
+    # there: its first RHS call fails, and the sample it starts from is dropped
+    cfg = IntegratorConfig(step=0.25, t_span=(0.0, 1.0))
+    with pytest.raises(IntegrationBlowUp, match=_LN_ERROR + r"in the step from t = 0\.75$") as err:
         integrate(_ln_chart(), BundleSystem("geodesic_tm"), _TO_THE_LN_POLE, cfg)
     assert isinstance(err.value.__cause__, EvalDomainError)
-    partial = err.value.trajectory
-    np.testing.assert_array_equal(partial.x[:, 0], [0.75, 0.5, 0.25])
-    assert partial.times[-1] == 0.5
+    _assert_the_ln_partial(err.value.trajectory, rhs_calls=13)
 
 
 def test_geometry_failing_at_the_final_sample_ends_as_blow_up(monkeypatch):
@@ -257,25 +273,21 @@ def test_geometry_failing_at_the_final_sample_ends_as_blow_up(monkeypatch):
         return lambda t, y: rhs_calls.append(t) or rhs(t, y)
 
     monkeypatch.setattr(integrate_mod, "make_rhs", counted_make_rhs)
-    cfg = IntegratorConfig(step=0.25, t_span=(0.0, 0.75), method="euler")
-    with pytest.raises(IntegrationBlowUp, match=r"^ln of non-positive value 0\.0 at \[0\. 0\.\] "
-                       r"at the final sample, t = 0\.75$") as err:
+    cfg = IntegratorConfig(step=0.25, t_span=(0.0, 0.75))
+    with pytest.raises(IntegrationBlowUp, match=_LN_ERROR + r"at the final sample, t = 0\.75$") as err:
         integrate(_ln_chart(), BundleSystem("geodesic_tm"), _TO_THE_LN_POLE, cfg)
     assert isinstance(err.value.__cause__, EvalDomainError)
-    partial = err.value.trajectory
-    np.testing.assert_array_equal(partial.x[:, 0], [0.75, 0.5, 0.25])
-    assert partial.meta["steps"] == partial.meta["rhs_calls"] == len(rhs_calls) == 3
-    assert all(series.shape == partial.times.shape for series in partial.monitors.values())
+    assert len(rhs_calls) == 12
+    _assert_the_ln_partial(err.value.trajectory, rhs_calls=12)
 
 
-@pytest.mark.parametrize("method, stages", [("rk4", 4), ("euler", 1)])
-def test_run_record_counts_steps_and_rhs_calls(method, stages):
+def test_run_record_counts_steps_and_rhs_calls():
     ent, fam = euclid_oblique_family(0.5)
-    cfg = IntegratorConfig(step=0.03, t_span=(0.0, 1.0), method=method)
+    cfg = IntegratorConfig(step=0.03, t_span=(0.0, 1.0))
     traj = integrate(ent.structure, fam.system, fam.initial_state(), cfg)
     meta = traj.meta
     assert meta["steps"] == traj.n - 1 == 34  # the last step is shortened
-    assert meta["rhs_calls"] == stages * meta["steps"]
+    assert meta["rhs_calls"] == 4 * meta["steps"]
     for phase in ("rhs_build_s", "step_s"):
         assert 0.0 <= meta[phase] < 60.0
 
@@ -296,13 +308,12 @@ def _array_run(M, system, init, cfg):
     if system.on_unit_bundle:
         init = normalized_unit_state(M, init)
     rhs = reference_step.array_rhs(make_rhs(M, system))
-    step = reference_step.rk4_step if cfg.method == "rk4" else reference_step.euler_step
     times = _time_grid(cfg.t_span[0], cfg.t_span[1], cfg.step).tolist()
     ys = [init.flat()]
     with np.errstate(over="ignore", invalid="ignore"):
         for t, t_next in zip(times[:-1], times[1:]):
             try:
-                y = step(rhs, t, ys[-1], t_next - t)
+                y = reference_step.rk4_step(rhs, t, ys[-1], t_next - t)
             except (SingularMetricError, EvalDomainError):
                 break
             if not np.all(np.isfinite(y)):
@@ -317,13 +328,12 @@ def _assert_run_is_the_array_run(traj, M, system, init, cfg):
     assert np.array_equal(np.hstack([traj.x, traj.xdot, traj.xi, traj.xidot]), ys)
 
 
-@pytest.mark.parametrize("method", ["rk4", "euler"])
 @pytest.mark.parametrize("steps", [512, 257])
-def test_buffered_states_are_the_array_steps_states(method, steps):
+def test_buffered_states_are_the_array_steps_states(steps):
     # the stepped states are copied into the samples 256 at a time: a run
     # that fills the buffer exactly, and one that leaves one state in it
     ent, fam = euclid_oblique_family(0.5)
-    cfg = IntegratorConfig(step=1 / 256, t_span=(0.0, steps / 256), method=method)
+    cfg = IntegratorConfig(step=1 / 256, t_span=(0.0, steps / 256))
     traj = integrate(ent.structure, fam.system, fam.initial_state(), cfg)
     assert traj.n == steps + 1
     _assert_run_is_the_array_run(traj, ent.structure, fam.system, fam.initial_state(), cfg)
@@ -353,8 +363,7 @@ def test_a_state_whose_sum_overflows_is_finite():
     _assert_run_is_the_array_run(traj, FLAT.structure, system, init, cfg)
 
 
-@pytest.mark.parametrize("method, stages", [("rk4", 4), ("euler", 1)])
-def test_each_step_is_one_step_call_and_its_stages_rhs_calls(monkeypatch, method, stages):
+def test_each_step_is_one_step_call_and_its_stages_rhs_calls(monkeypatch):
     # the benchmark tracer counts steps and RHS calls by wrapping these names
     # where integrate looks them up
     calls = {"step": 0, "rhs": 0}
@@ -368,13 +377,12 @@ def test_each_step_is_one_step_call_and_its_stages_rhs_calls(monkeypatch, method
 
     original = integrate_mod.make_rhs
     monkeypatch.setattr(integrate_mod, "make_rhs", lambda *a, **k: counted("rhs", original(*a, **k)))
-    for name in ("_rk4_step", "_euler_step"):
-        monkeypatch.setattr(integrate_mod, name, counted("step", getattr(integrate_mod, name)))
+    monkeypatch.setattr(integrate_mod, "_rk4_step", counted("step", integrate_mod._rk4_step))
     ent, fam = euclid_oblique_family(0.5)
-    cfg = IntegratorConfig(step=0.1, t_span=(0.0, 1.0), method=method)
+    cfg = IntegratorConfig(step=0.1, t_span=(0.0, 1.0))
     traj = integrate(ent.structure, fam.system, fam.initial_state(), cfg)
-    assert calls == {"step": 10, "rhs": stages * 10}
-    assert traj.meta["steps"] == 10 and traj.meta["rhs_calls"] == stages * 10
+    assert calls == {"step": 10, "rhs": 40}
+    assert traj.meta["steps"] == 10 and traj.meta["rhs_calls"] == 40
 
 
 # -- monitors on first read ------------------------------------------------------
@@ -461,7 +469,7 @@ def test_monitors_are_computed_once_and_only_when_read(monkeypatch, tmp_path):
     assert calls == [closed, mirrored, run]
     # the partial trajectory of a blow-up carries its monitors
     calls.clear()
-    cfg = IntegratorConfig(step=0.25, t_span=(0.0, 0.75), method="euler")
+    cfg = IntegratorConfig(step=0.25, t_span=(0.0, 0.75))
     with pytest.raises(IntegrationBlowUp) as err:
         integrate(_ln_chart(), BundleSystem("geodesic_tm"), _TO_THE_LN_POLE, cfg)
     partial = err.value.trajectory

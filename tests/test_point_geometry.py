@@ -24,9 +24,8 @@ from bundleflow.expressions import ScalarField
 from bundleflow.geometry import FieldTensor, MetricStructure
 from bundleflow.integrate import (
     IntegratorConfig,
-    _euler_step,
     _rk4_step,
-    _step_kernels,
+    _step_kernel,
     integrate,
 )
 import reference_step
@@ -320,27 +319,22 @@ def _outcome(fn, *args):
     st.sampled_from(sorted(_RHS_CHARTS)),
     st.sampled_from(SYSTEM_KINDS),
     st.sampled_from(["phi", "lorentz"]),
-    st.sampled_from(["rk4", "euler"]),
     st.floats(1e-4, 4.0),
     st.floats(0.0, 0.9),
     st.lists(_unit, min_size=6, max_size=6),
     _vectors(6, 3),
 )
-def test_float_steps_are_the_array_steps(chart, kind, force, method, h, t, fractions, vecs):
-    # the generated steps do numpy's arithmetic on the arrays in its order:
+def test_float_steps_are_the_array_steps(chart, kind, force, h, t, fractions, vecs):
+    # the generated step does numpy's arithmetic on the arrays in its order:
     # equal results, NaN for NaN, and the same error where a stage fails
     # (long steps leave the chart)
     M = _RHS_STRUCTURES[chart]
     d = M.dim
     y = np.concatenate([_point(M, fractions[:d])] + [v[:d] for v in vecs])
     rhs = make_rhs(M, _system(kind, force, M))
-    if method == "rk4":
-        float_step, array_step = _rk4_step, reference_step.rk4_step
-    else:
-        float_step, array_step = _euler_step, reference_step.euler_step
     with np.errstate(over="ignore", invalid="ignore"):  # as integrate runs them
-        want = _outcome(array_step, reference_step.array_rhs(rhs), t, y, h)
-        got = _outcome(float_step, rhs, t, tuple(y.tolist()), h, _step_kernels(4 * d))
+        want = _outcome(reference_step.rk4_step, reference_step.array_rhs(rhs), t, y, h)
+        got = _outcome(_rk4_step, rhs, t, tuple(y.tolist()), h, _step_kernel(4 * d))
     if isinstance(want, Exception) or isinstance(got, Exception):
         assert (type(got), str(got)) == (type(want), str(want))
         return
@@ -357,7 +351,7 @@ def test_rk4_step_makes_no_einsum_call(monkeypatch, chart, kind):
     # program converts its result to a float.)
     M = _RHS_CHARTS[chart]()  # fresh: pieces built on first use are built here
     rhs = make_rhs(M, _system(kind))
-    kernels = _step_kernels(4 * M.dim)
+    kernel = _step_kernel(4 * M.dim)
     y = np.concatenate([M.chart_box.mean(axis=1), np.linspace(0.1, 0.4, 3 * M.dim)])
     y = tuple(y.tolist())
 
@@ -379,7 +373,7 @@ def test_rk4_step_makes_no_einsum_call(monkeypatch, chart, kind):
 
     sys.setprofile(watch)
     try:
-        out = _rk4_step(rhs, 0.0, y, 0.01, kernels)
+        out = _rk4_step(rhs, 0.0, y, 0.01, kernel)
     finally:
         sys.setprofile(None)
     assert numpy_calls == []
