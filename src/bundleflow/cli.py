@@ -3,8 +3,10 @@
 Subcommands: ``check`` (structure axioms), ``integrate`` (trajectory + monitor
 CSV), ``frenet`` (curvature CSV + constancy report), ``verify`` (closed-form
 verification battery).  JSON in, CSV/JSON out; numbers are written with 17
-significant digits so doubles round-trip exactly.  Each command writes fixed
-file names into ``--out`` and creates it at its first write.
+significant digits so doubles round-trip exactly: a CSV value is the text
+``"%.17g" % v`` gives, byte for byte, formatted a block of rows at a time
+(:mod:`bundleflow.csvtext`).  Each command writes fixed file names into
+``--out`` and creates it at its first write.
 
 Exit codes: 0 success; 1 failed checks, failed claims or any other error
 during a run; 2 configuration errors.  Any failure inside an integration (a
@@ -25,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import csvtext
 from . import verify as verify_mod
 from .errors import (
     BundleFlowError,
@@ -58,13 +61,14 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def _write_rows(path: Path, header: list[str], rows) -> None:
-    """A CSV table: the header, then each value as %.17g (round-trip exact)."""
-    line = ",".join(["%.17g"] * len(header)) + "\n"
+    """A CSV table: the header, then each value as %.17g writes it
+    (round-trip exact), formatted and written a block of rows at a time."""
+    table = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(line % tuple(row))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for block in csvtext.blocks(table):
+            fh.write(block)
 
 
 def _load(args) -> Scenario:
@@ -137,8 +141,8 @@ def _write_run(scenario: Scenario, out_dir: Path, traj) -> tuple[Path, Path]:
     header = ["t"] + [f"{b}{i}" for b in blocks for i in range(1, scenario.structure.dim + 1)]
     states = monitors = []
     if traj is not None:
-        states = np.hstack([traj.times[:, None]] + [getattr(traj, b) for b in blocks]).tolist()
-        monitors = np.stack([traj.times] + [traj.monitors[m] for m in MONITOR_NAMES], axis=1).tolist()
+        states = np.hstack([traj.times[:, None]] + [getattr(traj, b) for b in blocks])
+        monitors = np.stack([traj.times] + [traj.monitors[m] for m in MONITOR_NAMES], axis=1)
     traj_path, mon_path = out_dir / "trajectory.csv", out_dir / "monitors.csv"
     _write_rows(traj_path, header, states)
     _write_rows(mon_path, ["t", *MONITOR_NAMES], monitors)

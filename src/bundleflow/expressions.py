@@ -370,55 +370,84 @@ def evaluate(node: Node, point) -> float:
     negative value, division by zero, overflow, sine or cosine of an
     infinite value) raise :class:`~bundleflow.errors.EvalDomainError`
     instead of yielding NaN/inf.
+
+    The tree is walked with an explicit stack, left operands first, so a
+    tree at the depth limit evaluates alike from any depth of the caller's
+    stack.
     """
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return float(point[node.index])
-    if isinstance(node, Neg):
-        return -evaluate(node.child, point)
-    if isinstance(node, BinOp):
-        left = evaluate(node.left, point)
-        right = evaluate(node.right, point)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if right == 0.0:
-            raise EvalDomainError("division by zero")
-        return left / right
-    if isinstance(node, Pow):
-        base = evaluate(node.base, point)
-        if base == 0.0 and node.exponent < 0:
+    if not isinstance(node, _Frozen):
+        raise TypeError(f"not an expression node: {node!r}")
+    # todo holds the trees still to walk, each above the operation that takes
+    # its value (an operator or function name, "neg" or a power's exponent);
+    # an operation runs on the operand values on top of values
+    values: list[float] = []
+    todo: list = [node]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is Const:
+            values.append(node.value)
+        elif kind is Var:
+            values.append(float(point[node.index]))
+        elif kind is BinOp:
+            todo += (node.op, node.right, node.left)
+        elif kind is Neg:
+            todo += ("neg", node.child)
+        elif kind is Pow:
+            todo += (node.exponent, node.base)
+        elif kind is Call:
+            todo += (node.func, node.arg)
+        elif node in ("+", "-", "*", "/"):
+            right = values.pop()
+            values[-1] = _binary(node, values[-1], right)
+        else:
+            values[-1] = _unary(node, values[-1])
+    return values[0]
+
+
+def _binary(op: str, left: float, right: float) -> float:
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op == "*":
+        return left * right
+    if right == 0.0:
+        raise EvalDomainError("division by zero")
+    return left / right
+
+
+def _unary(op, arg: float) -> float:
+    """Negation (``"neg"``), a power (``op`` its integer exponent) or a call."""
+    if op == "neg":
+        return -arg
+    if type(op) is int:
+        if arg == 0.0 and op < 0:
             raise EvalDomainError("zero raised to a negative power")
         try:
-            return float(base**node.exponent)
+            return float(arg**op)
         except OverflowError as exc:
             raise EvalDomainError(f"overflow in power: {exc}") from None
-    if isinstance(node, Call):
-        arg = evaluate(node.arg, point)
-        try:
-            if node.func == "exp":
-                return math.exp(arg)
-            if node.func == "ln":
-                if arg <= 0.0:
-                    raise EvalDomainError(f"ln of non-positive value {arg}")
-                return math.log(arg)
-            if node.func == "sqrt":
-                if arg < 0.0:
-                    raise EvalDomainError(f"sqrt of negative value {arg}")
-                return math.sqrt(arg)
-            if math.isinf(arg):  # math.sin/cos raise a bare ValueError there
-                raise EvalDomainError(f"{node.func} of infinite value {arg}")
-            if node.func == "sin":
-                return math.sin(arg)
-            if node.func == "cos":
-                return math.cos(arg)
-        except OverflowError as exc:
-            raise EvalDomainError(f"overflow in {node.func}: {exc}") from None
-    raise TypeError(f"not an expression node: {node!r}")
+    try:
+        if op == "exp":
+            return math.exp(arg)
+        if op == "ln":
+            if arg <= 0.0:
+                raise EvalDomainError(f"ln of non-positive value {arg}")
+            return math.log(arg)
+        if op == "sqrt":
+            if arg < 0.0:
+                raise EvalDomainError(f"sqrt of negative value {arg}")
+            return math.sqrt(arg)
+        if math.isinf(arg):  # math.sin/cos raise a bare ValueError there
+            raise EvalDomainError(f"{op} of infinite value {arg}")
+        if op == "sin":
+            return math.sin(arg)
+        if op == "cos":
+            return math.cos(arg)
+    except OverflowError as exc:
+        raise EvalDomainError(f"overflow in {op}: {exc}") from None
+    raise TypeError(f"not an expression operation: {op!r}")
 
 
 def _check_rows(bad, values, points, message) -> None:

@@ -3,13 +3,18 @@ import importlib
 import json
 import math
 import pkgutil
+import struct
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import bundleflow
-from bundleflow import bundle, catalog, cli, expressions, scenario
+from bundleflow import bundle, catalog, cli, csvtext, expressions, scenario
 from bundleflow.bundle import BundleSystem, FPlanarCoefficients, FTensor, make_rhs
 from bundleflow.errors import ScenarioError
 from bundleflow.scenario import load_scenario, scenario_from_dict
@@ -572,6 +577,65 @@ def test_csv_rows_are_written_as_the_format_spec_writes_each_value(tmp_path):
     cli._write_rows(path, [f"c{i}" for i in range(len(values))], rows)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[1:] == [",".join(f"{v:.17g}" for v in row) for row in (values, values[::-1])]
+
+
+def _format_spec_text(header, table) -> bytes:
+    """The reference: each value by the format spec, one at a time."""
+    lines = [",".join(header)] + [",".join("%.17g" % v for v in row) for row in table.tolist()]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _bits_to_float(bits: int) -> float:
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+_ANY_DOUBLE = st.floats() | st.integers(0, 2**64 - 1).map(_bits_to_float)
+
+
+@settings(max_examples=40, deadline=None)
+@given(table=hnp.arrays(np.float64, st.tuples(st.integers(0, 300), st.integers(1, 20)), elements=_ANY_DOUBLE))
+def test_csv_tables_are_the_format_spec_text_of_every_value(tmp_path_factory, table):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    header = [f"c{i}" for i in range(table.shape[1])]
+    cli._write_rows(path, header, table)
+    assert path.read_bytes() == _format_spec_text(header, table)
+
+
+def _corpus() -> np.ndarray:
+    """Powers of ten and their neighbours, exact ties at 17 digits, the
+    switch points of the two notations and the ends of the double range."""
+    powers = np.array([float(f"1e{k}") for k in range(-324, 309)])
+    with np.errstate(over="ignore"):
+        near = [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]
+    # q / 2^17 for odd q has 18 significant digits, the last a 5
+    ties = np.arange(2**17 + 1, 2**18, 64) / 2.0**17
+    edges = np.array([1e-5, 1e-4, 1e16, 1e17, 2.0**53 - 1, 2.0**53 + 1, 5e-324,
+                      2.2250738585072014e-308, 1.7976931348623157e308, 0.0, math.inf, math.nan])
+    with np.errstate(over="ignore"):
+        edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    values = np.concatenate(near + [ties, edges])
+    return np.concatenate([values, -values])
+
+
+def test_csv_corpus_values_are_the_format_spec_text(tmp_path):
+    values = _corpus()
+    # some powers of ten lie below 10^k and round up to it at 17 digits
+    below = [v for v in values[1:633] if Fraction(v) < Fraction(10) ** round(math.log10(v))]
+    assert any(("%.17g" % v).startswith("1e") for v in below)
+    tables = {"one column": values[:, None], "one row": values[None, :],
+              "seven columns": values[: values.size // 7 * 7].reshape(-1, 7)}
+    for name, table in tables.items():
+        path = tmp_path / f"{name}.csv"
+        header = [f"c{i}" for i in range(table.shape[1])]
+        cli._write_rows(path, header, table)
+        assert path.read_bytes() == _format_spec_text(header, table), name
+    assert values.size > 2 * csvtext._BLOCK  # the one-column table spans several blocks
+
+
+def test_a_csv_table_without_rows_is_its_header(tmp_path):
+    for rows in ([], np.empty((0, 3))):
+        cli._write_rows(tmp_path / "t.csv", ["a", "b", "c"], rows)
+        assert (tmp_path / "t.csv").read_bytes() == b"a,b,c\n"
 
 
 def test_integrate_shipped_log_geodesic_scenario(tmp_path):

@@ -767,3 +767,15 @@ def test_the_memos_hold_at_most_their_bounds():
     for k in range(expressions._MEMO_TREES + 10):
         parse(f"x1 + {k}", 1)
     assert parse.cache_info().currsize == expressions._MEMO_TREES
+
+
+@pytest.mark.parametrize("frames", [0, 600], ids=["shallow", "600_frames_deeper"])
+def test_a_field_at_the_depth_limit_evaluates_at_one_point_from_any_stack(frames):
+    terms = [f"x1*{k}" for k in range(expressions._MAX_DEPTH - 1)]
+    field = ScalarField.parse(" + ".join(terms), 2)
+    assert expressions._depth(field.ast) == expressions._MAX_DEPTH
+    assert _at_depth(frames, lambda: field((0.5, 0.0))) == 89550.5
+    ln = ScalarField.parse(" + ".join(terms[:-1] + ["ln(x2)"]), 2)
+    assert expressions._depth(ln.ast) == expressions._MAX_DEPTH
+    with pytest.raises(EvalDomainError, match=r"^ln of non-positive value 0\.0$"):
+        _at_depth(frames, lambda: ln((0.5, 0.0)))
