@@ -33,23 +33,24 @@ compiled right-hand side (:mod:`bundleflow.rhs`) is the one program written
 for it, and its one ``except`` tail turns that error into a call of the
 reference right-hand side.
 
-A process parses each field text and compiles each program text once: the
-tree of a ``(source, dim)`` and the code object of a generated program are
-memoized by their text, in bounded least-recently-used memos.  A text that
-does not parse raises on every call.  Each generated function is still
-made afresh, with its own globals, from the shared code object.
+Each call of :func:`parse` builds a tree of its own, and each generated
+program is compiled afresh into a function with its own globals.  Nothing
+here is memoized: the definitions that hold fields and programs (catalog
+entries, inline manifolds, coefficient pairs, family jets) are built once
+per process, keyed by their text, so a repeated command parses and
+compiles nothing but what a scenario's own system-level F builds.
 
 Parsed trees are immutable: a node's constructor sets its fields, and
 assigning to one raises ``AttributeError``.  Nodes compare and hash by
 identity, so a tree of any depth can be a key.  A compiled function is a
 pure function of its points, so a :class:`ScalarField` may be evaluated
 concurrently from several threads.  Two threads that use a field's stack
-program first at the same time may both compile it; each gets the same function.
+program first at the same time may both compile it; each gets a function of
+the same text.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from typing import Union
@@ -89,11 +90,6 @@ _MAX_DEPTH = 600
 # frames of callers the parser stays under Python's default limit of 1000,
 # and a text parses or not whatever the caller's stack.
 _MAX_NESTING = 50
-
-# How many parsed trees and compiled program texts a process keeps, the
-# least recently used dropped first.
-_MEMO_TREES = 1024
-_MEMO_PROGRAMS = 256
 
 
 _set = object.__setattr__
@@ -343,10 +339,8 @@ class _Parser:
         )
 
 
-@functools.lru_cache(maxsize=_MEMO_TREES)
 def parse(source: str, dim: int) -> Node:
-    """Parse ``source`` into an immutable expression tree for a dim-chart,
-    once per process: the tree is memoized by ``(source, dim)``."""
+    """Parse ``source`` into an immutable expression tree for a dim-chart."""
     if not source or not source.strip():
         raise ExprSyntaxError("empty expression", 0)
     if dim < 1:
@@ -722,14 +716,9 @@ class _Source:
         """The generated function ``name(params)`` with the lines ``body``."""
         text = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in body)
         names = {"__builtins__": {"ArithmeticError": ArithmeticError}, **self.names}
-        exec(_code(text, name), names)  # noqa: S102 - generated
+        code = compile(text, f"<bundleflow {name} program>", "exec")
+        exec(code, names)  # noqa: S102 - generated
         return names[name]
-
-
-@functools.lru_cache(maxsize=_MEMO_PROGRAMS)
-def _code(text: str, name: str):
-    """The code object of a generated program's text, compiled once per process."""
-    return compile(text, f"<bundleflow {name} program>", "exec")
 
 
 def _tuple(entries: dict) -> str:

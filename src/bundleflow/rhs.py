@@ -145,7 +145,8 @@ class _Program:
 
     def walk(self, field, order: int, variables) -> tuple:
         """(value, gradient, Hessian) of a field, each written once: keyed by
-        its source text, since hashing a tree recurses through every level."""
+        its source text, since each parse builds its own tree, and fields of
+        equal text (such as g's symmetric off-diagonal entries) share one walk."""
         key = (field.source, order, variables)
         if key not in self.walked:
             self.walked[key] = self.src.walk_in(field.ast, order, variables)

@@ -825,8 +825,8 @@ def test_frenet_on_an_indefinite_jet_span_keeps_the_trajectory(tmp_path, capsys)
 
 def _clear_memos():
     """Empty every per-process memo, so that the next command starts cold."""
-    for memo in (expressions.parse, expressions._code, catalog.entry, catalog._family_jet,
-                 scenario._inline_structure, FPlanarCoefficients.parse):
+    for memo in (catalog.entry, catalog._family_jet, scenario._inline_structure,
+                 FPlanarCoefficients.parse):
         memo.cache_clear()
 
 
@@ -867,8 +867,9 @@ def test_inline_manifolds_of_different_text_get_distinct_structures():
 
 
 def test_a_repeated_command_compiles_nothing(tmp_path, monkeypatch):
-    # integrate and frenet share one structure and one system, so one
-    # right-hand side; a repeat of both finds every program built
+    # every shipped command, the negative control and the verify battery,
+    # twice in one process: the second pass finds every definition built,
+    # so it emits no program and compiles no right-hand side
     built, defined = [], []
     compile_rhs, define = bundle.compile_rhs, expressions._Source.define
 
@@ -880,17 +881,29 @@ def test_a_repeated_command_compiles_nothing(tmp_path, monkeypatch):
         defined.append(1)
         return define(*args)
 
+    systems = [p for p in sorted(SCENARIOS.glob("*.json")) if "system" in json.loads(p.read_text())]
+    commands = [(c, "--scenario", p) for p in systems for c in ("check", "integrate", "frenet")]
+    commands += [("check", "--scenario", SCENARIOS / "inline_random_phi.json"), ("verify", "all")]
     _clear_memos()
     monkeypatch.setattr(bundle, "compile_rhs", counted_compile)
     monkeypatch.setattr(expressions._Source, "define", counted_define)
-    path = SCENARIOS / "flat_diag_hphi_planar.json"
+    passes = []
     for repeat in range(2):
-        for command in ("integrate", "frenet"):
-            assert run(command, "--scenario", path, "--out", tmp_path / f"{command}{repeat}") == 0
-        if repeat == 0:
-            assert len(built) == 1
-            defined.clear()
-    assert len(built) == 1 and defined == []
+        rows = []  # (exit code, programs emitted, right-hand sides compiled) per command
+        for k, argv in enumerate(commands):
+            before = len(defined), len(built)
+            code = run(*argv, "--out", tmp_path / f"{repeat}-{k}")
+            rows.append((code, len(defined) - before[0], len(built) - before[1]))
+        passes.append(rows)
+    cold, warm = passes
+    assert len(systems) == 4  # the negative control's check exits 1
+    assert [row[0] for row in cold] == [row[0] for row in warm] == [0] * 3 * len(systems) + [1, 0]
+    assert sum(row[1] for row in cold) > 0
+    assert [row[1:] for row in warm] == [(0, 0)] * len(commands)
+    # integrate and frenet share one structure and one system, so one
+    # right-hand side: integrate compiles it and frenet finds it built
+    rhs = {c: [row[2] for row, argv in zip(cold, commands) if argv[0] == c] for c in ("integrate", "frenet")}
+    assert rhs == {"integrate": [1] * len(systems), "frenet": [0] * len(systems)}
 
 
 def test_a_structure_keeps_at_most_its_bound_of_right_hand_sides():

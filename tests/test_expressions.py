@@ -94,8 +94,7 @@ def _at_depth(frames: int, call):
 @pytest.mark.parametrize("frames", [0, 600], ids=["shallow", "600_frames_deeper"])
 def test_the_nesting_limit_does_not_depend_on_the_callers_stack(frames):
     # each kind of level at the limit parses, and one level more fails at
-    # the byte that opens it, whoever calls the parser; unmemoized, so that
-    # every call parses
+    # the byte that opens it, whoever calls the parser
     limit = expressions._MAX_NESTING
 
     def texts(k):  # (text nesting k levels, byte that opens level k)
@@ -107,10 +106,10 @@ def test_the_nesting_limit_does_not_depend_on_the_callers_stack(frames):
         }
 
     for text, _ in texts(limit).values():
-        _at_depth(frames, lambda: parse.__wrapped__(text, 2))
+        _at_depth(frames, lambda: parse(text, 2))
     for kind, (text, byte) in texts(limit + 1).items():
         with pytest.raises(ExprSyntaxError, match="nests too deeply") as err:
-            _at_depth(frames, lambda: parse.__wrapped__(text, 2))
+            _at_depth(frames, lambda: parse(text, 2))
         assert err.value.offset == byte, kind
 
 
@@ -708,65 +707,19 @@ def test_the_stack_program_checks_every_row_as_evaluate_does():
     assert walk_values(tree, points[[0]]).tobytes() == compile_rows([tree], _DIM)(points[[0]])[:, 0, 0].tobytes()
 
 
-# -- the per-process memos of parsed trees and compiled program text ---------------
-
-
-def test_one_program_text_compiles_once_into_distinct_functions(monkeypatch):
-    compiled, original = [], compile
-
-    def counted(*args):
-        compiled.append(args[0])
-        return original(*args)
-
-    expressions._code.cache_clear()
-    monkeypatch.setattr(expressions, "compile", counted, raising=False)
-    source = expressions._Source(0, rows=False)
-    first, second = (source.define("_probe", "p", ["return _f(p[0]) * 2.5"]) for _ in range(2))
-    assert len(compiled) == 1
-    assert first is not second and first.__globals__ is not second.__globals__
-    assert first.__code__ is second.__code__
-    assert first((1.5,)) == second((1.5,)) == 3.75
-
-
-def test_the_tree_memo_is_keyed_by_text_and_dimension_and_keeps_no_error():
-    parse.cache_clear()
-    one, two = parse("x1", 1), parse("x1", 2)
-    assert parse.cache_info().currsize == 2 and parse.cache_info().misses == 2
-    assert parse("x1", 1) is one and parse("x1", 2) is two
-    for _ in range(2):  # a text that does not parse raises on every call
-        with pytest.raises(ExprSyntaxError, match="out of range for dimension 1"):
-            parse("x2", 1)
-        with pytest.raises(ExprSyntaxError) as err:
-            parse("x1 + @", 2)
-        assert err.value.offset == 5
-    assert parse.cache_info().currsize == 2
-
-
-def test_a_field_at_the_depth_limit_comes_from_the_memos_unhashed(monkeypatch):
+def test_a_field_at_the_depth_limit_builds_twice_unhashed(monkeypatch):
+    # no walker hashes a node: two parses of a 599-term text build, and
+    # their order-2 stack jets are the same bytes
     def unhashable(node):
         raise AssertionError(f"a {type(node).__name__} was hashed")
 
     for cls in (Const, Var, Neg, BinOp, Pow, Call):
         monkeypatch.setattr(cls, "__hash__", unhashable)
     text = " + ".join(f"x{k % 2 + 1}*{k}" for k in range(expressions._MAX_DEPTH - 1))
-    parse.cache_clear()
-    expressions._code.cache_clear()
     point = np.array([[0.5, -2.0]])
     fields = [ScalarField.parse(text, 2) for _ in range(2)]
     jets = [compile_rows([field.ast], 2, 2)(point) for field in fields]
-    assert fields[1].ast is fields[0].ast and parse.cache_info().hits == 1
-    assert expressions._code.cache_info().hits == 1
     assert jets[0].tobytes() == jets[1].tobytes()
-
-
-def test_the_memos_hold_at_most_their_bounds():
-    source = expressions._Source(0, rows=False)
-    for k in range(expressions._MEMO_PROGRAMS + 10):
-        source.define("_probe", "p", [f"return {k}"])
-    assert expressions._code.cache_info().currsize == expressions._MEMO_PROGRAMS
-    for k in range(expressions._MEMO_TREES + 10):
-        parse(f"x1 + {k}", 1)
-    assert parse.cache_info().currsize == expressions._MEMO_TREES
 
 
 @pytest.mark.parametrize("frames", [0, 600], ids=["shallow", "600_frames_deeper"])
