@@ -51,7 +51,7 @@ class ArcLength:
 
 def arc_length_reparam(M: MetricStructure, traj: Trajectory) -> ArcLength:
     """Arc length of the projected curve; rejects (near-)vertical curves."""
-    sq = bilinear(traj.xdot, M.metric_at(traj.x), traj.xdot)
+    sq = bilinear(traj.xdot, traj.geometry(M).g, traj.xdot)
     if np.any(sq < 0.0):
         raise SignatureError("negative squared speed along the projected curve")
     speed = np.sqrt(sq)
@@ -65,13 +65,15 @@ def arc_length_reparam(M: MetricStructure, traj: Trajectory) -> ArcLength:
 
 
 class CovariantJets:
-    """Covariant derivatives gamma', gamma'', ..., gamma^(p) at samples."""
+    """Covariant derivatives gamma', gamma'', ..., gamma^(p) at samples, and
+    g there where it is known (None: :func:`frenet_curvatures` evaluates it)."""
 
-    __slots__ = ("times", "x", "jets")
+    __slots__ = ("times", "x", "jets", "g")
 
-    def __init__(self, times: np.ndarray, x: np.ndarray, jets: list):
+    def __init__(self, times: np.ndarray, x: np.ndarray, jets: list, g: np.ndarray | None = None):
         self.times, self.x = times, x
         self.jets = jets  # jets[k] holds order k+1, shape (n, dim)
+        self.g = g
 
     @property
     def order(self) -> int:
@@ -124,7 +126,7 @@ def covariant_jets(M: MetricStructure, traj: Trajectory, order: int) -> Covarian
         raise ValueError(f"jets to order {order} need {needed} samples, got {n}")
     recursion_from, trim = _jet_path(order, system, exact_second)
 
-    geo = M.at(traj.x)
+    geo = traj.geometry(M)
     jets: list[np.ndarray] = [traj.xdot.copy()]
     if order >= recursion_from:
         xi_prime = geo.to_covariant(traj.xi, traj.xidot, traj.xdot)
@@ -145,7 +147,8 @@ def covariant_jets(M: MetricStructure, traj: Trajectory, order: int) -> Covarian
         jets.append(geo.to_covariant(jets[-1], rate, traj.xdot))
 
     window = slice(trim, n - trim)
-    return CovariantJets(traj.times[window].copy(), traj.x[window].copy(), [j[window] for j in jets])
+    g = geo.g if geo.g.ndim == 2 else geo.g[window]  # a constant g has no sample axis
+    return CovariantJets(traj.times[window].copy(), traj.x[window].copy(), [j[window] for j in jets], g)
 
 
 class FrenetResult:
@@ -191,7 +194,7 @@ def frenet_curvatures(M: MetricStructure, jets: CovariantJets) -> FrenetResult:
     if jets.order < 2:
         raise ValueError("need jets to order >= 2 for curvatures")
     n = jets.times.size
-    g = M.metric_at(jets.x)
+    g = M.metric_at(jets.x) if jets.g is None else jets.g
     radii = np.full((n, jets.order), np.nan)
     basis = np.zeros((jets.order, n, jets.jets[0].shape[1]))  # rows past a frame stay 0
     n_radii = np.zeros(n, dtype=int)

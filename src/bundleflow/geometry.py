@@ -5,8 +5,10 @@ structure ``phi`` (phi^2 = id with balanced eigenbundles) and, optionally,
 analytic Christoffel symbols or a constant curvature tensor.  Geometry is
 evaluated at one chart point or at every row of an ``(n, dim)`` stack of
 points at once; derivatives of the component fields are exact, from
-forward-mode jets of their expression trees, so Gamma and dGamma of a chart
-without analytic Christoffel symbols come from one 2-jet of g.
+forward-mode jets of their expression trees.  Each piece comes from the
+lowest jet order that gives it: on a chart without analytic Christoffel
+symbols g alone from g's values, g^-1 and Gamma from a 1-jet of g, and
+dGamma and R from a 2-jet.
 
 Conventions:
 
@@ -149,15 +151,18 @@ class FieldTensor:
 
         Only the non-constant fields are evaluated: at one point each tree
         is walked by :func:`~bundleflow.expressions.evaluate`, and a stack
-        runs their stack program (:func:`~bundleflow.expressions.compile_rows`).
-        A constant tensor returns its one shared read-only array for a point
-        and a stack alike; it broadcasts against stacked values.
+        runs their stack program (:func:`~bundleflow.expressions.compile_rows`),
+        whose values are those of every :meth:`jet` of the stack, bit for bit
+        (-0.0 included).  A constant tensor returns its one shared read-only
+        array for a point and a stack alike; it broadcasts against stacked
+        values.
         """
         if self._const is not None:
             return self._const
         if getattr(point, "ndim", 1) == 2:
-            out = self._template[None].repeat(len(point), axis=0)
+            out = np.zeros((len(point), self._template.size))
             out[:, self._variable] = self._program(0)(point)[:, 0]
+            out += self._template  # as jet adds it, so that 0.0 + -0.0 is 0.0 here too
             return out.reshape((len(point),) + (self.dim,) * self.rank)
         out = self._template.copy()
         out[self._variable] = [evaluate(t, point) for t in self._trees if t is not None]
@@ -302,26 +307,33 @@ class MetricStructure:
         """d_m Gamma^k_{ij}, indexed [..., m, k, i, j]."""
         return self.at(point).dgamma
 
-    def _connection(self, points: np.ndarray) -> tuple:
+    def _connection(self, points: np.ndarray, order: int = 2) -> tuple:
         """(g, g^-1, Gamma [n, k, i, j], dGamma [n, m, k, i, j]) at each of n
-        points (n, d) from one jet: a 1-jet of analytic Christoffel symbols,
-        with g and g^-1 None, or else a 2-jet of g, with the checked g and
-        g^-1 that Gamma comes from.
+        points (n, d) from the lowest-order jet that gives them; dGamma is
+        None at ``order`` 1.  Analytic Christoffel symbols give Gamma from
+        their values (order 1) or a 1-jet (order 2), with g and g^-1 None;
+        otherwise a 1-jet (order 1) or a 2-jet of g gives the checked g and
+        g^-1 that Gamma comes from.  Gamma and g carry the same bits at both
+        orders.
         """
         if self.christoffel is not None:
+            if order == 1:
+                return None, None, self.christoffel.at(points), None
             jet = self.christoffel.jet(points, 1)
             return None, None, jet[:, 0], jet[:, 1:]
         n, d = points.shape
-        jet = self.g.jet(points, 2)
+        jet = self.g.jet(points, order)
         g = self._checked_metric(jet[:, 0], points)
         ginv = np.linalg.inv(g)
         # [n, a, l, i, j]: d_l g_ij for a = 0, and d_m d_l g_ij for a = 1 + m
-        dg = jet[:, 1:].reshape(n, 1 + d, d, d, d)
+        dg = jet[:, 1:].reshape(n, 1 + (order - 1) * d, d, d, d)
         # S_pij = d_i g_pj + d_j g_pi - d_p g_ij, and d_m S_pij, as [n, a, p, i, j]
         s = dg.transpose(0, 1, 3, 2, 4) + dg.transpose(0, 1, 3, 4, 2) - dg
-        s = s.reshape(n, 1 + d, d, d * d)
+        s = s.reshape(dg.shape[:3] + (d * d,))
         # Gamma^k_ij = 1/2 g^kp S_pij
         gamma = 0.5 * (ginv @ s[:, 0])
+        if order == 1:
+            return g, ginv, gamma.reshape(n, d, d, d), None
         # d_m Gamma^k_ij = g^kp (1/2 d_m S_pij - d_m g_pq Gamma^q_ij)
         rate = 0.5 * s[:, 1:] - (dg[:, 0].reshape(n, d * d, d) @ gamma).reshape(n, d, d, d * d)
         dgamma = ginv[:, None] @ rate
@@ -370,16 +382,20 @@ class PointGeometry:
     stack (every piece, vector and conversion then has a leading sample
     axis), each piece computed on first use.
 
-    Gamma and dGamma come from one exact jet per point or stack (see
-    :meth:`MetricStructure._connection`).  On a chart without analytic
-    Christoffel symbols that is a 2-jet of g, which also fills g and g^-1:
-    the first of the four pieces asked for fills all of them, once.  Where
-    analytic Gamma varies, Gamma and dGamma come from a 1-jet of its fields,
-    and g from ``metric_at``.  phi comes from ``phi_at``, and R is derived
-    from Gamma and dGamma, or is the structure's :attr:`MetricStructure.riemann`
-    where one was given.  A piece that does not depend on the point (a
-    constant g, phi or Gamma; the zero dGamma and the R of constant analytic
-    Gamma; a given R) has no sample axis and broadcasts against the stack.
+    Each piece comes from the lowest exact jet order that gives it (see
+    :meth:`MetricStructure._connection`), once per point or stack.  On a
+    chart without analytic Christoffel symbols g alone comes from g's stack
+    program (one point as a one-row stack), g^-1 and Gamma from a 1-jet of
+    g, which also fills g, and dGamma from a 2-jet, which fills all four.
+    Where analytic Gamma varies, Gamma comes from its fields' values and
+    dGamma from their 1-jet, and g from ``metric_at``.  phi comes from
+    ``phi_at``, and R is derived from Gamma and dGamma, or is the structure's
+    :attr:`MetricStructure.riemann` where one was given.  A trajectory keeps
+    one such geometry of its samples
+    (:meth:`bundleflow.integrate.Trajectory.geometry`).  A piece that does
+    not depend on the point (a constant g, phi or Gamma; the zero dGamma and
+    the R of constant analytic Gamma; a given R) has no sample axis and
+    broadcasts against the stack.
 
     This is the one place where derivatives along a curve x(t) are converted
     between covariant and coordinate form: for v(t) along the curve,
@@ -407,10 +423,11 @@ class PointGeometry:
         self._g = self._ginv = self._phi = None
         self._gamma = self._dgamma = self._riemann = None
 
-    def _fill(self) -> None:
-        """Gamma and dGamma, with g and g^-1 where a jet of g gives them."""
+    def _fill(self, order: int) -> None:
+        """Gamma, and dGamma at order 2, with g and g^-1 where a jet of g
+        gives them."""
         M, x = self.M, np.asarray(self.x, dtype=float)
-        pieces = _in_blocks(M._connection, x.reshape(-1, M.dim))
+        pieces = _in_blocks(lambda p: M._connection(p, order), x.reshape(-1, M.dim))
         lead = x.shape[:-1]
         g, ginv, self._gamma, self._dgamma = (
             p if p is None else p.reshape(lead + p.shape[1:]) for p in pieces
@@ -421,17 +438,19 @@ class PointGeometry:
     @property
     def g(self) -> np.ndarray:
         if self._g is None:
-            if self.M._jet_of_g:
-                self._fill()
+            M, x = self.M, self.x
+            if M._jet_of_g:  # one point as a one-row stack: the bits and errors of the jets of g
+                x = np.asarray(x, dtype=float)
+                self._g = M.metric_at(x.reshape(-1, M.dim)).reshape(x.shape[:-1] + (M.dim,) * 2)
             else:
-                self._g = self.M.metric_at(self.x)
+                self._g = M.metric_at(x)
         return self._g
 
     @property
     def ginv(self) -> np.ndarray:
         if self._ginv is None:
             if self.M._jet_of_g:
-                self._fill()
+                self._fill(1)
             else:
                 self._ginv = np.linalg.inv(self.g)
         return self._ginv
@@ -448,7 +467,7 @@ class PointGeometry:
             if self.M.has_constant_christoffel:
                 self._gamma = self.M.christoffel.at(self.x)
             else:
-                self._fill()
+                self._fill(1)
         return self._gamma
 
     @property
@@ -457,7 +476,7 @@ class PointGeometry:
             if self.M.has_constant_christoffel:
                 self._dgamma = np.zeros((self.M.dim,) * 4)
             else:
-                self._fill()
+                self._fill(2)
         return self._dgamma
 
     @property
@@ -470,7 +489,8 @@ class PointGeometry:
         return self._riemann
 
     def _curvature(self) -> np.ndarray:
-        gam, dgam = self.gamma, self.dgamma
+        dgam = self.dgamma  # first: its 2-jet fills Gamma too
+        gam = self.gamma
         d, lead = self.M.dim, gam.shape[:-3]
         # dgam[..., m, k, i, j] = d_m Gamma^k_ij; the transposes are
         # d_i Gamma^l_jk and d_j Gamma^l_ik, indexed [..., l, k, i, j]

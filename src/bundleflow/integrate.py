@@ -4,7 +4,9 @@ The step grid lands exactly on the final time by shortening the last step.
 Conserved-quantity monitors are evaluated from stored states, never
 interpolated, on the first read of a trajectory's ``monitors``.  Each step
 checks the geometry at the sample it starts from; the final sample, which
-no step starts from, has g, phi and Gamma checked once the steps are done.
+no step starts from, has g, phi and Gamma checked once the steps are done,
+in the trajectory's geometry of all its samples, which the monitors and the
+Frenet analysis then read.
 
 A step runs on plain floats.  The state is a tuple of 4 dim floats, the
 right-hand side (:func:`bundleflow.bundle.make_rhs`) takes and returns
@@ -30,7 +32,7 @@ import numpy as np
 from .bundle import BundleState, BundleSystem, make_rhs, normalized_unit_state
 from .errors import EvalDomainError, IntegrationBlowUp, SingularMetricError
 from .expressions import _Source
-from .geometry import MetricStructure, bilinear
+from .geometry import MetricStructure, PointGeometry, bilinear
 
 __all__ = [
     "IntegratorConfig",
@@ -73,7 +75,7 @@ class Trajectory:
     """
 
     __slots__ = ("times", "x", "xdot", "xi", "xidot", "xddot", "xiddot", "structure", "_monitors",
-                 "meta")
+                 "_geometry", "meta")
 
     def __init__(
         self,
@@ -93,7 +95,7 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
         self.times, self.x, self.xdot, self.xi, self.xidot = times, x, xdot, xi, xidot
         self.xddot, self.xiddot = xddot, xiddot
-        self.structure, self._monitors = structure, None
+        self.structure, self._monitors, self._geometry = structure, None, None
         self.meta = {} if meta is None else meta
 
     @property
@@ -104,6 +106,16 @@ class Trajectory:
             else:
                 compute_monitors(self.structure, self)
         return self._monitors
+
+    def geometry(self, M: MetricStructure) -> PointGeometry:
+        """``M``'s geometry at the samples: for the trajectory's own structure
+        one :class:`~bundleflow.geometry.PointGeometry`, built on first use and
+        kept, so that each piece is evaluated once over the samples."""
+        if M is not self.structure:
+            return M.at(self.x)
+        if self._geometry is None:
+            self._geometry = M.at(self.x)
+        return self._geometry
 
     @property
     def n(self) -> int:
@@ -192,7 +204,7 @@ def compute_monitors(M: MetricStructure, traj: Trajectory) -> None:
     g(xi', phi xi'), g(gamma', gamma') and g(xi', phi xi).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        geo = M.at(traj.x)
+        geo = traj.geometry(M)
         xi, xdot = traj.xi, traj.xdot
         xi_prime = geo.to_covariant(xi, traj.xidot, xdot)
         gphi = geo.g @ geo.phi
@@ -283,18 +295,23 @@ def integrate(
         _flush(ys, rows, times.size)
     steps = times.size - 1
     record.update(steps=steps, rhs_calls=4 * steps, step_s=perf_counter() - start)
+    traj = _build_trajectory(M, system, times, ys, cfg, record)
     try:
-        _check_geometry(M, ys[-1:, :dim])
-    except (SingularMetricError, EvalDomainError) as exc:
-        partial = _partial_trajectory(M, system, times[:-1], ys[:-1], cfg, record)
-        raise IntegrationBlowUp(f"{exc} at the final sample, t = {ts[-1]:g}", partial) from exc
-    return _build_trajectory(M, system, times, ys, cfg, record)
+        _check_geometry(traj.geometry(M))
+    except (SingularMetricError, EvalDomainError):
+        # the steps vouched for the other samples: the final one alone decides
+        # whether the run blew up, or the monitors raise this when read
+        try:
+            _check_geometry(M.at(ys[-1:, :dim]))
+        except (SingularMetricError, EvalDomainError) as exc:
+            partial = _partial_trajectory(M, system, times[:-1], ys[:-1], cfg, record)
+            raise IntegrationBlowUp(f"{exc} at the final sample, t = {ts[-1]:g}", partial) from exc
+    return traj
 
 
-def _check_geometry(M: MetricStructure, x: np.ndarray) -> None:
-    """Evaluate Gamma, g and phi, the pieces the monitors read, at the
-    points ``x``; raises where :func:`compute_monitors` would."""
-    geo = M.at(x)
+def _check_geometry(geo: PointGeometry) -> None:
+    """Evaluate Gamma, g and phi, the pieces the monitors read, in ``geo``;
+    raises where :func:`compute_monitors` would."""
     with np.errstate(over="ignore", invalid="ignore"):
         for piece in ("gamma", "g", "phi"):
             getattr(geo, piece)

@@ -281,6 +281,26 @@ def test_geometry_failing_at_the_final_sample_ends_as_blow_up(monkeypatch):
     _assert_the_ln_partial(err.value.trajectory, rhs_calls=12)
 
 
+def test_a_geometry_error_the_steps_vouched_for_is_raised_by_the_monitors(monkeypatch):
+    # the final-sample check reads the geometry of all the samples, which the
+    # monitors then read; an error there that the final sample alone does not
+    # raise leaves the run whole, and the monitors raise it when read
+    ent, fam = euclid_oblique_family(0.5)
+    phi_at = MetricStructure.phi_at
+
+    def failing_on_stacks(self, point):
+        if np.ndim(point) == 2 and len(point) > 1:
+            raise EvalDomainError("phi fails on the stack")
+        return phi_at(self, point)
+
+    monkeypatch.setattr(MetricStructure, "phi_at", failing_on_stacks)
+    cfg = IntegratorConfig(step=0.25, t_span=(0.0, 1.0))
+    traj = integrate(ent.structure, fam.system, fam.initial_state(), cfg)
+    assert traj.n == 5 and traj.meta["steps"] == 4
+    with pytest.raises(EvalDomainError, match="^phi fails on the stack$"):
+        traj.monitors  # noqa: B018
+
+
 def test_run_record_counts_steps_and_rhs_calls():
     ent, fam = euclid_oblique_family(0.5)
     cfg = IntegratorConfig(step=0.03, t_span=(0.0, 1.0))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bundleflow import bundle, catalog, expressions, geometry, rhs as rhs_module, scenario
+from bundleflow import bundle, catalog, cli, expressions, geometry, rhs as rhs_module, scenario
 from bundleflow.bundle import (
     SYSTEM_KINDS,
     BundleState,
@@ -30,6 +30,7 @@ from bundleflow.integrate import (
 )
 import reference_step
 from charts import curved, deep_g11, derived_twin, h2xh2
+from test_expressions import _ast_strategy
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 EXP2D = catalog.entry("exp2d").structure
@@ -625,9 +626,53 @@ def test_an_empty_stack_gives_arrays_of_no_rows(M):
     assert M.at(empty).gamma.shape == (0, d, d, d)
 
 
+def _pieces_by_order(M, x, order):
+    """g alone (order 0), Gamma, g and g^-1 from a 1-jet (order 1), or the
+    same after dGamma has filled them from a 2-jet (order 2), on a fresh
+    geometry, or the error raised."""
+    def read():
+        geo = M.at(x)
+        if order == 0:
+            return (geo.g,)
+        if order == 2:
+            geo.dgamma  # noqa: B018 - fills every piece
+        return geo.g, geo.ginv, geo.gamma
+    return _outcome(read)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_ast_strategy(), min_size=3, max_size=3),
+    st.lists(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4), min_size=1, max_size=3),
+)
+def test_each_order_gives_g_gamma_and_ginv_with_the_same_bits(trees, rows):
+    # g from its values, a 1-jet or a 2-jet, and Gamma and g^-1 from a 1-jet
+    # or a 2-jet: byte for byte (-0.0 included), on one row and on a stack
+    # longer than a block; an order raises where a lower order does, the
+    # same error where the values do
+    a, b, c = (expressions.pretty(t) for t in trees)
+    g = [[f"2 + ({a})", f"{c}", 0, 0], [f"{c}", f"3 + ({b})", 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]
+    M = MetricStructure(4, g, np.diag([1, 1, -1, -1]))
+    base = np.array(rows)
+    stack = np.vstack([base + 0.01 * k for k in range(geometry._BLOCK // len(base) + 2)])
+    for x in (base[:1], stack):
+        with np.errstate(all="ignore"):
+            g0, g1, g2 = (_pieces_by_order(M, x, order) for order in (0, 1, 2))
+        for low, high in ((g0, g1), (g1, g2)):
+            if isinstance(high, Exception):
+                continue
+            assert not isinstance(low, Exception)
+            assert all(p.tobytes() == q.tobytes() for p, q in zip(low, high))
+        if isinstance(g1, Exception):
+            assert isinstance(g2, Exception)
+        if isinstance(g0, EvalDomainError):
+            assert str(g1) == str(g2) == str(g0)
+
+
 def test_a_unit_run_compiles_the_jet_of_g_once(monkeypatch):
-    # Gamma from jets of g: the unit-bundle start at one point and the
-    # monitors on the whole trajectory run one order-2 program of g
+    # Gamma from jets of g: g alone at the unit-bundle start runs g's values
+    # program, and Gamma there and on the whole trajectory (the final-sample
+    # check and the monitors) one order-1 program of g; nothing reads dGamma
     built, original = [], expressions._Source.entries
 
     def counted(self, nodes, dim):
@@ -639,9 +684,100 @@ def test_a_unit_run_compiles_the_jet_of_g_once(monkeypatch):
     M = MetricStructure(2, g, EXP2D.phi, chart_box=EXP2D.chart_box)
     lift = scenario.load_scenario(SCENARIOS / "exp2d_natural_lift.json")  # a unit run on exp2d
     traj = integrate(M, lift.system, lift.initial, IntegratorConfig(0.01, (0.0, 0.05)))
+    traj.monitors  # noqa: B018 - read from the geometry the final-sample check filled
     assert lift.system.kind == "geodesic_unit" and traj.n == 6
-    jet_of_g = (2, [None if f.const_value is not None else f.ast for f in g.fields])
-    assert built.count(jet_of_g) == 1
+    trees = [None if f.const_value is not None else f.ast for f in g.fields]
+    values = [t for t in trees if t is not None]
+    of_g = sorted(order for order, nodes in built if nodes in (trees, values))
+    assert of_g == [0, 1]
+    assert built.count((1, trees)) == 1 and (2, trees) not in built
+
+
+def test_gamma_is_read_where_only_the_2_jet_of_g_is_not_finite():
+    # g11 = 1 + x1^(3/2) at x1 = 1e-300: its 1-jet is finite, and the second
+    # derivative of the sqrt term overflows in its 2-jet.  Gamma and g^-1 come
+    # from the 1-jet, so they are read there; dGamma and R raise
+    M = MetricStructure(2, [["1 + x1*sqrt(x1)", 0], [0, 1]], [[1, 0], [0, -1]])
+    x = np.array([1e-300, 0.0])
+    assert M.christoffel_at(x)[0, 0, 0] == pytest.approx(0.75e-150, rel=1e-15)
+    assert M.christoffel_at(x[None]).tobytes() == M.christoffel_at(x).tobytes()
+    message = "no finite derivative where the value is 1.0 at [1.e-300 0.e+000]"
+    for read in (M.christoffel_grad_at, M.riemann_tensor_at):
+        with pytest.raises(EvalDomainError) as info:
+            read(x)
+        assert str(info.value) == message
+
+
+def _geometry_calls(monkeypatch, tmp_path, command):
+    """Run ``command`` on h2xh2_geodesic.json (1001 samples, Gamma from jets
+    of g), and return its structure and the calls of g's values program
+    (order 0), of every field tensor's jet and of _connection, as
+    (what, order, rows, inside check_curvature_purity)."""
+    calls, inside = [], []
+    at, jet, connection = FieldTensor.at, FieldTensor.jet, MetricStructure._connection
+    purity = cli.check_curvature_purity
+
+    def counted_at(self, point):
+        if getattr(point, "ndim", 1) == 2 and not self.is_constant:
+            calls.append((self, 0, len(point), bool(inside)))
+        return at(self, point)
+
+    def counted_jet(self, points, order):
+        calls.append((self, order, len(points), bool(inside)))
+        return jet(self, points, order)
+
+    def counted_connection(self, points, order=2):
+        calls.append(("connection", order, len(points), bool(inside)))
+        return connection(self, points, order)
+
+    def counted_purity(*args, **kwargs):
+        inside.append(1)
+        try:
+            return purity(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(FieldTensor, "at", counted_at)
+    monkeypatch.setattr(FieldTensor, "jet", counted_jet)
+    monkeypatch.setattr(MetricStructure, "_connection", counted_connection)
+    monkeypatch.setattr(cli, "check_curvature_purity", counted_purity)
+    path = SCENARIOS / "h2xh2_geodesic.json"
+    assert cli.main([command, "--scenario", str(path), "--out", str(tmp_path / command)]) == 0
+    return scenario.load_scenario(path).structure, calls
+
+
+def _rows_by_order(calls, what):
+    """{order: rows} of the calls of ``what``, each order's rows summed."""
+    rows: dict = {}
+    for who, order, n, _ in calls:
+        if who is what:
+            rows[order] = rows.get(order, 0) + n
+    return rows
+
+
+@pytest.mark.parametrize("command", ["integrate", "frenet"])
+def test_a_run_evaluates_the_geometry_of_its_samples_once(monkeypatch, tmp_path, command):
+    # integrate's final-sample check fills the trajectory's geometry, which the
+    # monitors (integrate) or the arc length, the jets and the Frenet frame
+    # (frenet, order 3) read: one order-1 jet of g over the 1001 samples, in
+    # blocks, and neither a 2-jet nor g's values program over them
+    M, calls = _geometry_calls(monkeypatch, tmp_path, command)
+    assert M.christoffel is None
+    assert _rows_by_order(calls, M.g) == {1: 1001}
+    assert _rows_by_order(calls, "connection") == {1: 1001}
+    assert all(order < 2 for _, order, _, _ in calls)
+
+
+def test_check_takes_the_2_jet_only_for_curvature_purity(monkeypatch, tmp_path):
+    # parallel_phi reads Gamma from a 1-jet of g at 100 points; curvature
+    # purity, at 20, is the one reader of dGamma, and its 2-jet fills Gamma
+    M, calls = _geometry_calls(monkeypatch, tmp_path, "check")
+    outside = [c for c in calls if not c[3]]
+    within = [c for c in calls if c[3]]
+    assert _rows_by_order(outside, M.g) == {0: 100, 1: 100}
+    assert _rows_by_order(outside, "connection") == {1: 100}
+    assert _rows_by_order(within, M.g) == {0: 20, 2: 20}
+    assert _rows_by_order(within, "connection") == {2: 20}
 
 
 def test_concurrent_first_use_gives_the_single_thread_results():
