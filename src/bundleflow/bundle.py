@@ -322,6 +322,7 @@ def _reference_rhs(M: MetricStructure, system: BundleSystem, t, y) -> np.ndarray
     x, xdot, xi, xidot = np.split(np.asarray(y, dtype=float), 4)
     geo = M.at(x)
     geo.g  # noqa: B018 - evaluated first, for every kind: it checks that g is regular here
+    geo.dgamma  # noqa: B018 - then the one jet that gives Gamma and dGamma alike
     xi_prime = geo.to_covariant(xi, xidot, xdot)
     accel, fiber = covariant_targets(geo, system, t, xdot, xi, xi_prime)
     xddot = geo.to_coordinate(xdot, accel, xdot)

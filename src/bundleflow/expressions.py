@@ -12,20 +12,20 @@ that deep), and its text nests parentheses, calls, unary signs and exponent
 parentheses at most 50 levels deep, whoever calls the parser; a deeper one is
 an :class:`~bundleflow.errors.ExprSyntaxError`.
 
-:func:`evaluate` walks a tree at one point in plain floats; it is how a
-field is evaluated at one point, and the reference of every other
-evaluation, which raises its :class:`~bundleflow.errors.EvalDomainError` on
-the same inputs.  Stacks of points, a single row included, run generated
-code: :func:`compile_rows` turns a list of trees into one straight-line
-Python function of the ``(n,)`` columns of an ``(n, dim)`` stack, one
-temporary per node.  Up to order 2 it also writes exact derivatives by
-forward mode, each node's value, gradient and Hessian from its children's
-by the chain, product and quotient rules: a source transformation
-(Griewank & Walther, *Evaluating Derivatives*, ch. 13), done once per
-tree, and no derivative tree is ever built.  This is how the geometry
-differentiates g and analytic Christoffel symbols.  The stack program
-checks every row as :func:`evaluate` does and raises its error with the
-first bad row.
+:func:`evaluate` walks a tree at one point in plain floats: a field, or a
+tensor but for g on a chart without analytic Christoffel symbols (a one-row
+stack there).  It is the reference of every other evaluation, which raises
+its :class:`~bundleflow.errors.EvalDomainError` on the same inputs.  Stacks
+of points, a single row included, run generated code: :func:`compile_rows`
+turns a list of trees into one straight-line Python function of the
+``(n,)`` columns of an ``(n, dim)`` stack, one temporary per node.  Up to
+order 2 it also writes exact derivatives by forward mode, each node's
+value, gradient and Hessian from its children's by the chain, product and
+quotient rules: a source transformation (Griewank & Walther, *Evaluating
+Derivatives*, ch. 13), done once per tree, and no derivative tree is ever
+built.  This is how the geometry differentiates g and analytic Christoffel
+symbols.  The stack program checks every row as :func:`evaluate` does and
+raises its error with the first bad row.
 
 The emitter has a second target, one point in plain floats, with no error
 text: at a domain condition it raises ``ArithmeticError``.  The integrator's
@@ -79,8 +79,8 @@ FUNCTIONS = ("cos", "exp", "ln", "sin", "sqrt")
 # Accepted short names per chart dimension, mapped to 0-based indices.
 _ALIASES = {1: {"t": 0}, 2: {"x": 0, "y": 1}}
 
-# The deepest tree a field may have: every walker recurses once per level,
-# and a Python stack holds about 1000 frames.
+# The deepest tree a field may have, a bound on scenario input checked when a
+# field is built: a sum of 600 terms is about that deep.
 _MAX_DEPTH = 600
 
 # The deepest nesting the parser follows, counted in open parentheses, calls,
@@ -107,8 +107,13 @@ class _Frozen:
     __delattr__ = __setattr__
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
+        def text(node, *children):  # a node's children are its node fields, in order
+            children = iter(children)
+            fields = (f"{k}={next(children) if isinstance(v, _Frozen) else repr(v)}"
+                      for k, v in zip(node.__slots__, [getattr(node, k) for k in node.__slots__]))
+            return f"{type(node).__name__}({', '.join(fields)})"
+
+        return _fold(self, text)
 
 
 class Const(_Frozen):
@@ -158,6 +163,33 @@ class Call(_Frozen):
 
 
 Node = Union[Const, Var, Neg, BinOp, Pow, Call]
+
+def _fold(tree: Node, visit):
+    """``visit(node, *results)`` at each node of ``tree``, ``results`` those of
+    its children, visited first, left to right: the root's result.  The nodes
+    to visit wait on a stack, each under its children and a mark of how many
+    results it takes, so the fold takes no frame per level; it hashes no node."""
+    todo, results, one, two = [tree], [], object(), object()
+    while todo:
+        node = todo.pop()
+        if node is two:
+            right = results.pop()
+            results[-1] = visit(todo.pop(), results[-1], right)
+        elif node is one:
+            results[-1] = visit(todo.pop(), results[-1])
+        elif (kind := type(node)) is BinOp:
+            todo += (node, two, node.right, node.left)
+        elif kind is Const or kind is Var:
+            results.append(visit(node))
+        elif kind is Neg:
+            todo += (node, one, node.child)
+        elif kind is Pow:
+            todo += (node, one, node.base)
+        elif kind is Call:
+            todo += (node, one, node.arg)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+    return results[0]
 
 
 class _Token:
@@ -349,12 +381,8 @@ def parse(source: str, dim: int) -> Node:
 
 
 def _depth(node: Node) -> int:
-    """The number of levels of a tree, counted level by level, without recursion."""
-    levels, level = 0, [node]
-    while level:
-        levels += 1
-        level = [c for n in level for k in n.__slots__ if isinstance(c := getattr(n, k), _Frozen)]
-    return levels
+    """The number of levels of a tree."""
+    return _fold(node, lambda node, a=0, b=0: 1 + max(a, b))
 
 
 def evaluate(node: Node, point) -> float:
@@ -364,57 +392,32 @@ def evaluate(node: Node, point) -> float:
     negative value, division by zero, overflow, sine or cosine of an
     infinite value) raise :class:`~bundleflow.errors.EvalDomainError`
     instead of yielding NaN/inf.
-
-    The tree is walked with an explicit stack, left operands first, so a
-    tree at the depth limit evaluates alike from any depth of the caller's
-    stack.
     """
-    if not isinstance(node, _Frozen):
-        raise TypeError(f"not an expression node: {node!r}")
-    # todo holds the trees still to walk, each above the operation that takes
-    # its value (an operator or function name, "neg" or a power's exponent);
-    # an operation runs on the operand values on top of values
-    values: list[float] = []
-    todo: list = [node]
-    while todo:
-        node = todo.pop()
+    def value(node, x=None, y=None):
         kind = type(node)
         if kind is Const:
-            values.append(node.value)
-        elif kind is Var:
-            values.append(float(point[node.index]))
-        elif kind is BinOp:
-            todo += (node.op, node.right, node.left)
-        elif kind is Neg:
-            todo += ("neg", node.child)
-        elif kind is Pow:
-            todo += (node.exponent, node.base)
-        elif kind is Call:
-            todo += (node.func, node.arg)
-        elif node in ("+", "-", "*", "/"):
-            right = values.pop()
-            values[-1] = _binary(node, values[-1], right)
-        else:
-            values[-1] = _unary(node, values[-1])
-    return values[0]
+            return node.value
+        if kind is Var:
+            return float(point[node.index])
+        if kind is Neg:
+            return -x
+        if kind is not BinOp:
+            return _unary(node.exponent if kind is Pow else node.func, x)
+        if node.op == "+":
+            return x + y
+        if node.op == "-":
+            return x - y
+        if node.op == "*":
+            return x * y
+        if y == 0.0:
+            raise EvalDomainError("division by zero")
+        return x / y
 
-
-def _binary(op: str, left: float, right: float) -> float:
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if right == 0.0:
-        raise EvalDomainError("division by zero")
-    return left / right
+    return _fold(node, value)
 
 
 def _unary(op, arg: float) -> float:
-    """Negation (``"neg"``), a power (``op`` its integer exponent) or a call."""
-    if op == "neg":
-        return -arg
+    """A power (``op`` its integer exponent) or a call."""
     if type(op) is int:
         if arg == 0.0 and op < 0:
             raise EvalDomainError("zero raised to a negative power")
@@ -617,8 +620,8 @@ class _Source:
                       self.neg(self.sym_outer(d1, r1)))
         return d1, self.lets(self.times(d2, inverse))
 
-    def walk(self, node) -> tuple:
-        """(value, gradient, Hessian) of ``node``, as names."""
+    def visit(self, node, *operands) -> tuple:
+        """(value, gradient, Hessian) of ``node`` as names, from its operands'."""
         order, rows = self.order, self.rows
         if isinstance(node, Const):
             name = f"c{len(self.names)}"
@@ -630,14 +633,13 @@ class _Source:
                 self.loaded[i] = self.let(f"p[:, {i}]" if rows else f"_f(p[{i}])")
             return self.loaded[i], {i: "1.0"}, None
         if isinstance(node, Neg):
-            v, d1, d2 = self.walk(node.child)
+            (v, d1, d2), = operands
             value = self.let(f"-{v}")
             if d1 is None or not order:
                 return value, d1, None
             return value, self.lets(self.neg(d1)), self.lets(self.neg(d2))
         if isinstance(node, BinOp):
-            left, l1, l2 = self.walk(node.left)
-            right, r1, r2 = self.walk(node.right)
+            (left, l1, l2), (right, r1, r2) = operands
             op = node.op if node.op in ("+", "-", "*") else "/"  # as evaluate reads it
             if op == "/" and rows:
                 self.check(op, right)
@@ -646,7 +648,7 @@ class _Source:
                 return value, l1 or r1, None
             return (value,) + self.binop_jet(op, left, l1, l2, right, r1, r2, value)
         if isinstance(node, Pow):
-            base, d1, d2 = self.walk(node.base)
+            (base, d1, d2), = operands
             k = operator.index(node.exponent)
             if not (order or rows):
                 power = f"{base} ** ({k})"
@@ -663,7 +665,7 @@ class _Source:
                 f2 = self.let(f"{k * (k - 1)} * {self.ufunc(f'_pow({base}, {k - 2})')}")
             return (value,) + self.chain(d1, d2, f1, f2)
         if isinstance(node, Call) and node.func in FUNCTIONS:
-            arg, d1, d2 = self.walk(node.arg)
+            (arg, d1, d2), = operands
             func = node.func
             if not (order or rows):
                 return self.let(f"_m_{func}({arg})"), d1, None
@@ -686,13 +688,13 @@ class _Source:
         raise TypeError(f"not an expression node: {node!r}")
 
     def walk_in(self, node, order: int, variables) -> tuple:
-        """:meth:`walk` at ``order``, the tree's variables bound to the names
+        """The walk of ``node`` at ``order``, its variables bound to the names
         ``variables``: one function may hold trees at several orders and on
         several charts, such as fields in x and coefficients in t."""
         saved = self.order, self.loaded
         self.order, self.loaded = order, dict(enumerate(variables))
         try:
-            return self.walk(node)
+            return _fold(node, self.visit)
         finally:
             self.order, self.loaded = saved
 
@@ -703,7 +705,7 @@ class _Source:
         for f, node in enumerate(nodes):
             if node is None:
                 continue
-            value, grad, hess = self.walk(node)
+            value, grad, hess = _fold(node, self.visit)
             entries[0, f] = value
             if self.order:
                 for l, e in (grad or {}).items():
@@ -788,41 +790,38 @@ def compile_rows(nodes, dim: int, order: int = 0):
 _ADD, _MUL, _UNARY, _POW, _ATOM = 0, 1, 2, 3, 4
 
 
-def _render(node: Node) -> tuple[str, int]:
+def _render(node: Node, *operands) -> tuple[str, int]:
     if isinstance(node, Const):
         text = f"{node.value:.17g}"
         return text, (_UNARY if text.startswith("-") else _ATOM)
     if isinstance(node, Var):
         return f"x{node.index + 1}", _ATOM
     if isinstance(node, Call):
-        return f"{node.func}({_render(node.arg)[0]})", _ATOM
+        return f"{node.func}({operands[0][0]})", _ATOM
     if isinstance(node, Pow):
-        base, lvl = _render(node.base)
+        base, lvl = operands[0]
         if lvl < _ATOM:
             base = f"({base})"
         exp = str(node.exponent) if node.exponent >= 0 else f"({node.exponent})"
         return f"{base}^{exp}", _POW
     if isinstance(node, Neg):
-        child, lvl = _render(node.child)
+        child, lvl = operands[0]
         if lvl < _POW:
             child = f"({child})"
         return f"-{child}", _UNARY
-    if isinstance(node, BinOp):
-        own = _ADD if node.op in "+-" else _MUL
-        left, llvl = _render(node.left)
-        right, rlvl = _render(node.right)
-        if llvl < own:
-            left = f"({left})"
-        if rlvl <= own:
-            right = f"({right})"
-        sep = f" {node.op} " if node.op in "+-" else node.op
-        return f"{left}{sep}{right}", own
-    raise TypeError(f"not an expression node: {node!r}")
+    own = _ADD if node.op in "+-" else _MUL
+    (left, llvl), (right, rlvl) = operands
+    if llvl < own:
+        left = f"({left})"
+    if rlvl <= own:
+        right = f"({right})"
+    sep = f" {node.op} " if node.op in "+-" else node.op
+    return f"{left}{sep}{right}", own
 
 
 def pretty(node: Node) -> str:
     """Render a tree to canonical text; a fixed point of parse-then-print."""
-    return _render(node)[0]
+    return _fold(node, _render)[0]
 
 
 class ScalarField:

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bundleflow import expressions
+from bundleflow import bundle, expressions
+from bundleflow.bundle import BundleSystem, make_rhs
 from bundleflow.errors import EvalDomainError, ExprSyntaxError
 from bundleflow.expressions import (
     BinOp,
@@ -21,6 +23,8 @@ from bundleflow.expressions import (
     parse,
     pretty,
 )
+from bundleflow.geometry import FieldTensor, MetricStructure
+from charts import deep_g11
 from reference_walk import walk_jet, walk_values
 
 
@@ -75,7 +79,7 @@ def test_syntax_error_offsets():
 
 
 def test_a_field_that_nests_too_deeply_is_a_syntax_error():
-    # a sum of 1200 terms is 1201 levels deep; the walkers recurse once a level
+    # a sum of 1200 terms is 1201 levels deep, past the limit on a field's depth
     with pytest.raises(ExprSyntaxError, match="nests 1201 levels deep") as err:
         ScalarField.parse(" + ".join(f"x1*{k}" for k in range(1200)), 2)
     assert err.value.offset == 0
@@ -623,7 +627,7 @@ def test_a_long_sum_compiles_flat(row):
 def test_an_order_2_program_writes_each_product_once(rows):
     # exp has f'' = f': the chain rule's d1 f' and d1 f'' are one product
     source = expressions._Source(2, rows)
-    source.walk(parse("exp(x1*x2)", _DIM))
+    source.entries([parse("exp(x1*x2)", _DIM)], _DIM)
     products = [line.split(" = ", 1)[1] for line in source.lines if " = " in line]
     assert len(products) == len(set(products))
 
@@ -722,8 +726,11 @@ def test_a_field_at_the_depth_limit_builds_twice_unhashed(monkeypatch):
     assert jets[0].tobytes() == jets[1].tobytes()
 
 
-@pytest.mark.parametrize("frames", [0, 600], ids=["shallow", "600_frames_deeper"])
+@pytest.mark.parametrize("frames", [0, 600, sys.getrecursionlimit() - 100],
+                         ids=["shallow", "600_frames_deeper", "100_frames_below_the_limit"])
 def test_a_field_at_the_depth_limit_evaluates_at_one_point_from_any_stack(frames):
+    # every walk of a tree is a fold with its own stacks: a field at the
+    # depth limit works alike whoever calls it
     terms = [f"x1*{k}" for k in range(expressions._MAX_DEPTH - 1)]
     field = ScalarField.parse(" + ".join(terms), 2)
     assert expressions._depth(field.ast) == expressions._MAX_DEPTH
@@ -732,3 +739,22 @@ def test_a_field_at_the_depth_limit_evaluates_at_one_point_from_any_stack(frames
     assert expressions._depth(ln.ast) == expressions._MAX_DEPTH
     with pytest.raises(EvalDomainError, match=r"^ln of non-positive value 0\.0$"):
         _at_depth(frames, lambda: ln((0.5, 0.0)))
+    # built from its tree alone, a field checks its depth and prints its text
+    assert _at_depth(frames, lambda: ScalarField(field.ast, 2)).source == field.source
+    text = _at_depth(frames, lambda: repr(field.ast))
+    assert text.count("BinOp(") == 2 * len(terms) - 1
+    assert text.endswith("right=BinOp(op='*', left=Var(index=0), right=Const(value=598.0)))")
+    # the stack programs and a tensor's jet: x1 times 0 + 1 + ... + 598 at x1 = 0.5
+    point = np.array([[0.5, 0.0]])
+    want = [89550.5, 179101.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    for order in range(3):
+        jet = _at_depth(frames, lambda: compile_rows([field.ast], 2, order)(point))
+        assert jet[0, :, 0].tolist() == want[: expressions._width(2, order)]
+    tensor = FieldTensor.from_spec([[field, 0], [0, 1]], 2)
+    assert _at_depth(frames, lambda: tensor.jet(point, 2))[0, :, 0, 0].tolist() == want
+    # a 590-term g11 compiles into the right-hand side, which runs
+    M = MetricStructure(2, [[deep_g11(590), 0], [0, 1]], [[1, 0], [0, -1]])
+    system, y = BundleSystem("geodesic_tm"), (0.3, -0.2, 0.5, 0.4, -0.1, 0.7, 0.2, 0.6)
+    got = np.array(_at_depth(frames, lambda: make_rhs(M, system)(0.0, y)))
+    expected = bundle._reference_rhs(M, system, 0.0, np.array(y))
+    assert float(np.max(np.abs(got - expected))) <= 1e-13 * float(np.max(np.abs(expected)))

@@ -293,11 +293,34 @@ def test_rhs_falls_back_to_the_reference_with_its_error(monkeypatch, case):
     assert str(info.value) == message and calls == [1]
 
 
+@pytest.mark.parametrize("derived", [False, True], ids=["analytic_gamma", "jet_of_g"])
+def test_the_reference_rhs_runs_one_jet_for_gamma_and_dgamma(monkeypatch, derived):
+    # g first, for its check, then the one jet that gives Gamma and dGamma:
+    # a 1-jet of analytic Gamma, or a 2-jet of g after g's values
+    M = derived_twin(h2xh2()) if derived else h2xh2()
+    runs = []
+    program = FieldTensor._program
+
+    def counted(tensor, order):
+        run = program(tensor, order)
+
+        def counting(points):
+            runs.append((tensor, order))
+            return run(points)
+
+        return counting
+
+    monkeypatch.setattr(FieldTensor, "_program", counted)
+    y = np.array([0.3, -0.2, 0.5, 0.4, -0.1, 0.7, 0.2, 0.6, 0.1, 0.2, -0.3, 0.4, 0.5, -0.6, 0.7, 0.8])
+    bundle._reference_rhs(M, BundleSystem("geodesic_tm"), 0.0, y)
+    assert runs == ([(M.g, 0), (M.g, 2)] if derived else [(M.christoffel, 1)])
+
+
 @pytest.mark.parametrize("analytic", [False, True], ids=["jet_of_g", "analytic_gamma"])
 @pytest.mark.parametrize("terms", [500, 597])
 def test_a_field_near_the_depth_limit_compiles_into_the_rhs(terms, analytic):
-    # each field is written once, keyed by its source text: hashing the tree
-    # would recurse about 3 frames a level, past Python's limit
+    # each field is written once, keyed by its source text, and walked by a
+    # fold that takes no frame per level
     gamma = {"christoffel": [[[0, 0], [0, 0]]] * 2} if analytic else {}
     M = MetricStructure(2, [[deep_g11(terms), 0], [0, 1]], [[1, 0], [0, -1]], **gamma)
     assert expressions._depth(M.g.fields[0].ast) >= terms
