@@ -106,14 +106,8 @@ class _Frozen:
 
     __delattr__ = __setattr__
 
-    def __repr__(self) -> str:
-        def text(node, *children):  # a node's children are its node fields, in order
-            children = iter(children)
-            fields = (f"{k}={next(children) if isinstance(v, _Frozen) else repr(v)}"
-                      for k, v in zip(node.__slots__, [getattr(node, k) for k in node.__slots__]))
-            return f"{type(node).__name__}({', '.join(fields)})"
-
-        return _fold(self, text)
+    def __repr__(self) -> str:  # a tree's by a fold, so that one of any depth prints
+        return _fold(self, _text) if type(self) in _CHILDREN else _text(self)
 
 
 class Const(_Frozen):
@@ -163,6 +157,9 @@ class Call(_Frozen):
 
 
 Node = Union[Const, Var, Neg, BinOp, Pow, Call]
+# The fields of each kind of node that hold its children, in the order a fold visits them.
+_CHILDREN = {Const: (), Var: (), Neg: ("child",), BinOp: ("left", "right"), Pow: ("base",), Call: ("arg",)}
+
 
 def _fold(tree: Node, visit):
     """``visit(node, *results)`` at each node of ``tree``, ``results`` those of
@@ -177,19 +174,22 @@ def _fold(tree: Node, visit):
             results[-1] = visit(todo.pop(), results[-1], right)
         elif node is one:
             results[-1] = visit(todo.pop(), results[-1])
-        elif (kind := type(node)) is BinOp:
-            todo += (node, two, node.right, node.left)
-        elif kind is Const or kind is Var:
+        elif (children := _CHILDREN.get(type(node))) is None:
+            raise TypeError(f"not an expression node: a {type(node).__name__}")
+        elif not children:
             results.append(visit(node))
-        elif kind is Neg:
-            todo += (node, one, node.child)
-        elif kind is Pow:
-            todo += (node, one, node.base)
-        elif kind is Call:
-            todo += (node, one, node.arg)
+        elif len(children) == 1:
+            todo += (node, one, getattr(node, children[0]))
         else:
-            raise TypeError(f"not an expression node: {node!r}")
+            todo += (node, two, getattr(node, children[1]), getattr(node, children[0]))
     return results[0]
+
+
+def _text(record, *children) -> str:
+    """A record's repr, ``Kind(field=value, ...)``; a node's child fields show ``children``."""
+    shown = dict(zip(_CHILDREN.get(type(record), ()), children))
+    fields = (f"{k}={shown[k] if k in shown else repr(getattr(record, k))}" for k in record.__slots__)
+    return f"{type(record).__name__}({', '.join(fields)})"
 
 
 class _Token:

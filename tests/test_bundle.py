@@ -179,6 +179,15 @@ def test_equal_systems_share_one_compiled_rhs_and_cannot_be_changed():
         rho.rho1 = rho.rho2
 
 
+def test_a_system_and_a_coefficient_pair_read_back_as_their_fields():
+    rho = FPlanarCoefficients.parse("1", "exp(-t)")
+    assert repr(rho) == "FPlanarCoefficients(rho1=ScalarField('1', dim=1), rho2=ScalarField('exp(-t)', dim=1))"
+    assert repr(BundleSystem("geodesic_tm")) == "BundleSystem(kind='geodesic_tm', f_tensor=None, coefficients=None)"
+    text = repr(BundleSystem("f_planar_tm", f_tensor=FTensor(is_phi=True), coefficients=rho))
+    assert text.startswith("BundleSystem(kind='f_planar_tm', f_tensor=<bundleflow.bundle.FTensor object at ")
+    assert text.endswith(f", coefficients={rho!r})")
+
+
 @pytest.mark.parametrize("kind", ["geodesic_tm", "geodesic_unit"])
 def test_a_system_takes_no_f_tensor_its_kind_does_not_use(kind):
     with pytest.raises(ValueError, match=f"system '{kind}' takes no F tensor"):

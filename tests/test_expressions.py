@@ -95,6 +95,14 @@ def _at_depth(frames: int, call):
     return call() if frames == 0 else _at_depth(frames - 1, call)
 
 
+def _stack_depth() -> int:
+    """The number of Python frames on the stack, the caller's included."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
 @pytest.mark.parametrize("frames", [0, 600], ids=["shallow", "600_frames_deeper"])
 def test_the_nesting_limit_does_not_depend_on_the_callers_stack(frames):
     # each kind of level at the limit parses, and one level more fails at
@@ -145,6 +153,8 @@ def test_a_node_cannot_be_changed_and_reads_back_as_its_constructor():
     with pytest.raises(AttributeError):
         del tree.op
     assert repr(tree) == "BinOp(op='+', left=Var(index=0), right=Const(value=2.0))"
+    with pytest.raises(TypeError, match=r"^not an expression node: a ScalarField$"):
+        expressions._fold(ScalarField.parse("x1", 1), lambda node, *results: node)
 
 
 def test_unknown_identifiers():
@@ -726,11 +736,15 @@ def test_a_field_at_the_depth_limit_builds_twice_unhashed(monkeypatch):
     assert jets[0].tobytes() == jets[1].tobytes()
 
 
-@pytest.mark.parametrize("frames", [0, 600, sys.getrecursionlimit() - 100],
+@pytest.mark.parametrize("frames", [0, 600, None],
                          ids=["shallow", "600_frames_deeper", "100_frames_below_the_limit"])
 def test_a_field_at_the_depth_limit_evaluates_at_one_point_from_any_stack(frames):
     # every walk of a tree is a fold with its own stacks: a field at the
-    # depth limit works alike whoever calls it
+    # depth limit works alike whoever calls it, also from a stack 100 frames
+    # short of the recursion limit, counted from the bottom of the stack
+    # (the cases here pass down to 15 frames short of the limit)
+    if frames is None:
+        frames = sys.getrecursionlimit() - 100 - _stack_depth()
     terms = [f"x1*{k}" for k in range(expressions._MAX_DEPTH - 1)]
     field = ScalarField.parse(" + ".join(terms), 2)
     assert expressions._depth(field.ast) == expressions._MAX_DEPTH
