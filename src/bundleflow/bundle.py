@@ -339,6 +339,7 @@ def normalized_unit_state(M: MetricStructure, state: BundleState) -> BundleState
     raise :class:`ConstraintError` instead of being silently repaired.
     """
     geo = M.at(state.x)
+    geo.ginv  # noqa: B018 - first, for g's check: where Gamma comes from g, its 1-jet gives g too
     g, phi = geo.g, geo.phi
     norm = float(state.xi @ g @ (phi @ state.xi))
     if abs(norm - 1.0) > _UNIT_TOL:

@@ -9,8 +9,11 @@ Fields on an n-dimensional chart are written in a small infix language:
 
 A field's tree is at most 600 levels deep (a sum of 600 terms is about
 that deep), and its text nests parentheses, calls, unary signs and exponent
-parentheses at most 50 levels deep, whoever calls the parser; a deeper one is
-an :class:`~bundleflow.errors.ExprSyntaxError`.
+parentheses at most 50 levels deep; a deeper one is an
+:class:`~bundleflow.errors.ExprSyntaxError`.  :func:`parse` is one loop over
+a text's tokens with two stacks, and every walk of a tree one post-order
+fold with its own, so nothing here recurses: a field parses, evaluates,
+prints and compiles alike whoever calls it.
 
 :func:`evaluate` walks a tree at one point in plain floats: a field, or a
 tensor but for g on a chart without analytic Christoffel symbols (a one-row
@@ -83,12 +86,9 @@ _ALIASES = {1: {"t": 0}, 2: {"x": 0, "y": 1}}
 # field is built: a sum of 600 terms is about that deep.
 _MAX_DEPTH = 600
 
-# The deepest nesting the parser follows, counted in open parentheses, calls,
-# unary signs and exponent parentheses.  A parenthesis or call level costs 6
-# frames (expression, term, unary, power, atom, nested), a sign or exponent
-# parenthesis 2, so 50 levels take at most about 310 frames: with up to 600
-# frames of callers the parser stays under Python's default limit of 1000,
-# and a text parses or not whatever the caller's stack.
+# The deepest nesting a field's text may have, a bound on scenario input
+# checked at the byte that opens each level: open parentheses, calls, unary
+# signs and exponent parentheses, counted together.
 _MAX_NESTING = 50
 
 
@@ -258,126 +258,106 @@ def _variable_index(name: str, dim: int, pos: int) -> int:
     return alias
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token], dim: int):
-        self.tokens = tokens
-        self.dim = dim
-        self.i = 0
-        self.nesting = 0  # levels open at the current token
+# How tightly each waiting operator binds; "neg" is a unary sign.  A
+# parenthesis, "(", or a call, its function's name, waits for its ")".
+_BINDS = {"+": 0, "-": 0, "*": 1, "/": 1, "neg": 2}
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, text: str) -> None:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != text:
-            raise ExprSyntaxError(f"expected {text!r}", tok.pos)
-        self.advance()
-
-    def nested(self, parse, pos: int):
-        """``parse()`` one level deeper, a level opened at byte ``pos``."""
-        if self.nesting == _MAX_NESTING:
-            raise ExprSyntaxError(
-                f"expression nests too deeply: more than {_MAX_NESTING} levels of"
-                " parentheses, calls or signs", pos)
-        self.nesting += 1
-        node = parse()
-        self.nesting -= 1
-        return node
-
-    def parse(self) -> Node:
-        node = self.expression()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExprSyntaxError(f"unexpected trailing input {tok.text!r}", tok.pos)
-        return node
-
-    def expression(self) -> Node:
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self) -> Node:
-        node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = BinOp(op, node, self.unary())
-        return node
-
-    def unary(self) -> Node:
-        if self.peek().kind == "op" and self.peek().text == "-":
-            return Neg(self.nested(self.unary, self.advance().pos))
-        return self.power()
-
-    def power(self) -> Node:
-        node = self.atom()
-        while self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            node = Pow(node, self.integer_exponent())
-        return node
-
-    def integer_exponent(self) -> int:
-        # the grammar deliberately restricts ^ to literal integer exponents
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            value = self.nested(self.integer_exponent, tok.pos)
-            self.expect_op(")")
-            return value
-        sign = 1
-        while tok.kind == "op" and tok.text == "-":
-            self.advance()
-            sign = -sign
-            tok = self.peek()
-        if tok.kind != "num":
-            raise ExprSyntaxError("exponent must be an integer literal", tok.pos)
-        value = float(tok.text)
-        if not value.is_integer():
-            raise ExprSyntaxError("exponent must be an integer literal", tok.pos)
-        self.advance()
-        return sign * int(value)
-
-    def atom(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            return Const(float(tok.text))
-        if tok.kind == "ident":
-            self.advance()
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.text == "(":
-                if tok.text not in FUNCTIONS:
-                    raise ExprSyntaxError(f"unknown function {tok.text!r}", tok.pos)
-                self.advance()
-                arg = self.nested(self.expression, tok.pos)
-                self.expect_op(")")
-                return Call(tok.text, arg)
-            return Var(_variable_index(tok.text, self.dim, tok.pos))
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            node = self.nested(self.expression, tok.pos)
-            self.expect_op(")")
-            return node
+def _deeper(levels: int, pos: int) -> int:
+    """One level more than ``levels``, a level opened at byte ``pos``."""
+    if levels == _MAX_NESTING:
         raise ExprSyntaxError(
-            f"expected a value, got {tok.text!r}" if tok.text else "unexpected end of input",
-            tok.pos,
-        )
+            f"expression nests too deeply: more than {_MAX_NESTING} levels of"
+            " parentheses, calls or signs", pos)
+    return levels + 1
 
 
 def parse(source: str, dim: int) -> Node:
-    """Parse ``source`` into an immutable expression tree for a dim-chart."""
+    """Parse ``source`` into an immutable expression tree for a dim-chart.
+
+    One loop over the tokens, with the operands and the waiting operators
+    on two stacks (Dijkstra's shunting yard): a binary operator first
+    applies every waiting one that binds at least as tightly, and ``^``
+    takes its integer literal at once, so it binds tightest.
+    """
     if not source or not source.strip():
         raise ExprSyntaxError("empty expression", 0)
     if dim < 1:
         raise ValueError(f"chart dimension must be >= 1, got {dim}")
-    return _Parser(_tokenize(source), dim).parse()
+    tokens = _tokenize(source)
+    values: list[Node] = []
+    ops: list[str] = []
+    levels, i, operand = 0, 0, True  # operand: the next token starts one
+    while True:
+        tok = tokens[i]
+        kind, text = tok.kind, tok.text
+        i += 1
+        if operand:
+            if kind == "num":
+                values.append(Const(float(text)))
+                operand = False
+                continue
+            if kind == "ident" and tokens[i].text != "(":
+                values.append(Var(_variable_index(text, dim, tok.pos)))
+                operand = False
+                continue
+            if kind == "ident":  # a call
+                if text not in FUNCTIONS:
+                    raise ExprSyntaxError(f"unknown function {text!r}", tok.pos)
+                i += 1
+            elif text == "-":
+                text = "neg"
+            elif text != "(":
+                raise ExprSyntaxError(
+                    f"expected a value, got {text!r}" if text else "unexpected end of input",
+                    tok.pos,
+                )
+            levels = _deeper(levels, tok.pos)
+            ops.append(text)
+        elif text == "^":  # the grammar deliberately restricts ^ to literal integer exponents
+            opened = 0
+            while tokens[i].text == "(":
+                levels = _deeper(levels, tokens[i].pos)
+                opened, i = opened + 1, i + 1
+            sign = 1
+            while tokens[i].text == "-":
+                sign, i = -sign, i + 1
+            tok = tokens[i]
+            if tok.kind != "num" or not (value := float(tok.text)).is_integer():
+                raise ExprSyntaxError("exponent must be an integer literal", tok.pos)
+            i += 1
+            for _ in range(opened):
+                if tokens[i].text != ")":
+                    raise ExprSyntaxError("expected ')'", tokens[i].pos)
+                i += 1
+            levels -= opened
+            values[-1] = Pow(values[-1], sign * int(value))
+        else:
+            # apply the waiting operators that bind at least as tightly as
+            # this one, or all that wait inside the innermost level
+            binds = _BINDS.get(text, -1) if kind == "op" else -1
+            while ops and _BINDS.get(ops[-1], -1) >= max(binds, 0):
+                op = ops.pop()
+                if op == "neg":
+                    values[-1] = Neg(values[-1])
+                    levels -= 1
+                else:
+                    right = values.pop()
+                    values[-1] = BinOp(op, values[-1], right)
+            if binds >= 0:
+                ops.append(text)
+                operand = True
+            elif ops:  # a parenthesis or a call is open
+                if text != ")":
+                    raise ExprSyntaxError("expected ')'", tok.pos)
+                opener = ops.pop()
+                levels -= 1
+                if opener != "(":
+                    values[-1] = Call(opener, values[-1])
+            elif kind == "end":
+                return values[0]
+            else:
+                raise ExprSyntaxError(f"unexpected trailing input {text!r}", tok.pos)
 
 
 def _depth(node: Node) -> int:

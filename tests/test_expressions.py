@@ -1,4 +1,6 @@
+import ast as pyast
 import math
+import pathlib
 import sys
 import warnings
 
@@ -25,6 +27,7 @@ from bundleflow.expressions import (
 )
 from bundleflow.geometry import FieldTensor, MetricStructure
 from charts import deep_g11
+from reference_parse import parse as reference_parse
 from reference_walk import walk_jet, walk_values
 
 
@@ -103,10 +106,14 @@ def _stack_depth() -> int:
     return depth
 
 
-@pytest.mark.parametrize("frames", [0, 600], ids=["shallow", "600_frames_deeper"])
+@pytest.mark.parametrize("frames", [0, 600, None],
+                         ids=["shallow", "600_frames_deeper", "100_frames_below_the_limit"])
 def test_the_nesting_limit_does_not_depend_on_the_callers_stack(frames):
     # each kind of level at the limit parses, and one level more fails at
-    # the byte that opens it, whoever calls the parser
+    # the byte that opens it, whoever calls the parser: also from a stack
+    # 100 frames short of the recursion limit, counted from its bottom
+    if frames is None:
+        frames = sys.getrecursionlimit() - 100 - _stack_depth()
     limit = expressions._MAX_NESTING
 
     def texts(k):  # (text nesting k levels, byte that opens level k)
@@ -123,6 +130,28 @@ def test_the_nesting_limit_does_not_depend_on_the_callers_stack(frames):
         with pytest.raises(ExprSyntaxError, match="nests too deeply") as err:
             _at_depth(frames, lambda: parse(text, 2))
         assert err.value.offset == byte, kind
+
+
+def test_no_function_in_the_expression_module_names_itself():
+    # no function calls itself, or hands itself on to be called (as a
+    # recursive-descent parser's self.nested(self.unary, ...) does): a
+    # method by ``self.name``, any other function by its bare name
+    module = pyast.parse(pathlib.Path(expressions.__file__).read_text())
+    found = []
+    for scope in pyast.walk(module):
+        for fn in pyast.iter_child_nodes(scope):
+            if not isinstance(fn, pyast.FunctionDef):
+                continue
+            owner = fn.args.args[0].arg if isinstance(scope, pyast.ClassDef) and fn.args.args else None
+            for node in pyast.walk(fn):
+                if owner is None:
+                    named = isinstance(node, pyast.Name) and node.id == fn.name
+                else:
+                    named = (isinstance(node, pyast.Attribute) and node.attr == fn.name
+                             and isinstance(node.value, pyast.Name) and node.value.id == owner)
+                if named:
+                    found.append(fn.name)
+    assert found == []
 
 
 def test_a_field_at_the_depth_limit_builds_evaluates_and_compiles():
@@ -247,6 +276,70 @@ def test_pretty_parse_pretty_is_fixed_point(ast):
     text = pretty(ast)
     reparsed = parse(text, _DIM)
     assert pretty(reparsed) == text
+
+
+# texts the two parsers must read alike: tokens strung at random, with
+# malformed numbers, unknown names, stray ")" and "^" and exponents that are
+# not integers; and printed trees (below)
+_TOKENS = ["x1", "x2", "x3", "x", "y", "t", "z1", "2", "0.5", "2.0", "1e400", "1.2.3", "1e", ".",
+           "exp", "sqrt", "tan", "(", ")", "+", "-", "*", "/", "^", " "]
+
+
+@st.composite
+def _printed_text(draw, trees):
+    """A tree drawn from ``trees`` printed as :func:`pretty` prints it, with
+    extra parentheses and spaces, an exponent under extra parentheses and
+    signs."""
+    tree, rng = draw(trees), draw(st.randoms(use_true_random=False))
+
+    def spaces():
+        return " " * rng.randrange(3)
+
+    def visit(node, *operands):
+        if isinstance(node, Pow):
+            (base, level), k = operands[0], node.exponent
+            if level < expressions._ATOM:
+                base = f"({base})"
+            opened, signs = rng.randrange(3), 2 * rng.randrange(2) + (k < 0)
+            text = f"{base}^" + "(" * opened + "-" * signs + str(abs(k)) + ")" * opened
+            level = expressions._POW
+        else:
+            text, level = expressions._render(node, *operands)
+        if rng.randrange(2):
+            text, level = f"({spaces()}{text}{spaces()})", expressions._ATOM
+        return text, level
+
+    return spaces() + expressions._fold(tree, visit)[0] + spaces()
+
+
+def _outcome_of_parsing(parser, text, dim):
+    try:
+        return repr(parser(text, dim))
+    except ExprSyntaxError as exc:
+        return str(exc), exc.offset
+
+
+def _at_the_nesting_limit(test):
+    """``test`` given, at every run, texts nesting 49, 50 and 51 levels:
+    of each kind, and of all kinds at once after each kind has closed."""
+    for k in (49, 50, 51):
+        for text in ("(" * k + "x1" + ")" * k, "exp(" * k + "x1" + ")" * k, "-" * k + "x1",
+                     "x1^" + "(" * k + "2" + ")" * k,
+                     "-exp((x1^((2)))) * " + "-" * (k - 4) + "sin((x1^((2))))"):
+            test = example((text, 2))(test)
+    return test
+
+
+@_at_the_nesting_limit
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.tuples(st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=20).map("".join), st.integers(1, 3)),
+    st.tuples(_printed_text(_ast_strategy()), st.just(_DIM)),
+))
+def test_the_parser_reads_every_text_as_the_recursive_descent_parser_did(case):
+    # the same tree, or the same message at the same byte
+    text, dim = case
+    assert _outcome_of_parsing(parse, text, dim) == _outcome_of_parsing(reference_parse, text, dim)
 
 
 def _reference_eval(text: str, point) -> float:

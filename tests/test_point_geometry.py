@@ -17,6 +17,7 @@ from bundleflow.bundle import (
     FTensor,
     lorentz_force,
     make_rhs,
+    normalized_unit_state,
 )
 from bundleflow.errors import EvalDomainError, SingularMetricError
 from bundleflow.rhs import compile_rhs
@@ -293,11 +294,9 @@ def test_rhs_falls_back_to_the_reference_with_its_error(monkeypatch, case):
     assert str(info.value) == message and calls == [1]
 
 
-@pytest.mark.parametrize("derived", [False, True], ids=["analytic_gamma", "jet_of_g"])
-def test_the_reference_rhs_runs_one_jet_for_gamma_and_dgamma(monkeypatch, derived):
-    # g first, for its check, then the one jet that gives Gamma and dGamma:
-    # a 1-jet of analytic Gamma, or a 2-jet of g after g's values
-    M = derived_twin(h2xh2()) if derived else h2xh2()
+def _program_runs(monkeypatch) -> list:
+    """The list that each later run of a :class:`FieldTensor` program
+    appends its ``(tensor, order)`` to."""
     runs = []
     program = FieldTensor._program
 
@@ -311,9 +310,30 @@ def test_the_reference_rhs_runs_one_jet_for_gamma_and_dgamma(monkeypatch, derive
         return counting
 
     monkeypatch.setattr(FieldTensor, "_program", counted)
+    return runs
+
+
+@pytest.mark.parametrize("derived", [False, True], ids=["analytic_gamma", "jet_of_g"])
+def test_the_reference_rhs_runs_one_jet_for_gamma_and_dgamma(monkeypatch, derived):
+    # g first, for its check, then the one jet that gives Gamma and dGamma:
+    # a 1-jet of analytic Gamma, or a 2-jet of g after g's values
+    M = derived_twin(h2xh2()) if derived else h2xh2()
+    runs = _program_runs(monkeypatch)
     y = np.array([0.3, -0.2, 0.5, 0.4, -0.1, 0.7, 0.2, 0.6, 0.1, 0.2, -0.3, 0.4, 0.5, -0.6, 0.7, 0.8])
     bundle._reference_rhs(M, BundleSystem("geodesic_tm"), 0.0, y)
     assert runs == ([(M.g, 0), (M.g, 2)] if derived else [(M.christoffel, 1)])
+
+
+@pytest.mark.parametrize("derived", [False, True], ids=["analytic_gamma", "jet_of_g"])
+def test_normalizing_the_initial_state_runs_one_program_of_g_or_gamma(monkeypatch, derived):
+    # g's check first, then Gamma: the values of analytic Gamma, or a 1-jet
+    # of g, which gives g and Gamma alike
+    M = derived_twin(h2xh2()) if derived else h2xh2()
+    runs = _program_runs(monkeypatch)
+    state = BundleState(np.zeros(4), np.array([0.3, -0.2, 0.5, 0.4]), np.array([1.0, 0.0, 0.0, 0.0]),
+                        np.array([0.0, 0.7, 0.2, 0.6]))
+    normalized_unit_state(M, state)
+    assert runs == ([(M.g, 1)] if derived else [(M.christoffel, 0)])
 
 
 @pytest.mark.parametrize("analytic", [False, True], ids=["jet_of_g", "analytic_gamma"])
@@ -693,9 +713,9 @@ def test_each_order_gives_g_gamma_and_ginv_with_the_same_bits(trees, rows):
 
 
 def test_a_unit_run_compiles_the_jet_of_g_once(monkeypatch):
-    # Gamma from jets of g: g alone at the unit-bundle start runs g's values
-    # program, and Gamma there and on the whole trajectory (the final-sample
-    # check and the monitors) one order-1 program of g; nothing reads dGamma
+    # Gamma from jets of g: g and Gamma at the unit-bundle start and on the
+    # whole trajectory (the final-sample check and the monitors) run one
+    # order-1 program of g; nothing runs g's values program or reads dGamma
     built, original = [], expressions._Source.entries
 
     def counted(self, nodes, dim):
@@ -712,7 +732,7 @@ def test_a_unit_run_compiles_the_jet_of_g_once(monkeypatch):
     trees = [None if f.const_value is not None else f.ast for f in g.fields]
     values = [t for t in trees if t is not None]
     of_g = sorted(order for order, nodes in built if nodes in (trees, values))
-    assert of_g == [0, 1]
+    assert of_g == [1]
     assert built.count((1, trees)) == 1 and (2, trees) not in built
 
 
